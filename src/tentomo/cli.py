@@ -30,6 +30,7 @@ from . import symtensor as st
 from . import xray as xr
 from .polynomial import random_homogeneous
 from .rng import SplitMix64
+from .verdict import check_row, worst
 
 KNOWN_SUITES = (
     "identities.algebra", "identities.ibp", "identities.john",
@@ -41,6 +42,9 @@ KNOWN_SUITES = (
 TOL_EXACT = 1e-10
 TOL_QUAD = 1e-6
 TOL_GRID = 1e-3
+
+#: identities.john cases run when the config gives none.
+JOHN_CASES = [{"m": 1}, {"m": 2}]
 
 
 class ConfigError(Exception):
@@ -108,9 +112,14 @@ def _validate_suite_params(pos, entry):
             if not 0 <= k < m:
                 bad(f"need 0 <= k < m, got k={k}, m={m}")
     if name == "identities.john":
-        for case in entry.get("cases", [{"n": 2, "m": 1}, {"n": 2, "m": 2}]):
-            if case.get("m", 1) < 1:
+        for case in entry.get("cases", JOHN_CASES):
+            if _john_case(case)[1] < 1:
                 bad("iterated John relation needs m >= 1")
+    if name in ("identities.prop-ray", "identities.mrt"):
+        degrees = entry.get("degrees", [20, 40, 60])
+        if not (isinstance(degrees, list) and len(degrees) >= 2
+                and all(isinstance(d, int) for d in degrees)):
+            bad("'degrees' must list at least 2 integer rule degrees")
     if name == "identities.prop-ray":
         for mm in entry.get("m_values", [1, 2]):
             if not 1 <= mm <= 2:
@@ -123,6 +132,8 @@ def _validate_suite_params(pos, entry):
             if not 0 <= kk <= mm:
                 bad(f"need 0 <= k <= m in lemma_cases, got ({mm}, {kk})")
     if name == "decompose":
+        if not isinstance(entry.get("N", 128), int):
+            bad("'N' must be an integer")
         if entry.get("N", 128) < 16:
             bad("grid too coarse: need N >= 16")
         for mm in entry.get("m_values", [1, 2]):
@@ -130,11 +141,9 @@ def _validate_suite_params(pos, entry):
                 bad("decomposition needs m >= 1")
 
 
-def _row(name, value, tolerance, parameters=None, mode="below", seconds=0.0):
-    ok = value <= tolerance if mode == "below" else value > tolerance
-    return {"name": name, "parameters": parameters or {},
-            "value": float(value), "tolerance": float(tolerance),
-            "pass": bool(ok), "seconds": seconds}
+def _john_case(case):
+    """(n, m) of one identities.john case, defaults filled in."""
+    return case.get("n", 2), case.get("m", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +194,8 @@ def _run_algebra(params, rng):
         if not pf.operator_R(pot).is_zero():
             worst["R_of_potential_zero"] = 1.0
 
-    rows = [_row(name, val, TOL_EXACT,
-                 {"trials": trials, "max_n": max_n, "max_m": max_m})
+    rows = [check_row(name, val, TOL_EXACT,
+                      {"trials": trials, "max_n": max_n, "max_m": max_m})
             for name, val in worst.items()]
 
     # W <-> R equivalences including the generalized (m=2, k=1) pair
@@ -202,8 +211,8 @@ def _run_algebra(params, rng):
             rt_worst = 1.0
         if not (pf.w_to_r(wimg, m) - rimg).is_zero():
             rt_worst = 1.0
-    rows.append(_row("rw_roundtrips_exact", rt_worst, TOL_EXACT,
-                     {"trials": params.get("roundtrip_trials", 20)}))
+    rows.append(check_row("rw_roundtrips_exact", rt_worst, TOL_EXACT,
+                          {"trials": params.get("roundtrip_trials", 20)}))
 
     gen_worst = 0.0
     default_ok = True
@@ -225,8 +234,8 @@ def _run_algebra(params, rng):
     extra = {"m": 2, "k": 1, "default_constant_ok": default_ok}
     if solved is not None:
         extra["solved_constant"] = f"{solved.numerator}/{solved.denominator}"
-    rows.append(_row("generalized_rw_roundtrips_exact", gen_worst, TOL_EXACT,
-                     extra))
+    rows.append(check_row("generalized_rw_roundtrips_exact", gen_worst, TOL_EXACT,
+                          extra))
     return rows
 
 
@@ -244,53 +253,50 @@ def _run_ibp(params, rng):
     trials = params.get("trials_per_case", 20)
     for n in n_values:
         for s in s_values:
-            worst = 0.0
+            res = []
             for t in range(trials):
                 child = rng.split(f"ibp-{n}-{s}-{t}")
                 pow2r = child.randint(0, 2)
                 g = sq.HomogeneousRational(
                     random_homogeneous(n, s - 1 + 2 * pow2r, child), pow2r)
-                for idx in itertools.product(range(n), repeat=s):
-                    res = sq.verify_ibp(g, idx)
-                    worst = max(worst, abs(float(res)))
-            rows.append(_row("ibp_residual", worst, TOL_EXACT,
-                             {"n": n, "s": s, "trials": trials}))
-    spot = max(abs(float(sq.c_constant(0, 1, n)) - (n - 1)) for n in n_values)
-    spot = max(spot, abs(float(sq.c_constant(1, 2, 3)) + 2.0))
+                res += [abs(float(sq.verify_ibp(g, idx)))
+                        for idx in itertools.product(range(n), repeat=s)]
+            rows.append(check_row("ibp_residual", worst(res), TOL_EXACT,
+                                  {"n": n, "s": s, "trials": trials}))
+    spot = [abs(float(sq.c_constant(0, 1, n)) - (n - 1)) for n in n_values]
+    spot.append(abs(float(sq.c_constant(1, 2, 3)) + 2.0))
     for n in n_values:
         for mdeg in s_values:
             want = np.prod([n - 1 + 2 * p for p in range(mdeg)])
-            spot = max(spot, abs(float(sq.c_constant(0, mdeg, n)) - want))
-    rows.append(_row("c_constant_spot_checks", spot, TOL_EXACT, {}))
+            spot.append(abs(float(sq.c_constant(0, mdeg, n)) - want))
+    rows.append(check_row("c_constant_spot_checks", worst(spot), TOL_EXACT, {}))
     return rows
 
 
 def _run_john(params, rng):
     rows = []
-    cases = params.get("cases", [{"n": 2, "m": 1, "tolerance": 1e-9},
-                                 {"n": 2, "m": 2, "tolerance": 1e-8}])
-    for case in cases:
-        n, m = case.get("n", 2), case["m"]
+    for case in params.get("cases", JOHN_CASES):
+        n, m = _john_case(case)
         tol = case.get("tolerance", 1e-9 if m == 1 else 1e-8)
         count = case.get("lines", 20)
         child = rng.split(f"john-{n}-{m}")
         f = pf.random_bump_field(n, m, child, power=2 * m + 2, degree=2,
                                  label="f")
-        worst = 0.0
+        res = []
         for t in range(count):
             lc = child.split(f"line-{t}")
             line = xr.Line(lc.point_in_ball(n, 1.5), lc.direction(n))
-            worst = max(worst, xr.verify_john_relation(f, line))
-        rows.append(_row("john_relation_residual", worst, tol,
-                         {"n": n, "m": m, "lines": count}))
+            res.append(xr.verify_john_relation(f, line))
+        rows.append(check_row("john_relation_residual", worst(res), tol,
+                              {"n": n, "m": m, "lines": count}))
         # potential fields: both sides vanish
         v = pf.random_bump_field(n, m - 1, child, power=3 * m + 2, degree=2,
                                  label="v")
         pot = pf.inner_derivative(v)
         line = xr.Line(child.point_in_ball(n, 1.2), child.direction(n))
-        rows.append(_row("john_relation_potential",
-                         xr.verify_john_relation(pot, line), tol,
-                         {"n": n, "m": m}))
+        rows.append(check_row("john_relation_potential",
+                              xr.verify_john_relation(pot, line), tol,
+                              {"n": n, "m": m}))
     return rows
 
 
@@ -304,26 +310,25 @@ def _convergence_rows(label, f, k, degrees, points, tol, kind):
         for deg in degrees:
             rule = sq.build_rule(f.n, deg)
             if kind == "ray":
-                res = no.verify_ray_key_identity(f, x, rule)
-                val = max(abs(v) for v in res.values())
+                res = no.verify_ray_key_identity(f, x, rule).values()
             elif kind == "mrt":
-                res = no.verify_momentum_key_identity(f, x, k, rule, rhs_exprs=exprs)
-                val = max(abs(v) for v in res.values())
+                res = no.verify_momentum_key_identity(f, x, k, rule,
+                                                      rhs_exprs=exprs).values()
             else:
-                val = no.verify_momentum_moment_identity(f, x, k, rule).max_abs()
-            res_by_deg.append(val)
+                res = no.verify_momentum_moment_identity(f, x, k, rule).data.values()
+            res_by_deg.append(worst(abs(v) for v in res))
         per_point.append(res_by_deg)
     # one row per (degree, sample point); the stated tolerance is pinned at
     # the final (highest) degree, coarser degrees are trend diagnostics
     for j, deg in enumerate(degrees):
         bound = tol if j == len(degrees) - 1 else max(tol, 1e-2)
         for i, p in enumerate(per_point):
-            rows.append(_row(f"{label}_residual", p[j], bound,
-                             {"degree": deg, "point": i}))
-    slack = max(max(p[j + 1] - p[j] for j in range(len(degrees) - 1))
-                for p in per_point)
-    rows.append(_row(f"{label}_residual_monotone_slack", slack, 1e-12,
-                     {"degrees": list(degrees)}))
+            rows.append(check_row(f"{label}_residual", p[j], bound,
+                                  {"degree": deg, "point": i}))
+    slack = worst(p[j + 1] - p[j] for p in per_point
+                  for j in range(len(degrees) - 1))
+    rows.append(check_row(f"{label}_residual_monotone_slack", slack, 1e-12,
+                          {"degrees": list(degrees)}))
     return rows
 
 
@@ -344,8 +349,8 @@ def _quadrature_convergence_row(label, f, x, degrees, ref_degree=320):
     violation = max(errs[-1] - errs[0],
                     max(errs[j + 1] - 1.1 * errs[j]
                         for j in range(len(errs) - 1)))
-    return _row(f"{label}_quadrature_error_decrease", violation, 0.0,
-                {"degrees": list(degrees), "errors": [float(e) for e in errs]})
+    return check_row(f"{label}_quadrature_error_decrease", violation, 0.0,
+                     {"degrees": list(degrees), "errors": [float(e) for e in errs]})
 
 
 def _run_prop_ray(params, rng):
@@ -399,38 +404,38 @@ def _run_decompose(params, rng):
         sf, v = no.solenoidal_decompose(g)
         norm = g.norm_l2()
         p = {"m": m, "N": N, "L": L}
-        rows.append(_row("delta_sf_relative", no.delta_field(sf).norm_l2() / norm,
-                         params.get("solenoidal_tolerance", 1e-9), p))
+        rows.append(check_row("delta_sf_relative", no.delta_field(sf).norm_l2() / norm,
+                              params.get("solenoidal_tolerance", 1e-9), p))
         rec = (sf + no.d_field(v) - g).norm_l2() / norm
-        rows.append(_row("reconstruction_relative", rec,
-                         params.get("reconstruction_tolerance", 1e-10), p))
+        rows.append(check_row("reconstruction_relative", rec,
+                              params.get("reconstruction_tolerance", 1e-10), p))
         nf = no.normal_symbol(g)
         nsf = no.normal_symbol(sf)
-        rows.append(_row("normal_f_vs_sf_relative",
-                         (nf - nsf).norm_l2() / max(nf.norm_l2(), 1e-300),
-                         params.get("normal_tolerance", TOL_QUAD), p))
+        rows.append(check_row("normal_f_vs_sf_relative",
+                              (nf - nsf).norm_l2() / max(nf.norm_l2(), 1e-300),
+                              params.get("normal_tolerance", TOL_QUAD), p))
         v0 = pf.random_bump_field(2, m - 1, child, power=7, degree=2,
                                   label="v0")
         gp = no.GridTensorField.sample(pf.inner_derivative(v0), N, L)
         sfp, _ = no.solenoidal_decompose(gp)
-        rows.append(_row("potential_sf_relative",
-                         sfp.norm_l2() / gp.norm_l2(), TOL_QUAD, p))
+        rows.append(check_row("potential_sf_relative",
+                              sfp.norm_l2() / gp.norm_l2(), TOL_QUAD, p))
         if m == 1:
             sfo, _ = no.helmholtz_decompose_oracle(g)
-            rows.append(_row("helmholtz_oracle_relative",
-                             (sf - sfo).norm_l2() / norm, 1e-10, p))
+            rows.append(check_row("helmholtz_oracle_relative",
+                                  (sf - sfo).norm_l2() / norm, 1e-10, p))
     if params.get("normal_consistency", True):
         rule = sq.build_rule(2, params.get("rule_degree", 40))
         for m, k in params.get("normal_cases", [[0, 0], [1, 0], [1, 1]]):
             child = rng.split(f"normconv-{m}-{k}")
             f = pf.random_bump_field(2, m, child, power=4, degree=2, label="f")
             rel = _normal_consistency_rel(f, k, N, L, rule)
-            rows.append(_row("normal_conv_vs_angular_relative", rel, TOL_GRID,
-                             {"m": m, "k": k, "N": N}))
+            rows.append(check_row("normal_conv_vs_angular_relative", rel, TOL_GRID,
+                                  {"m": m, "k": k, "N": N}))
             if params.get("refine", True) and m == 0 and k == 0:
                 rel2 = _normal_consistency_rel(f, k, 2 * N, L, rule)
-                rows.append(_row("normal_conv_refinement_improves",
-                                 rel2 - rel, 0.0, {"m": m, "k": k, "N": 2 * N}))
+                rows.append(check_row("normal_conv_refinement_improves",
+                                      rel2 - rel, 0.0, {"m": m, "k": k, "N": 2 * N}))
     return rows
 
 
@@ -452,10 +457,7 @@ def _run_ucp(name, params, rng, outdir):
     if outdir and scenario in ("ray", "mrt"):
         config.setdefault("lines_csv",
                           os.path.join(outdir, f"ucp_{scenario}_lines.csv"))
-    report = no.ucp_experiment(scenario, config, rng)
-    rows = [dict(check, parameters={}, seconds=0.0)
-            for check in report["residuals"]]
-    return rows
+    return no.ucp_experiment(scenario, config, rng)["residuals"]
 
 
 SUITE_RUNNERS = {
@@ -471,7 +473,7 @@ SUITE_RUNNERS = {
 def run_suite(entry, rng, outdir):
     """Execute one configured suite; returns its report block."""
     name = entry["suite"]
-    t0 = time.time()
+    t0 = time.perf_counter()
     if name.startswith("ucp."):
         rows = _run_ucp(name, entry, rng, outdir)
     else:
@@ -480,7 +482,7 @@ def run_suite(entry, rng, outdir):
         "scenario": name,
         "config": {k: v for k, v in entry.items() if k != "suite"},
         "residuals": rows,
-        "timing": {"total_seconds": time.time() - t0},
+        "timing": {"total_seconds": time.perf_counter() - t0},
     }
 
 

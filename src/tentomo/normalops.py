@@ -15,6 +15,13 @@ Three numerical paths coexist, each with its own error source and tolerance:
 Spatial derivatives of normal operators are never taken by differencing
 quadrature output; they are moved onto the field inside the line integral via
 ``TransformExpr``.
+
+Every angular operator is one function, ``_angular_sum``: it forms the (point,
+rule node) lines, at the foot point or at the base point, evaluates J_m^k f
+(or any ``TransformExpr``) on them with the chord kernel of ``xray``, and
+reduces with w <x,xi>^(k-r) xi^I.  Lines go through the kernel in blocks of
+``LINE_BLOCK`` = 2^16 lines: one rule node over the N = 256 grid, the
+largest array the grid path builds, so batching never raises peak memory.
 """
 
 from __future__ import annotations
@@ -33,7 +40,8 @@ from .polyfield import PolyBumpField, generalized_R
 from .spherequad import SphereRule, c_constant
 from .symtensor import (SymTensor, canonical_indices, i_metric, j_metric,
                         multiplicity, sym_dim, sym_power, j_contract)
-from .xray import TransformExpr, dot_power_terms, _leggauss, _monoval, _xi_monomial_exps
+from .verdict import check_row, worst
+from .xray import TransformExpr, dot_power_terms, _monomials, _rowdot, _xi_monomial_exps
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +274,35 @@ def helmholtz_decompose_oracle(f: GridTensorField):
 # angular-quadrature normal operators
 # ---------------------------------------------------------------------------
 
+#: Lines per kernel call.  One rule node over the N = 256 grid is 2^16 lines,
+#: the largest array the grid path builds, so gathering the nodes of smaller
+#: point sets into one call never raises peak memory.
+LINE_BLOCK = 1 << 16
+
+
+def _angular_sum(expr: TransformExpr, pts, p, rank, rule: SphereRule, foot):
+    """sum over rule nodes of w <x,xi>^p xi^I expr(line) per point x.
+
+    The line through x in direction xi is taken at the foot point
+    x - <x,xi> xi when ``foot`` is set, else at x itself.  I runs over the
+    canonical indices of S^rank; returns an array (points, dim S^rank).
+    """
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    out_exps = [_xi_monomial_exps(idx, expr.n) for idx in canonical_indices(expr.n, rank)]
+    out = np.zeros((len(pts), len(out_exps)))
+    count = len(pts) * len(rule.nodes)
+    for start in range(0, count, LINE_BLOCK):
+        node, pt = np.divmod(np.arange(start, min(start + LINE_BLOCK, count)), len(pts))
+        x, xi = pts[pt], rule.nodes[node]
+        proj = _rowdot(x, xi)
+        if foot:
+            x = x - proj[:, None] * xi
+        vals = rule.weights[node] * expr.eval_lines(x, xi) * proj**p
+        for c, e in enumerate(out_exps):
+            out[:, c] += np.bincount(pt, vals * _monomials(xi, e), minlength=len(pts))
+    return out
+
+
 def normal_momentum(f: PolyBumpField, x, k, rule: SphereRule) -> SymTensor:
     """(N_m^k f)(x) = int <x,xi>^k xi^(.m) J_m^k f(x - <x,xi>xi, xi) dS."""
     return divergence_normal(f, x, k, 0, rule)
@@ -285,90 +322,24 @@ def divergence_normal(f: PolyBumpField, x, k, r, rule: SphereRule) -> SymTensor:
         raise ValueError("need 0 <= r <= k+1")
     if r > f.m:
         raise ValueError("divergence order exceeds rank")
-    x = np.asarray(x, dtype=float)
-    out = SymTensor(f.n, f.m - r)
+    rank = f.m - r
     if r == k + 1:
-        return out
-    factor = math.factorial(k) / math.factorial(k - r)
-    vals = {idx: 0.0 for idx in canonical_indices(f.n, f.m - r)}
-    for node, wgt in zip(rule.nodes, rule.weights):
-        xi = np.asarray(node)
-        proj = float(x @ xi)
-        foot = x - proj * xi
-        jv = _momentum_at(f, foot, xi, k)
-        if jv == 0.0:
-            continue
-        base = wgt * jv * proj ** (k - r)
-        for idx in vals:
-            vals[idx] += base * _monoval(xi, _xi_monomial_exps(idx, f.n))
-    for idx, v in vals.items():
-        out[idx] = factor * v
-    return out
-
-
-def _momentum_at(f, x, xi, k):
-    from .xray import Line, momentum_transform
-    return momentum_transform(f, Line(x, xi), k)
+        return SymTensor(f.n, rank)
+    vals = _angular_sum(TransformExpr.momentum(f, k), [x], k - r, rank, rule, foot=True)[0]
+    vals = vals * (math.factorial(k) / math.factorial(k - r))
+    return SymTensor(f.n, rank, dict(zip(canonical_indices(f.n, rank), vals.tolist())))
 
 
 def xi_moment_integral(f: PolyBumpField, x, k, rank_out, rule: SphereRule) -> SymTensor:
     """int_S xi^(.rank_out) J_m^k f(x, xi) dS at the base point x itself."""
-    x = np.asarray(x, dtype=float)
-    vals = {idx: 0.0 for idx in canonical_indices(f.n, rank_out)}
-    for node, wgt in zip(rule.nodes, rule.weights):
-        xi = np.asarray(node)
-        jv = _momentum_at(f, x, xi, k)
-        if jv == 0.0:
-            continue
-        for idx in vals:
-            vals[idx] += wgt * jv * _monoval(xi, _xi_monomial_exps(idx, f.n))
-    out = SymTensor(f.n, rank_out)
-    for idx, v in vals.items():
-        out[idx] = v
-    return out
+    vals = _angular_sum(TransformExpr.momentum(f, k), [x], 0, rank_out, rule, foot=False)[0]
+    vals = vals.tolist()
+    return SymTensor(f.n, rank_out, dict(zip(canonical_indices(f.n, rank_out), vals)))
 
 
 def normal_momentum_on_points(f: PolyBumpField, pts, k, rule: SphereRule):
     """Vectorized (N_m^k f) on an array of points; returns (P, dim S^m)."""
-    pts = np.asarray(pts, dtype=float)
-    rho = float(f.rho)
-    comps = [(idx, multiplicity(idx), _xi_monomial_exps(idx, f.n),
-              f.component(idx)) for idx, _ in _nonzero(f)]
-    order = (max((c[3].t_degree() for c in comps), default=0) + k) // 2 + 1
-    gl_nodes, gl_w = _leggauss(order)
-    out_idx = list(canonical_indices(f.n, f.m))
-    acc = np.zeros((len(pts), len(out_idx)))
-    for node, wgt in zip(rule.nodes, rule.weights):
-        xi = np.asarray(node)
-        proj = pts @ xi
-        feet = pts - proj[:, None] * xi[None, :]
-        t2 = rho * rho - (feet * feet).sum(axis=1)
-        alive = t2 > (1e-14) ** 2
-        if not alive.any():
-            continue
-        half = np.sqrt(np.maximum(t2, 0.0))
-        ts = half[:, None] * gl_nodes[None, :]
-        chord_pts = feet[:, None, :] + ts[..., None] * xi[None, None, :]
-        integrand = np.zeros(ts.shape)
-        for _idx, mult, exps, bump in comps:
-            w = mult * _monoval(xi, exps)
-            if w != 0.0:
-                integrand += w * bump.eval_many(chord_pts)
-        if k:
-            integrand = integrand * ts**k
-        jvals = half * (integrand @ gl_w)
-        jvals[~alive] = 0.0
-        base = wgt * jvals * proj**k
-        for c, idx in enumerate(out_idx):
-            acc[:, c] += base * _monoval(xi, _xi_monomial_exps(idx, f.n))
-    return acc
-
-
-def _nonzero(f):
-    for idx in canonical_indices(f.n, f.m):
-        core = f.core(idx)
-        if not core.is_zero():
-            yield idx, core
+    return _angular_sum(TransformExpr.momentum(f, k), pts, k, f.m, rule, foot=True)
 
 
 # ---------------------------------------------------------------------------
@@ -551,11 +522,8 @@ def normal_symbol(f: GridTensorField):
 
 def n0_scalar(g: PolyBumpField, x, rule: SphereRule) -> float:
     """N_0 g(x) = int_S J_0 g(x, xi) dS for a scalar field."""
-    from .xray import chord_integral
-    x = np.asarray(x, dtype=float)
-    bump = g.component(())
-    return sum(w * chord_integral(bump, 0, x, np.asarray(node))
-               for node, w in zip(rule.nodes, rule.weights))
+    jg = TransformExpr.momentum(g, 0)
+    return float(_angular_sum(jg, [x], 0, 0, rule, foot=False)[0, 0])
 
 
 @lru_cache(maxsize=None)
@@ -571,16 +539,6 @@ def _iljl_matrix(n, m, l):
     return mat
 
 
-def _normal_component_exprs(f: PolyBumpField):
-    """TransformExpr for each component of the N_m f integrand xi^I J_m f."""
-    base = TransformExpr.momentum(f, 0)
-    zero = (0,) * f.n
-    out = {}
-    for idx in canonical_indices(f.n, f.m):
-        out[idx] = base.mul_prefactor({(zero, _xi_monomial_exps(idx, f.n)): 1.0})
-    return out
-
-
 def verify_ray_key_identity(f: PolyBumpField, x, rule: SphereRule):
     """Residuals of the ray-transform key identity, per R-image component.
 
@@ -593,14 +551,15 @@ def verify_ray_key_identity(f: PolyBumpField, x, rule: SphereRule):
     m, n = f.m, f.n
     x = np.asarray(x, dtype=float)
     rf = operator_R(f)
-    exprs = _normal_component_exprs(f)
+    base = TransformExpr.momentum(f, 0)
     cache = {}
 
-    def sval(comp_idx, der_idx):
-        key = (comp_idx, der_idx)
-        if key not in cache:
-            cache[key] = exprs[comp_idx].dx_multi(der_idx).sphere_integral(x, rule)
-        return cache[key]
+    def sval(der_idx):
+        """int_S xi^I d^der J_m f(x, xi) dS for every component I."""
+        if der_idx not in cache:
+            cache[der_idx] = _angular_sum(base.dx_multi(der_idx), [x], 0, m, rule,
+                                          foot=False)[0]
+        return cache[der_idx]
 
     idx_list = list(canonical_indices(n, m))
     residuals = {}
@@ -625,9 +584,8 @@ def verify_ray_key_identity(f: PolyBumpField, x, rule: SphereRule):
                 sign = (-1) ** sum(flips)
                 crow = idx_list.index(tuple(sorted(comp_ax)))
                 dtup = tuple(sorted(der_ax))
-                val = sum(bmat[crow, ci] * sval(cidx, dtup)
-                          for ci, cidx in enumerate(idx_list)
-                          if bmat[crow, ci] != 0.0)
+                val = sum(bmat[crow, ci] * sval(dtup)[ci]
+                          for ci in range(len(idx_list)) if bmat[crow, ci] != 0.0)
                 acc += sign * val
             rhs += cl * acc / 2.0**m
         residuals[key] = lhs - rhs
@@ -753,7 +711,7 @@ def verify_momentum_key_identity(f: PolyBumpField, x, k, rule: SphereRule, rhs_e
         comp = rkf.component(rkf.key_to_index(key))
         scalar = PolyBumpField(n, 0, rkf.rho, rkf.power, {(): comp.core})
         lhs = math.factorial(m) * n0_scalar(scalar, x, rule)
-        rhs = expr.sphere_integral(x, rule)
+        rhs = _angular_sum(expr, [x], 0, 0, rule, foot=False)[0, 0]
         residuals[key] = lhs - rhs
     return residuals
 
@@ -803,12 +761,6 @@ def verify_smoothness(f: GridTensorField):
 # desk-scale unique-continuation experiments
 # ---------------------------------------------------------------------------
 
-def _check(name, value, tolerance, mode="below"):
-    ok = value <= tolerance if mode == "below" else value > tolerance
-    return {"name": name, "value": float(value), "tolerance": float(tolerance),
-            "pass": bool(ok)}
-
-
 def _sample_lines_through(rng, center, radius, count, n):
     from .xray import Line
     lines = []
@@ -820,10 +772,8 @@ def _sample_lines_through(rng, center, radius, count, n):
 
 
 def _exact_zero_value(pair_field):
-    if pair_field.is_zero():
-        return 0.0
-    return max(max(abs(float(c)) for c in p.terms.values())
-               for p in pair_field.comps.values() if not p.is_zero())
+    return worst(abs(float(c)) for p in pair_field.comps.values()
+                 for c in p.terms.values())
 
 
 def ucp_experiment(scenario, config, rng):
@@ -838,7 +788,7 @@ def ucp_experiment(scenario, config, rng):
     from . import polyfield as pfmod
     from .xray import Line, momentum_transform, ray_transform, write_transform_csv
 
-    t_start = _time.time()
+    t_start = _time.perf_counter()
     checks = []
     artifacts = {}
     n = config.get("n", 2)
@@ -864,21 +814,21 @@ def ucp_experiment(scenario, config, rng):
             f = pfmod.random_bump_field(n, m, rng, power=m + 3,
                                         degree=config.get("degree", 2), label="f")
         rf = pfmod.operator_R(f)
-        checks.append(_check("curvature_operator_exactly_zero",
-                             _exact_zero_value(rf), 1e-10))
+        checks.append(check_row("curvature_operator_exactly_zero",
+                                _exact_zero_value(rf), 1e-10))
         lines = _sample_lines_through(rng, u_center, u_radius, num_lines, n)
         data = [ray_transform(f, line) for line in lines]
-        checks.append(_check("ray_data_through_U_max",
-                             max(abs(d) for d in data), tol))
+        checks.append(check_row("ray_data_through_U_max",
+                                worst(abs(d) for d in data), tol))
         pts = [np.asarray(u_center) + np.asarray(rng.split(f"pt{t}").point_in_ball(n, u_radius))
                for t in range(num_points)]
-        nmax = max(normal_ray(f, x, rule).max_abs() for x in pts)
-        checks.append(_check("normal_operator_on_U_max", nmax, tol))
+        nmax = worst(normal_ray(f, x, rule).max_abs() for x in pts)
+        checks.append(check_row("normal_operator_on_U_max", nmax, tol))
         f_neg = pfmod.random_bump_field(n, m, rng, power=m + 3,
                                         degree=config.get("degree", 2), label="neg")
-        neg = max(normal_ray(f_neg, x, rule).max_abs() for x in pts[:3])
-        checks.append(_check("nonpotential_normal_nonvanishing", neg, floor,
-                             mode="above"))
+        neg = worst(normal_ray(f_neg, x, rule).max_abs() for x in pts[:3])
+        checks.append(check_row("nonpotential_normal_nonvanishing", neg, floor,
+                                mode="above"))
         artifacts["lines"] = lines
         artifacts["line_values"] = data
 
@@ -898,23 +848,23 @@ def ucp_experiment(scenario, config, rng):
             f = pfmod.random_bump_field(n, m, rng, power=m + k + 4,
                                         degree=config.get("degree", 2), label="f")
         rkf = pfmod.generalized_R(f, k)
-        checks.append(_check("generalized_curvature_exactly_zero",
-                             _exact_zero_value(rkf), 1e-10))
+        checks.append(check_row("generalized_curvature_exactly_zero",
+                                _exact_zero_value(rkf), 1e-10))
         lines = _sample_lines_through(rng, u_center, u_radius, num_lines, n)
         values = []
         for p in range(k + 1):
             data = [momentum_transform(f, line, p) for line in lines]
             values.append(data)
-            checks.append(_check(f"momentum_data_order{p}_through_U_max",
-                                 max(abs(d) for d in data), tol))
+            checks.append(check_row(f"momentum_data_order{p}_through_U_max",
+                                    worst(abs(d) for d in data), tol))
         pts = [np.asarray(u_center) + np.asarray(rng.split(f"pt{t}").point_in_ball(n, u_radius))
                for t in range(num_points)]
         for p in range(k + 1):
-            nmax = max(normal_momentum(f, x, p, rule).max_abs() for x in pts)
-            checks.append(_check(f"normal_momentum_order{p}_on_U_max", nmax, tol))
-        neg = max(abs(momentum_transform(f, line, k + 1)) for line in lines)
-        checks.append(_check(f"momentum_data_order{k + 1}_nonvanishing", neg,
-                             floor, mode="above"))
+            nmax = worst(normal_momentum(f, x, p, rule).max_abs() for x in pts)
+            checks.append(check_row(f"normal_momentum_order{p}_on_U_max", nmax, tol))
+        neg = worst(abs(momentum_transform(f, line, k + 1)) for line in lines)
+        checks.append(check_row(f"momentum_data_order{k + 1}_nonvanishing", neg,
+                                floor, mode="above"))
         artifacts["lines"] = lines
         artifacts["line_values"] = list(zip(*values))
 
@@ -933,15 +883,15 @@ def ucp_experiment(scenario, config, rng):
                 break
         expected = sym_dim(n, m)
         rank = sym_power_span_rank([list(e) for e in etas], m)
-        checks.append(_check("sym_power_span_rank_deficit",
-                             abs(rank - expected), 0.5))
+        checks.append(check_row("sym_power_span_rank_deficit",
+                                abs(rank - expected), 0.5))
         # f vanishes on U (support is disjoint from U by construction)
         pts_u = [u_center + np.asarray(rng.split(f"u{t}").point_in_ball(n, u_radius))
                  for t in range(num_points)]
-        fmax_u = max(f.value(tuple(x)).max_abs() for x in pts_u)
-        checks.append(_check("field_vanishes_on_U_max", fmax_u, 1e-12))
+        fmax_u = worst(f.value(tuple(x)).max_abs() for x in pts_u)
+        checks.append(check_row("field_vanishes_on_U_max", fmax_u, 1e-12))
         # pointwise recovery from pairings against the eta products
-        worst = 0.0
+        errs = []
         for t in range(num_points):
             x = rng.split(f"rp{t}").point_in_ball(n, 0.9)
             fx = f.value(x)
@@ -957,11 +907,11 @@ def ucp_experiment(scenario, config, rng):
                         val += w * prod
                 samples[combo] = val
             rec = trt_pointwise_recover([list(e) for e in etas], samples, m)
-            worst = max(worst, (rec - fx).max_abs())
-        checks.append(_check("pointwise_recovery_max_err", worst, tol))
+            errs.append((rec - fx).max_abs())
+        checks.append(check_row("pointwise_recovery_max_err", worst(errs), tol))
         # transverse data on lines from U into the support reduce to scalar
         # ray data of the contracted component <f, y^(.m)>
-        worst = 0.0
+        errs = []
         for t in range(num_lines):
             child = rng.split(f"ray{t}")
             eta = np.asarray(etas[t % n])
@@ -983,8 +933,8 @@ def ucp_experiment(scenario, config, rng):
                     contracted[()] = contracted.get((), 0) + core * wy
             scalar = pfmod.PolyBumpField(n, 0, f.rho, f.power, contracted)
             sval = ray_transform(scalar, Line(ray.x, ray.omega))
-            worst = max(worst, abs(tval - sval))
-        checks.append(_check("transverse_scalar_reduction_max", worst, 1e-10))
+            errs.append(abs(tval - sval))
+        checks.append(check_row("transverse_scalar_reduction_max", worst(errs), 1e-10))
         # negative control: dependent directions make recovery singular
         bad = [list(etas[0])] * n
         try:
@@ -992,8 +942,8 @@ def ucp_experiment(scenario, config, rng):
             raised = 0.0
         except ValueError:
             raised = 1.0
-        checks.append(_check("dependent_directions_rejected", raised, 0.5,
-                             mode="above"))
+        checks.append(check_row("dependent_directions_rejected", raised, 0.5,
+                                mode="above"))
     else:
         raise ValueError(f"unknown scenario {scenario!r}")
 
@@ -1001,7 +951,7 @@ def ucp_experiment(scenario, config, rng):
         "scenario": scenario,
         "config": {key: val for key, val in config.items() if key != "rule"},
         "residuals": checks,
-        "timing": {"total_seconds": _time.time() - t_start},
+        "timing": {"total_seconds": _time.perf_counter() - t_start},
     }
     if artifacts.get("lines") and config.get("lines_csv"):
         vals = artifacts["line_values"]

@@ -19,6 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .verdict import worst
+
 
 def sym_dim(n, m):
     """dim S^m(R^n) = C(n+m-1, m)."""
@@ -110,7 +112,7 @@ class DenseTensor:
         return all(v == 0 for v in self.entries.values())
 
     def max_abs(self):
-        return max((abs(v) for v in self.entries.values()), default=0)
+        return worst(abs(v) for v in self.entries.values())
 
 
 class SymTensor:
@@ -176,7 +178,7 @@ class SymTensor:
         return all(v == 0 for v in self.data.values())
 
     def max_abs(self):
-        return max((abs(v) for v in self.data.values()), default=0)
+        return worst(abs(v) for v in self.data.values())
 
     def map_values(self, func):
         return SymTensor(self.n, self.m,

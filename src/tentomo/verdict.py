@@ -1,0 +1,27 @@
+"""Worst-case aggregation and the check record that every report row is."""
+
+import math
+
+
+def worst(values):
+    """Largest value; NaN if any value is NaN, and 0.0 for no values.
+
+    ``max`` keeps its candidate when a comparison is false, as every
+    comparison with NaN is, so ``max(0.0, nan)`` drops the NaN.
+    """
+    out = None
+    for v in values:
+        if v != v:
+            return math.nan
+        if out is None or v > out:
+            out = v
+    return 0.0 if out is None else out
+
+
+def check_row(name, value, tolerance, parameters=None, mode="below", seconds=0.0):
+    """One report row; ``mode="above"`` marks a negative control, which
+    passes when the value exceeds the tolerance.  NaN fails either way."""
+    ok = value <= tolerance if mode == "below" else value > tolerance
+    return {"name": name, "parameters": parameters or {},
+            "value": float(value), "tolerance": float(tolerance),
+            "pass": bool(ok), "seconds": seconds}

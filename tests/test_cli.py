@@ -3,6 +3,7 @@ determinism."""
 
 import csv
 import json
+import math
 
 import pytest
 
@@ -160,6 +161,49 @@ class TestRun:
         from tentomo.xray import read_lines_csv
         lines = read_lines_csv(out / "ucp_ray_lines.csv")
         assert len(lines) == 6
+
+
+class TestValidateAcceptsOnlyWhatRuns:
+    def test_john_case_without_m_runs_with_default(self, tmp_path, capsys):
+        doc = {"schema": 1, "suites": [{"suite": "identities.john",
+                                        "cases": [{"n": 2}]}]}
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = json.loads((out / "report.json").read_text())["suites"][0]["residuals"]
+        assert {row["parameters"]["m"] for row in rows} == {1}
+
+    @pytest.mark.parametrize("suite", ["identities.prop-ray", "identities.mrt"])
+    def test_single_degree_rejected(self, tmp_path, capsys, suite):
+        doc = {"schema": 1, "suites": [{"suite": suite, "degrees": [20]}]}
+        assert main(["validate", "--config", write_config(tmp_path, doc)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_string_grid_size_rejected(self, tmp_path, capsys):
+        doc = {"schema": 1, "suites": [{"suite": "decompose", "N": "128"}]}
+        assert main(["validate", "--config", write_config(tmp_path, doc)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_nan_residual_fails_the_run(tmp_path, monkeypatch, capsys):
+    import tentomo.xray as xr
+    real = xr.verify_john_relation
+    calls = []
+
+    def nan_on_second_line(f, line):
+        calls.append(line)
+        return math.nan if len(calls) == 2 else real(f, line)
+
+    monkeypatch.setattr(xr, "verify_john_relation", nan_on_second_line)
+    doc = {"schema": 1, "seed": 5, "suites": [
+        {"suite": "identities.john", "cases": [{"n": 2, "m": 1, "lines": 3}]}]}
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, doc),
+                 "--out", str(out)]) == 1
+    rows = json.loads((out / "report.json").read_text())["suites"][0]["residuals"]
+    assert math.isnan(rows[0]["value"]) and not rows[0]["pass"]
+    assert "FAIL john_relation_residual" in capsys.readouterr().out
 
 
 class TestEmitTables:

@@ -185,6 +185,18 @@ class TestAngularNormal:
             for c, idx in enumerate(canonical_indices(2, 1)):
                 assert batch[r, c] == pytest.approx(single.get(idx), abs=1e-12)
 
+    def test_many_lines_match_chunked_points(self, rule40):
+        # 1 700 points x 41 nodes = 69 700 lines, more than 2^16, so one call
+        # spans several kernel blocks with a node split between two of them
+        f = random_bump_field(2, 1, SplitMix64(30), power=4, degree=2)
+        axis = np.linspace(-1.3, 1.3, 50)
+        pts = np.stack(np.meshgrid(axis, axis[:34], indexing="ij"), axis=-1).reshape(-1, 2)
+        assert len(pts) * len(rule40.nodes) > 2**16
+        whole = normal_momentum_on_points(f, pts, 1, rule40)
+        parts = np.concatenate([normal_momentum_on_points(f, pts[i:i + 100], 1, rule40)
+                                for i in range(0, len(pts), 100)])
+        assert np.abs(whole - parts).max() <= 1e-13 * np.abs(whole).max()
+
 
 class TestDivergenceNormal:
     def test_r_equals_kplus1_zero_by_contract(self, rule40):

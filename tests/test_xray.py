@@ -8,11 +8,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from tentomo.polyfield import (PolyBumpField, inner_derivative,
                                random_bump_field)
 from tentomo.polynomial import Polynomial
 from tentomo.rng import SplitMix64
+from tentomo.symtensor import canonical_indices, multiplicity
 from tentomo.xray import (Line, TransverseRay, chord_interval,
                           homogeneity_check, john_apply, john_iterate,
                           momentum_scale_residual, momentum_shift_residual,
@@ -57,6 +59,71 @@ class TestRayTransform:
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):
             Line([0.0, 0.0], [0.0, 0.0])
+
+
+def quad_pairing(f, k, x, xi, y):
+    """int t^k sum_I mult(I) y^I f_I(x + t xi) dt by scipy's adaptive
+    quadrature of the pointwise field values, over a chord solved here."""
+    rho = float(f.rho)
+    a, b, c = xi @ xi, 2.0 * (x @ xi), x @ x - rho * rho
+    disc = b * b - 4.0 * a * c
+    if disc <= 0.0:
+        return 0.0
+    t0, t1 = (-b - math.sqrt(disc)) / (2.0 * a), (-b + math.sqrt(disc)) / (2.0 * a)
+
+    def integrand(t):
+        p = x + t * xi
+        return t**k * sum(multiplicity(idx) * math.prod(y[i] for i in idx)
+                          * f.component(idx).value(p)
+                          for idx in canonical_indices(f.n, f.m))
+
+    return quad(integrand, t0, t1, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+
+
+class TestChordOracle:
+    """Transforms against adaptive quadrature of the field along the chord,
+    on lines that cross, miss or nearly touch the support."""
+
+    @staticmethod
+    def lines(n, rng):
+        out = []
+        for t in range(4):
+            child = rng.split(f"line{t}")
+            scale = (0.6, 1.0, 1.7, 2.3)[t]
+            out.append((np.asarray(child.point_in_ball(n, 1.2)),
+                        scale * np.asarray(child.direction(n))))
+        u = np.asarray(rng.split("u").direction(n))
+        v = np.asarray(rng.split("v").direction(n))
+        v = v - (v @ u) * u
+        v = v / np.linalg.norm(v)
+        out.append(((1.0 + 1e-3) * v, 1.3 * u))       # misses the unit ball
+        out.append(((1.0 - 1e-9) * v, 0.8 * u))       # within 1e-9 of tangency
+        return out
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_momentum_transform(self, n, m):
+        rng = SplitMix64(90 + 10 * n + m)
+        f = random_bump_field(n, m, rng.split("f"), power=m + 2, degree=2)
+        for x, xi in self.lines(n, rng):
+            for k in (0, 1, 2):
+                got = momentum_transform(f, Line(x, xi), k)
+                want = quad_pairing(f, k, x, xi, xi)
+                assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_transverse_transform(self, n, m):
+        rng = SplitMix64(130 + 10 * n + m)
+        f = random_bump_field(n, m, rng.split("f"), power=m + 2, degree=2)
+        for t, (x, xi) in enumerate(self.lines(n, rng)):
+            omega = xi / np.linalg.norm(xi)
+            x = x - (x @ omega) * omega
+            y = np.asarray(rng.split(f"y{t}").point_in_ball(n, 1.5))
+            y = y - (y @ omega) * omega
+            got = transverse_transform(f, TransverseRay(omega, x, y))
+            want = quad_pairing(f, 0, x, omega, y)
+            assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
 class TestHomogeneity:
