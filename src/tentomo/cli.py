@@ -2,7 +2,8 @@
 config, emitting a JSON report and one CSV residual table per suite.
 
 Exit codes: 0 all residuals within tolerance, 1 residual failure,
-2 config parse error, 3 precondition violation.
+2 config parse error, 3 precondition violation, 4 internal error (an
+unexpected exception in a suite; its traceback goes to stderr).
 
 The config is a single JSON document; the only environment override is
 OUTPUT_DIR.  All randomness derives from the seed through named SplitMix64
@@ -21,6 +22,7 @@ import json
 import os
 import sys
 import time
+import traceback
 import numpy as np
 
 from . import normalops as no
@@ -301,17 +303,19 @@ def _run_john(params, rng):
 
 
 def _convergence_rows(label, f, k, degrees, points, tol, kind):
-    """Residual rows plus monotonicity rows shared by prop-ray/mrt suites."""
+    """Residual rows plus monotonicity rows shared by prop-ray/mrt suites.
+
+    ``kind`` "key" checks the momentum key identity (k = 0 is the ray key
+    identity); any other kind checks the momentum moment identity.
+    """
     rows = []
     per_point = []
-    exprs = no.momentum_key_rhs_exprs(f, k) if kind == "mrt" else None
+    exprs = no.momentum_key_rhs_exprs(f, k) if kind == "key" else None
     for x in points:
         res_by_deg = []
         for deg in degrees:
             rule = sq.build_rule(f.n, deg)
-            if kind == "ray":
-                res = no.verify_ray_key_identity(f, x, rule).values()
-            elif kind == "mrt":
+            if kind == "key":
                 res = no.verify_momentum_key_identity(f, x, k, rule,
                                                       rhs_exprs=exprs).values()
             else:
@@ -346,9 +350,8 @@ def _quadrature_convergence_row(label, f, x, degrees, ref_degree=320):
     ref = no.n0_scalar(scalar, x, sq.build_rule(f.n, ref_degree))
     errs = [abs(no.n0_scalar(scalar, x, sq.build_rule(f.n, d)) - ref)
             for d in degrees]
-    violation = max(errs[-1] - errs[0],
-                    max(errs[j + 1] - 1.1 * errs[j]
-                        for j in range(len(errs) - 1)))
+    violation = worst([errs[-1] - errs[0]]
+                      + [errs[j + 1] - 1.1 * errs[j] for j in range(len(errs) - 1)])
     return check_row(f"{label}_quadrature_error_decrease", violation, 0.0,
                      {"degrees": list(degrees), "errors": [float(e) for e in errs]})
 
@@ -364,7 +367,7 @@ def _run_prop_ray(params, rng):
                for _ in range(params.get("interior_points", 3))]
         pts.append(np.asarray([1.25, 0.45]))
         rows += _convergence_rows(f"prop_ray_m{m}", f, 0, degrees, pts,
-                                  params.get("tolerance", 1e-5), "ray")
+                                  params.get("tolerance", 1e-5), "key")
         rows.append(_quadrature_convergence_row(
             f"prop_ray_m{m}", f, np.asarray([1.25, 0.45]), degrees))
     return rows
@@ -389,7 +392,7 @@ def _run_mrt(params, rng):
         pts = [np.asarray(child.point_in_ball(2, 0.8)),
                np.asarray([1.15, 0.55])]
         rows += _convergence_rows(f"prop_mrt_m{m}_k{k}", f, k, degrees, pts,
-                                  tol, "mrt")
+                                  tol, "key")
     return rows
 
 
@@ -554,6 +557,12 @@ def main(argv=None):
         except (pf.BudgetError, ValueError) as exc:
             print(f"error: {entry['suite']}: {exc}", file=sys.stderr)
             return 3
+        except Exception as exc:
+            print(f"error: {entry['suite']}: internal error: "
+                  f"{type(exc).__name__}: {exc}",
+                  file=sys.stderr)
+            traceback.print_exc(file=sys.stderr)
+            return 4
         report["suites"].append(block)
         for row in block["residuals"]:
             status = "PASS" if row["pass"] else "FAIL"

@@ -36,7 +36,8 @@ import numpy as np
 from scipy.integrate import quad as _quad
 from scipy.signal import fftconvolve
 
-from .polyfield import PolyBumpField, generalized_R
+from .polyfield import (PairSymTensorField, PolyBumpField, _position_splits,
+                        generalized_R, pair_alternations)
 from .spherequad import SphereRule, c_constant
 from .symtensor import (SymTensor, canonical_indices, i_metric, j_metric,
                         multiplicity, sym_dim, sym_power, j_contract)
@@ -545,51 +546,10 @@ def verify_ray_key_identity(f: PolyBumpField, x, rule: SphereRule):
     LHS: m! N_0((Rf)_{i1 j1..im jm}) by angular quadrature of the exact
     polynomial components of Rf.  RHS: the c_{l,m}-weighted alternated
     spatial derivatives of i^l j^l N_m f, with every derivative moved onto f
-    inside the line integral.
+    inside the line integral.  This is the momentum key identity at k = 0
+    (R^0 = R, and G_m = sum_l c_{l,m} i^l j^l N_m f), so it is checked as that.
     """
-    from .polyfield import operator_R
-    m, n = f.m, f.n
-    x = np.asarray(x, dtype=float)
-    rf = operator_R(f)
-    base = TransformExpr.momentum(f, 0)
-    cache = {}
-
-    def sval(der_idx):
-        """int_S xi^I d^der J_m f(x, xi) dS for every component I."""
-        if der_idx not in cache:
-            cache[der_idx] = _angular_sum(base.dx_multi(der_idx), [x], 0, m, rule,
-                                          foot=False)[0]
-        return cache[der_idx]
-
-    idx_list = list(canonical_indices(n, m))
-    residuals = {}
-    for key in rf.canonical_keys():
-        pairs, _blocks = key
-        comp = rf.component(rf.key_to_index(key))
-        scalar = PolyBumpField(n, 0, rf.rho, rf.power, {(): comp.core})
-        lhs = math.factorial(m) * n0_scalar(scalar, x, rule)
-        rhs = 0.0
-        for l in range(m // 2 + 1):
-            bmat = _iljl_matrix(n, m, l)
-            cl = float(c_constant(l, m, n))
-            acc = 0.0
-            for flips in itertools.product((0, 1), repeat=m):
-                comp_ax = []
-                der_ax = []
-                for t, (a, b) in enumerate(pairs):
-                    if flips[t]:
-                        a, b = b, a
-                    comp_ax.append(a)
-                    der_ax.append(b)
-                sign = (-1) ** sum(flips)
-                crow = idx_list.index(tuple(sorted(comp_ax)))
-                dtup = tuple(sorted(der_ax))
-                val = sum(bmat[crow, ci] * sval(dtup)[ci]
-                          for ci in range(len(idx_list)) if bmat[crow, ci] != 0.0)
-                acc += sign * val
-            rhs += cl * acc / 2.0**m
-        residuals[key] = lhs - rhs
-    return residuals
+    return verify_momentum_key_identity(f, x, 0, rule)
 
 
 def verify_momentum_moment_identity(f: PolyBumpField, x, k, rule: SphereRule):
@@ -667,7 +627,6 @@ def _g_tensor_exprs(f, k, r):
 def momentum_key_rhs_exprs(f: PolyBumpField, k):
     """One TransformExpr per output component of the momentum key identity."""
     n, m = f.n, f.m
-    from .polyfield import PairSymTensorField, _position_splits
     layout = PairSymTensorField(n, m - k, (k,), f.rho, f.power)
     gexprs = {r: _g_tensor_exprs(f, k, r) for r in range(k + 1)}
     out = {}
@@ -678,18 +637,10 @@ def momentum_key_rhs_exprs(f: PolyBumpField, k):
             coeff = (-1.0) ** r * math.comb(k, r)
             for (der_i, rest_i), wgt in _position_splits(fixed, (r, k - r)):
                 acc = None
-                for flips in itertools.product((0, 1), repeat=m - k):
-                    comp_ax = []
-                    der_ax = []
-                    for t, (a, b) in enumerate(pairs):
-                        if flips[t]:
-                            a, b = b, a
-                        comp_ax.append(a)
-                        der_ax.append(b)
-                    sign = (-1.0) ** sum(flips) / 2.0 ** (m - k)
-                    gkey = tuple(sorted(tuple(comp_ax) + tuple(rest_i)))
+                for comp_ax, der_ax, sign in pair_alternations(pairs):
+                    gkey = tuple(sorted(comp_ax + tuple(rest_i)))
                     term = gexprs[r][gkey].dx_multi(tuple(sorted(der_ax)))
-                    term = term.scale(sign)
+                    term = term.scale(sign / 2.0 ** (m - k))
                     acc = term if acc is None else acc + term
                 term = acc.dx_multi(tuple(sorted(der_i))).scale(coeff * float(wgt))
                 total = term if total is None else total + term
@@ -737,16 +688,10 @@ def verify_smoothness(f: GridTensorField):
             for a in jtuple:
                 jfac = jfac * (1j * w[..., a])
             inner = np.zeros(fhat.shape[1:], dtype=complex)
-            for flips in itertools.product((0, 1), repeat=m):
-                comp = []
+            for comp, der, sign in pair_alternations(zip(idx, jtuple)):
                 dfac = np.ones(fhat.shape[1:], dtype=complex)
-                for t in range(m):
-                    a, b = idx[t], jtuple[t]
-                    if flips[t]:
-                        a, b = b, a
-                    comp.append(a)
+                for b in der:
                     dfac = dfac * (1j * w[..., b])
-                sign = (-1.0) ** sum(flips)
                 pos = idx_list.index(tuple(sorted(comp)))
                 inner = inner + sign * dfac * fhat[pos]
             acc = acc + jfac * inner / 2.0**m

@@ -469,21 +469,25 @@ def saint_venant_W(f: PolyBumpField) -> PairSymTensorField:
     return generalized_W(f, 0)
 
 
+def pair_alternations(pairs):
+    """(first, second, sign) for each way to swap a subset of the (a, b) pairs.
+
+    ``first`` and ``second`` collect each pair's leading and trailing index,
+    ``sign`` is (-1)^swaps; swap patterns run in ``itertools.product`` order.
+    """
+    pairs = tuple(pairs)
+    for flips in itertools.product((0, 1), repeat=len(pairs)):
+        ordered = [(b, a) if flip else (a, b) for flip, (a, b) in zip(flips, pairs)]
+        yield (tuple(a for a, _ in ordered), tuple(b for _, b in ordered),
+               (-1) ** sum(flips))
+
+
 def operator_R_component(f: PolyBumpField, pairs_idx, fixed=()) -> Polynomial:
     """alpha-alternated m-fold derivative; ``fixed`` are spectator indices."""
     npairs = len(pairs_idx) // 2
     total = Polynomial.zero(f.n)
-    for flips in itertools.product((0, 1), repeat=npairs):
-        comp = []
-        der = []
-        for t in range(npairs):
-            a, b = pairs_idx[2 * t], pairs_idx[2 * t + 1]
-            if flips[t]:
-                a, b = b, a
-            comp.append(a)
-            der.append(b)
-        sign = (-1) ** sum(flips)
-        term = f.derivative_core(tuple(comp) + tuple(fixed), tuple(sorted(der)))
+    for comp, der, sign in pair_alternations(zip(pairs_idx[0::2], pairs_idx[1::2])):
+        term = f.derivative_core(comp + tuple(fixed), tuple(sorted(der)))
         total = total + term * Fraction(sign, 2 ** npairs)
     return total
 
@@ -558,10 +562,9 @@ def lower_generalized_R(rkf: PairSymTensorField) -> PairSymTensorField:
                              rkf.power - 1 if rkf.rho is not None else 0)
     for key in out.canonical_keys():
         pairs, (fixed,) = key
-        new_a, new_b = pairs[-1]
         old_flat = tuple(x for pq in pairs[:-1] for x in pq)
         total = Polynomial.zero(rkf.n)
-        for (a, b, sgn) in ((new_a, new_b, 1), (new_b, new_a, -1)):
+        for (a,), (b,), sgn in pair_alternations(pairs[-1:]):
             core = rkf.component_core(old_flat + (a,) + tuple(fixed))
             dcore = bump_core_diff(core, b, rkf.rho, rkf.power) \
                 if rkf.rho is not None else core.diff(b)
@@ -627,17 +630,8 @@ def generalized_w_to_r(wkf: PairSymTensorField, m: int, k: int,
     for key in out.canonical_keys():
         pairs, (fixed,) = key
         total = Polynomial.zero(wkf.n)
-        for flips in itertools.product((0, 1), repeat=mk):
-            p_part = []
-            q_part = []
-            for t in range(mk):
-                a, b = pairs[t]
-                if flips[t]:
-                    a, b = b, a
-                p_part.append(a)
-                q_part.append(b)
-            sign = (-1) ** sum(flips)
-            val = wkf.component_core(tuple(p_part) + tuple(q_part) + tuple(fixed))
+        for p_part, q_part, sign in pair_alternations(pairs):
+            val = wkf.component_core(p_part + q_part + tuple(fixed))
             total = total + val * Fraction(sign, 2 ** mk)
         val = total * constant
         if not val.is_zero():

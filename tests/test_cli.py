@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from tentomo import cli
 from tentomo.cli import (ConfigError, emit_tables, load_config, main,
                          validate_config)
 
@@ -204,6 +205,38 @@ def test_nan_residual_fails_the_run(tmp_path, monkeypatch, capsys):
     rows = json.loads((out / "report.json").read_text())["suites"][0]["residuals"]
     assert math.isnan(rows[0]["value"]) and not rows[0]["pass"]
     assert "FAIL john_relation_residual" in capsys.readouterr().out
+
+
+def test_nan_quadrature_error_fails_its_row(monkeypatch):
+    import numpy as np
+
+    import tentomo.normalops as no
+    from tentomo.polyfield import random_bump_field
+    from tentomo.rng import SplitMix64
+    real = no.n0_scalar
+
+    def nan_at_degree_40(g, x, rule):
+        return math.nan if rule.degree == 40 else real(g, x, rule)
+
+    monkeypatch.setattr(no, "n0_scalar", nan_at_degree_40)
+    f = random_bump_field(2, 1, SplitMix64(3), power=4, degree=2, label="f")
+    row = cli._quadrature_convergence_row("q", f, np.asarray([1.25, 0.45]),
+                                          [20, 40, 60])
+    assert math.isnan(row["parameters"]["errors"][1])
+    assert math.isnan(row["value"]) and not row["pass"]
+
+
+def test_internal_error_exit_4(tmp_path, monkeypatch, capsys):
+    def broken(params, rng):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setitem(cli.SUITE_RUNNERS, "identities.algebra", broken)
+    doc = {"schema": 1, "suites": [{"suite": "identities.algebra"}]}
+    assert main(["run", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: identities.algebra: internal error: TypeError")
+    assert "Traceback" in err
 
 
 class TestEmitTables:
