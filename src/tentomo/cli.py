@@ -113,6 +113,16 @@ def _validate_suite_params(pos, entry):
             k = entry.get("k", 1)
             if not 0 <= k < m:
                 bad(f"need 0 <= k < m, got k={k}, m={m}")
+    if name == "identities.algebra":
+        if not (_int_at_least(entry.get("max_n", 3), 2)
+                and _int_at_least(entry.get("max_m", 3), 1)):
+            bad("need integers max_n >= 2 and max_m >= 1, or no (n, m) case runs")
+    if name == "identities.ibp":
+        for key, low in (("n_values", 2), ("s_values", 1)):
+            values = entry.get(key, [low])
+            if not (isinstance(values, list) and values
+                    and all(_int_at_least(v, low) for v in values)):
+                bad(f"'{key}' must be a nonempty list of integers >= {low}")
     if name == "identities.john":
         for case in entry.get("cases", JOHN_CASES):
             if _john_case(case)[1] < 1:
@@ -141,6 +151,10 @@ def _validate_suite_params(pos, entry):
         for mm in entry.get("m_values", [1, 2]):
             if mm < 1:
                 bad("decomposition needs m >= 1")
+
+
+def _int_at_least(value, low):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
 
 
 def _john_case(case):

@@ -16,11 +16,13 @@ polynomial fields, differential operators only).
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 import math
 from fractions import Fraction
 
-from .polynomial import Polynomial
+from .polynomial import Polynomial, linear_combination
 from .symtensor import SymTensor, canonical_indices, multiplicity
 
 
@@ -32,12 +34,17 @@ def bump_core_diff(core: Polynomial, axis: int, rho, power: int) -> Polynomial:
     """Core of d/dx_axis applied to core*B^power, at power-1."""
     b = _bump_base(core.n, rho)
     xi = Polynomial.variable(core.n, axis)
-    return b * core.diff(axis) - 2 * power * xi * core
+    return linear_combination(core.n, ((b * core.diff(axis), 1),
+                                       (xi * core, -2 * power)))
 
 
+@functools.lru_cache(maxsize=None)
 def _bump_base(n, rho):
-    """B = rho^2 - |x|^2."""
-    terms = {(0,) * n: rho * rho}
+    """B = rho^2 - |x|^2, with an ``int`` constant when rho^2 is integral."""
+    r2 = rho * rho
+    if isinstance(r2, Fraction) and r2.denominator == 1:
+        r2 = r2.numerator
+    terms = {(0,) * n: r2}
     for i in range(n):
         e = [0] * n
         e[i] = 2
@@ -210,9 +217,6 @@ class PolyBumpField:
     def scale(self, c) -> "PolyBumpField":
         return self.map_cores(lambda p: p * c)
 
-    def max_degree(self):
-        return max((p.degree() for p in self.cores.values()), default=0)
-
     # -- serialization ----------------------------------------------------
 
     def to_json_dict(self):
@@ -244,7 +248,7 @@ class PolyBumpField:
         return cls(doc["n"], doc["m"], rho, doc["s"], cores)
 
 
-def random_bump_field(n, m, rng, rho=Fraction(1), power=4, degree=2, label="field"):
+def random_bump_field(n, m, rng, rho=1, power=4, degree=2, label="field"):
     """Random field with small integer polynomial cores."""
     from .polynomial import random_polynomial
     child = rng.split(label)
@@ -264,11 +268,9 @@ def inner_derivative(f: PolyBumpField) -> PolyBumpField:
     m1 = f.m + 1
     cores = {}
     for idx in canonical_indices(f.n, m1):
-        total = Polynomial.zero(f.n)
-        for p in range(m1):
-            rest = idx[:p] + idx[p + 1:]
-            total = total + f.derivative_core(rest, (idx[p],))
-        cores[idx] = total * Fraction(1, m1)
+        cores[idx] = linear_combination(
+            f.n, ((f.derivative_core(idx[:p] + idx[p + 1:], (idx[p],)), 1)
+                  for p in range(m1)), Fraction(1, m1))
     return PolyBumpField(f.n, m1, f.rho, f.power - 1 if f.rho is not None else 0, cores)
 
 
@@ -279,10 +281,8 @@ def divergence(f: PolyBumpField) -> PolyBumpField:
     _require_budget(f, 1)
     cores = {}
     for idx in canonical_indices(f.n, f.m - 1):
-        total = Polynomial.zero(f.n)
-        for a in range(f.n):
-            total = total + f.derivative_core(idx + (a,), (a,))
-        cores[idx] = total
+        cores[idx] = linear_combination(
+            f.n, ((f.derivative_core(idx + (a,), (a,)), 1) for a in range(f.n)))
     return PolyBumpField(f.n, f.m - 1, f.rho, f.power - 1 if f.rho is not None else 0, cores)
 
 
@@ -293,10 +293,8 @@ def laplacian_power(f: PolyBumpField, times: int = 1) -> PolyBumpField:
     for _ in range(times):
         cores = {}
         for idx in canonical_indices(out.n, out.m):
-            total = Polynomial.zero(out.n)
-            for a in range(out.n):
-                total = total + out.derivative_core(idx, (a, a))
-            cores[idx] = total
+            cores[idx] = linear_combination(
+                out.n, ((out.derivative_core(idx, (a, a)), 1) for a in range(out.n)))
         out = PolyBumpField(out.n, out.m, out.rho,
                             out.power - 2 if out.rho is not None else 0, cores)
     return out
@@ -497,37 +495,129 @@ def operator_R(f: PolyBumpField) -> PairSymTensorField:
     return generalized_R(f, 0)
 
 
+# ---------------------------------------------------------------------------
+# compiled stencils
+# ---------------------------------------------------------------------------
+
+#: (term generator, n, m, k) -> compiled stencil; filled on first use.
+_STENCILS = {}
+
+
+def _stencil(terms, n, m, k):
+    """The stencil of one whole-field operator at (n, m, k), compiled once.
+
+    ``terms(n, m, k)`` yields ``(output key, atom, weight)`` with
+    ``Fraction`` weights; an atom is whatever the operator reads, such as a
+    (component, sorted derivative axes) pair of a field or a canonical key
+    of a pair-structured field.  The stencil is ``(rows, denom)``: ``rows``
+    maps each output key to its merged atoms ``((atom, numerator), ...)``
+    with ``int`` numerators, and ``denom`` is one ``int`` shared by every
+    row, so an output component is ``sum(numerator * core(atom)) / denom``.
+    """
+    got = _STENCILS.get((terms, n, m, k))
+    if got is None:
+        rows = collections.defaultdict(collections.Counter)
+        for key, atom, weight in terms(n, m, k):
+            rows[key][atom] += weight
+        denom = math.lcm(*(w.denominator for row in rows.values() for w in row.values()))
+        got = ({key: tuple((atom, int(w * denom)) for atom, w in row.items() if w)
+                for key, row in rows.items()}, denom)
+        _STENCILS[(terms, n, m, k)] = got
+    return got
+
+
+def _apply_stencil(stencil, n, atom_core, scale=1):
+    """{output key: component} of a stencil applied to atom_core."""
+    rows, denom = stencil
+    scale = scale * Fraction(1, denom)
+    return {key: linear_combination(n, ((atom_core(atom), c) for atom, c in atoms),
+                                    scale)
+            for key, atoms in rows.items()}
+
+
+def _w_terms(n, m, k):
+    """W^k: the symmetrized alternating sum over the m-k derivative slots."""
+    mk = m - k
+    for key in PairSymTensorField(n, 0, (mk, m), None, 0).canonical_keys():
+        p_group, qi_group = key[1]
+        for l in range(mk + 1):
+            sign = (-1) ** l * math.comb(mk, l)
+            for (p_comp, p_der), wp in _position_splits(p_group, (mk - l, l)):
+                for (q_comp, q_der, i_fixed), wq in _position_splits(
+                        qi_group, (l, mk - l, k)):
+                    yield key, (tuple(sorted(p_comp + q_comp + i_fixed)),
+                                tuple(sorted(p_der + q_der))), sign * wp * wq
+
+
+def _r_terms(n, m, k):
+    """R^k: pairwise alternation of the m-k derivative slots."""
+    for key in PairSymTensorField(n, m - k, (k,), None, 0).canonical_keys():
+        pairs, (fixed,) = key
+        for comp, der, sign in pair_alternations(pairs):
+            yield key, (tuple(sorted(comp + fixed)), tuple(sorted(der))), \
+                Fraction(sign, 2 ** (m - k))
+
+
+def _lower_r_terms(n, m, k):
+    """R^{k-1} from R^k: atoms are (R^k key, derivative axis)."""
+    src = PairSymTensorField(n, m - k, (k,), None, 0)
+    for key in PairSymTensorField(n, m - k + 1, (k - 1,), None, 0).canonical_keys():
+        pairs, (fixed,) = key
+        old_flat = tuple(x for pq in pairs[:-1] for x in pq)
+        for (a,), (b,), sign in pair_alternations(pairs[-1:]):
+            got = src.canonicalize(old_flat + (a,) + fixed)
+            if got is not None:
+                yield key, (got[0], b), Fraction(sign * got[1], 2)
+
+
+def _r_to_w_terms(n, m, k):
+    """W^k from R^k: 2^(m-k) times the average over both symmetrizations."""
+    mk = m - k
+    src = PairSymTensorField(n, mk, (k,), None, 0)
+    count = math.factorial(mk) * math.factorial(m)
+    for key in PairSymTensorField(n, 0, (mk, m), None, 0).canonical_keys():
+        p_group, qi_group = key[1]
+        for p_perm in itertools.permutations(p_group):
+            for qi_perm in itertools.permutations(qi_group):
+                flat = [x for t in range(mk) for x in (p_perm[t], qi_perm[t])]
+                got = src.canonicalize(flat + list(qi_perm[mk:]))
+                if got is not None:
+                    yield key, got[0], Fraction(2 ** mk * got[1], count)
+
+
+def _w_to_r_terms(n, m, k):
+    """R^k from W^k without the constant: pairwise alternation over 2^(m-k)."""
+    mk = m - k
+    src = PairSymTensorField(n, 0, (mk, m), None, 0)
+    for key in PairSymTensorField(n, mk, (k,), None, 0).canonical_keys():
+        pairs, (fixed,) = key
+        for p_part, q_part, sign in pair_alternations(pairs):
+            yield key, src.canonicalize(p_part + q_part + fixed)[0], \
+                Fraction(sign, 2 ** mk)
+
+
 def generalized_W(f: PolyBumpField, k: int) -> PairSymTensorField:
     """Order-(m-k) generalization; k=0 is W, k=m the identity embedding."""
     m = f.m
     if not 0 <= k <= m:
         raise ValueError("k out of range")
     _require_budget(f, m - k)
-    out = PairSymTensorField(f.n, 0, (m - k, m), f.rho,
-                             f.power - (m - k) if f.rho is not None else 0)
-    for key in out.canonical_keys():
-        p_group, qi_group = key[1]
-        val = generalized_W_component(f, k, p_group, qi_group)
-        if not val.is_zero():
-            out.comps[key] = val
-    return out
+    comps = _apply_stencil(_stencil(_w_terms, f.n, m, k), f.n,
+                           lambda atom: f.derivative_core(*atom))
+    return PairSymTensorField(f.n, 0, (m - k, m), f.rho,
+                              f.power - (m - k) if f.rho is not None else 0, comps)
 
 
 def generalized_W_component(f: PolyBumpField, k, p_group, qi_group) -> Polynomial:
-    """One component of W^k f; qi_group holds the m-k q's and the k i's."""
-    m = f.m
-    mk = m - k
-    total = Polynomial.zero(f.n)
-    for l in range(mk + 1):
-        sign = (-1) ** l * math.comb(mk, l)
-        acc = Polynomial.zero(f.n)
-        for (p_comp, p_der), wp in _position_splits(p_group, (mk - l, l)):
-            for (q_comp, q_der, i_fixed), wq in _position_splits(qi_group, (l, mk - l, k)):
-                term = f.derivative_core(p_comp + q_comp + i_fixed,
-                                         tuple(sorted(p_der + q_der)))
-                acc = acc + term * (wp * wq)
-        total = total + acc * sign
-    return total
+    """One component of W^k f; qi_group holds the m-k q's and the k i's.
+
+    The component is symmetric within each group, so any ordering reads the
+    stencil row of the sorted groups.
+    """
+    rows, denom = _stencil(_w_terms, f.n, f.m, k)
+    atoms = rows.get(((), (tuple(sorted(p_group)), tuple(sorted(qi_group)))), ())
+    return linear_combination(f.n, ((f.derivative_core(*atom), c) for atom, c in atoms),
+                              Fraction(1, denom))
 
 
 def generalized_R(f: PolyBumpField, k: int) -> PairSymTensorField:
@@ -536,15 +626,10 @@ def generalized_R(f: PolyBumpField, k: int) -> PairSymTensorField:
     if not 0 <= k <= m:
         raise ValueError("k out of range")
     _require_budget(f, m - k)
-    out = PairSymTensorField(f.n, m - k, (k,), f.rho,
-                             f.power - (m - k) if f.rho is not None else 0)
-    for key in out.canonical_keys():
-        pairs, (fixed,) = key
-        flat = out.key_to_index(key)
-        val = operator_R_component(f, flat[:2 * (m - k)], fixed)
-        if not val.is_zero():
-            out.comps[key] = val
-    return out
+    comps = _apply_stencil(_stencil(_r_terms, f.n, m, k), f.n,
+                           lambda atom: f.derivative_core(*atom))
+    return PairSymTensorField(f.n, m - k, (k,), f.rho,
+                              f.power - (m - k) if f.rho is not None else 0, comps)
 
 
 def lower_generalized_R(rkf: PairSymTensorField) -> PairSymTensorField:
@@ -558,20 +643,22 @@ def lower_generalized_R(rkf: PairSymTensorField) -> PairSymTensorField:
         raise ValueError("already at k=0")
     if rkf.rho is not None and rkf.power < 1:
         raise BudgetError("bump power exhausted")
-    out = PairSymTensorField(rkf.n, rkf.npairs + 1, (k - 1,), rkf.rho,
-                             rkf.power - 1 if rkf.rho is not None else 0)
-    for key in out.canonical_keys():
-        pairs, (fixed,) = key
-        old_flat = tuple(x for pq in pairs[:-1] for x in pq)
-        total = Polynomial.zero(rkf.n)
-        for (a,), (b,), sgn in pair_alternations(pairs[-1:]):
-            core = rkf.component_core(old_flat + (a,) + tuple(fixed))
-            dcore = bump_core_diff(core, b, rkf.rho, rkf.power) \
-                if rkf.rho is not None else core.diff(b)
-            total = total + dcore * Fraction(sgn, 2)
-        if not total.is_zero():
-            out.comps[key] = total
-    return out
+    dcores = {}
+
+    def atom_core(atom):
+        got = dcores.get(atom)
+        if got is None:
+            key, axis = atom
+            core = rkf.comps.get(key, Polynomial.zero(rkf.n))
+            got = bump_core_diff(core, axis, rkf.rho, rkf.power) \
+                if rkf.rho is not None else core.diff(axis)
+            dcores[atom] = got
+        return got
+
+    comps = _apply_stencil(_stencil(_lower_r_terms, rkf.n, rkf.npairs + k, k),
+                           rkf.n, atom_core)
+    return PairSymTensorField(rkf.n, rkf.npairs + 1, (k - 1,), rkf.rho,
+                              rkf.power - 1 if rkf.rho is not None else 0, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -588,29 +675,18 @@ def w_to_r(wf: PairSymTensorField, m: int, constant=None) -> PairSymTensorField:
     return generalized_w_to_r(wf, m, 0, constant)
 
 
+def _key_atom(field: PairSymTensorField):
+    zero = Polynomial.zero(field.n)
+    return lambda key: field.comps.get(key, zero)
+
+
 def generalized_r_to_w(rkf: PairSymTensorField, m: int, k: int) -> PairSymTensorField:
     """W^k from R^k: 2^{m-k} with both partial symmetrizations."""
     mk = m - k
     if rkf.npairs != mk or rkf.blocks != (k,):
         raise ValueError("input does not have R^k structure")
-    out = PairSymTensorField(rkf.n, 0, (mk, m), rkf.rho, rkf.power)
-    scale = Fraction(2 ** mk)
-    for key in out.canonical_keys():
-        p_group, qi_group = key[1]
-        total = Polynomial.zero(rkf.n)
-        count = 0
-        for p_perm in itertools.permutations(p_group):
-            for qi_perm in itertools.permutations(qi_group):
-                flat = []
-                for t in range(mk):
-                    flat.extend((p_perm[t], qi_perm[t]))
-                flat.extend(qi_perm[mk:])
-                total = total + rkf.component_core(tuple(flat))
-                count += 1
-        val = total * (scale / count)
-        if not val.is_zero():
-            out.comps[key] = val
-    return out
+    comps = _apply_stencil(_stencil(_r_to_w_terms, rkf.n, m, k), rkf.n, _key_atom(rkf))
+    return PairSymTensorField(rkf.n, 0, (mk, m), rkf.rho, rkf.power, comps)
 
 
 def generalized_w_to_r(wkf: PairSymTensorField, m: int, k: int,
@@ -626,17 +702,9 @@ def generalized_w_to_r(wkf: PairSymTensorField, m: int, k: int,
         raise ValueError("input does not have W^k structure")
     if constant is None:
         constant = Fraction(math.comb(m, k), mk + 1)
-    out = PairSymTensorField(wkf.n, mk, (k,), wkf.rho, wkf.power)
-    for key in out.canonical_keys():
-        pairs, (fixed,) = key
-        total = Polynomial.zero(wkf.n)
-        for p_part, q_part, sign in pair_alternations(pairs):
-            val = wkf.component_core(p_part + q_part + tuple(fixed))
-            total = total + val * Fraction(sign, 2 ** mk)
-        val = total * constant
-        if not val.is_zero():
-            out.comps[key] = val
-    return out
+    comps = _apply_stencil(_stencil(_w_to_r_terms, wkf.n, m, k), wkf.n, _key_atom(wkf),
+                           constant)
+    return PairSymTensorField(wkf.n, mk, (k,), wkf.rho, wkf.power, comps)
 
 
 def solve_w_to_r_constant(n, m, k, rng, trials=3):

@@ -2,13 +2,18 @@
 
 Polynomials are stored as ``{exponent tuple: coefficient}`` with zero
 coefficients dropped.  Coefficients are whatever scalar type the caller puts
-in (``fractions.Fraction`` for exact identity checks, ``float`` for
-quadrature paths); all operations are coefficient-type agnostic.
+in (``int`` or ``fractions.Fraction`` for exact identity checks, ``float``
+for quadrature paths); all operations are coefficient-type agnostic.  Exact
+products and linear combinations run on ``int`` numerators over one common
+denominator and reduce each result coefficient once, instead of paying the
+gcd normalization of every ``Fraction`` operation.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -24,12 +29,13 @@ class PolynomialSizeError(RuntimeError):
 class Polynomial:
     """Polynomial in ``n`` variables; immutable by convention."""
 
-    __slots__ = ("n", "terms", "_compiled")
+    __slots__ = ("n", "terms", "_compiled", "_integer")
 
     def __init__(self, n, terms=None):
         self.n = n
         self.terms = {}
         self._compiled = None
+        self._integer = None
         if terms:
             for exps, c in terms.items():
                 if c == 0:
@@ -114,10 +120,15 @@ class Polynomial:
             return Polynomial(self.n, {e: c * other for e, c in self.terms.items()})
         if other.n != self.n:
             raise ValueError("variable-count mismatch")
+        t1, t2, den = self.terms, other.terms, 1
+        forms = self._integer_form(), other._integer_form()
+        if None not in forms:
+            (t1, d1), (t2, d2) = forms
+            den = d1 * d2
         terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+        for e1, c1 in t1.items():
+            for e2, c2 in t2.items():
+                e = tuple(map(operator.add, e1, e2))
                 s = terms.get(e, 0) + c1 * c2
                 if s == 0:
                     terms.pop(e, None)
@@ -125,7 +136,7 @@ class Polynomial:
                     terms[e] = s
             if len(terms) > TERM_LIMIT:
                 raise PolynomialSizeError(f"{len(terms)} terms exceeds limit")
-        return Polynomial(self.n, terms)
+        return Polynomial(self.n, _over(terms, 1, den))
 
     __rmul__ = __mul__
 
@@ -172,6 +183,21 @@ class Polynomial:
         return total
 
     # -- conversions --------------------------------------------------
+
+    def _integer_form(self):
+        """``(int terms, d)`` with ``self == terms / d``, or None when a
+        coefficient is neither ``int`` nor ``Fraction``; computed once."""
+        if self._integer is None:
+            types = {type(c) for c in self.terms.values()}
+            if types <= {int}:
+                self._integer = (self.terms, 1)
+            elif types <= {int, Fraction}:
+                d = math.lcm(*(c.denominator for c in self.terms.values()))
+                self._integer = ({e: c.numerator * (d // c.denominator)
+                                  for e, c in self.terms.items()}, d)
+            else:
+                self._integer = False
+        return self._integer or None
 
     def map_coeff(self, func):
         return Polynomial(self.n, {e: func(c) for e, c in self.terms.items()})
@@ -224,28 +250,61 @@ class Polynomial:
         return " + ".join(bits)
 
 
+def _over(terms, num, den):
+    """terms * num / den with each coefficient reduced once; ``int`` terms
+    stay ``int`` when num / den is 1."""
+    if num == den:
+        return terms
+    return {e: Fraction(v * num, den) for e, v in terms.items()}
+
+
+def linear_combination(n, pairs, scale=1) -> Polynomial:
+    """scale * sum(c * p) over ``(p, c)`` pairs with ``int`` weights c.
+
+    With exact coefficients throughout, the sum runs on the ``int``
+    numerators of each p over one common denominator, and each result
+    coefficient is reduced once; otherwise it is summed as it is.
+    """
+    pairs = [(p, c) for p, c in pairs if p.terms]
+    forms = [p._integer_form() for p, _ in pairs]
+    exact = None not in forms and type(scale) in (int, Fraction)
+    if not exact:
+        forms = [(p.terms, 1) for p, _ in pairs]
+    den = math.lcm(*(d for _, d in forms))
+    terms = {}
+    for (t, d), (_, c) in zip(forms, pairs):
+        c *= den // d
+        for e, v in t.items():
+            terms[e] = terms.get(e, 0) + v * c
+    if not exact:
+        return Polynomial(n, terms) * scale
+    scale = Fraction(scale, den)
+    return Polynomial(n, _over(terms, scale.numerator, scale.denominator))
+
+
 def random_polynomial(n, degree, rng, lo=-3, hi=3):
-    """Dense random polynomial with integer (Fraction) coefficients."""
+    """Dense random polynomial with ``int`` coefficients in [lo, hi]."""
     terms = {}
     for exps in itertools.product(range(degree + 1), repeat=n):
         if sum(exps) <= degree:
-            c = rng.rational(lo, hi)
+            c = rng.randint(lo, hi)
             if c:
                 terms[exps] = c
     return Polynomial(n, terms)
 
 
 def random_homogeneous(n, degree, rng, lo=-3, hi=3):
-    """Random homogeneous polynomial of exact total degree."""
+    """Random homogeneous polynomial of exact total degree, ``int``
+    coefficients in [lo, hi]."""
     terms = {}
     for exps in itertools.product(range(degree + 1), repeat=n):
         if sum(exps) == degree:
-            c = rng.rational(lo, hi)
+            c = rng.randint(lo, hi)
             if c:
                 terms[exps] = c
     if not terms:
         # keep the degree well-defined for downstream homogeneity checks
         e = [0] * n
         e[0] = degree
-        terms[tuple(e)] = Fraction(1)
+        terms[tuple(e)] = 1
     return Polynomial(n, terms)

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .polynomial import Polynomial
+from .polynomial import Polynomial, linear_combination
 
 
 class PiRational:
@@ -118,10 +118,23 @@ def monomial_sphere_integral(n, exponents, exact=True):
 
 
 def polynomial_sphere_integral(poly: Polynomial, exact=True):
-    """Sphere integral of the restriction of a polynomial."""
-    total = PiRational(0)
+    """Sphere integral of the restriction of a polynomial.
+
+    Every nonzero monomial integral in dimension n carries the same power of
+    pi, so the rational parts are summed in one ``Fraction``.
+    """
+    total = Fraction(0)
+    pi_pow = None
     for exps, c in poly.terms.items():
-        total = total + monomial_sphere_integral(poly.n, exps) * Fraction(c)
+        val = _monomial_sphere_exact(poly.n, tuple(sorted(exps)))
+        if val.coef == 0:
+            continue
+        if pi_pow is None:
+            pi_pow = val.pi_pow
+        elif val.pi_pow != pi_pow:
+            raise ValueError("incompatible powers of pi")
+        total += val.coef * Fraction(c)
+    total = PiRational(total, pi_pow or 0)
     return total if exact else float(total)
 
 
@@ -171,7 +184,7 @@ def _norm2_poly(n) -> Polynomial:
     for i in range(n):
         e = [0] * n
         e[i] = 2
-        terms[tuple(e)] = Fraction(1)
+        terms[tuple(e)] = 1
     return Polynomial(n, terms)
 
 
@@ -179,7 +192,8 @@ class HomogeneousRational:
     """xi -> p(xi)/|xi|^{2r}; closed under differentiation.
 
     The homogeneity degree is deg(p) - 2r; the restriction to the unit sphere
-    is the restriction of the numerator.
+    is the restriction of the numerator.  Iterated derivatives are memoized
+    per instance (see ``diff_multi``).
     """
 
     def __init__(self, numerator: Polynomial, pow2r: int = 0):
@@ -190,6 +204,8 @@ class HomogeneousRational:
         self.n = numerator.n
         self.numerator = numerator
         self.pow2r = pow2r
+        self._dcache = {}
+        self._moments = {}
 
     @property
     def degree(self):
@@ -201,20 +217,26 @@ class HomogeneousRational:
     def diff(self, axis) -> "HomogeneousRational":
         """Quotient rule: ((dp)|xi|^2 - 2r p xi_a) / |xi|^{2(r+1)}."""
         xa = Polynomial.variable(self.n, axis)
-        num = self.numerator.diff(axis) * _norm2_poly(self.n) \
-            - 2 * self.pow2r * xa * self.numerator
+        num = linear_combination(self.n, (
+            (self.numerator.diff(axis) * _norm2_poly(self.n), 1),
+            (xa * self.numerator, -2 * self.pow2r)))
         return HomogeneousRational(num, self.pow2r + 1)
 
     def diff_multi(self, axes) -> "HomogeneousRational":
-        out = self
-        for a in axes:
-            out = out.diff(a)
-        return out
+        """Iterated derivative, memoized by the sorted axis tuple.
 
-    def mul_polynomial(self, poly: Polynomial) -> "HomogeneousRational":
-        if not poly.is_homogeneous():
-            raise ValueError("factor must be homogeneous")
-        return HomogeneousRational(self.numerator * poly, self.pow2r)
+        Partial derivatives commute and every order of s steps ends at
+        pow2r = r + s, so every order gives the same exact numerator; the
+        cache keys on the sorted tuple and shares its prefixes.
+        """
+        key = tuple(sorted(axes))
+        if not key:
+            return self
+        out = self._dcache.get(key)
+        if out is None:
+            out = self.diff_multi(key[:-1]).diff(key[-1])
+            self._dcache[key] = out
+        return out
 
     def value(self, xi):
         norm2 = sum(c * c for c in xi)
@@ -222,6 +244,15 @@ class HomogeneousRational:
 
     def sphere_integral(self, exact=True):
         return polynomial_sphere_integral(self.numerator, exact=exact)
+
+    def _sphere_moment(self, exps) -> PiRational:
+        """int_S xi^exps p(xi) dS, exactly; memoized per exponent tuple."""
+        got = self._moments.get(exps)
+        if got is None:
+            got = polynomial_sphere_integral(
+                Polynomial.monomial(self.n, exps) * self.numerator)
+            self._moments[exps] = got
+        return got
 
     def ball_integral(self, exact=True):
         """Radial-times-angular factorization; needs n + degree > 0."""
@@ -260,20 +291,36 @@ def metric_power_weight(n, idx, l) -> Polynomial:
     Equals sigma(i_1..i_s)[delta_{i1 i2}..delta_{i_{2l-1} i_{2l}}
     xi_{i_{2l+1}}..xi_{i_s}]; the dropped |xi|^{2l} factor is 1 on the sphere.
     """
-    s = len(idx)
-    if 2 * l > s:
+    if 2 * l > len(idx):
         raise ValueError("too many metric factors")
-    total = Polynomial.zero(n)
-    fact = Fraction(1, math.factorial(s))
-    for perm in itertools.permutations(idx):
-        ok = all(perm[2 * t] == perm[2 * t + 1] for t in range(l))
-        if not ok:
+    counts = [0] * n
+    for v in idx:
+        counts[v] += 1
+    return _metric_power_weight(n, tuple(counts), l)
+
+
+@lru_cache(maxsize=None)
+def _metric_power_weight(n, counts, l) -> Polynomial:
+    """metric_power_weight by counting instead of permuting.
+
+    With c_v copies of axis v in the index, a permutation whose l leading
+    pairs hold d_v pairs of v leaves the monomial xi^e, e_v = c_v - 2 d_v.
+    Of the s! permutations, prod(c_v!) * l!/prod(d_v!) * (s-2l)!/prod(e_v!)
+    do so: distinct pair sequences times distinct tails times the
+    reorderings of equal values.
+    """
+    s = sum(counts)
+    fixed = math.prod(math.factorial(c) for c in counts) \
+        * math.factorial(l) * math.factorial(s - 2 * l)
+    terms = {}
+    for pairs in itertools.product(*(range(c // 2 + 1) for c in counts)):
+        if sum(pairs) != l:
             continue
-        exps = [0] * n
-        for v in perm[2 * l:]:
-            exps[v] += 1
-        total = total + Polynomial.monomial(n, tuple(exps), fact)
-    return total
+        exps = tuple(c - 2 * d for c, d in zip(counts, pairs))
+        ways = fixed // math.prod(math.factorial(d) for d in pairs) \
+            // math.prod(math.factorial(e) for e in exps)
+        terms[exps] = Fraction(ways, math.factorial(s))
+    return Polynomial(n, terms)
 
 
 def verify_ibp(g: HomogeneousRational, idx) -> PiRational:
@@ -281,7 +328,9 @@ def verify_ibp(g: HomogeneousRational, idx) -> PiRational:
 
     LHS = int_S d^s g / d xi_{i_1}..d xi_{i_s};
     RHS = sum_l c_{l,s} int_S (i^l j^l xi^(.s))_{idx} g.
-    Requires g positive homogeneous of degree s-1.
+    Requires g positive homogeneous of degree s-1.  The RHS integrals are
+    linear in the weight polynomial, so they are summed from the moments
+    int_S xi^e g of its monomials.
     """
     s = len(idx)
     if g.degree is None:
@@ -292,7 +341,9 @@ def verify_ibp(g: HomogeneousRational, idx) -> PiRational:
     rhs = PiRational(0)
     for l in range(s // 2 + 1):
         weight = metric_power_weight(g.n, idx, l)
-        rhs = rhs + polynomial_sphere_integral(weight * g.numerator) * c_constant(l, s, g.n)
+        integral = sum((g._sphere_moment(e) * w for e, w in weight.terms.items()),
+                       PiRational(0))
+        rhs = rhs + integral * c_constant(l, s, g.n)
     return lhs - rhs
 
 

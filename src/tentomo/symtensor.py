@@ -184,9 +184,6 @@ class SymTensor:
         return SymTensor(self.n, self.m,
                          {i: func(v) for i, v in self.data.items()})
 
-    def storage_size(self):
-        return sym_dim(self.n, self.m)
-
     def to_canonical_vector(self):
         return [self.get(idx) for idx in canonical_indices(self.n, self.m)]
 

@@ -186,6 +186,27 @@ class TestValidateAcceptsOnlyWhatRuns:
         assert main(["validate", "--config", write_config(tmp_path, doc)]) == 3
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("entry", [
+        {"suite": "identities.algebra", "max_n": 1, "trials": 1},
+        {"suite": "identities.algebra", "max_m": 0, "trials": 1},
+        {"suite": "identities.ibp", "n_values": [2, 0], "trials_per_case": 1},
+        {"suite": "identities.ibp", "n_values": [1], "trials_per_case": 1},
+        {"suite": "identities.ibp", "s_values": [0], "trials_per_case": 1},
+        {"suite": "identities.algebra", "max_n": "3", "trials": 1},
+        {"suite": "identities.ibp", "n_values": 3, "trials_per_case": 1},
+        {"suite": "identities.ibp", "s_values": [], "trials_per_case": 1},
+    ])
+    def test_empty_or_degenerate_exact_cases_rejected(self, tmp_path, capsys,
+                                                      entry):
+        # each of these used to validate, then died (exit 4) or passed a
+        # vacuous check in run
+        path = write_config(tmp_path, {"schema": 1, "suites": [entry]})
+        assert main(["validate", "--config", path]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert main(["run", "--config", path,
+                     "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 def test_nan_residual_fails_the_run(tmp_path, monkeypatch, capsys):
     import tentomo.xray as xr

@@ -158,13 +158,28 @@ class TestSaintVenant:
                 assert got == total
 
     def test_raw_sv_component_matches_generalized_at_k0(self):
+        # the defining formula against the compiled W stencil, on every
+        # ordering of the first group and a reversed ordering of the second
         from tentomo.polyfield import saint_venant_W_component
-        rng = SplitMix64(66)
-        f = random_bump_field(2, 2, rng, power=3, degree=2)
-        for i_group in itertools.product(range(2), repeat=2):
-            for j_group in itertools.product(range(2), repeat=2):
-                assert saint_venant_W_component(f, i_group, j_group) == \
-                    generalized_W_component(f, 0, i_group, j_group)
+        for n, m in [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3)]:
+            rng = SplitMix64(66 + 10 * n + m)
+            f = random_bump_field(n, m, rng, power=m + 1, degree=2)
+            for i_group in itertools.product(range(n), repeat=m):
+                for j_group in itertools.combinations_with_replacement(range(n), m):
+                    assert saint_venant_W_component(f, i_group, j_group) == \
+                        generalized_W_component(f, 0, i_group, j_group[::-1])
+
+    @pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (3, 3)])
+    def test_generalized_r_matches_raw_component(self, n, m):
+        # the compiled R^k stencils against the alternating-sum formula
+        rng = SplitMix64(30 + 10 * n + m)
+        f = random_bump_field(n, m, rng, power=m + 1, degree=2)
+        for k in range(m + 1):
+            rk = generalized_R(f, k)
+            for key in rk.canonical_keys():
+                flat = rk.key_to_index(key)
+                assert rk.component_core(flat) == operator_R_component(
+                    f, flat[:2 * (m - k)], flat[2 * (m - k):])
 
     def test_r_pair_symmetries(self):
         rng = SplitMix64(7)
@@ -178,7 +193,7 @@ class TestSaintVenant:
 
 
 class TestEquivalences:
-    @pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (3, 2), (2, 3)])
+    @pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
     def test_round_trips_exact(self, n, m):
         rng = SplitMix64(100 + 10 * n + m)
         f = random_bump_field(n, m, rng, power=m + 1, degree=2)

@@ -1,12 +1,14 @@
 """Exact polynomial arithmetic."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from tentomo.polynomial import (Polynomial, PolynomialSizeError,
-                                random_homogeneous, random_polynomial)
+                                linear_combination, random_homogeneous,
+                                random_polynomial)
 from tentomo.rng import SplitMix64
 
 
@@ -39,6 +41,40 @@ def test_eval_many_matches_eval():
     got = p.to_float().eval_many(pts)
     for row, pt in zip(got, pts):
         assert row == pytest.approx(float(p.eval(tuple(pt))), rel=1e-12)
+
+
+def test_random_coefficients_are_ints_of_the_same_draws():
+    p = random_polynomial(3, 2, SplitMix64(9))
+    assert all(type(c) is int for c in p.terms.values())
+    ref = SplitMix64(9)
+    want = {}
+    for exps in itertools.product(range(3), repeat=3):
+        if sum(exps) <= 2:
+            c = ref.rational(-3, 3)
+            if c:
+                want[exps] = c
+    assert p.terms == want
+
+
+def test_integer_form_arithmetic_matches_fraction_arithmetic():
+    rng = SplitMix64(5)
+    a = random_polynomial(2, 3, rng) * Fraction(1, 6)
+    b = random_polynomial(2, 2, rng) * Fraction(3, 4) + Fraction(1, 10)
+    product = {}
+    for (e1, c1), (e2, c2) in itertools.product(a.terms.items(), b.terms.items()):
+        e = (e1[0] + e2[0], e1[1] + e2[1])
+        product[e] = product.get(e, Fraction(0)) + Fraction(c1) * Fraction(c2)
+    assert (a * b).terms == {e: c for e, c in product.items() if c}
+    combo = {}
+    for p, c in ((a, 2), (b, -3)):
+        for e, v in p.terms.items():
+            combo[e] = combo.get(e, Fraction(0)) + Fraction(v) * c * Fraction(5, 7)
+    assert linear_combination(2, [(a, 2), (b, -3)], Fraction(5, 7)).terms == \
+        {e: c for e, c in combo.items() if c}
+    floats = linear_combination(2, [(a.to_float(), 2), (b.to_float(), -3)],
+                                Fraction(5, 7))
+    for e, c in combo.items():
+        assert floats.terms.get(e, 0.0) == pytest.approx(float(c), rel=1e-12)
 
 
 def test_homogeneous_generator():

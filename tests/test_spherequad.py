@@ -159,12 +159,36 @@ class TestIBP:
         # i^l j^l (xi^(.s)) via the permutation formula agrees with the
         # tensor-algebra route at rational points on the sphere
         from tentomo.symtensor import i_metric, j_metric, sym_power
-        xi = [Fraction(3, 5), Fraction(4, 5)]
-        for s, l in ((2, 1), (3, 1), (4, 2)):
-            t = i_metric(j_metric(sym_power(xi, s), l), l)
-            for idx in itertools.combinations_with_replacement(range(2), s):
-                w = metric_power_weight(2, idx, l)
-                assert w.eval(xi) == t.get(idx)
+        for xi in ([Fraction(3, 5), Fraction(4, 5)],
+                   [Fraction(2, 7), Fraction(3, 7), Fraction(6, 7)]):
+            n = len(xi)
+            for s in range(1, 5):
+                for l in range(s // 2 + 1):
+                    t = i_metric(j_metric(sym_power(xi, s), l), l)
+                    for idx in itertools.product(range(n), repeat=s):
+                        w = metric_power_weight(n, idx, l)
+                        assert w.eval(xi) == t.get(idx)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_derivative_order_does_not_matter(self, n):
+        # the premise of the diff_multi memo: chaining diff step by step
+        # along any ordering of an axis multiset ends at the same exact
+        # numerator and pow2r
+        rng = SplitMix64(70 + n)
+        g = HomogeneousRational(random_homogeneous(n, 5, rng), 1)
+        for s in range(1, 5):
+            for multiset in itertools.combinations_with_replacement(range(n), s):
+                results = set()
+                for order in set(itertools.permutations(multiset)):
+                    out = g
+                    for axis in order:
+                        out = out.diff(axis)
+                    results.add((out.numerator, out.pow2r))
+                assert len(results) == 1
+                (numerator, pow2r), = results
+                assert pow2r == 1 + s
+                memo = g.diff_multi(multiset[::-1])
+                assert (memo.numerator, memo.pow2r) == (numerator, pow2r)
 
 
 class TestRules:
