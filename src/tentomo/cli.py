@@ -117,6 +117,11 @@ def _validate_suite_params(pos, entry):
         if not (_int_at_least(entry.get("max_n", 3), 2)
                 and _int_at_least(entry.get("max_m", 3), 1)):
             bad("need integers max_n >= 2 and max_m >= 1, or no (n, m) case runs")
+    trial_keys = {"identities.algebra": ("trials", "roundtrip_trials"),
+                  "identities.ibp": ("trials_per_case",)}
+    for key in trial_keys.get(name, ()):
+        if key in entry and not _int_at_least(entry[key], 1):
+            bad(f"'{key}' must be an integer >= 1, or the suite checks nothing")
     if name == "identities.ibp":
         for key, low in (("n_values", 2), ("s_values", 1)):
             values = entry.get(key, [low])

@@ -4,10 +4,10 @@ identities relating them.
 
 Three numerical paths coexist, each with its own error source and tolerance:
 
-* angular quadrature (sphere rule x exact chord quadrature) -- error is the
+* angular quadrature (sphere rule x exact chord integrals) -- error is the
   sphere rule's, decreasing with rule degree;
-* grid convolution with the sampled real-space kernel -- error is kernel
-  discretization, ~1e-3 at N=128;
+* grid convolution with the sampled real-space kernel (n=2) -- error is
+  kernel discretization, ~1e-3 at N=128;
 * exact Fourier symbol (n=2) -- the normal operator as a multiplier, exact up
   to roundoff; this is the path on which N(potential) = 0 holds to machine
   precision.
@@ -16,12 +16,20 @@ Spatial derivatives of normal operators are never taken by differencing
 quadrature output; they are moved onto the field inside the line integral via
 ``TransformExpr``.
 
-Every angular operator is one function, ``_angular_sum``: it forms the (point,
-rule node) lines, at the foot point or at the base point, evaluates J_m^k f
-(or any ``TransformExpr``) on them with the chord kernel of ``xray``, and
-reduces with w <x,xi>^(k-r) xi^I.  Lines go through the kernel in blocks of
-``LINE_BLOCK`` = 2^16 lines: one rule node over the N = 256 grid, the
-largest array the grid path builds, so batching never raises peak memory.
+Angular sums come in two forms, each reducing with w <x,xi>^p xi^I per point
+over the (point, rule node) pairs:
+
+* foot-point lines, the normal operators N_m^k and delta^r N_m^k:
+  ``_foot_point_sum`` backprojects a compiled sinogram.  On the line through
+  the foot point x - <x,xi>xi, J_m^k f is a per-node polynomial in the
+  coordinates s of x on xi^perp times (rho^2 - |s|^2)^(e+1/2), in closed
+  form, so each pair costs one polynomial evaluation and one power;
+* base-point lines, any ``TransformExpr`` (the key identities, N_0 and the
+  xi-moment integrals): ``_angular_sum`` runs the chord kernel of ``xray``.
+
+Both go through (point, node) pairs in blocks of at most ``LINE_BLOCK`` =
+2^16: one rule node over the N = 256 grid, the largest array the grid path
+builds, so batching never raises peak memory.
 """
 
 from __future__ import annotations
@@ -38,11 +46,12 @@ from scipy.signal import fftconvolve
 
 from .polyfield import (PairSymTensorField, PolyBumpField, _position_splits,
                         generalized_R, pair_alternations)
-from .spherequad import SphereRule, c_constant
+from .spherequad import SphereRule, bump_ball_monomial_integral, c_constant
 from .symtensor import (SymTensor, canonical_indices, i_metric, j_metric,
                         multiplicity, sym_dim, sym_power, j_contract)
 from .verdict import check_row, worst
-from .xray import TransformExpr, dot_power_terms, _monomials, _rowdot, _xi_monomial_exps
+from .xray import (TANGENCY_TOL, TransformExpr, dot_power_terms, _monomials, _rowdot,
+                   _xi_monomial_exps)
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +290,14 @@ def helmholtz_decompose_oracle(f: GridTensorField):
 LINE_BLOCK = 1 << 16
 
 
-def _angular_sum(expr: TransformExpr, pts, p, rank, rule: SphereRule, foot):
-    """sum over rule nodes of w <x,xi>^p xi^I expr(line) per point x.
+def _angular_sum(expr: TransformExpr, pts, p, rank, rule: SphereRule):
+    """sum over rule nodes of w <x,xi>^p xi^I expr(x, xi) per point x.
 
-    The line through x in direction xi is taken at the foot point
-    x - <x,xi> xi when ``foot`` is set, else at x itself.  I runs over the
-    canonical indices of S^rank; returns an array (points, dim S^rank).
+    The line through x in direction xi is taken at the base point x itself,
+    and ``expr`` goes through the chord kernel of ``xray``, so any
+    ``TransformExpr`` works here.  Foot-point lines take the closed form of
+    ``_foot_point_sum`` instead.  I runs over the canonical indices of
+    S^rank; returns an array (points, dim S^rank).
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     out_exps = [_xi_monomial_exps(idx, expr.n) for idx in canonical_indices(expr.n, rank)]
@@ -295,12 +306,145 @@ def _angular_sum(expr: TransformExpr, pts, p, rank, rule: SphereRule, foot):
     for start in range(0, count, LINE_BLOCK):
         node, pt = np.divmod(np.arange(start, min(start + LINE_BLOCK, count)), len(pts))
         x, xi = pts[pt], rule.nodes[node]
-        proj = _rowdot(x, xi)
-        if foot:
-            x = x - proj[:, None] * xi
-        vals = rule.weights[node] * expr.eval_lines(x, xi) * proj**p
+        vals = rule.weights[node] * expr.eval_lines(x, xi) * _rowdot(x, xi)**p
         for c, e in enumerate(out_exps):
             out[:, c] += np.bincount(pt, vals * _monomials(xi, e), minlength=len(pts))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _chord_moment(j, e):
+    """M(j, e) = int_{-1}^{1} u^j (1 - u^2)^e du, exact before rounding."""
+    return float(bump_ball_monomial_integral(1, (j,), e))
+
+
+def _perp_basis(nodes):
+    """Orthonormal bases of the hyperplanes xi^perp, shape (nodes, n-1, n).
+
+    Rows 1..n-1 of the Householder reflection that maps xi to -+e_0; for
+    n = 2 this is +-(-xi_2, xi_1).
+    """
+    n = nodes.shape[1]
+    v = nodes.copy()
+    v[:, 0] += np.where(nodes[:, 0] >= 0.0, 1.0, -1.0)
+    refl = np.eye(n) - 2.0 * v[:, :, None] * v[:, None, :] / _rowdot(v, v)[:, None, None]
+    return refl[:, 1:, :]
+
+
+def _shifted(poly, axis, by):
+    """Dense polynomial coefficients times var_axis^by; degrees past the
+    array's end are dropped."""
+    src = [slice(None)] * poly.ndim
+    dst = list(src)
+    src[axis] = slice(0, poly.shape[axis] - by)
+    dst[axis] = slice(by, None)
+    out = np.zeros_like(poly)
+    out[tuple(dst)] = poly[tuple(src)]
+    return out
+
+
+def _foot_sinogram(f: PolyBumpField, k, nodes):
+    """Per-node polynomials R_xi with J_m^k f(x - <x,xi>xi, xi) =
+    R_xi(s) (rho^2 - |s|^2)^(e + 1/2) on the chord, s = E_xi x.
+
+    With y the foot point and t along the unit node xi, B = H - t^2 for
+    H = rho^2 - |y|^2 = rho^2 - |s|^2, so for c_b(s) = [t^b] Q_xi(s, t),
+    Q_xi = sum_I mult(I) xi^I q_I(E_xi^T s + t xi), the chord integral is
+    sum_{b+k even} M(b+k, e) c_b(s) H^((b+k)/2) H^(e+1/2).  Everything is
+    array arithmetic over all nodes at once.  Returns (E, R) with R of
+    shape (nodes, D+k+1, ..., D+k+1), one axis per coordinate of s.
+    """
+    if f.rho is None:
+        raise ValueError("ray transforms need compactly supported fields")
+    n, e = f.n, f.power
+    nodes = np.asarray(nodes, dtype=float)
+    basis = _perp_basis(nodes)
+    degree = max((core.degree() for core in f.cores.values()), default=0)
+    top = degree + k
+    # the variables are (s_1 .. s_{n-1}, t); x_a = sum_j E[j, a] s_j + xi_a t
+    forms = [np.concatenate([basis[:, :, a], nodes[:, a:a + 1]], axis=1) for a in range(n)]
+    q = np.zeros((len(nodes),) + (top + 1,) * (n - 1) + (degree + 1,))
+    monos = {(0,) * n: np.zeros_like(q)}
+    monos[(0,) * n][(slice(None),) + (0,) * n] = 1.0
+    coeffs = {}
+    for idx, core in f.cores.items():
+        pairing = multiplicity(idx) * _monomials(nodes, _xi_monomial_exps(idx, n))
+        for exps, c in core.terms.items():
+            coeffs[exps] = coeffs.get(exps, 0.0) + float(c) * pairing
+    for exps in sorted(coeffs):
+        q += coeffs[exps].reshape((-1,) + (1,) * n) * _monomial_table(monos, exps, forms)
+    r = np.zeros(q.shape[:-1])
+    for j in range(top // 2, -1, -1):
+        r = float(f.rho)**2 * r - sum(_shifted(r, v, 2) for v in range(1, n))
+        b = 2 * j - k
+        if 0 <= b <= degree:
+            r += _chord_moment(2 * j, e) * q[..., b]
+    return basis, r
+
+
+def _monomial_table(monos, exps, forms):
+    """x^exps as a dense polynomial in (s, t), built on the memo ``monos``."""
+    got = monos.get(exps)
+    if got is None:
+        a = max(i for i, p in enumerate(exps) if p)
+        lower = list(exps)
+        lower[a] -= 1
+        base = _monomial_table(monos, tuple(lower), forms)
+        got = sum(forms[a][:, v].reshape((-1,) + (1,) * len(exps)) * _shifted(base, 1 + v, 1)
+                  for v in range(len(exps)))
+        monos[exps] = got
+    return got
+
+
+def _horner(coeffs, s):
+    """Per-node polynomials at s: coeffs (nodes, degrees per s axis) and s a
+    list of (nodes, points) arrays, one per s coordinate."""
+    if coeffs.ndim == 1:
+        return coeffs[:, None]
+    acc = _horner(coeffs[..., -1], s[:-1])
+    for d in range(coeffs.shape[-1] - 2, -1, -1):
+        acc = acc * s[-1] + _horner(coeffs[..., d], s[:-1])
+    return acc
+
+
+def _node_dots(vecs, x):
+    """(nodes, points) array of <vecs[i], x[:, j]>, summed term by term, so
+    that no entry depends on the block it is computed in."""
+    return sum(vecs[:, a, None] * x[a] for a in range(len(x)))
+
+
+def _foot_point_sum(f: PolyBumpField, k, pts, p, rank, rule: SphereRule):
+    """sum over rule nodes of w <x,xi>^p xi^I J_m^k f(x - <x,xi>xi, xi) per x.
+
+    The backprojection of a compiled sinogram: ``_foot_sinogram`` gives one
+    polynomial R_xi per node, and each (point, node) pair then costs one
+    evaluation of R_xi at s = E_xi x and one power of H = rho^2 - |s|^2.
+    Lines whose half-chord sqrt(H) is not above ``TANGENCY_TOL`` miss, as in
+    the chord kernel.  Pairs go through as (nodes, points) blocks of at most
+    ``LINE_BLOCK`` entries, and each point sums its nodes in rule order.
+    """
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    nodes = rule.nodes
+    basis, r = _foot_sinogram(f, k, nodes)
+    rho2 = float(f.rho)**2
+    out_exps = [_xi_monomial_exps(idx, f.n) for idx in canonical_indices(f.n, rank)]
+    node_w = np.stack([rule.weights * _monomials(nodes, e) for e in out_exps], axis=1)
+    out = np.zeros((len(pts), len(out_exps)))
+    pb = min(len(pts), LINE_BLOCK)
+    nb = max(1, LINE_BLOCK // pb)
+    for p0 in range(0, len(pts), pb):
+        x = pts[p0:p0 + pb].T
+        for n0 in range(0, len(nodes), nb):
+            sl = slice(n0, n0 + nb)
+            s = [_node_dots(basis[sl, j], x) for j in range(f.n - 1)]
+            h = rho2 - sum(c * c for c in s)
+            root = np.sqrt(np.maximum(h, 0.0))
+            hit = root > TANGENCY_TOL
+            vals = np.where(hit, _horner(r[sl], s) * h**f.power * root, 0.0)
+            if p:
+                vals = vals * _node_dots(nodes[sl], x)**p
+            for c in range(len(out_exps)):
+                out[p0:p0 + pb, c] += (vals * node_w[sl, c, None]).sum(axis=0)
     return out
 
 
@@ -326,21 +470,21 @@ def divergence_normal(f: PolyBumpField, x, k, r, rule: SphereRule) -> SymTensor:
     rank = f.m - r
     if r == k + 1:
         return SymTensor(f.n, rank)
-    vals = _angular_sum(TransformExpr.momentum(f, k), [x], k - r, rank, rule, foot=True)[0]
+    vals = _foot_point_sum(f, k, [x], k - r, rank, rule)[0]
     vals = vals * (math.factorial(k) / math.factorial(k - r))
     return SymTensor(f.n, rank, dict(zip(canonical_indices(f.n, rank), vals.tolist())))
 
 
 def xi_moment_integral(f: PolyBumpField, x, k, rank_out, rule: SphereRule) -> SymTensor:
     """int_S xi^(.rank_out) J_m^k f(x, xi) dS at the base point x itself."""
-    vals = _angular_sum(TransformExpr.momentum(f, k), [x], 0, rank_out, rule, foot=False)[0]
+    vals = _angular_sum(TransformExpr.momentum(f, k), [x], 0, rank_out, rule)[0]
     vals = vals.tolist()
     return SymTensor(f.n, rank_out, dict(zip(canonical_indices(f.n, rank_out), vals)))
 
 
 def normal_momentum_on_points(f: PolyBumpField, pts, k, rule: SphereRule):
     """Vectorized (N_m^k f) on an array of points; returns (P, dim S^m)."""
-    return _angular_sum(TransformExpr.momentum(f, k), pts, k, f.m, rule, foot=True)
+    return _foot_point_sum(f, k, pts, k, f.m, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -371,31 +515,8 @@ def _origin_cell_average_2d(alpha, beta, h):
     return total / h**2
 
 
-@lru_cache(maxsize=None)
-def _origin_cell_average_3d(alpha, beta, h):
-    """Spherical analogue of the 2-D origin-cell average."""
-    if any(a % 2 for a in alpha):
-        return 0.0
-    gamma = sum(alpha) - beta + 3
-    if gamma <= 0:
-        raise ValueError("kernel not cell-integrable")
-    nz, wz = np.polynomial.legendre.leggauss(120)
-    nphi = 240
-    phis = 2 * np.pi * np.arange(nphi) / nphi
-    total = 0.0
-    for z, wgt in zip(nz, wz):
-        st = math.sqrt(1.0 - z * z)
-        us = np.stack([st * np.cos(phis), st * np.sin(phis),
-                       np.full(nphi, z)], axis=1)
-        r_edge = (h / 2) / np.abs(us).max(axis=1)
-        vals = (us[:, 0] ** alpha[0] * us[:, 1] ** alpha[1]
-                * us[:, 2] ** alpha[2]) * r_edge**gamma / gamma
-        total += wgt * vals.sum() * (2 * np.pi / nphi)
-    return total / h**3
-
-
 def _kernel_grid(n, N, h, alpha, beta, average_radius=6, subsamples=10):
-    """Sampled kernel x^alpha/|x|^beta on the offset grid (2N per axis).
+    """Sampled kernel x^alpha/|x|^beta on the offset grid (2N per axis), n=2.
 
     Cells within ``average_radius`` (Chebyshev) of the origin are replaced by
     cell averages: the origin cell analytically in the radial direction, the
@@ -417,10 +538,7 @@ def _kernel_grid(n, N, h, alpha, beta, average_radius=6, subsamples=10):
                                   repeat=n):
         pos = tuple(N + c for c in cell)
         if all(c == 0 for c in cell):
-            if n == 2:
-                vals[pos] = _origin_cell_average_2d(tuple(alpha), beta, h)
-            else:
-                vals[pos] = _origin_cell_average_3d(tuple(alpha), beta, h)
+            vals[pos] = _origin_cell_average_2d(tuple(alpha), beta, h)
             continue
         center = np.array(cell, dtype=float) * h
         grids = np.meshgrid(*[center[a] + cell_nodes for a in range(n)],
@@ -449,6 +567,8 @@ def normal_convolution(f: GridTensorField, k=0, average_radius=6):
     (x^(.2m+2k-l)) / |x|^{2m+2k-2l+n-1} with the x^(.2k-l) contraction applied
     pointwise after convolving, weighted by 2 C(k,l) (-1)^l.
     """
+    if f.n != 2:
+        raise ValueError("convolution path implemented for n=2")
     n, m, N = f.n, f.m, f.N
     h = f.h
     if f.comps.shape[1] < 16:
@@ -524,7 +644,7 @@ def normal_symbol(f: GridTensorField):
 def n0_scalar(g: PolyBumpField, x, rule: SphereRule) -> float:
     """N_0 g(x) = int_S J_0 g(x, xi) dS for a scalar field."""
     jg = TransformExpr.momentum(g, 0)
-    return float(_angular_sum(jg, [x], 0, 0, rule, foot=False)[0, 0])
+    return float(_angular_sum(jg, [x], 0, 0, rule)[0, 0])
 
 
 @lru_cache(maxsize=None)
@@ -662,7 +782,7 @@ def verify_momentum_key_identity(f: PolyBumpField, x, k, rule: SphereRule, rhs_e
         comp = rkf.component(rkf.key_to_index(key))
         scalar = PolyBumpField(n, 0, rkf.rho, rkf.power, {(): comp.core})
         lhs = math.factorial(m) * n0_scalar(scalar, x, rule)
-        rhs = _angular_sum(expr, [x], 0, 0, rule, foot=False)[0, 0]
+        rhs = _angular_sum(expr, [x], 0, 0, rule)[0, 0]
         residuals[key] = lhs - rhs
     return residuals
 

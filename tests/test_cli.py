@@ -208,6 +208,22 @@ class TestValidateAcceptsOnlyWhatRuns:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+    @pytest.mark.parametrize("entry", [
+        {"suite": "identities.algebra", "trials": 0, "roundtrip_trials": 0},
+        {"suite": "identities.ibp", "trials_per_case": 0},
+        {"suite": "identities.algebra", "trials": "3"},
+        {"suite": "identities.algebra", "roundtrip_trials": True},
+    ], ids=["algebra-zero", "ibp-zero", "algebra-string", "algebra-bool"])
+    def test_trial_counts_must_be_positive_integers(self, tmp_path, capsys, entry):
+        # zero trials used to pass every row vacuously, and "3" died in run
+        path = write_config(tmp_path, {"schema": 1, "suites": [entry]})
+        assert main(["validate", "--config", path]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert main(["run", "--config", path,
+                     "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_nan_residual_fails_the_run(tmp_path, monkeypatch, capsys):
     import tentomo.xray as xr
     real = xr.verify_john_relation

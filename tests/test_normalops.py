@@ -241,10 +241,74 @@ class TestDivergenceNormal:
             divergence_normal(f, [0.1, 0.1], 1, 3, rule40)
 
 
+def _foot_point_oracle(f, x, k, rule):
+    """{r: delta^r N_m^k f(x)} for every r <= min(k, m), by an explicit loop
+    over rule nodes, with J_m^k f from the Gauss-Legendre chord kernel at
+    each foot point."""
+    import math
+    from tentomo.symtensor import canonical_indices
+    from tentomo.xray import TransformExpr
+    x = np.asarray(x, dtype=float)
+    expr = TransformExpr.momentum(f, k)
+    out = {r: np.zeros(len(list(canonical_indices(f.n, f.m - r))))
+           for r in range(min(k, f.m) + 1)}
+    for xi, w in zip(rule.nodes, rule.weights):
+        proj = float(x @ xi)
+        val = expr.eval_lines((x - proj * xi)[None, :], xi[None, :])[0]
+        for r, acc in out.items():
+            for c, idx in enumerate(canonical_indices(f.n, f.m - r)):
+                acc[c] += w * proj**(k - r) * np.prod(xi[list(idx)]) * val
+    return {r: acc * (math.factorial(k) / math.factorial(k - r)) for r, acc in out.items()}
+
+
+class TestFootPointSum:
+    """The closed-form foot-point sum against the chord-kernel oracle."""
+
+    @pytest.mark.parametrize("n,degree", [(2, 40), (3, 8)])
+    @pytest.mark.parametrize("rho", [1, 3 / 2])
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_matches_chord_kernel_oracle(self, n, degree, rho, m):
+        from fractions import Fraction
+        from tentomo.symtensor import canonical_indices
+        rule = build_rule(n, degree)
+        rho = Fraction(rho)
+        f = random_bump_field(n, m, SplitMix64(90 + 10 * n + m), rho=rho,
+                              power=3, degree=2)
+        pts = [np.full(n, 0.1) * np.arange(1, n + 1),        # inside the support
+               1.3 * float(rho) * np.r_[0.8, 0.6, np.zeros(n - 2)],  # outside it
+               float(rho) * np.eye(n)[1]]                     # tangent line
+        # the first node's second coordinate is an exact 0, so the line
+        # through the last point along it has |s| = rho exactly
+        assert rule.nodes[0][1] == 0.0
+        for k in range(3):
+            for x in pts:
+                for r, want in _foot_point_oracle(f, x, k, rule).items():
+                    got = divergence_normal(f, x, k, r, rule)
+                    got = np.array([got.get(idx) for idx in canonical_indices(n, m - r)])
+                    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (k, r, x)
+
+    def test_grazing_line_at_power_zero(self, rule40):
+        # at bump power 0 a line with half-chord sqrt(H) ~ 1e-6 still adds
+        # ~1e-6 of the sum, so the miss rule must be the chord kernel's
+        from tentomo.symtensor import canonical_indices
+        f = random_bump_field(2, 1, SplitMix64(97), power=0, degree=2)
+        x = np.array([0.3, 1.0 - 5e-13])   # |s| = 1 - 5e-13 along node (1, 0)
+        for k in range(2):
+            want = _foot_point_oracle(f, x, k, rule40)[0]
+            got = normal_momentum(f, x, k, rule40)
+            got = np.array([got.get(idx) for idx in canonical_indices(2, 1)])
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 class TestConvolutionNormal:
     def test_zero_field_maps_to_zero(self):
         g = GridTensorField.zeros(2, 1, 32, 4.0)
         assert normal_convolution(g, k=0).norm_l2() == 0.0
+
+    def test_n3_rejected(self):
+        g = GridTensorField.zeros(3, 1, 16, 4.0)
+        with pytest.raises(ValueError, match="n=2"):
+            normal_convolution(g)
 
     def test_grid_too_coarse(self):
         g = GridTensorField.zeros(2, 0, 8, 4.0)
