@@ -113,6 +113,9 @@ def _validate_suite_params(pos, entry):
             k = entry.get("k", 1)
             if not 0 <= k < m:
                 bad(f"need 0 <= k < m, got k={k}, m={m}")
+        for key in ("num_lines", "num_points"):
+            if key in entry and not _int_at_least(entry[key], 1):
+                bad(f"'{key}' must be an integer >= 1, or the suite checks nothing")
     if name == "identities.algebra":
         if not (_int_at_least(entry.get("max_n", 3), 2)
                 and _int_at_least(entry.get("max_m", 3), 1)):

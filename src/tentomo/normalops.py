@@ -7,7 +7,13 @@ Three numerical paths coexist, each with its own error source and tolerance:
 * angular quadrature (sphere rule x exact chord integrals) -- error is the
   sphere rule's, decreasing with rule degree;
 * grid convolution with the sampled real-space kernel (n=2) -- error is
-  kernel discretization, ~1e-3 at N=128;
+  kernel discretization, ~1e-3 at N=128.  ``normal_convolution`` assembles
+  it in frequency space at period 2N: one real FFT per field component and
+  per distinct kernel, the sum over field components taken on the spectra,
+  and one inverse FFT per output term.  The period is exact for the N output
+  cells: the linear convolution of N samples with the 2N-sample kernel has
+  length 3N - 1, so the terms that wrap onto the output indices [N, 2N) come
+  from indices [3N, 4N), where it is zero;
 * exact Fourier symbol (n=2) -- the normal operator as a multiplier, exact up
   to roundoff; this is the path on which N(potential) = 0 holds to machine
   precision.
@@ -41,8 +47,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad as _quad
-from scipy.signal import fftconvolve
 
 from .polyfield import (PairSymTensorField, PolyBumpField, _position_splits,
                         generalized_R, pair_alternations)
@@ -50,8 +54,8 @@ from .spherequad import SphereRule, bump_ball_monomial_integral, c_constant
 from .symtensor import (SymTensor, canonical_indices, i_metric, j_metric,
                         multiplicity, sym_dim, sym_power, j_contract)
 from .verdict import check_row, worst
-from .xray import (TANGENCY_TOL, TransformExpr, dot_power_terms, _monomials, _rowdot,
-                   _xi_monomial_exps)
+from .xray import (TANGENCY_TOL, TransformExpr, dot_power_terms, _leggauss, _monomials,
+                   _rowdot, _xi_monomial_exps)
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +411,23 @@ def _horner(coeffs, s):
     return acc
 
 
+def _int_power(base, e):
+    """base**e for an int e >= 0 by repeated squaring.
+
+    At most e - 1 products, each rounded once, so it stays within a few ulp
+    of libm's pow, which numpy's ``**`` calls per element for most integer
+    exponents and which costs far more.
+    """
+    out = None
+    while True:
+        if e & 1:
+            out = base if out is None else out * base
+        e >>= 1
+        if not e:
+            return np.ones_like(base) if out is None else out
+        base = base * base
+
+
 def _node_dots(vecs, x):
     """(nodes, points) array of <vecs[i], x[:, j]>, summed term by term, so
     that no entry depends on the block it is computed in."""
@@ -430,7 +451,7 @@ def _foot_point_sum(f: PolyBumpField, k, pts, p, rank, rule: SphereRule):
     out_exps = [_xi_monomial_exps(idx, f.n) for idx in canonical_indices(f.n, rank)]
     node_w = np.stack([rule.weights * _monomials(nodes, e) for e in out_exps], axis=1)
     out = np.zeros((len(pts), len(out_exps)))
-    pb = min(len(pts), LINE_BLOCK)
+    pb = max(1, min(len(pts), LINE_BLOCK))
     nb = max(1, LINE_BLOCK // pb)
     for p0 in range(0, len(pts), pb):
         x = pts[p0:p0 + pb].T
@@ -440,9 +461,9 @@ def _foot_point_sum(f: PolyBumpField, k, pts, p, rank, rule: SphereRule):
             h = rho2 - sum(c * c for c in s)
             root = np.sqrt(np.maximum(h, 0.0))
             hit = root > TANGENCY_TOL
-            vals = np.where(hit, _horner(r[sl], s) * h**f.power * root, 0.0)
+            vals = np.where(hit, _horner(r[sl], s) * _int_power(h, f.power) * root, 0.0)
             if p:
-                vals = vals * _node_dots(nodes[sl], x)**p
+                vals = vals * _int_power(_node_dots(nodes[sl], x), p)
             for c in range(len(out_exps)):
                 out[p0:p0 + pb, c] += (vals * node_w[sl, c, None]).sum(axis=0)
     return out
@@ -491,81 +512,78 @@ def normal_momentum_on_points(f: PolyBumpField, pts, k, rule: SphereRule):
 # convolution-form normal operators on grids
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _origin_cell_average_2d(alpha, beta, h):
-    """Cell average over the h-cell at 0 of x^alpha/|x|^beta (n=2).
+#: Cells within this Chebyshev radius of the origin hold cell averages of the
+#: kernel, taken by a SUBSAMPLES x SUBSAMPLES Gauss-Legendre rule (the origin
+#: cell by an exact radial integral).
+AVERAGE_RADIUS = 6
+SUBSAMPLES = 10
+#: Gauss-Legendre nodes per pi/4 arc of the origin cell's angular integral.
+ORIGIN_ARC_NODES = 24
 
-    Exact radial integration leaves a smooth 1-D angular integral:
-    the radial power is gamma = |alpha| - beta + 2 >= 1 for the kernels here.
+
+def _origin_cell_average(alpha, beta, h):
+    """Average over the h-cell at 0 of x^alpha/|x|^beta (n = 2).
+
+    Integrating r exactly leaves int_0^2pi cos^a0 sin^a1 r_edge^gamma/gamma,
+    with r_edge = (h/2)/max(|cos|, |sin|) and gamma = |alpha| - beta + 2 >= 1
+    for the kernels here.  Between multiples of pi/4 the integrand is
+    analytic, so Gauss-Legendre on each of the eight arcs converges to
+    roundoff.
     """
     if any(a % 2 for a in alpha):
         return 0.0
     gamma = sum(alpha) - beta + 2
     if gamma <= 0:
         raise ValueError("kernel not cell-integrable")
-
-    def integrand(theta):
-        c, s = math.cos(theta), math.sin(theta)
-        r_edge = (h / 2) / max(abs(c), abs(s))
-        return (c ** alpha[0]) * (s ** alpha[1]) * r_edge**gamma / gamma
-
-    total, _err = _quad(integrand, 0.0, 2.0 * math.pi,
-                        points=[i * math.pi / 4 for i in range(1, 8)],
-                        limit=200)
-    return total / h**2
+    u, w = _leggauss(ORIGIN_ARC_NODES)
+    theta = (np.arange(8)[:, None] + (u + 1) / 2) * (math.pi / 4)
+    c, s = np.cos(theta), np.sin(theta)
+    edge = (h / 2) / np.maximum(np.abs(c), np.abs(s))
+    vals = c**alpha[0] * s**alpha[1] * edge**gamma / gamma
+    return float((vals * w).sum()) * (math.pi / 8) / h**2
 
 
-def _kernel_grid(n, N, h, alpha, beta, average_radius=6, subsamples=10):
-    """Sampled kernel x^alpha/|x|^beta on the offset grid (2N per axis), n=2.
+def _kernel_values(x, y, alpha, beta):
+    """x^alpha[0] y^alpha[1] / (x^2 + y^2)^(beta/2) on the outer grid x by y."""
+    num = np.multiply.outer(_int_power(x, alpha[0]), _int_power(y, alpha[1]))
+    return num / _int_power(np.sqrt(np.add.outer(x * x, y * y)), beta)
 
-    Cells within ``average_radius`` (Chebyshev) of the origin are replaced by
-    cell averages: the origin cell analytically in the radial direction, the
-    neighbors by tensor Gauss-Legendre subsampling.
+
+def _kernel_grid(N, h, alpha, beta):
+    """Sampled kernel x^alpha/|x|^beta at the offsets (i - N) h, i < 2N, n = 2.
+
+    Cells within ``AVERAGE_RADIUS`` (Chebyshev) of the origin hold cell
+    averages: the origin cell's from ``_origin_cell_average``, the others'
+    from a tensor Gauss-Legendre rule, all of them in one array evaluation.
     """
     offs = (np.arange(2 * N) - N) * h
-    mesh = np.stack(np.meshgrid(*([offs] * n), indexing="ij"), axis=-1)
-    r2 = (mesh**2).sum(axis=-1)
-    num = np.ones(r2.shape)
-    for a in range(n):
-        if alpha[a]:
-            num = num * mesh[..., a] ** alpha[a]
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.where(r2 > 0, num / np.maximum(r2, 1e-300) ** (beta / 2.0), 0.0)
-    gl_x, gl_w = np.polynomial.legendre.leggauss(subsamples)
-    cell_nodes = 0.5 * h * gl_x
-    cell_w = 0.5 * gl_w
-    for cell in itertools.product(range(-average_radius, average_radius + 1),
-                                  repeat=n):
-        pos = tuple(N + c for c in cell)
-        if all(c == 0 for c in cell):
-            vals[pos] = _origin_cell_average_2d(tuple(alpha), beta, h)
-            continue
-        center = np.array(cell, dtype=float) * h
-        grids = np.meshgrid(*[center[a] + cell_nodes for a in range(n)],
-                            indexing="ij")
-        pts = np.stack(grids, axis=-1)
-        rr = (pts**2).sum(axis=-1)
-        nm = np.ones(rr.shape)
-        for a in range(n):
-            if alpha[a]:
-                nm = nm * pts[..., a] ** alpha[a]
-        cellvals = nm / rr ** (beta / 2.0)
-        wgrid = np.ones(rr.shape)
-        for a in range(n):
-            shape = [1] * n
-            shape[a] = subsamples
-            wgrid = wgrid * cell_w.reshape(shape)
-        # cell_w integrates to h per axis, so this is already the average
-        vals[pos] = float((cellvals * wgrid).sum())
+        vals = _kernel_values(offs, offs, alpha, beta)
+    u, w = _leggauss(SUBSAMPLES)
+    # node i of cell c sits at sub[c * SUBSAMPLES + i]; the half-weights
+    # integrate to h per axis, so the weighted sum is already the cell average
+    sub = (np.arange(-AVERAGE_RADIUS, AVERAGE_RADIUS + 1)[:, None] * h
+           + 0.5 * h * u).ravel()
+    cells = 2 * AVERAGE_RADIUS + 1
+    near = _kernel_values(sub, sub, alpha, beta).reshape(cells, SUBSAMPLES, cells, SUBSAMPLES)
+    box = slice(N - AVERAGE_RADIUS, N + AVERAGE_RADIUS + 1)
+    vals[box, box] = np.einsum("i,aibj,j->ab", 0.5 * w, near, 0.5 * w)
+    vals[N, N] = _origin_cell_average(alpha, beta, h)
     return vals
 
 
-def normal_convolution(f: GridTensorField, k=0, average_radius=6):
+def normal_convolution(f: GridTensorField, k=0):
     """(N_m^k f) by discrete convolution with the tensor-valued kernel.
 
     Implements the closed convolution form: for each l <= k the kernel is
     (x^(.2m+2k-l)) / |x|^{2m+2k-2l+n-1} with the x^(.2k-l) contraction applied
-    pointwise after convolving, weighted by 2 C(k,l) (-1)^l.
+    pointwise after convolving, weighted by 2 C(k,l) (-1)^l.  The products
+    are assembled in frequency space at period 2N: each field component and
+    each distinct kernel is transformed once, and each (l, x^(.2k-l)
+    component, output component) takes one inverse transform of its sum over
+    field components.  The period wraps linear index o + 2N onto o; for the
+    output indices [N, 2N) that is [3N, 4N), past the linear convolution's
+    last index 3N - 2, so the kept window is the linear convolution exactly.
     """
     if f.n != 2:
         raise ValueError("convolution path implemented for n=2")
@@ -573,36 +591,29 @@ def normal_convolution(f: GridTensorField, k=0, average_radius=6):
     h = f.h
     if f.comps.shape[1] < 16:
         raise ValueError("grid too coarse for kernel resolution")
+    shape = (2 * N,) * n
+    core = (slice(N, 2 * N),) * n
+    field_hat = np.fft.rfft2(f.comps, s=shape)
+    kernel_hat = {}
     coords = f.axis_coords()
-    mesh = np.stack(np.meshgrid(*([coords] * n), indexing="ij"), axis=-1)
-    out_idx = list(canonical_indices(n, m))
-    out = np.zeros((len(out_idx),) + (N,) * n)
-    conv_cache = {}
-
-    def conv(jpos, mu, beta):
-        key = (jpos, mu, beta)
-        if key not in conv_cache:
-            alpha = _xi_monomial_exps(mu, n)
-            kern = _kernel_grid(n, N, h, alpha, beta, average_radius)
-            full = fftconvolve(f.comps[jpos], kern, mode="full")
-            sl = tuple(slice(N, 2 * N) for _ in range(n))
-            conv_cache[key] = full[sl] * h**n
-        return conv_cache[key]
-
-    j_list = list(canonical_indices(n, m))
+    idx_list = list(canonical_indices(n, m))
+    out = np.zeros((len(idx_list),) + (N,) * n)
     for l in range(k + 1):
         beta = 2 * m + 2 * k - 2 * l + n - 1
         coeff = 2.0 * math.comb(k, l) * (-1) ** l
         for p_idx in canonical_indices(n, 2 * k - l):
-            p_mult = multiplicity(p_idx)
-            xpref = np.ones((N,) * n)
-            for a in p_idx:
-                xpref = xpref * mesh[..., a]
-            for jpos, j_idx in enumerate(j_list):
-                j_mult = multiplicity(j_idx)
-                for c, i_idx in enumerate(out_idx):
-                    mu = tuple(sorted(p_idx + i_idx + j_idx))
-                    out[c] += coeff * p_mult * j_mult * xpref * conv(jpos, mu, beta)
+            p_exps = _xi_monomial_exps(p_idx, n)
+            xpref = np.multiply.outer(_int_power(coords, p_exps[0]),
+                                      _int_power(coords, p_exps[1]))
+            for c, i_idx in enumerate(idx_list):
+                acc = 0.0
+                for jpos, j_idx in enumerate(idx_list):
+                    key = (_xi_monomial_exps(p_idx + i_idx + j_idx, n), beta)
+                    if key not in kernel_hat:
+                        kernel_hat[key] = np.fft.rfft2(_kernel_grid(N, h, *key))
+                    acc = acc + multiplicity(j_idx) * field_hat[jpos] * kernel_hat[key]
+                conv = np.fft.irfft2(acc, s=shape)[core]
+                out[c] += (coeff * multiplicity(p_idx) * h**n) * xpref * conv
     return GridTensorField(n, m, N, f.L, out)
 
 
@@ -885,13 +896,13 @@ def ucp_experiment(scenario, config, rng):
         data = [ray_transform(f, line) for line in lines]
         checks.append(check_row("ray_data_through_U_max",
                                 worst(abs(d) for d in data), tol))
-        pts = [np.asarray(u_center) + np.asarray(rng.split(f"pt{t}").point_in_ball(n, u_radius))
-               for t in range(num_points)]
-        nmax = worst(normal_ray(f, x, rule).max_abs() for x in pts)
+        pts = np.array([u_center + np.asarray(rng.split(f"pt{t}").point_in_ball(n, u_radius))
+                        for t in range(num_points)])
+        nmax = worst(np.abs(normal_momentum_on_points(f, pts, 0, rule)).ravel())
         checks.append(check_row("normal_operator_on_U_max", nmax, tol))
         f_neg = pfmod.random_bump_field(n, m, rng, power=m + 3,
                                         degree=config.get("degree", 2), label="neg")
-        neg = worst(normal_ray(f_neg, x, rule).max_abs() for x in pts[:3])
+        neg = worst(np.abs(normal_momentum_on_points(f_neg, pts[:3], 0, rule)).ravel())
         checks.append(check_row("nonpotential_normal_nonvanishing", neg, floor,
                                 mode="above"))
         artifacts["lines"] = lines
@@ -922,10 +933,10 @@ def ucp_experiment(scenario, config, rng):
             values.append(data)
             checks.append(check_row(f"momentum_data_order{p}_through_U_max",
                                     worst(abs(d) for d in data), tol))
-        pts = [np.asarray(u_center) + np.asarray(rng.split(f"pt{t}").point_in_ball(n, u_radius))
-               for t in range(num_points)]
+        pts = np.array([u_center + np.asarray(rng.split(f"pt{t}").point_in_ball(n, u_radius))
+                        for t in range(num_points)])
         for p in range(k + 1):
-            nmax = worst(normal_momentum(f, x, p, rule).max_abs() for x in pts)
+            nmax = worst(np.abs(normal_momentum_on_points(f, pts, p, rule)).ravel())
             checks.append(check_row(f"normal_momentum_order{p}_on_U_max", nmax, tol))
         neg = worst(abs(momentum_transform(f, line, k + 1)) for line in lines)
         checks.append(check_row(f"momentum_data_order{k + 1}_nonvanishing", neg,

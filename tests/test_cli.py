@@ -223,6 +223,36 @@ class TestValidateAcceptsOnlyWhatRuns:
                      "--out", str(tmp_path / "out")]) == 3
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("entry", [
+        {"suite": "ucp.ray", "num_lines": 0, "num_points": 0},
+        {"suite": "ucp.mrt", "m": 2, "num_lines": 0, "num_points": 0},
+        {"suite": "ucp.trt", "n": 3, "m": 2, "num_points": 2.0},
+    ], ids=["ray-zero", "mrt-zero", "trt-float"])
+    def test_ucp_sample_counts_must_be_positive_integers(self, tmp_path, capsys, entry):
+        # with no lines and no points the vanishing checks passed on nothing
+        path = write_config(tmp_path, {"schema": 1, "suites": [entry]})
+        assert main(["validate", "--config", path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'num_" in err
+        assert main(["run", "--config", path,
+                     "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test and benchmark oracle only; the package must not need it
+    import os
+    import subprocess
+    import sys
+    import tentomo
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tentomo.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import tentomo.cli, sys; "
+            "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
 
 def test_nan_residual_fails_the_run(tmp_path, monkeypatch, capsys):
     import tentomo.xray as xr

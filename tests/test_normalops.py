@@ -185,6 +185,10 @@ class TestAngularNormal:
             for c, idx in enumerate(canonical_indices(2, 1)):
                 assert batch[r, c] == pytest.approx(single.get(idx), abs=1e-12)
 
+    def test_no_points(self, rule40):
+        f = random_bump_field(2, 1, SplitMix64(31), power=4, degree=2)
+        assert normal_momentum_on_points(f, np.zeros((0, 2)), 1, rule40).shape == (0, 2)
+
     def test_many_lines_match_chunked_points(self, rule40):
         # 1 700 points x 41 nodes = 69 700 lines, more than 2^16, so one call
         # spans several kernel blocks with a node split between two of them
@@ -368,6 +372,128 @@ class TestConvolutionNormal:
             rels.append(np.sqrt(((ac - bc) ** 2).sum())
                         / np.sqrt((ac ** 2).sum()))
         assert rels[2] < rels[1] < rels[0]
+
+
+def _origin_cell_quad(alpha, beta, h):
+    """Origin-cell average of x^alpha/|x|^beta (n = 2) by scipy's adaptive
+    quad of the angular integral left after exact radial integration."""
+    import math
+    from scipy.integrate import quad
+    if any(a % 2 for a in alpha):
+        return 0.0
+    gamma = sum(alpha) - beta + 2
+
+    def integrand(theta):
+        c, s = math.cos(theta), math.sin(theta)
+        return c**alpha[0] * s**alpha[1] * ((h / 2) / max(abs(c), abs(s)))**gamma / gamma
+
+    total, _err = quad(integrand, 0.0, 2.0 * math.pi, epsabs=1e-13, epsrel=1e-13,
+                       points=[i * math.pi / 4 for i in range(1, 8)], limit=200)
+    return total / h**2
+
+
+def _kernel_grid_oracle(N, h, alpha, beta, average_radius=6, subsamples=10):
+    """The sampled kernel with one tensor Gauss-Legendre cell average per
+    near-origin cell, cell by cell."""
+    import itertools
+    offs = (np.arange(2 * N) - N) * h
+    mesh = np.stack(np.meshgrid(offs, offs, indexing="ij"), axis=-1)
+    r2 = (mesh**2).sum(axis=-1)
+    num = mesh[..., 0]**alpha[0] * mesh[..., 1]**alpha[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.where(r2 > 0, num / np.maximum(r2, 1e-300)**(beta / 2.0), 0.0)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(subsamples)
+    cell_nodes, cell_w = 0.5 * h * gl_x, 0.5 * gl_w
+    for cell in itertools.product(range(-average_radius, average_radius + 1), repeat=2):
+        pos = (N + cell[0], N + cell[1])
+        if cell == (0, 0):
+            vals[pos] = _origin_cell_quad(alpha, beta, h)
+            continue
+        px, py = np.meshgrid(cell[0] * h + cell_nodes, cell[1] * h + cell_nodes,
+                             indexing="ij")
+        cellvals = px**alpha[0] * py**alpha[1] / (px**2 + py**2)**(beta / 2.0)
+        vals[pos] = float((cellvals * np.outer(cell_w, cell_w)).sum())
+    return vals
+
+
+def _convolution_oracle(f, k=0):
+    """N_m^k f as one ``scipy.signal.fftconvolve(mode="full")`` per (field
+    component, kernel) pair, summed term by term in real space."""
+    import math
+    from scipy.signal import fftconvolve
+    from tentomo.symtensor import canonical_indices, multiplicity
+    N, m, h = f.N, f.m, f.h
+    coords = f.axis_coords()
+    mesh = np.stack(np.meshgrid(coords, coords, indexing="ij"), axis=-1)
+    idx_list = list(canonical_indices(2, m))
+    out = np.zeros((len(idx_list), N, N))
+    kernels, convs = {}, {}
+    for l in range(k + 1):
+        beta = 2 * m + 2 * k - 2 * l + 1
+        coeff = 2.0 * math.comb(k, l) * (-1) ** l
+        for p_idx in canonical_indices(2, 2 * k - l):
+            xpref = np.ones((N, N))
+            for a in p_idx:
+                xpref = xpref * mesh[..., a]
+            for jpos, j_idx in enumerate(idx_list):
+                for c, i_idx in enumerate(idx_list):
+                    mu = p_idx + i_idx + j_idx
+                    alpha = (mu.count(0), mu.count(1))
+                    if (alpha, beta) not in kernels:
+                        kernels[alpha, beta] = _kernel_grid_oracle(N, h, alpha, beta)
+                    key = (jpos, alpha, beta)
+                    if key not in convs:
+                        full = fftconvolve(f.comps[jpos], kernels[alpha, beta], mode="full")
+                        convs[key] = full[N:2 * N, N:2 * N] * h**2
+                    out[c] += (coeff * multiplicity(p_idx) * multiplicity(j_idx)
+                               * xpref * convs[key])
+    return out
+
+
+class TestConvolutionOracle:
+    """The spectral convolution against the per-key real-space one."""
+
+    @pytest.mark.parametrize("N", [32, 64])
+    @pytest.mark.parametrize("m,k", [(0, 0), (1, 0), (1, 1), (2, 1)])
+    def test_matches_per_key_convolution(self, m, k, N):
+        f = random_bump_field(2, m, SplitMix64(110 + 10 * m + k), power=4, degree=2)
+        g = GridTensorField.sample(f, N, 4.0)
+        want = _convolution_oracle(g, k)
+        got = normal_convolution(g, k=k).comps
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_support_reaching_box_edge(self):
+        # with the support filling the box the linear convolution is nonzero
+        # up to its last index 3N - 2, so a period shorter than 2N wraps
+        # nonzero terms onto the kept window
+        f = random_bump_field(2, 1, SplitMix64(120), power=2, degree=2)
+        g = GridTensorField.sample(f, 32, 2.0, enforce_margin=False)
+        assert min(np.abs(g.comps[:, 1, :]).max(), np.abs(g.comps[:, -1, :]).max()) > 0.0
+        want = _convolution_oracle(g, 1)
+        got = normal_convolution(g, k=1).comps
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("h", [4 / 64, 4 / 512])
+    def test_origin_cell_rule_matches_quad(self, h):
+        for m in range(4):
+            for k in range(3):
+                for l in range(k + 1):
+                    beta = 2 * m + 2 * k - 2 * l + 1
+                    size = 2 * m + 2 * k - l
+                    for a0 in range(size + 1):
+                        alpha = (a0, size - a0)
+                        want = _origin_cell_quad(alpha, beta, h)
+                        got = no._origin_cell_average(alpha, beta, h)
+                        assert abs(got - want) <= 1e-14 * abs(want), (alpha, beta)
+
+    def test_int_power_matches_pow(self):
+        base = np.concatenate([np.linspace(-3.0, 3.0, 601), [0.0, -0.0, 1e-3, -7.5e2]])
+        assert (base == 0.0).sum() >= 3
+        for e in range(13):
+            want = base**e
+            got = no._int_power(base, e)
+            # each of the at most e - 1 products rounds once
+            assert np.all(np.abs(got - want) <= e * np.spacing(np.abs(want))), e
 
 
 class TestKeyIdentities:
