@@ -131,10 +131,20 @@ def _validate_suite_params(pos, entry):
             if not (isinstance(values, list) and values
                     and all(_int_at_least(v, low) for v in values)):
                 bad(f"'{key}' must be a nonempty list of integers >= {low}")
+    # the lists a suite runs over; a missing one runs its nonempty default
+    runs_over = {"identities.john": ["cases"], "identities.prop-ray": ["m_values"],
+                 "identities.mrt": ["lemma_cases", "prop_cases"], "decompose": ["m_values"]}
+    if name == "decompose" and entry.get("normal_consistency", True):
+        runs_over[name].append("normal_cases")
+    if name in runs_over and not any(entry.get(key, True) for key in runs_over[name]):
+        bad(" and ".join(f"'{key}'" for key in runs_over[name])
+            + " empty, so the suite checks nothing")
     if name == "identities.john":
         for case in entry.get("cases", JOHN_CASES):
-            if _john_case(case)[1] < 1:
-                bad("iterated John relation needs m >= 1")
+            jn, jm = _john_case(case)
+            if not (_int_at_least(jn, 2) and _int_at_least(jm, 1)
+                    and _int_at_least(case.get("lines", 20), 1)):
+                bad("each John case needs integers n >= 2, m >= 1 and lines >= 1")
     if name in ("identities.prop-ray", "identities.mrt"):
         degrees = entry.get("degrees", [20, 40, 60])
         if not (isinstance(degrees, list) and len(degrees) >= 2

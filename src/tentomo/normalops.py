@@ -4,8 +4,8 @@ identities relating them.
 
 Three numerical paths coexist, each with its own error source and tolerance:
 
-* angular quadrature (sphere rule x exact chord integrals) -- error is the
-  sphere rule's, decreasing with rule degree;
+* angular quadrature (sphere rule x closed-form chord integrals) -- error is
+  the sphere rule's, decreasing with rule degree;
 * grid convolution with the sampled real-space kernel (n=2) -- error is
   kernel discretization, ~1e-3 at N=128.  ``normal_convolution`` assembles
   it in frequency space at period 2N: one real FFT per field component and
@@ -28,10 +28,10 @@ over the (point, rule node) pairs:
 * foot-point lines, the normal operators N_m^k and delta^r N_m^k:
   ``_foot_point_sum`` backprojects a compiled sinogram.  On the line through
   the foot point x - <x,xi>xi, J_m^k f is a per-node polynomial in the
-  coordinates s of x on xi^perp times (rho^2 - |s|^2)^(e+1/2), in closed
-  form, so each pair costs one polynomial evaluation and one power;
+  coordinates s of x on xi^perp times (rho^2 - |s|^2)^(e+1/2), built with
+  the chord kernel's helpers; each pair costs one Horner step and one power;
 * base-point lines, any ``TransformExpr`` (the key identities, N_0 and the
-  xi-moment integrals): ``_angular_sum`` runs the chord kernel of ``xray``.
+  xi-moment integrals): ``_angular_sum`` runs that chord kernel itself.
 
 Both go through (point, node) pairs in blocks of at most ``LINE_BLOCK`` =
 2^16: one rule node over the N = 256 grid, the largest array the grid path
@@ -50,12 +50,13 @@ import numpy as np
 
 from .polyfield import (PairSymTensorField, PolyBumpField, _position_splits,
                         generalized_R, pair_alternations)
-from .spherequad import SphereRule, bump_ball_monomial_integral, c_constant
+from .spherequad import SphereRule, c_constant
 from .symtensor import (SymTensor, canonical_indices, i_metric, j_metric,
                         multiplicity, sym_dim, sym_power, j_contract)
 from .verdict import check_row, worst
-from .xray import (TANGENCY_TOL, TransformExpr, dot_power_terms, _leggauss, _monomials,
-                   _rowdot, _xi_monomial_exps)
+from .xray import (TANGENCY_TOL, TransformExpr, dot_power_terms, _chord_moment,
+                   _int_power, _monomial_table, _monomials, _rowdot, _shifted,
+                   _xi_monomial_exps)
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +317,6 @@ def _angular_sum(expr: TransformExpr, pts, p, rank, rule: SphereRule):
     return out
 
 
-@lru_cache(maxsize=None)
-def _chord_moment(j, e):
-    """M(j, e) = int_{-1}^{1} u^j (1 - u^2)^e du, exact before rounding."""
-    return float(bump_ball_monomial_integral(1, (j,), e))
-
-
 def _perp_basis(nodes):
     """Orthonormal bases of the hyperplanes xi^perp, shape (nodes, n-1, n).
 
@@ -333,18 +328,6 @@ def _perp_basis(nodes):
     v[:, 0] += np.where(nodes[:, 0] >= 0.0, 1.0, -1.0)
     refl = np.eye(n) - 2.0 * v[:, :, None] * v[:, None, :] / _rowdot(v, v)[:, None, None]
     return refl[:, 1:, :]
-
-
-def _shifted(poly, axis, by):
-    """Dense polynomial coefficients times var_axis^by; degrees past the
-    array's end are dropped."""
-    src = [slice(None)] * poly.ndim
-    dst = list(src)
-    src[axis] = slice(0, poly.shape[axis] - by)
-    dst[axis] = slice(by, None)
-    out = np.zeros_like(poly)
-    out[tuple(dst)] = poly[tuple(src)]
-    return out
 
 
 def _foot_sinogram(f: PolyBumpField, k, nodes):
@@ -366,7 +349,8 @@ def _foot_sinogram(f: PolyBumpField, k, nodes):
     degree = max((core.degree() for core in f.cores.values()), default=0)
     top = degree + k
     # the variables are (s_1 .. s_{n-1}, t); x_a = sum_j E[j, a] s_j + xi_a t
-    forms = [np.concatenate([basis[:, :, a], nodes[:, a:a + 1]], axis=1) for a in range(n)]
+    col = (-1,) + (1,) * n
+    forms = [[v.reshape(col) for v in (*basis[:, :, a].T, nodes[:, a])] for a in range(n)]
     q = np.zeros((len(nodes),) + (top + 1,) * (n - 1) + (degree + 1,))
     monos = {(0,) * n: np.zeros_like(q)}
     monos[(0,) * n][(slice(None),) + (0,) * n] = 1.0
@@ -376,7 +360,7 @@ def _foot_sinogram(f: PolyBumpField, k, nodes):
         for exps, c in core.terms.items():
             coeffs[exps] = coeffs.get(exps, 0.0) + float(c) * pairing
     for exps in sorted(coeffs):
-        q += coeffs[exps].reshape((-1,) + (1,) * n) * _monomial_table(monos, exps, forms)
+        q += coeffs[exps].reshape(col) * _monomial_table(monos, exps, forms)
     r = np.zeros(q.shape[:-1])
     for j in range(top // 2, -1, -1):
         r = float(f.rho)**2 * r - sum(_shifted(r, v, 2) for v in range(1, n))
@@ -384,20 +368,6 @@ def _foot_sinogram(f: PolyBumpField, k, nodes):
         if 0 <= b <= degree:
             r += _chord_moment(2 * j, e) * q[..., b]
     return basis, r
-
-
-def _monomial_table(monos, exps, forms):
-    """x^exps as a dense polynomial in (s, t), built on the memo ``monos``."""
-    got = monos.get(exps)
-    if got is None:
-        a = max(i for i, p in enumerate(exps) if p)
-        lower = list(exps)
-        lower[a] -= 1
-        base = _monomial_table(monos, tuple(lower), forms)
-        got = sum(forms[a][:, v].reshape((-1,) + (1,) * len(exps)) * _shifted(base, 1 + v, 1)
-                  for v in range(len(exps)))
-        monos[exps] = got
-    return got
 
 
 def _horner(coeffs, s):
@@ -409,23 +379,6 @@ def _horner(coeffs, s):
     for d in range(coeffs.shape[-1] - 2, -1, -1):
         acc = acc * s[-1] + _horner(coeffs[..., d], s[:-1])
     return acc
-
-
-def _int_power(base, e):
-    """base**e for an int e >= 0 by repeated squaring.
-
-    At most e - 1 products, each rounded once, so it stays within a few ulp
-    of libm's pow, which numpy's ``**`` calls per element for most integer
-    exponents and which costs far more.
-    """
-    out = None
-    while True:
-        if e & 1:
-            out = base if out is None else out * base
-        e >>= 1
-        if not e:
-            return np.ones_like(base) if out is None else out
-        base = base * base
 
 
 def _node_dots(vecs, x):
@@ -519,6 +472,11 @@ AVERAGE_RADIUS = 6
 SUBSAMPLES = 10
 #: Gauss-Legendre nodes per pi/4 arc of the origin cell's angular integral.
 ORIGIN_ARC_NODES = 24
+
+
+@lru_cache(maxsize=None)
+def _leggauss(q):
+    return np.polynomial.legendre.leggauss(q)
 
 
 def _origin_cell_average(alpha, beta, h):

@@ -139,10 +139,6 @@ class BumpPoly:
             vals = np.where(b > 0, vals * np.maximum(b, 0.0) ** self.power, 0.0)
         return vals
 
-    def t_degree(self):
-        """Degree in t of the restriction to a line x+t*xi."""
-        return max(self.core.degree(), 0) + 2 * self.power
-
 
 class PolyBumpField:
     """Symmetric rank-m tensor field with shared bump factor.

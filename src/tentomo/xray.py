@@ -1,16 +1,16 @@
 """Ray, momentum and transverse ray transforms on polynomial bump fields.
 
 The transforms restrict a field to a line, so for polynomial-bump inputs the
-integrand along the chord through the support ball is a univariate polynomial
-of known degree: Gauss-Legendre of sufficient order integrates it exactly, and
-the only numerical error anywhere in this module is float roundoff.
+integrand along the chord through the support ball integrates in closed
+form: centred at the chord's midpoint, it is a sum of rational moments
+int_{-1}^{1} u^j (1 - u^2)^e du, and float roundoff is the only error.
 
 One kernel, ``chord_integrals``, computes every such integral, for a set of
-atoms (bump, t power) on an array of lines at once.  It finds the chord
-intervals and drops the lines that miss the support before evaluating
-anything, gives each atom its own exact Gauss-Legendre order, and builds the
-chord points once per distinct order.  Every transform here, and every
-angular sum in ``normalops``, is a reduction of its output.
+atoms (bump, t power) on an array of lines at once.  It drops the lines that
+miss the support, restricts each atom's polynomial to the remaining chords
+and sums its coefficients against the moments.  Every transform here is a
+reduction of its output; ``normalops`` compiles its sinogram from the same
+helpers.
 
 Mixed (x, xi)-derivatives of transforms are computed analytically by
 differentiating under the integral sign, never by nested numerical
@@ -34,6 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .polyfield import BudgetError, PolyBumpField, operator_R
+from .spherequad import bump_ball_monomial_integral
 from .symtensor import canonical_indices, multiplicity
 from .verdict import worst
 
@@ -76,11 +77,6 @@ class TransverseRay:
             raise ValueError("x and y must be orthogonal to omega")
 
 
-@lru_cache(maxsize=None)
-def _leggauss(q):
-    return np.polynomial.legendre.leggauss(q)
-
-
 def _rowdot(A, B):
     """Row-wise dot products of A (L, n) with the rows of B, or with B itself
     when it is one vector.  Each row is computed as the 1-D ``a @ b`` is, so
@@ -88,25 +84,24 @@ def _rowdot(A, B):
     return (A[:, None, :] @ B[..., :, None])[:, 0, 0]
 
 
-def _chord_intervals(X, Xi, rho):
-    """(t0, t1, hit) per line: |x + t*xi| <= rho on [t0, t1].  A line misses
-    unless the discriminant is positive and the physical half-chord exceeds
-    ``TANGENCY_TOL``."""
+def _chord_midpoints(X, Xi, rho):
+    """(tc, Y, H, h, hit) per line: the chord through |z| <= rho is centred
+    at Y = x + tc*xi, the point of the line nearest the origin, and has
+    half-chord h = sqrt(H)/|xi| in t, H = rho^2 - |Y|^2.  A line misses
+    unless the physical half-chord sqrt(H) exceeds ``TANGENCY_TOL``."""
     a = _rowdot(Xi, Xi)
-    b = 2.0 * _rowdot(X, Xi)
-    c = _rowdot(X, X) - rho * rho
-    disc = b * b - 4.0 * a * c
-    half = np.sqrt(np.maximum(disc, 0.0)) / (2.0 * a)
-    hit = (disc > 0.0) & (half * np.sqrt(a) > TANGENCY_TOL)
-    tc = -b / (2.0 * a)
-    return tc - half, tc + half, hit
+    tc = -_rowdot(X, Xi) / a
+    Y = X + tc[:, None] * Xi
+    H = rho * rho - _rowdot(Y, Y)
+    root = np.sqrt(np.maximum(H, 0.0))
+    return tc, Y, H, root / np.sqrt(a), root > TANGENCY_TOL
 
 
 def chord_interval(x, xi, rho):
     """Parameter interval where |x + t*xi| <= rho, or None on a miss."""
-    t0, t1, hit = _chord_intervals(np.asarray(x, dtype=float)[None, :],
-                                   np.asarray(xi, dtype=float)[None, :], rho)
-    return (float(t0[0]), float(t1[0])) if hit[0] else None
+    tc, _y, _H, h, hit = _chord_midpoints(np.asarray(x, dtype=float)[None, :],
+                                          np.asarray(xi, dtype=float)[None, :], rho)
+    return (float(tc[0] - h[0]), float(tc[0] + h[0])) if hit[0] else None
 
 
 def chord_integrals(atoms, X, Xi):
@@ -114,7 +109,9 @@ def chord_integrals(atoms, X, Xi):
 
     ``atoms`` is a sequence of (BumpPoly, tpow) pairs sharing one support
     ball; X and Xi hold one line per row, shape (L, n).  Returns (L, atoms).
-    The Gauss-Legendre order (t_degree + tpow)//2 + 1 is exact for an atom.
+    On the chord t = tc + h*u, u in [-1, 1], with half-chord h = sqrt(H)/|xi|,
+    the bump factor is B = H (1 - u^2), so an atom t^p q B^e integrates to
+    h H^e sum_j M(2j, e) c_2j for c_b = [u^b] (tc + h u)^p q(Y + h u xi).
     """
     X = np.asarray(X, dtype=float)
     Xi = np.asarray(Xi, dtype=float)
@@ -126,24 +123,72 @@ def chord_integrals(atoms, X, Xi):
         raise ValueError("support mismatch")
     if not atoms:
         return out
-    t0, t1, hit = _chord_intervals(X, Xi, float(rhos.pop()))
-    X, Xi, t0, t1 = X[hit], Xi[hit], t0[hit], t1[hit]
-    tm = 0.5 * (t0 + t1)
-    th = 0.5 * (t1 - t0)
-    by_order = {}
+    tc, Y, H, h, hit = _chord_midpoints(X, Xi, float(rhos.pop()))
+    tc, Y, Xi, H, h = tc[hit], Y[hit], Xi[hit], H[hit], h[hit]
+    n = X.shape[1]
+    # the variables are (x_1 .. x_n, t) = (Y + u h xi, tc + u h): one u per line
+    forms = [[(h * Xi[:, a])[:, None]] for a in range(n)] + [[h[:, None]]]
+    offsets = [Y[:, a:a + 1] for a in range(n)] + [tc[:, None]]
+    top = max(max(bump.core.degree(), 0) + tpow for bump, tpow in atoms)
+    monos = {(0,) * (n + 1): np.zeros((len(tc), top + 1))}
+    monos[(0,) * (n + 1)][:, 0] = 1.0
     for col, (bump, tpow) in enumerate(atoms):
-        q = (bump.t_degree() + tpow) // 2 + 1
-        by_order.setdefault(q, []).append((col, bump, tpow))
-    for q, group in by_order.items():
-        nodes, weights = _leggauss(q)
-        ts = tm[:, None] + th[:, None] * nodes[None, :]
-        pts = X[:, None, :] + ts[..., None] * Xi[:, None, :]
-        for col, bump, tpow in group:
-            vals = bump.eval_many(pts)
-            if tpow:
-                vals = vals * ts**tpow
-            out[hit, col] = th * _rowdot(vals, weights)
+        exps, coeffs = bump.core.compiled()
+        c = np.zeros((len(tc), top + 1))
+        for ex, v in zip(exps.tolist(), coeffs.tolist()):
+            c += v * _monomial_table(monos, tuple(ex) + (tpow,), forms, offsets)
+        moments = np.array([_chord_moment(b, bump.power) for b in range(0, top + 1, 2)])
+        out[hit, col] = _rowdot(c[:, ::2], moments) * h * _int_power(H, bump.power)
     return out
+
+
+@lru_cache(maxsize=None)
+def _chord_moment(j, e):
+    """M(j, e) = int_{-1}^{1} u^j (1 - u^2)^e du, exact before rounding."""
+    return float(bump_ball_monomial_integral(1, (j,), e))
+
+
+def _shifted(poly, axis, by):
+    """Dense polynomial coefficients times var_axis^by; degrees past the
+    array's end are dropped."""
+    lead = (slice(None),) * axis
+    out = np.zeros(poly.shape)
+    out[lead + (slice(by, None),)] = poly[lead + (slice(0, poly.shape[axis] - by),)]
+    return out
+
+
+def _monomial_table(monos, exps, forms, offsets=None):
+    """x^exps as dense polynomials (rows, degrees per variable), built on the
+    memo ``monos`` that starts at x^0.  x_a = sum_v forms[a][v] var_v (plus
+    offsets[a]), each form and offset holding one value per row."""
+    got = monos.get(exps)
+    if got is None:
+        a = len(exps) - 1
+        while not exps[a]:
+            a -= 1
+        base = _monomial_table(monos, exps[:a] + (exps[a] - 1,) + exps[a + 1:], forms, offsets)
+        got = 0.0 if offsets is None else offsets[a] * base
+        for v, form in enumerate(forms[a]):
+            got = got + form * _shifted(base, 1 + v, 1)
+        monos[exps] = got
+    return got
+
+
+def _int_power(base, e):
+    """base**e for an int e >= 0 by repeated squaring.
+
+    At most e - 1 products, each rounded once, so it stays within a few ulp
+    of libm's pow, which numpy's ``**`` calls per element for most integer
+    exponents and which costs far more.
+    """
+    out = None
+    while True:
+        if e & 1:
+            out = base if out is None else out * base
+        e >>= 1
+        if not e:
+            return np.ones_like(base) if out is None else out
+        base = base * base
 
 
 def _xi_monomial_exps(idx, n):

@@ -195,6 +195,13 @@ class TestValidateAcceptsOnlyWhatRuns:
         {"suite": "identities.algebra", "max_n": "3", "trials": 1},
         {"suite": "identities.ibp", "n_values": 3, "trials_per_case": 1},
         {"suite": "identities.ibp", "s_values": [], "trials_per_case": 1},
+        {"suite": "identities.john", "cases": [{"m": 1, "lines": 0}]},
+        {"suite": "identities.john", "cases": [{"n": 1, "m": 1, "lines": -3}]},
+        {"suite": "identities.john", "cases": []},
+        {"suite": "identities.prop-ray", "m_values": []},
+        {"suite": "identities.mrt", "lemma_cases": [], "prop_cases": []},
+        {"suite": "decompose", "m_values": [], "normal_consistency": False},
+        {"suite": "decompose", "m_values": [], "normal_cases": []},
     ])
     def test_empty_or_degenerate_exact_cases_rejected(self, tmp_path, capsys,
                                                       entry):

@@ -15,7 +15,7 @@ from tentomo.polyfield import (PolyBumpField, inner_derivative,
 from tentomo.polynomial import Polynomial
 from tentomo.rng import SplitMix64
 from tentomo.symtensor import canonical_indices, multiplicity
-from tentomo.xray import (Line, TransverseRay, chord_interval,
+from tentomo.xray import (Line, TransverseRay, chord_integrals, chord_interval,
                           homogeneity_check, john_apply, john_iterate,
                           momentum_scale_residual, momentum_shift_residual,
                           momentum_transform, ray_transform, read_lines_csv,
@@ -124,6 +124,71 @@ class TestChordOracle:
             got = transverse_transform(f, TransverseRay(omega, x, y))
             want = quad_pairing(f, 0, x, omega, y)
             assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+
+def gauss_legendre_chord_integrals(atoms, X, Xi):
+    """int t^tpow bump(x + t xi) dt by Gauss-Legendre on the chord.  The
+    integrand is a polynomial of degree deg q + 2e + tpow in t, so order
+    (deg q + 2e + tpow)//2 + 1 is exact up to roundoff; the chord comes from
+    the quadratic's discriminant."""
+    rho = float(atoms[0][0].rho)
+    a = np.einsum("ij,ij->i", Xi, Xi)
+    b = 2.0 * np.einsum("ij,ij->i", X, Xi)
+    disc = b * b - 4.0 * a * (np.einsum("ij,ij->i", X, X) - rho * rho)
+    half = np.sqrt(np.maximum(disc, 0.0)) / (2.0 * a)
+    hit = (disc > 0.0) & (half * np.sqrt(a) > 1e-14)
+    mid, half = -b[hit] / (2.0 * a[hit]), half[hit]
+    out = np.zeros((len(X), len(atoms)))
+    for col, (bump, tpow) in enumerate(atoms):
+        order = (max(bump.core.degree(), 0) + 2 * bump.power + tpow) // 2 + 1
+        nodes, weights = np.polynomial.legendre.leggauss(order)
+        ts = mid[:, None] + half[:, None] * nodes
+        pts = X[hit][:, None, :] + ts[..., None] * Xi[hit][:, None, :]
+        out[hit, col] = half * ((bump.eval_many(pts) * ts**tpow) @ weights)
+    return out
+
+
+class TestClosedFormKernel:
+    """``chord_integrals`` (midpoint moments) against the Gauss-Legendre
+    oracle, on derivative atoms up to order 3 with t powers 0..3."""
+
+    @staticmethod
+    def lines(n, rng):
+        X, Xi = [], []
+        for t in range(24):
+            child = rng.split(f"line{t}")
+            X.append(child.point_in_ball(n, 1.8))
+            Xi.append((0.3, 0.7, 1.0, 2.5)[t % 4] * np.asarray(child.direction(n)))
+        u = np.asarray(rng.split("u").direction(n))
+        v = np.asarray(rng.split("v").direction(n))
+        v = v - (v @ u) * u
+        v = v / np.linalg.norm(v)
+        for base, scale in ((1.0 + 1e-3, 1.3), (1.0 - 1e-9, 0.8), (1.0 - 1e-9, 3.1)):
+            X.append(base * v + 0.4 * u)           # misses, or within 1e-9 of tangency
+            Xi.append(scale * u)
+        return np.asarray(X, dtype=float), np.asarray(Xi, dtype=float)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_gauss_legendre(self, n):
+        rng = SplitMix64(300 + n)
+        f = random_bump_field(n, 1, rng.split("f"), power=4, degree=2)
+        atoms = [(f.component(idx).diff_multi(dm), tpow)
+                 for idx in canonical_indices(n, 1)
+                 for order in range(4)
+                 for dm in canonical_indices(n, order)
+                 for tpow in range(4)]
+        X, Xi = self.lines(n, rng)
+        got = chord_integrals(atoms, X, Xi)
+        want = gauss_legendre_chord_integrals(atoms, X, Xi)
+        assert np.all(got[-3] == 0.0) and np.all(want[-3] == 0.0)
+        assert np.all(want[-2:] != 0.0)
+        scale = np.abs(want).max(axis=0)
+        assert np.all(scale > 0.0)
+        # The closed form sums monomial coefficients in u against the
+        # moments; with base points out to 1.8, |xi| down to 0.3 and three
+        # derivatives that sum cancels by up to ~10^3, so the two kernels
+        # agree to a few 1e-13 of each atom's largest value, not to 1e-14.
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
 class TestHomogeneity:
