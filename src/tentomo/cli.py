@@ -99,6 +99,13 @@ def _validate_suite_params(pos, entry):
     def bad(msg):
         raise ConfigError(f"{where}: {msg}", 3)
 
+    def listed(key, default, ok, what):
+        """entry[key], or default, after checking it lists items passing ok."""
+        value = entry.get(key, default)
+        if not (isinstance(value, list) and all(map(ok, value))):
+            bad(f"'{key}' must be a list of {what}")
+        return value
+
     n = entry.get("n", 2)
     m = entry.get("m", 1)
     if not isinstance(n, int) or not isinstance(m, int):
@@ -127,9 +134,7 @@ def _validate_suite_params(pos, entry):
             bad(f"'{key}' must be an integer >= 1, or the suite checks nothing")
     if name == "identities.ibp":
         for key, low in (("n_values", 2), ("s_values", 1)):
-            values = entry.get(key, [low])
-            if not (isinstance(values, list) and values
-                    and all(_int_at_least(v, low) for v in values)):
+            if not listed(key, [low], lambda v: _int_at_least(v, low), f"integers >= {low}"):
                 bad(f"'{key}' must be a nonempty list of integers >= {low}")
     # the lists a suite runs over; a missing one runs its nonempty default
     runs_over = {"identities.john": ["cases"], "identities.prop-ray": ["m_values"],
@@ -140,39 +145,39 @@ def _validate_suite_params(pos, entry):
         bad(" and ".join(f"'{key}'" for key in runs_over[name])
             + " empty, so the suite checks nothing")
     if name == "identities.john":
-        for case in entry.get("cases", JOHN_CASES):
+        for case in listed("cases", JOHN_CASES, lambda c: isinstance(c, dict), "objects"):
             jn, jm = _john_case(case)
             if not (_int_at_least(jn, 2) and _int_at_least(jm, 1)
                     and _int_at_least(case.get("lines", 20), 1)):
                 bad("each John case needs integers n >= 2, m >= 1 and lines >= 1")
     if name in ("identities.prop-ray", "identities.mrt"):
-        degrees = entry.get("degrees", [20, 40, 60])
-        if not (isinstance(degrees, list) and len(degrees) >= 2
-                and all(isinstance(d, int) for d in degrees)):
+        if len(listed("degrees", [20, 40, 60], lambda d: isinstance(d, int),
+                      "integer rule degrees")) < 2:
             bad("'degrees' must list at least 2 integer rule degrees")
     if name == "identities.prop-ray":
-        for mm in entry.get("m_values", [1, 2]):
-            if not 1 <= mm <= 2:
-                bad("prop-ray suite covers m in {1, 2}")
+        listed("m_values", [1, 2], lambda mm: _int_at_least(mm, 1) and mm <= 2,
+               "integers m in {1, 2}")
     if name == "identities.mrt":
-        for mm, kk in entry.get("prop_cases", [[1, 1], [2, 1]]):
-            if not 0 <= kk <= mm:
-                bad(f"need 0 <= k <= m in prop_cases, got ({mm}, {kk})")
-        for mm, kk in entry.get("lemma_cases", [[1, 1], [2, 1], [2, 2]]):
-            if not 0 <= kk <= mm:
-                bad(f"need 0 <= k <= m in lemma_cases, got ({mm}, {kk})")
+        for key in ("prop_cases", "lemma_cases"):
+            listed(key, [], lambda case: _is_mk(case) and case[1] <= case[0],
+                   "[m, k] integer pairs with 0 <= k <= m")
     if name == "decompose":
         if not isinstance(entry.get("N", 128), int):
             bad("'N' must be an integer")
         if entry.get("N", 128) < 16:
             bad("grid too coarse: need N >= 16")
-        for mm in entry.get("m_values", [1, 2]):
-            if mm < 1:
-                bad("decomposition needs m >= 1")
+        listed("m_values", [1, 2], lambda mm: _int_at_least(mm, 1),
+               "integers m >= 1")
+        listed("normal_cases", [], _is_mk, "[m, k] integer pairs")
 
 
 def _int_at_least(value, low):
     return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+
+def _is_mk(case):
+    """True for an [m, k] pair of nonnegative integers."""
+    return isinstance(case, list) and len(case) == 2 and all(_int_at_least(v, 0) for v in case)
 
 
 def _john_case(case):
@@ -293,7 +298,10 @@ def _run_ibp(params, rng):
                 pow2r = child.randint(0, 2)
                 g = sq.HomogeneousRational(
                     random_homogeneous(n, s - 1 + 2 * pow2r, child), pow2r)
-                res += [abs(float(sq.verify_ibp(g, idx)))
+                # the residual depends on an index only through its multiset
+                by_multiset = {idx: abs(float(sq.verify_ibp(g, idx))) for idx in
+                               itertools.combinations_with_replacement(range(n), s)}
+                res += [by_multiset[tuple(sorted(idx))]
                         for idx in itertools.product(range(n), repeat=s)]
             rows.append(check_row("ibp_residual", worst(res), TOL_EXACT,
                                   {"n": n, "s": s, "trials": trials}))

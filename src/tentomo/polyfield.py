@@ -3,9 +3,13 @@
 A field component is ``q(x) * (rho^2 - |x|^2)^power`` inside the ball of
 radius rho and identically zero outside; ``q`` is an exact polynomial.  Such
 a component is C^{power-1} on all of R^n, and one derivative trades one unit
-of ``power`` for one extra polynomial degree:
+of ``power`` for one extra polynomial degree.  For a quadric
+Q = c0 + sigma |x|^2, here B = rho^2 - |x|^2,
 
-    D_i [q * B^e] = (B * D_i q - 2 e x_i q) * B^{e-1},   B = rho^2 - |x|^2.
+    D_i [q * Q^e] = (Q * D_i q + 2 sigma e x_i q) * Q^{e-1},
+
+and ``polynomial.quadric_derivative`` forms that numerator, here and in the
+quotient rule of ``spherequad.HomogeneousRational`` (Q = |xi|^2).
 
 Keeping the bump factor symbolic means every operator here (symmetrized
 derivative, divergence, the order-m curvature-type operators W and R and
@@ -22,7 +26,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .polynomial import Polynomial, linear_combination
+from .polynomial import Polynomial, linear_combination, quadric_derivative
 from .symtensor import SymTensor, canonical_indices, multiplicity
 
 
@@ -31,25 +35,17 @@ class BudgetError(ValueError):
 
 
 def bump_core_diff(core: Polynomial, axis: int, rho, power: int) -> Polynomial:
-    """Core of d/dx_axis applied to core*B^power, at power-1."""
-    b = _bump_base(core.n, rho)
-    xi = Polynomial.variable(core.n, axis)
-    return linear_combination(core.n, ((b * core.diff(axis), 1),
-                                       (xi * core, -2 * power)))
+    """Core of d/dx_axis applied to core*B^power, at power-1: the quadric
+    derivative with c0 = rho^2, sigma = -1, or d/dx_axis when rho is None."""
+    return core.diff(axis) if rho is None else \
+        quadric_derivative(core, axis, rho * rho, -1, power)
 
 
 @functools.lru_cache(maxsize=None)
 def _bump_base(n, rho):
-    """B = rho^2 - |x|^2, with an ``int`` constant when rho^2 is integral."""
-    r2 = rho * rho
-    if isinstance(r2, Fraction) and r2.denominator == 1:
-        r2 = r2.numerator
-    terms = {(0,) * n: r2}
-    for i in range(n):
-        e = [0] * n
-        e[i] = 2
-        terms[tuple(e)] = -1
-    return Polynomial(n, terms)
+    """B = rho^2 - |x|^2."""
+    return rho * rho - sum((Polynomial.variable(n, i) ** 2 for i in range(n)),
+                           Polynomial.zero(n))
 
 
 class BumpPoly:
@@ -71,13 +67,9 @@ class BumpPoly:
         got = self._dcache.get(axis)
         if got is not None:
             return got
-        if self.rho is None:
-            out = BumpPoly(self.n, self.core.diff(axis), None, 0)
-        else:
-            if self.power < 1:
-                raise BudgetError("bump power exhausted; cannot differentiate")
-            out = BumpPoly(self.n, bump_core_diff(self.core, axis, self.rho, self.power),
-                           self.rho, self.power - 1)
+        _require_budget(self, 1)
+        out = BumpPoly(self.n, bump_core_diff(self.core, axis, self.rho, self.power),
+                       self.rho, self.power - 1)
         self._dcache[axis] = out
         return out
 
@@ -113,12 +105,6 @@ class BumpPoly:
         return BumpPoly(self.n, self.core * other, self.rho, self.power)
 
     __rmul__ = __mul__
-
-    def expanded(self) -> Polynomial:
-        """core * B^power as one polynomial (the on-ball values)."""
-        if self.rho is None:
-            return self.core
-        return self.core * _bump_base(self.n, self.rho) ** self.power
 
     def value(self, x):
         if self.rho is not None:
@@ -637,19 +623,13 @@ def lower_generalized_R(rkf: PairSymTensorField) -> PairSymTensorField:
     k = rkf.blocks[0]
     if k == 0:
         raise ValueError("already at k=0")
-    if rkf.rho is not None and rkf.power < 1:
-        raise BudgetError("bump power exhausted")
-    dcores = {}
+    _require_budget(rkf, 1)
 
+    @functools.lru_cache(maxsize=None)
     def atom_core(atom):
-        got = dcores.get(atom)
-        if got is None:
-            key, axis = atom
-            core = rkf.comps.get(key, Polynomial.zero(rkf.n))
-            got = bump_core_diff(core, axis, rkf.rho, rkf.power) \
-                if rkf.rho is not None else core.diff(axis)
-            dcores[atom] = got
-        return got
+        key, axis = atom
+        return bump_core_diff(rkf.comps.get(key, Polynomial.zero(rkf.n)), axis,
+                              rkf.rho, rkf.power)
 
     comps = _apply_stencil(_stencil(_lower_r_terms, rkf.n, rkf.npairs + k, k),
                            rkf.n, atom_core)

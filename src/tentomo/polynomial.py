@@ -282,6 +282,34 @@ def linear_combination(n, pairs, scale=1) -> Polynomial:
     return Polynomial(n, _over(terms, scale.numerator, scale.denominator))
 
 
+def quadric_derivative(p, axis, c0, sigma, e) -> Polynomial:
+    """Q d_axis p + 2 sigma e x_axis p, the numerator of d_axis (p Q^e) over
+    Q^{e-1} for the quadric Q = c0 + sigma |x|^2, in one pass over p's terms:
+    a term c x^a, k = a_axis, adds 2 sigma e c at a + 1_axis, and c0 k c at
+    a - 1_axis and sigma k c at each a - 1_axis + 2_i.  The sums run on
+    ``int`` numerators over one denominator when p and c0 are exact.
+    """
+    form = p._integer_form()
+    exact = form is not None and type(c0) in (int, Fraction)
+    (t, d), num, den = (form, c0.numerator, c0.denominator) if exact else \
+        ((p.terms, 1), c0, 1)
+    scale = sigma * den
+    terms = {}
+    get = terms.get
+    for exps, c in t.items():
+        k = exps[axis]
+        up = exps[:axis] + (k + 1,) + exps[axis + 1:]
+        terms[up] = get(up, 0) + 2 * e * scale * c
+        if k:
+            down = exps[:axis] + (k - 1,) + exps[axis + 1:]
+            if num:
+                terms[down] = get(down, 0) + num * k * c
+            for i in range(p.n):
+                side = down[:i] + (down[i] + 2,) + down[i + 1:]
+                terms[side] = get(side, 0) + scale * k * c
+    return Polynomial(p.n, _over(terms, 1, d * den) if exact else terms)
+
+
 def random_polynomial(n, degree, rng, lo=-3, hi=3):
     """Dense random polynomial with ``int`` coefficients in [lo, hi]."""
     terms = {}

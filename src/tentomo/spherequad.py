@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .polynomial import Polynomial, linear_combination
+from .polynomial import Polynomial, quadric_derivative
 
 
 class PiRational:
@@ -138,13 +138,6 @@ def polynomial_sphere_integral(poly: Polynomial, exact=True):
     return total if exact else float(total)
 
 
-def ball_monomial_integral(n, exponents, rho=Fraction(1)):
-    """int_{|x|<=rho} x^alpha dx = sphere(alpha) * rho^{|a|+n} / (|a|+n)."""
-    exps = tuple(exponents)
-    s = monomial_sphere_integral(n, exps)
-    return s * (Fraction(rho) ** (sum(exps) + n) / (sum(exps) + n))
-
-
 def bump_ball_monomial_integral(n, exponents, power, rho=Fraction(1)):
     """int_{|x|<=rho} x^alpha (rho^2-|x|^2)^power dx, exact.
 
@@ -177,17 +170,6 @@ def integrate_core_over_ball(core: Polynomial, power, rho=Fraction(1)):
 # homogeneous rational functions p(xi)/|xi|^{2r}
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _norm2_poly(n) -> Polynomial:
-    """|xi|^2 as a polynomial."""
-    terms = {}
-    for i in range(n):
-        e = [0] * n
-        e[i] = 2
-        terms[tuple(e)] = 1
-    return Polynomial(n, terms)
-
-
 class HomogeneousRational:
     """xi -> p(xi)/|xi|^{2r}; closed under differentiation.
 
@@ -215,11 +197,9 @@ class HomogeneousRational:
         return self.numerator.degree() - 2 * self.pow2r
 
     def diff(self, axis) -> "HomogeneousRational":
-        """Quotient rule: ((dp)|xi|^2 - 2r p xi_a) / |xi|^{2(r+1)}."""
-        xa = Polynomial.variable(self.n, axis)
-        num = linear_combination(self.n, (
-            (self.numerator.diff(axis) * _norm2_poly(self.n), 1),
-            (xa * self.numerator, -2 * self.pow2r)))
+        """Quotient rule ((dp)|xi|^2 - 2r p xi_a) / |xi|^{2(r+1)}: the
+        quadric derivative of p * Q^{-r} with Q = |xi|^2 (c0 = 0, sigma = 1)."""
+        num = quadric_derivative(self.numerator, axis, 0, 1, -self.pow2r)
         return HomogeneousRational(num, self.pow2r + 1)
 
     def diff_multi(self, axes) -> "HomogeneousRational":

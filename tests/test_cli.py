@@ -202,11 +202,17 @@ class TestValidateAcceptsOnlyWhatRuns:
         {"suite": "identities.mrt", "lemma_cases": [], "prop_cases": []},
         {"suite": "decompose", "m_values": [], "normal_consistency": False},
         {"suite": "decompose", "m_values": [], "normal_cases": []},
+        {"suite": "identities.prop-ray", "m_values": 3},
+        {"suite": "identities.mrt", "prop_cases": [[1]]},
+        {"suite": "identities.mrt", "lemma_cases": 5},
+        {"suite": "decompose", "m_values": 2},
+        {"suite": "decompose", "N": 32, "m_values": [], "normal_cases": [[1]],
+         "refine": False},
     ])
     def test_empty_or_degenerate_exact_cases_rejected(self, tmp_path, capsys,
                                                       entry):
         # each of these used to validate, then died (exit 4) or passed a
-        # vacuous check in run
+        # vacuous check in run, or died in validate with a traceback
         path = write_config(tmp_path, {"schema": 1, "suites": [entry]})
         assert main(["validate", "--config", path]) == 3
         assert capsys.readouterr().err.startswith("error: ")
@@ -334,3 +340,34 @@ class TestEmitTables:
         assert json.loads(rows[1][1]) == {"m": 1}
         assert float(rows[1][2]) == 0.5
         assert rows[1][5] == "0.1"
+
+
+def test_ibp_rows_are_the_worst_over_every_ordered_index(monkeypatch):
+    # the suite evaluates one index per multiset; each row must still equal
+    # the worst residual over every ordered index.  Integrating against
+    # xi_0 dS makes the residuals nonzero, so the comparison has content
+    import itertools
+
+    import tentomo.spherequad as sq
+    from tentomo.polynomial import Polynomial, random_homogeneous
+    from tentomo.rng import SplitMix64
+    from tentomo.verdict import worst
+    sphere = sq.polynomial_sphere_integral
+    monkeypatch.setattr(sq, "polynomial_sphere_integral", lambda p, exact=True:
+                        sphere(Polynomial.variable(p.n, 0) * p, exact))
+    params = {"n_values": [2, 3], "s_values": [1, 2, 3, 4], "trials_per_case": 2}
+    rows = cli._run_ibp(params, SplitMix64(5))
+    rng, want = SplitMix64(5), []
+    for n in params["n_values"]:
+        for s in params["s_values"]:
+            res = []
+            for t in range(params["trials_per_case"]):
+                child = rng.split(f"ibp-{n}-{s}-{t}")
+                pow2r = child.randint(0, 2)
+                g = sq.HomogeneousRational(
+                    random_homogeneous(n, s - 1 + 2 * pow2r, child), pow2r)
+                res += [abs(float(sq.verify_ibp(g, idx)))
+                        for idx in itertools.product(range(n), repeat=s)]
+            want.append(worst(res))
+    assert [row["value"] for row in rows if row["name"] == "ibp_residual"] == want
+    assert all(want)

@@ -6,10 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from tentomo.polyfield import bump_core_diff
 from tentomo.polynomial import (Polynomial, PolynomialSizeError,
-                                linear_combination, random_homogeneous,
-                                random_polynomial)
+                                linear_combination, quadric_derivative,
+                                random_homogeneous, random_polynomial)
 from tentomo.rng import SplitMix64
+from tentomo.spherequad import HomogeneousRational
 
 
 def test_add_mul_exact():
@@ -105,3 +107,59 @@ def test_size_guardrail():
 def test_variable_count_mismatch():
     with pytest.raises(ValueError):
         Polynomial.variable(2, 0) + Polynomial.variable(3, 0)
+
+
+def product_rule_oracle(p, axis, c0, sigma, e):
+    """Q * d_axis p + 2 sigma e x_axis p with Q = c0 + sigma |x|^2, built
+    from generic products and a linear combination."""
+    n = p.n
+    q = Polynomial.constant(n, c0)
+    for i in range(n):
+        q = q + sigma * Polynomial.variable(n, i) ** 2
+    return linear_combination(n, ((q * p.diff(axis), 1),
+                                  (Polynomial.variable(n, axis) * p, 2 * sigma * e)))
+
+
+def _with_fractions(p):
+    return Polynomial(p.n, {e: Fraction(c, 1 + i % 5)
+                            for i, (e, c) in enumerate(p.terms.items())})
+
+
+class TestQuadricDerivative:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("exact", ["int", "fraction"])
+    def test_bump_cores_match_product_rule(self, n, exact):
+        rng = SplitMix64(30 + n)
+        for degree in range(8):
+            core = random_polynomial(n, degree, rng)
+            if exact == "fraction":
+                core = _with_fractions(core)
+            for rho in (1, Fraction(3, 2)):
+                for e in range(1, 6):
+                    for axis in range(n):
+                        want = product_rule_oracle(core, axis, rho * rho, -1, e)
+                        assert bump_core_diff(core, axis, rho, e) == want
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_homogeneous_rational_matches_quotient_rule(self, n):
+        rng = SplitMix64(50 + n)
+        for degree in range(8):
+            for pow2r in range(4):
+                numerator = random_homogeneous(n, degree, rng)
+                if (degree + pow2r) % 2:
+                    numerator = _with_fractions(numerator)
+                g = HomogeneousRational(numerator, pow2r)
+                for axis in range(n):
+                    got = g.diff(axis)
+                    assert got.pow2r == pow2r + 1
+                    assert got.numerator == product_rule_oracle(
+                        numerator, axis, 0, 1, -pow2r)
+
+    def test_float_core_matches_product_rule(self):
+        core = _with_fractions(random_polynomial(3, 5, SplitMix64(7))).to_float()
+        for axis in range(3):
+            got = quadric_derivative(core, axis, 2.25, -1, 3)
+            want = product_rule_oracle(core, axis, 2.25, -1, 3)
+            assert set(got.terms) == set(want.terms)
+            for exps, c in want.terms.items():
+                assert got.terms[exps] == pytest.approx(c, rel=1e-14)

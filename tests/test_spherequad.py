@@ -9,6 +9,7 @@ import pytest
 import scipy.special
 
 from tentomo.polynomial import Polynomial, random_homogeneous
+from tentomo import spherequad as sq
 from tentomo.rng import SplitMix64
 from tentomo.spherequad import (HomogeneousRational, PiRational, SphereRule,
                                 build_rule, c_constant,
@@ -150,6 +151,30 @@ class TestIBP:
             for idx in itertools.product(range(n), repeat=s):
                 assert verify_ibp(g, idx).is_zero()
 
+    def test_residual_depends_only_on_the_index_multiset(self, monkeypatch):
+        # the premise of evaluating one index per multiset.  Both sides of
+        # the identity integrate odd functions, so every true residual is 0
+        # (test_exact_zero_random_corpus checks that); integrating against
+        # xi_0 dS instead makes them nonzero, so the same arithmetic is
+        # compared across orderings on nonzero values
+        sphere = sq.polynomial_sphere_integral
+        monkeypatch.setattr(sq, "polynomial_sphere_integral", lambda p, exact=True:
+                            sphere(Polynomial.variable(p.n, 0) * p, exact))
+        n, s = 3, 4
+        rng = SplitMix64(94)
+        for trial in range(3):
+            r = 1 + trial % 2
+            numerator = random_homogeneous(n, s - 1 + 2 * r, rng)
+            if trial == 2:
+                numerator = numerator.map_coeff(lambda c: Fraction(c, 7))
+            nonzero = False
+            for multiset in itertools.combinations_with_replacement(range(n), s):
+                want = verify_ibp(HomogeneousRational(numerator, r), multiset)
+                nonzero = nonzero or not want.is_zero()
+                for order in set(itertools.permutations(multiset)):
+                    assert verify_ibp(HomogeneousRational(numerator, r), order) == want
+            assert nonzero
+
     def test_degree_mismatch_rejected(self):
         g = HomogeneousRational(Polynomial.constant(2, Fraction(1)), 0)
         with pytest.raises(ValueError):
@@ -247,9 +272,15 @@ class TestRules:
             build_rule(4, 4)
 
 
+def ball_monomial_integral(n, exponents, rho=Fraction(1)):
+    """int_{|x|<=rho} x^alpha dx = sphere(alpha) * rho^{|a|+n} / (|a|+n)."""
+    exps = tuple(exponents)
+    s = monomial_sphere_integral(n, exps)
+    return s * (Fraction(rho) ** (sum(exps) + n) / (sum(exps) + n))
+
+
 def test_ball_bump_integral_cross_check():
     # closed-form radial factor vs expanding the bump polynomial
-    from tentomo.spherequad import ball_monomial_integral
     core = Polynomial.monomial(2, (2, 0), Fraction(1))
     got = integrate_core_over_ball(core, 2, Fraction(1))
     bump = Polynomial(2, {(0, 0): Fraction(1), (2, 0): Fraction(-1),
