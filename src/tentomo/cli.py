@@ -2,12 +2,14 @@
 config, emitting a JSON report and one CSV residual table per suite.
 
 Exit codes: 0 all residuals within tolerance, 1 residual failure,
-2 config parse error, 3 precondition violation, 4 internal error (an
-unexpected exception in a suite; its traceback goes to stderr).
+2 config parse error or unusable output directory, 3 a suite parameter
+``validate`` rejected as breaking a precondition, 4 any exception inside a
+suite (its traceback goes to stderr).
 
-The config is a single JSON document; the only environment override is
-OUTPUT_DIR.  All randomness derives from the seed through named SplitMix64
-streams, so identical config + seed reproduces identical report values.
+The config is a single JSON document in the format ``tentomo.config``
+declares; the only environment override is OUTPUT_DIR.  All randomness
+derives from the seed through named SplitMix64 streams, so identical
+config + seed reproduces identical report values.
 Wall-clock timing lives in the report's ``timing`` blocks (and, only when
 ``timing_in_tables`` is set, in the CSV seconds column) because timings are
 the one thing reruns cannot reproduce byte-for-byte.
@@ -30,170 +32,23 @@ from . import polyfield as pf
 from . import spherequad as sq
 from . import symtensor as st
 from . import xray as xr
+from .config import ConfigError, load_config, resolve, validate_config
 from .polynomial import random_homogeneous
 from .rng import SplitMix64
 from .verdict import check_row, worst
 
-KNOWN_SUITES = (
-    "identities.algebra", "identities.ibp", "identities.john",
-    "identities.prop-ray", "identities.mrt", "decompose",
-    "ucp.ray", "ucp.mrt", "ucp.trt",
-)
-
-#: Default tolerances by numerical path.
+#: Tolerances by numerical path.
 TOL_EXACT = 1e-10
 TOL_QUAD = 1e-6
 TOL_GRID = 1e-3
-
-#: identities.john cases run when the config gives none.
-JOHN_CASES = [{"m": 1}, {"m": 2}]
-
-
-class ConfigError(Exception):
-    def __init__(self, message, exit_code):
-        super().__init__(message)
-        self.exit_code = exit_code
-
-
-def load_config(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}", 2)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"config parse error at line {exc.lineno}, column {exc.colno}: "
-            f"{exc.msg}", 2)
-
-
-def validate_config(doc):
-    """Schema and precondition checks with actionable messages."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object", 2)
-    if doc.get("schema") != 1:
-        raise ConfigError("config field 'schema' must equal 1", 2)
-    suites = doc.get("suites")
-    if not isinstance(suites, list) or not suites:
-        raise ConfigError("config field 'suites' must be a nonempty list", 2)
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
-        raise ConfigError("config field 'seed' must be a nonnegative integer", 2)
-    for pos, entry in enumerate(suites):
-        if not isinstance(entry, dict) or "suite" not in entry:
-            raise ConfigError(
-                f"suites[{pos}] must be an object with a 'suite' field", 2)
-        name = entry["suite"]
-        if name not in KNOWN_SUITES:
-            raise ConfigError(
-                f"suites[{pos}].suite: unknown suite {name!r}; known: "
-                + ", ".join(KNOWN_SUITES), 2)
-        _validate_suite_params(pos, entry)
-    return doc
-
-
-def _validate_suite_params(pos, entry):
-    name = entry["suite"]
-    where = f"suites[{pos}] ({name})"
-
-    def bad(msg):
-        raise ConfigError(f"{where}: {msg}", 3)
-
-    def listed(key, default, ok, what):
-        """entry[key], or default, after checking it lists items passing ok."""
-        value = entry.get(key, default)
-        if not (isinstance(value, list) and all(map(ok, value))):
-            bad(f"'{key}' must be a list of {what}")
-        return value
-
-    n = entry.get("n", 2)
-    m = entry.get("m", 1)
-    if not isinstance(n, int) or not isinstance(m, int):
-        bad("'n' and 'm' must be integers")
-    if name.startswith("ucp."):
-        if name == "ucp.trt":
-            if n < 3:
-                bad("transverse scenario needs n >= 3")
-        elif not 1 <= m <= 3:
-            bad("need 1 <= m <= 3")
-        if name == "ucp.mrt":
-            k = entry.get("k", 1)
-            if not 0 <= k < m:
-                bad(f"need 0 <= k < m, got k={k}, m={m}")
-        for key in ("num_lines", "num_points"):
-            if key in entry and not _int_at_least(entry[key], 1):
-                bad(f"'{key}' must be an integer >= 1, or the suite checks nothing")
-    if name == "identities.algebra":
-        if not (_int_at_least(entry.get("max_n", 3), 2)
-                and _int_at_least(entry.get("max_m", 3), 1)):
-            bad("need integers max_n >= 2 and max_m >= 1, or no (n, m) case runs")
-    trial_keys = {"identities.algebra": ("trials", "roundtrip_trials"),
-                  "identities.ibp": ("trials_per_case",)}
-    for key in trial_keys.get(name, ()):
-        if key in entry and not _int_at_least(entry[key], 1):
-            bad(f"'{key}' must be an integer >= 1, or the suite checks nothing")
-    if name == "identities.ibp":
-        for key, low in (("n_values", 2), ("s_values", 1)):
-            if not listed(key, [low], lambda v: _int_at_least(v, low), f"integers >= {low}"):
-                bad(f"'{key}' must be a nonempty list of integers >= {low}")
-    # the lists a suite runs over; a missing one runs its nonempty default
-    runs_over = {"identities.john": ["cases"], "identities.prop-ray": ["m_values"],
-                 "identities.mrt": ["lemma_cases", "prop_cases"], "decompose": ["m_values"]}
-    if name == "decompose" and entry.get("normal_consistency", True):
-        runs_over[name].append("normal_cases")
-    if name in runs_over and not any(entry.get(key, True) for key in runs_over[name]):
-        bad(" and ".join(f"'{key}'" for key in runs_over[name])
-            + " empty, so the suite checks nothing")
-    if name == "identities.john":
-        for case in listed("cases", JOHN_CASES, lambda c: isinstance(c, dict), "objects"):
-            jn, jm = _john_case(case)
-            if not (_int_at_least(jn, 2) and _int_at_least(jm, 1)
-                    and _int_at_least(case.get("lines", 20), 1)):
-                bad("each John case needs integers n >= 2, m >= 1 and lines >= 1")
-    if name in ("identities.prop-ray", "identities.mrt"):
-        if len(listed("degrees", [20, 40, 60], lambda d: isinstance(d, int),
-                      "integer rule degrees")) < 2:
-            bad("'degrees' must list at least 2 integer rule degrees")
-    if name == "identities.prop-ray":
-        listed("m_values", [1, 2], lambda mm: _int_at_least(mm, 1) and mm <= 2,
-               "integers m in {1, 2}")
-    if name == "identities.mrt":
-        for key in ("prop_cases", "lemma_cases"):
-            listed(key, [], lambda case: _is_mk(case) and case[1] <= case[0],
-                   "[m, k] integer pairs with 0 <= k <= m")
-    if name == "decompose":
-        if not isinstance(entry.get("N", 128), int):
-            bad("'N' must be an integer")
-        if entry.get("N", 128) < 16:
-            bad("grid too coarse: need N >= 16")
-        listed("m_values", [1, 2], lambda mm: _int_at_least(mm, 1),
-               "integers m >= 1")
-        listed("normal_cases", [], _is_mk, "[m, k] integer pairs")
-
-
-def _int_at_least(value, low):
-    return isinstance(value, int) and not isinstance(value, bool) and value >= low
-
-
-def _is_mk(case):
-    """True for an [m, k] pair of nonnegative integers."""
-    return isinstance(case, list) and len(case) == 2 and all(_int_at_least(v, 0) for v in case)
-
-
-def _john_case(case):
-    """(n, m) of one identities.john case, defaults filled in."""
-    return case.get("n", 2), case.get("m", 1)
-
 
 # ---------------------------------------------------------------------------
 # suite runners
 # ---------------------------------------------------------------------------
 
 def _run_algebra(params, rng):
-    trials = params.get("trials", 50)
-    max_n = params.get("max_n", 3)
-    max_m = params.get("max_m", 3)
-    combos = [(n, m) for n in range(2, max_n + 1) for m in range(1, max_m + 1)]
+    trials = params["trials"]
+    combos = [(n, m) for n in (2, 3) for m in (1, 2, 3)]
     worst = {"symmetrize_idempotent": 0.0, "ij_duality": 0.0,
              "pair_skew_symmetry": 0.0, "W_of_potential_zero": 0.0,
              "R_of_potential_zero": 0.0}
@@ -234,12 +89,12 @@ def _run_algebra(params, rng):
             worst["R_of_potential_zero"] = 1.0
 
     rows = [check_row(name, val, TOL_EXACT,
-                      {"trials": trials, "max_n": max_n, "max_m": max_m})
+                      {"trials": trials, "max_n": 3, "max_m": 3})
             for name, val in worst.items()]
 
     # W <-> R equivalences including the generalized (m=2, k=1) pair
     rt_worst = 0.0
-    for t in range(params.get("roundtrip_trials", 20)):
+    for t in range(params["roundtrip_trials"]):
         n, m = combos[t % len(combos)]
         child = rng.split(f"roundtrip-{t}")
         field = pf.random_bump_field(n, m, child, power=m + 1, degree=2,
@@ -251,12 +106,12 @@ def _run_algebra(params, rng):
         if not (pf.w_to_r(wimg, m) - rimg).is_zero():
             rt_worst = 1.0
     rows.append(check_row("rw_roundtrips_exact", rt_worst, TOL_EXACT,
-                          {"trials": params.get("roundtrip_trials", 20)}))
+                          {"trials": params["roundtrip_trials"]}))
 
     gen_worst = 0.0
     default_ok = True
     solved = None
-    for t in range(params.get("roundtrip_trials", 20)):
+    for t in range(params["roundtrip_trials"]):
         child = rng.split(f"genrt-{t}")
         field = pf.random_bump_field(2, 2, child, power=2, degree=2, label="g")
         rk = pf.generalized_R(field, 1)
@@ -287,9 +142,9 @@ def _random_sym(n, m, rng):
 
 def _run_ibp(params, rng):
     rows = []
-    n_values = params.get("n_values", [2, 3])
-    s_values = params.get("s_values", [1, 2, 3, 4])
-    trials = params.get("trials_per_case", 20)
+    n_values = params["n_values"]
+    s_values = params["s_values"]
+    trials = params["trials_per_case"]
     for n in n_values:
         for s in s_values:
             res = []
@@ -317,10 +172,8 @@ def _run_ibp(params, rng):
 
 def _run_john(params, rng):
     rows = []
-    for case in params.get("cases", JOHN_CASES):
-        n, m = _john_case(case)
-        tol = case.get("tolerance", 1e-9 if m == 1 else 1e-8)
-        count = case.get("lines", 20)
+    for case in params["cases"]:
+        n, m, count, tol = case["n"], case["m"], case["lines"], case["tolerance"]
         child = rng.split(f"john-{n}-{m}")
         f = pf.random_bump_field(n, m, child, power=2 * m + 2, degree=2,
                                  label="f")
@@ -398,16 +251,16 @@ def _quadrature_convergence_row(label, f, x, degrees, ref_degree=320):
 
 def _run_prop_ray(params, rng):
     rows = []
-    degrees = params.get("degrees", [20, 40, 60])
-    for m in params.get("m_values", [1, 2]):
+    degrees = params["degrees"]
+    for m in params["m_values"]:
         child = rng.split(f"prop-ray-{m}")
         f = pf.random_bump_field(2, m, child, power=2 * m + 2, degree=2,
                                  label="f")
         pts = [np.asarray(child.point_in_ball(2, 0.8))
-               for _ in range(params.get("interior_points", 3))]
+               for _ in range(3)]
         pts.append(np.asarray([1.25, 0.45]))
         rows += _convergence_rows(f"prop_ray_m{m}", f, 0, degrees, pts,
-                                  params.get("tolerance", 1e-5), "key")
+                                  params["tolerance"], "key")
         rows.append(_quadrature_convergence_row(
             f"prop_ray_m{m}", f, np.asarray([1.25, 0.45]), degrees))
     return rows
@@ -415,9 +268,9 @@ def _run_prop_ray(params, rng):
 
 def _run_mrt(params, rng):
     rows = []
-    degrees = params.get("degrees", [20, 40, 60])
-    tol = params.get("tolerance", 1e-5)
-    for m, k in params.get("lemma_cases", [[1, 1], [2, 1], [2, 2]]):
+    degrees = params["degrees"]
+    tol = params["tolerance"]
+    for m, k in params["lemma_cases"]:
         child = rng.split(f"lemma-{m}-{k}")
         f = pf.random_bump_field(2, m, child, power=2 * m + 2, degree=2,
                                  label="f")
@@ -425,7 +278,7 @@ def _run_mrt(params, rng):
                np.asarray([1.15, 0.55])]
         rows += _convergence_rows(f"lemma_mrt_m{m}_k{k}", f, k, degrees, pts,
                                   tol, "lemma")
-    for m, k in params.get("prop_cases", [[1, 1], [2, 1]]):
+    for m, k in params["prop_cases"]:
         child = rng.split(f"prop-mrt-{m}-{k}")
         f = pf.random_bump_field(2, m, child, power=2 * m + 2, degree=2,
                                  label="f")
@@ -438,9 +291,8 @@ def _run_mrt(params, rng):
 
 def _run_decompose(params, rng):
     rows = []
-    N = params.get("N", 128)
-    L = params.get("L", 4.0)
-    for m in params.get("m_values", [1, 2]):
+    N, L = params["N"], params["L"]
+    for m in params["m_values"]:
         child = rng.split(f"decompose-{m}")
         f = pf.random_bump_field(2, m, child, power=6, degree=2, label="f")
         g = no.GridTensorField.sample(f, N, L)
@@ -448,15 +300,13 @@ def _run_decompose(params, rng):
         norm = g.norm_l2()
         p = {"m": m, "N": N, "L": L}
         rows.append(check_row("delta_sf_relative", no.delta_field(sf).norm_l2() / norm,
-                              params.get("solenoidal_tolerance", 1e-9), p))
+                              1e-9, p))
         rec = (sf + no.d_field(v) - g).norm_l2() / norm
-        rows.append(check_row("reconstruction_relative", rec,
-                              params.get("reconstruction_tolerance", 1e-10), p))
+        rows.append(check_row("reconstruction_relative", rec, 1e-10, p))
         nf = no.normal_symbol(g)
         nsf = no.normal_symbol(sf)
         rows.append(check_row("normal_f_vs_sf_relative",
-                              (nf - nsf).norm_l2() / max(nf.norm_l2(), 1e-300),
-                              params.get("normal_tolerance", TOL_QUAD), p))
+                              (nf - nsf).norm_l2() / max(nf.norm_l2(), 1e-300), TOL_QUAD, p))
         v0 = pf.random_bump_field(2, m - 1, child, power=7, degree=2,
                                   label="v0")
         gp = no.GridTensorField.sample(pf.inner_derivative(v0), N, L)
@@ -467,15 +317,15 @@ def _run_decompose(params, rng):
             sfo, _ = no.helmholtz_decompose_oracle(g)
             rows.append(check_row("helmholtz_oracle_relative",
                                   (sf - sfo).norm_l2() / norm, 1e-10, p))
-    if params.get("normal_consistency", True):
-        rule = sq.build_rule(2, params.get("rule_degree", 40))
-        for m, k in params.get("normal_cases", [[0, 0], [1, 0], [1, 1]]):
+    if params["normal_consistency"]:
+        rule = sq.build_rule(2, 40)
+        for m, k in params["normal_cases"]:
             child = rng.split(f"normconv-{m}-{k}")
             f = pf.random_bump_field(2, m, child, power=4, degree=2, label="f")
             rel = _normal_consistency_rel(f, k, N, L, rule)
             rows.append(check_row("normal_conv_vs_angular_relative", rel, TOL_GRID,
                                   {"m": m, "k": k, "N": N}))
-            if params.get("refine", True) and m == 0 and k == 0:
+            if params["refine"] and m == 0 and k == 0:
                 rel2 = _normal_consistency_rel(f, k, 2 * N, L, rule)
                 rows.append(check_row("normal_conv_refinement_improves",
                                       rel2 - rel, 0.0, {"m": m, "k": k, "N": 2 * N}))
@@ -493,16 +343,6 @@ def _normal_consistency_rel(f, k, N, L, rule):
     return (conv - angf).norm_l2() / max(angf.norm_l2(), 1e-300)
 
 
-def _run_ucp(name, params, rng, outdir):
-    scenario = name.split(".", 1)[1]
-    config = dict(params)
-    config.pop("suite", None)
-    if outdir and scenario in ("ray", "mrt"):
-        config.setdefault("lines_csv",
-                          os.path.join(outdir, f"ucp_{scenario}_lines.csv"))
-    return no.ucp_experiment(scenario, config, rng)["residuals"]
-
-
 SUITE_RUNNERS = {
     "identities.algebra": _run_algebra,
     "identities.ibp": _run_ibp,
@@ -517,13 +357,16 @@ def run_suite(entry, rng, outdir):
     """Execute one configured suite; returns its report block."""
     name = entry["suite"]
     t0 = time.perf_counter()
+    params = resolve(entry)
     if name.startswith("ucp."):
-        rows = _run_ucp(name, entry, rng, outdir)
+        scenario = name.removeprefix("ucp.")
+        lines_csv = os.path.join(outdir, f"ucp_{scenario}_lines.csv")
+        rows = no.ucp_experiment(scenario, params, rng, lines_csv)["residuals"]
     else:
-        rows = SUITE_RUNNERS[name](entry, rng)
+        rows = SUITE_RUNNERS[name](params, rng)
     return {
         "scenario": name,
-        "config": {k: v for k, v in entry.items() if k != "suite"},
+        "config": params,
         "residuals": rows,
         "timing": {"total_seconds": time.perf_counter() - t0},
     }
@@ -583,10 +426,13 @@ def main(argv=None):
             print(f"error: no configured suite named {args.suite!r}",
                   file=sys.stderr)
             return 2
-    seed = args.seed if args.seed is not None else doc.get("seed", 0)
-    outdir = args.out or os.environ.get("OUTPUT_DIR") \
-        or doc.get("output_dir") or "tentomo_out"
-    os.makedirs(outdir, exist_ok=True)
+    seed = args.seed if args.seed is not None else doc["seed"]
+    outdir = args.out or os.environ.get("OUTPUT_DIR") or doc["output_dir"]
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot use output directory: {exc}", file=sys.stderr)
+        return 2
 
     report = {"schema": 1, "seed": seed, "suites": []}
     failed = False
@@ -594,9 +440,6 @@ def main(argv=None):
         rng = SplitMix64(seed).split(f"suite-{entry['suite']}")
         try:
             block = run_suite(entry, rng, outdir)
-        except (pf.BudgetError, ValueError) as exc:
-            print(f"error: {entry['suite']}: {exc}", file=sys.stderr)
-            return 3
         except Exception as exc:
             print(f"error: {entry['suite']}: internal error: "
                   f"{type(exc).__name__}: {exc}",
@@ -614,7 +457,7 @@ def main(argv=None):
     with open(os.path.join(outdir, "report.json"), "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
     emit_tables(report, outdir,
-                timing_in_tables=doc.get("timing_in_tables", False))
+                timing_in_tables=doc["timing_in_tables"])
     print(f"report written to {outdir}")
     return 1 if failed else 0
 

@@ -50,7 +50,8 @@ import numpy as np
 
 from .polyfield import (PairSymTensorField, PolyBumpField, _position_splits,
                         generalized_R, pair_alternations)
-from .spherequad import SphereRule, c_constant
+from .config import resolve
+from .spherequad import SphereRule, build_rule, c_constant
 from .symtensor import (SymTensor, canonical_indices, i_metric, j_metric,
                         multiplicity, sym_dim, sym_power, j_contract)
 from .verdict import check_row, worst
@@ -810,13 +811,18 @@ def _exact_zero_value(pair_field):
                  for c in p.terms.values())
 
 
-def ucp_experiment(scenario, config, rng):
+#: UCP tolerance, negative-control floor, radius of U, rule and core degrees.
+UCP_TOL, UCP_FLOOR, U_RADIUS, UCP_RULE_DEGREE, UCP_CORE_DEGREE = 1e-9, 1e-3, 0.25, 30, 2
+
+
+def ucp_experiment(scenario, config, rng, lines_csv=None):
     """Run one unique-continuation mechanics scenario and report residuals.
 
-    ``scenario`` is one of "ray", "mrt", "trt".  The report is a dict
-    {scenario, config, residuals: [{name, value, tolerance, pass}], timing}.
-    Checks named *_nonvanishing are negative controls: they pass when the
-    value EXCEEDS the threshold.
+    ``scenario`` is one of "ray", "mrt", "trt", and ``config`` holds ucp.<scenario>
+    suite parameters.  The report is a dict {scenario, config, residuals:
+    [{name, value, tolerance, pass}], timing}.  Checks named *_nonvanishing are
+    negative controls: they pass when the value EXCEEDS the threshold.  For
+    "ray" and "mrt", ``lines_csv`` receives the sampled lines and their data.
     """
     import time as _time
     from . import polyfield as pfmod
@@ -824,92 +830,77 @@ def ucp_experiment(scenario, config, rng):
 
     t_start = _time.perf_counter()
     checks = []
-    artifacts = {}
-    n = config.get("n", 2)
-    m = config.get("m", 1)
-    tol = config.get("tolerance", 1e-9)
-    floor = config.get("nonvanish_floor", 1e-3)
-    u_center = np.asarray(config.get("u_center", [0.2] + [0.0] * (n - 1)))
-    u_radius = config.get("u_radius", 0.25)
-    num_lines = config.get("num_lines", 30)
-    num_points = config.get("num_points", 10)
-    rule = SphereRule.from_json_dict(config["rule"]) if "rule" in config else None
+    params = resolve({**config, "suite": f"ucp.{scenario}"})
+    n, m = params["n"], params["m"]
+    u_center = np.asarray([0.2] + [0.0] * (n - 1))
+    num_lines, num_points = params["num_lines"], params["num_points"]
 
     if scenario == "ray":
-        if rule is None:
-            from .spherequad import build_rule
-            rule = build_rule(n, config.get("rule_degree", 30))
-        potential = config.get("potential", True)
-        if potential:
+        rule = build_rule(n, UCP_RULE_DEGREE)
+        if params["potential"]:
             v = pfmod.random_bump_field(n, m - 1, rng, power=m + 3,
-                                        degree=config.get("degree", 2), label="v")
+                                        degree=UCP_CORE_DEGREE, label="v")
             f = pfmod.inner_derivative(v)
         else:
             f = pfmod.random_bump_field(n, m, rng, power=m + 3,
-                                        degree=config.get("degree", 2), label="f")
+                                        degree=UCP_CORE_DEGREE, label="f")
         rf = pfmod.operator_R(f)
         checks.append(check_row("curvature_operator_exactly_zero",
                                 _exact_zero_value(rf), 1e-10))
-        lines = _sample_lines_through(rng, u_center, u_radius, num_lines, n)
+        lines = _sample_lines_through(rng, u_center, U_RADIUS, num_lines, n)
         data = [ray_transform(f, line) for line in lines]
         checks.append(check_row("ray_data_through_U_max",
-                                worst(abs(d) for d in data), tol))
-        pts = np.array([u_center + np.asarray(rng.split(f"pt{t}").point_in_ball(n, u_radius))
+                                worst(abs(d) for d in data), UCP_TOL))
+        pts = np.array([u_center + np.asarray(rng.split(f"pt{t}").point_in_ball(n, U_RADIUS))
                         for t in range(num_points)])
         nmax = worst(np.abs(normal_momentum_on_points(f, pts, 0, rule)).ravel())
-        checks.append(check_row("normal_operator_on_U_max", nmax, tol))
+        checks.append(check_row("normal_operator_on_U_max", nmax, UCP_TOL))
         f_neg = pfmod.random_bump_field(n, m, rng, power=m + 3,
-                                        degree=config.get("degree", 2), label="neg")
+                                        degree=UCP_CORE_DEGREE, label="neg")
         neg = worst(np.abs(normal_momentum_on_points(f_neg, pts[:3], 0, rule)).ravel())
-        checks.append(check_row("nonpotential_normal_nonvanishing", neg, floor,
+        checks.append(check_row("nonpotential_normal_nonvanishing", neg, UCP_FLOOR,
                                 mode="above"))
-        artifacts["lines"] = lines
-        artifacts["line_values"] = data
+        if lines_csv:
+            write_transform_csv(lines_csv, lines, data, ["value"])
 
     elif scenario == "mrt":
-        k = config.get("k", 1)
-        if not 0 <= k < m:
-            raise ValueError("mrt scenario needs 0 <= k < m")
-        if rule is None:
-            from .spherequad import build_rule
-            rule = build_rule(n, config.get("rule_degree", 30))
-        potential = config.get("potential", True)
-        if potential:
+        k = params["k"]
+        rule = build_rule(n, UCP_RULE_DEGREE)
+        if params["potential"]:
             v = pfmod.random_bump_field(n, m - k - 1, rng, power=m + k + 4,
-                                        degree=config.get("degree", 2), label="v")
+                                        degree=UCP_CORE_DEGREE, label="v")
             f = pfmod.potential_field(v, order=k + 1)
         else:
             f = pfmod.random_bump_field(n, m, rng, power=m + k + 4,
-                                        degree=config.get("degree", 2), label="f")
+                                        degree=UCP_CORE_DEGREE, label="f")
         rkf = pfmod.generalized_R(f, k)
         checks.append(check_row("generalized_curvature_exactly_zero",
                                 _exact_zero_value(rkf), 1e-10))
-        lines = _sample_lines_through(rng, u_center, u_radius, num_lines, n)
+        lines = _sample_lines_through(rng, u_center, U_RADIUS, num_lines, n)
         values = []
         for p in range(k + 1):
             data = [momentum_transform(f, line, p) for line in lines]
             values.append(data)
             checks.append(check_row(f"momentum_data_order{p}_through_U_max",
-                                    worst(abs(d) for d in data), tol))
-        pts = np.array([u_center + np.asarray(rng.split(f"pt{t}").point_in_ball(n, u_radius))
+                                    worst(abs(d) for d in data), UCP_TOL))
+        pts = np.array([u_center + np.asarray(rng.split(f"pt{t}").point_in_ball(n, U_RADIUS))
                         for t in range(num_points)])
         for p in range(k + 1):
             nmax = worst(np.abs(normal_momentum_on_points(f, pts, p, rule)).ravel())
-            checks.append(check_row(f"normal_momentum_order{p}_on_U_max", nmax, tol))
+            checks.append(check_row(f"normal_momentum_order{p}_on_U_max", nmax, UCP_TOL))
         neg = worst(abs(momentum_transform(f, line, k + 1)) for line in lines)
         checks.append(check_row(f"momentum_data_order{k + 1}_nonvanishing", neg,
-                                floor, mode="above"))
-        artifacts["lines"] = lines
-        artifacts["line_values"] = list(zip(*values))
+                                UCP_FLOOR, mode="above"))
+        if lines_csv:
+            write_transform_csv(lines_csv, lines, list(zip(*values)),
+                                [f"value_k{p}" for p in range(k + 1)])
 
-    elif scenario == "trt":
+    else:
         from .symtensor import sym_dim, sym_power_span_rank
         from .xray import TransverseRay, transverse_transform, trt_pointwise_recover
-        if n < 3:
-            raise ValueError("transverse scenario needs n >= 3")
         f = pfmod.random_bump_field(n, m, rng, power=4,
-                                    degree=config.get("degree", 2), label="f")
-        u_center = np.asarray(config.get("u_center", [2.5] + [0.0] * (n - 1)))
+                                    degree=UCP_CORE_DEGREE, label="f")
+        u_center = np.asarray([2.5] + [0.0] * (n - 1))
         etas = []
         while True:
             etas = [rng.split(f"eta{t}").direction(n) for t in range(n)]
@@ -920,7 +911,7 @@ def ucp_experiment(scenario, config, rng):
         checks.append(check_row("sym_power_span_rank_deficit",
                                 abs(rank - expected), 0.5))
         # f vanishes on U (support is disjoint from U by construction)
-        pts_u = [u_center + np.asarray(rng.split(f"u{t}").point_in_ball(n, u_radius))
+        pts_u = [u_center + np.asarray(rng.split(f"u{t}").point_in_ball(n, U_RADIUS))
                  for t in range(num_points)]
         fmax_u = worst(f.value(tuple(x)).max_abs() for x in pts_u)
         checks.append(check_row("field_vanishes_on_U_max", fmax_u, 1e-12))
@@ -942,14 +933,14 @@ def ucp_experiment(scenario, config, rng):
                 samples[combo] = val
             rec = trt_pointwise_recover([list(e) for e in etas], samples, m)
             errs.append((rec - fx).max_abs())
-        checks.append(check_row("pointwise_recovery_max_err", worst(errs), tol))
+        checks.append(check_row("pointwise_recovery_max_err", worst(errs), UCP_TOL))
         # transverse data on lines from U into the support reduce to scalar
         # ray data of the contracted component <f, y^(.m)>
         errs = []
         for t in range(num_lines):
             child = rng.split(f"ray{t}")
             eta = np.asarray(etas[t % n])
-            base = u_center + np.asarray(child.point_in_ball(n, u_radius))
+            base = u_center + np.asarray(child.point_in_ball(n, U_RADIUS))
             target = np.asarray(child.point_in_ball(n, 0.8))
             omega = target - base
             omega = omega / np.linalg.norm(omega)
@@ -978,18 +969,10 @@ def ucp_experiment(scenario, config, rng):
             raised = 1.0
         checks.append(check_row("dependent_directions_rejected", raised, 0.5,
                                 mode="above"))
-    else:
-        raise ValueError(f"unknown scenario {scenario!r}")
 
-    report = {
+    return {
         "scenario": scenario,
-        "config": {key: val for key, val in config.items() if key != "rule"},
+        "config": params,
         "residuals": checks,
         "timing": {"total_seconds": _time.perf_counter() - t_start},
     }
-    if artifacts.get("lines") and config.get("lines_csv"):
-        vals = artifacts["line_values"]
-        names = ["value"] if not isinstance(vals[0], (tuple, list)) \
-            else [f"value_k{p}" for p in range(len(vals[0]))]
-        write_transform_csv(config["lines_csv"], artifacts["lines"], vals, names)
-    return report

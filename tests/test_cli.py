@@ -4,12 +4,18 @@ determinism."""
 import csv
 import json
 import math
+import pathlib
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as hs
 
 from tentomo import cli
 from tentomo.cli import (ConfigError, emit_tables, load_config, main,
                          validate_config)
+from tentomo.config import JOHN_CASE, SUITES, TOP_LEVEL, Check
+from tentomo.polyfield import BudgetError
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -208,6 +214,21 @@ class TestValidateAcceptsOnlyWhatRuns:
         {"suite": "decompose", "m_values": 2},
         {"suite": "decompose", "N": 32, "m_values": [], "normal_cases": [[1]],
          "refine": False},
+        {"suite": "ucp.ray", "n": 4},
+        {"suite": "ucp.ray", "u_radius": "x"},
+        {"suite": "ucp.ray", "tolerance": "1e-9"},
+        {"suite": "ucp.ray", "rule_degree": 0},
+        {"suite": "ucp.mrt", "n": 2, "m": 2, "k": 1.0},
+        {"suite": "decompose", "L": 1.0},
+        {"suite": "decompose", "L": "4"},
+        {"suite": "decompose", "trials": 3},
+        {"suite": "identities.algebra", "trails": 3},
+        {"suite": "identities.john", "cases": [{"m": 1, "tolernce": 1}]},
+        {"suite": "identities.prop-ray", "tolerance": "a"},
+        {"suite": "identities.prop-ray", "tolerance": 1e-3},
+        {"suite": "identities.prop-ray", "interior_points": "2"},
+        {"suite": "identities.prop-ray", "degrees": [40, 20]},
+        {"suite": "identities.prop-ray", "degrees": [-4, 40]},
     ])
     def test_empty_or_degenerate_exact_cases_rejected(self, tmp_path, capsys,
                                                       entry):
@@ -249,6 +270,31 @@ class TestValidateAcceptsOnlyWhatRuns:
         assert err.startswith("error: ") and "'num_" in err
         assert main(["run", "--config", path,
                      "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestTopLevel:
+    @pytest.mark.parametrize("field", [
+        {"output_dir": 5},
+        {"timing_in_tables": "yes"},
+        {"seed": True},
+        {"outdir": "elsewhere"},
+    ], ids=["output_dir-int", "timing-string", "seed-bool", "unknown-key"])
+    def test_malformed_field_exit_2(self, tmp_path, monkeypatch, capsys, field):
+        # output_dir 5 used to validate, then kill run with a TypeError (exit 1)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("OUTPUT_DIR", raising=False)
+        path = write_config(tmp_path, dict(PASS_CONFIG, **field))
+        assert main(["validate", "--config", path]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert main(["run", "--config", path]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_out_is_an_existing_file_exit_2(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["run", "--config", write_config(tmp_path, PASS_CONFIG),
+                     "--out", str(taken)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
 
@@ -306,16 +352,22 @@ def test_nan_quadrature_error_fails_its_row(monkeypatch):
     assert math.isnan(row["value"]) and not row["pass"]
 
 
-def test_internal_error_exit_4(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("exc", [TypeError("unsupported operand"),
+                                 ValueError("k out of range"),
+                                 BudgetError("smoothness budget exhausted")],
+                         ids=["TypeError", "ValueError", "BudgetError"])
+def test_internal_error_exit_4(tmp_path, monkeypatch, capsys, exc):
+    # validate rejects every precondition, so any exception in a suite is a bug
     def broken(params, rng):
-        raise TypeError("unsupported operand")
+        raise exc
 
     monkeypatch.setitem(cli.SUITE_RUNNERS, "identities.algebra", broken)
     doc = {"schema": 1, "suites": [{"suite": "identities.algebra"}]}
     assert main(["run", "--config", write_config(tmp_path, doc),
                  "--out", str(tmp_path / "out")]) == 4
     err = capsys.readouterr().err
-    assert err.startswith("error: identities.algebra: internal error: TypeError")
+    assert err.startswith("error: identities.algebra: internal error: "
+                          + type(exc).__name__)
     assert "Traceback" in err
 
 
@@ -371,3 +423,120 @@ def test_ibp_rows_are_the_worst_over_every_ordered_index(monkeypatch):
             want.append(worst(res))
     assert [row["value"] for row in rows if row["name"] == "ibp_residual"] == want
     assert all(want)
+
+
+# ---------------------------------------------------------------------------
+# property: validate accepts exactly what run executes
+# ---------------------------------------------------------------------------
+
+# values of wrong type, of nested shape, or non-finite
+JUNK = hs.one_of(hs.text(max_size=3), hs.booleans(), hs.none(),
+                 hs.floats(allow_nan=True, allow_infinity=True),
+                 hs.lists(hs.lists(hs.integers(-1, 2), max_size=2), max_size=2))
+COUNTS = (hs.integers(1, 2), hs.integers(-1, 0))
+PAIRS = (hs.lists(hs.tuples(hs.integers(0, 2), hs.integers(0, 2)).map(
+             lambda mk: sorted(mk, reverse=True)), min_size=1, max_size=2),
+         hs.lists(hs.lists(hs.integers(-1, 3), max_size=3), max_size=2))
+BOOLS = (hs.booleans(), hs.sampled_from([0, 1, "true"]))
+# per key: cheap values, mostly in range, and values just out of range
+VALUES = {
+    "trials": COUNTS, "roundtrip_trials": COUNTS, "trials_per_case": COUNTS,
+    "lines": COUNTS, "num_lines": COUNTS, "num_points": COUNTS,
+    "n": (hs.integers(2, 4), hs.integers(0, 1)),
+    "m": (hs.integers(1, 3), hs.integers(-1, 0)),
+    "k": (hs.integers(0, 2), hs.integers(-2, -1)),
+    "n_values": (hs.lists(hs.integers(2, 3), min_size=1, max_size=2),
+                 hs.lists(hs.integers(0, 1), max_size=2)),
+    "s_values": (hs.lists(hs.integers(1, 3), min_size=1, max_size=2),
+                 hs.lists(hs.integers(-1, 0), max_size=2)),
+    "m_values": (hs.lists(hs.integers(1, 2), min_size=1, max_size=2),
+                 hs.lists(hs.integers(-1, 3), max_size=2)),
+    "degrees": (hs.lists(hs.integers(1, 8), min_size=2, max_size=3,
+                         unique=True).map(sorted),
+                hs.lists(hs.integers(-1, 8), max_size=3)),
+    "tolerance": (hs.floats(1e-12, 1e-9), hs.sampled_from([0, -1e-9, 1e-3])),
+    "lemma_cases": PAIRS, "prop_cases": PAIRS, "normal_cases": PAIRS,
+    "N": (hs.integers(16, 17), hs.integers(14, 15)),
+    "L": (hs.floats(4.0, 6.0), hs.one_of(hs.floats(1.0, 3.99), hs.just("4"))),
+    "normal_consistency": BOOLS, "refine": BOOLS, "potential": BOOLS,
+}
+# keys of no table: typos, and knobs that are constants now
+FOREIGN = ["trails", "tolernce", "max_n", "max_m", "interior_points", "rule_degree",
+           "solenoidal_tolerance", "reconstruction_tolerance", "normal_tolerance",
+           "tolerance", "nonvanish_floor", "u_center", "u_radius", "rule", "degree",
+           "lines_csv"]
+# keys whose defaults size a run beyond a cheap example; always drawn
+SIZING = {"identities.algebra": ["trials", "roundtrip_trials"],
+          "identities.ibp": ["trials_per_case"], "decompose": ["N"]}
+
+
+def _value(key, clean):
+    if key == "cases":
+        case = hs.fixed_dictionaries({}, optional={
+            k: _value(k, clean) for k in ("n", "m", "lines", "tolerance")})
+        return hs.lists(case, min_size=1, max_size=2) if clean else \
+            hs.one_of(hs.lists(hs.one_of(case, JUNK), max_size=2), JUNK)
+    if clean:
+        return VALUES[key][0]
+    return hs.one_of(*VALUES[key], JUNK) if key in VALUES else JUNK
+
+
+@hs.composite
+def suite_entries(draw):
+    """A suite entry of one of three kinds: in-range values of its own keys;
+    own keys with values out of range or of the wrong type; or in-range
+    values plus one key of no table."""
+    name = draw(hs.sampled_from(sorted(SUITES)))
+    kind = draw(hs.sampled_from(["clean", "dirty", "foreign"]))
+    own = [row[0] for row in SUITES[name]]
+    keys = SIZING.get(name, []) + draw(hs.lists(hs.sampled_from(own), unique=True))
+    entry = {"suite": name, **{key: draw(_value(key, kind != "dirty")) for key in keys}}
+    if kind == "foreign":
+        key = draw(hs.sampled_from([key for key in FOREIGN if key not in own]))
+        entry[key] = draw(JUNK)
+    return entry
+
+
+def _exit_code(capsys, argv):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code < 2 or err.startswith("error: "), err
+    return code
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=hs.one_of(
+    hs.fixed_dictionaries({"schema": hs.just(1), "suites": hs.lists(suite_entries(),
+                                                                    min_size=1, max_size=2)}),
+    hs.dictionaries(hs.sampled_from([row[0] for row in TOP_LEVEL] + ["outdir"]),
+                    hs.one_of(JUNK, hs.integers(-1, 2),
+                              hs.lists(hs.one_of(suite_entries(), JUNK), max_size=2)),
+                    max_size=5),
+    JUNK))
+def test_validate_exits_cleanly_on_any_document(tmp_path, capsys, doc):
+    path = write_config(tmp_path, doc)
+    assert _exit_code(capsys, ["validate", "--config", path]) in (0, 2, 3)
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(entry=suite_entries())
+def test_validate_accepts_exactly_what_runs(tmp_path, capsys, entry):
+    path = write_config(tmp_path, {"schema": 1, "suites": [entry]})
+    verdict = _exit_code(capsys, ["validate", "--config", path])
+    assert verdict in (0, 2, 3)
+    with tempfile.TemporaryDirectory() as out:
+        ran = _exit_code(capsys, ["run", "--config", path, "--out", out])
+    assert ran in (0, 1) if verdict == 0 else ran == verdict
+
+
+def test_readme_lists_every_parameter():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    for table in [TOP_LEVEL, JOHN_CASE, *SUITES.values()]:
+        for key, default, check, description in table:
+            accepts = check.text if isinstance(check, Check) else "a nonempty list of objects"
+            shown = ("required" if default is None else "the upper bound"
+                     if callable(default) else f"`{json.dumps(default)}`")
+            assert f"| `{key}` | {accepts} | {shown} | {description} |" in readme, key
