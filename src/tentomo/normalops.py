@@ -807,8 +807,8 @@ def _sample_lines_through(rng, center, radius, count, n):
 
 
 def _exact_zero_value(pair_field):
-    return worst(abs(float(c)) for p in pair_field.comps.values()
-                 for c in p.terms.values())
+    """Largest |coefficient| of any component core, as a float."""
+    return float(pair_field.stack.max_abs())
 
 
 #: UCP tolerance, negative-control floor, radius of U, rule and core degrees.

@@ -8,14 +8,23 @@ Q = c0 + sigma |x|^2, here B = rho^2 - |x|^2,
 
     D_i [q * Q^e] = (Q * D_i q + 2 sigma e x_i q) * Q^{e-1},
 
-and ``polynomial.quadric_derivative`` forms that numerator, here and in the
-quotient rule of ``spherequad.HomogeneousRational`` (Q = |xi|^2).
+and ``polynomial.quadric_derivative`` forms that numerator for one core,
+``CoreStack.quadric_diff`` for a whole stack of them, here and in the
+quotient rule of ``spherequad.verify_ibp`` (Q = |xi|^2).
 
 Keeping the bump factor symbolic means every operator here (symmetrized
-derivative, divergence, the order-m curvature-type operators W and R and
-their generalizations) is computed in exact rational arithmetic on small
-polynomial cores.  ``rho=None`` selects unrestricted polynomial mode (global
-polynomial fields, differential operators only).
+derivative, divergence, Laplacian, the order-m curvature-type operators W
+and R, their generalizations and the conversions between them) is computed
+in exact rational arithmetic on small polynomial cores.  A field keeps its
+cores as one ``CoreStack``, one row per canonical component, in int64 under
+the stack's proven bound and in Python ints above it.  It derives one stack
+per sorted axis tuple, for all components at once and sharing prefixes, and
+every operator is a stencil compiled once per (operator, n, m, k) into one
+integer matrix over those stacks' rows, applied as one matrix product.
+``Polynomial`` cores (``cores``, ``comps``) are materialised lazily for the
+transforms.  ``rho=None`` selects unrestricted polynomial mode (global
+polynomial fields, differential operators only): the quadric derivative
+with (c0, sigma, e) = (1, 0, 0).
 """
 
 from __future__ import annotations
@@ -26,7 +35,10 @@ import itertools
 import math
 from fractions import Fraction
 
-from .polynomial import Polynomial, linear_combination, quadric_derivative
+import numpy as np
+
+from .polynomial import (CoreStack, Polynomial, exact_array, linear_combination,
+                         quadric_derivative)
 from .symtensor import SymTensor, canonical_indices, multiplicity
 
 
@@ -39,13 +51,6 @@ def bump_core_diff(core: Polynomial, axis: int, rho, power: int) -> Polynomial:
     derivative with c0 = rho^2, sigma = -1, or d/dx_axis when rho is None."""
     return core.diff(axis) if rho is None else \
         quadric_derivative(core, axis, rho * rho, -1, power)
-
-
-@functools.lru_cache(maxsize=None)
-def _bump_base(n, rho):
-    """B = rho^2 - |x|^2."""
-    return rho * rho - sum((Polynomial.variable(n, i) ** 2 for i in range(n)),
-                           Polynomial.zero(n))
 
 
 class BumpPoly:
@@ -79,33 +84,6 @@ class BumpPoly:
             return self
         return self.diff_multi(axes[:-1]).diff(axes[-1])
 
-    def align_power(self, power) -> Polynomial:
-        """Core re-expressed at a lower bump power (multiplying in B)."""
-        if power > self.power:
-            raise ValueError("can only lower the bump power")
-        if power == self.power:
-            return self.core
-        return self.core * _bump_base(self.n, self.rho) ** (self.power - power)
-
-    def __add__(self, other):
-        if self.rho != other.rho:
-            raise ValueError("support mismatch")
-        e = min(self.power, other.power)
-        return BumpPoly(self.n, self.align_power(e) + other.align_power(e), self.rho, e)
-
-    def __sub__(self, other):
-        return self + BumpPoly(other.n, -other.core, other.rho, other.power)
-
-    def __mul__(self, other):
-        if isinstance(other, BumpPoly):
-            if self.rho != other.rho:
-                raise ValueError("support mismatch")
-            return BumpPoly(self.n, self.core * other.core, self.rho,
-                            self.power + other.power)
-        return BumpPoly(self.n, self.core * other, self.rho, self.power)
-
-    __rmul__ = __mul__
-
     def value(self, x):
         if self.rho is not None:
             r2 = sum(c * c for c in x)
@@ -116,7 +94,6 @@ class BumpPoly:
 
     def eval_many(self, points):
         """Vectorized float evaluation at points of shape (..., n)."""
-        import numpy as np
         pts = np.asarray(points, dtype=float)
         vals = self.core.eval_many(pts)
         if self.rho is not None:
@@ -126,28 +103,80 @@ class BumpPoly:
         return vals
 
 
-class PolyBumpField:
+class _StackedField:
+    """Rows of exact cores at one bump power, as a ``CoreStack`` whose row r
+    is the component ``rows()[r]``, or as a dict of nonzero ``Polynomial``
+    cores; each form is built from the other on first use."""
+
+    def __init__(self, n, rho, power, cores, stack):
+        self.n = n
+        self.rho = rho
+        self.power = 0 if rho is None else power
+        self._stack = stack
+        self._cores = None if stack is not None else \
+            {key: p for key, p in (cores or {}).items() if not p.is_zero()}
+        self._deriv = {}
+
+    @property
+    def stack(self) -> CoreStack:
+        if self._stack is None:
+            zero = Polynomial.zero(self.n)
+            self._stack = CoreStack.from_polys(
+                self.n, [self._cores.get(key, zero) for key in self.rows()])
+        return self._stack
+
+    def _materialised(self):
+        if self._cores is None:
+            self._cores = {key: p for key, p in zip(self.rows(), self._stack.polys())
+                           if p.terms}
+        return self._cores
+
+    def is_zero(self):
+        return self._stack.is_zero() if self._cores is None else not self._cores
+
+    def derivative_stack(self, axes) -> CoreStack:
+        """Cores of the |axes|-fold mixed partial of every row, for a sorted
+        axis tuple; built from the stack of its prefix and kept."""
+        if not axes:
+            return self.stack
+        got = self._deriv.get(axes)
+        if got is None:
+            _require_budget(self, len(axes))
+            c0, sigma, e = (1, 0, 0) if self.rho is None else \
+                (self.rho * self.rho, -1, self.power - len(axes) + 1)
+            got = self.derivative_stack(axes[:-1]).quadric_diff(axes[-1], c0, sigma, e)
+            self._deriv[axes] = got
+        return got
+
+
+@functools.lru_cache(maxsize=None)
+def _field_rows(n, m):
+    return tuple(canonical_indices(n, m))
+
+
+class PolyBumpField(_StackedField):
     """Symmetric rank-m tensor field with shared bump factor.
 
     ``cores`` maps canonical index tuples to polynomial cores; absent keys
     are zero.  All components share (rho, power), so differential operators
-    act uniformly.
+    act uniformly.  ``stack`` holds the same cores, one row per canonical
+    index in ``canonical_indices`` order.
     """
 
-    def __init__(self, n, m, rho, power, cores=None):
-        self.n = n
+    def __init__(self, n, m, rho, power, cores=None, stack=None):
         self.m = m
-        self.rho = rho
-        self.power = 0 if rho is None else power
-        self.cores = {}
+        super().__init__(n, rho, power, cores and
+                         {tuple(sorted(idx)): p for idx, p in cores.items()}, stack)
         self._bumps = {}
-        self._deriv = {}
-        if cores:
-            for idx, p in cores.items():
-                if not p.is_zero():
-                    self.cores[tuple(sorted(idx))] = p
+
+    def rows(self):
+        return _field_rows(self.n, self.m)
 
     # -- access ---------------------------------------------------------
+
+    @property
+    def cores(self):
+        return self._materialised()
 
     def core(self, idx) -> Polynomial:
         return self.cores.get(tuple(sorted(idx)), Polynomial.zero(self.n))
@@ -161,43 +190,15 @@ class PolyBumpField:
         return bp
 
     def derivative_core(self, idx, axes) -> Polynomial:
-        """Core of the |axes|-fold mixed partial of component idx."""
-        key = (tuple(sorted(idx)), tuple(sorted(axes)))
-        got = self._deriv.get(key)
-        if got is None:
-            got = self.component(key[0]).diff_multi(key[1]).core
-            self._deriv[key] = got
-        return got
-
-    def is_zero(self):
-        return all(p.is_zero() for p in self.cores.values())
+        """Core of the |axes|-fold mixed partial of component idx, on the
+        dict path: the independent oracle of ``derivative_stack``."""
+        return self.component(idx).diff_multi(tuple(sorted(axes))).core
 
     def value(self, x) -> SymTensor:
         out = SymTensor(self.n, self.m)
         for idx in self.cores:
             out[idx] = self.component(idx).value(x)
         return out
-
-    def map_cores(self, func) -> "PolyBumpField":
-        return PolyBumpField(self.n, self.m, self.rho, self.power,
-                             {i: func(p) for i, p in self.cores.items()})
-
-    def __add__(self, other):
-        if (self.n, self.m, self.rho) != (other.n, other.m, other.rho):
-            raise ValueError("field shape/support mismatch")
-        e = min(self.power, other.power)
-        cores = {}
-        for idx in set(self.cores) | set(other.cores):
-            a = BumpPoly(self.n, self.core(idx), self.rho, self.power).align_power(e)
-            b = BumpPoly(self.n, other.core(idx), other.rho, other.power).align_power(e)
-            cores[idx] = a + b
-        return PolyBumpField(self.n, self.m, self.rho, e, cores)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "PolyBumpField":
-        return self.map_cores(lambda p: p * c)
 
     # -- serialization ----------------------------------------------------
 
@@ -240,56 +241,6 @@ def random_bump_field(n, m, rng, rho=1, power=4, degree=2, label="field"):
     return PolyBumpField(n, m, rho, power, cores)
 
 
-# ---------------------------------------------------------------------------
-# first-order operators
-# ---------------------------------------------------------------------------
-
-def inner_derivative(f: PolyBumpField) -> PolyBumpField:
-    """Symmetrized derivative d: rank m -> m+1, bump power - 1."""
-    _require_budget(f, 1)
-    m1 = f.m + 1
-    cores = {}
-    for idx in canonical_indices(f.n, m1):
-        cores[idx] = linear_combination(
-            f.n, ((f.derivative_core(idx[:p] + idx[p + 1:], (idx[p],)), 1)
-                  for p in range(m1)), Fraction(1, m1))
-    return PolyBumpField(f.n, m1, f.rho, f.power - 1 if f.rho is not None else 0, cores)
-
-
-def divergence(f: PolyBumpField) -> PolyBumpField:
-    """Divergence: contract one derivative against the last slot."""
-    if f.m == 0:
-        raise ValueError("divergence undefined for rank 0")
-    _require_budget(f, 1)
-    cores = {}
-    for idx in canonical_indices(f.n, f.m - 1):
-        cores[idx] = linear_combination(
-            f.n, ((f.derivative_core(idx + (a,), (a,)), 1) for a in range(f.n)))
-    return PolyBumpField(f.n, f.m - 1, f.rho, f.power - 1 if f.rho is not None else 0, cores)
-
-
-def laplacian_power(f: PolyBumpField, times: int = 1) -> PolyBumpField:
-    """Componentwise Laplacian iterated ``times`` times."""
-    _require_budget(f, 2 * times)
-    out = f
-    for _ in range(times):
-        cores = {}
-        for idx in canonical_indices(out.n, out.m):
-            cores[idx] = linear_combination(
-                out.n, ((out.derivative_core(idx, (a, a)), 1) for a in range(out.n)))
-        out = PolyBumpField(out.n, out.m, out.rho,
-                            out.power - 2 if out.rho is not None else 0, cores)
-    return out
-
-
-def potential_field(v: PolyBumpField, order: int = 1) -> PolyBumpField:
-    """d^order v."""
-    f = v
-    for _ in range(order):
-        f = inner_derivative(f)
-    return f
-
-
 def _require_budget(f, need):
     if f.rho is not None and f.power < need:
         raise BudgetError(f"need {need} derivatives, bump power is {f.power}")
@@ -299,30 +250,37 @@ def _require_budget(f, need):
 # pair-structured fields (images of W, R and their generalizations)
 # ---------------------------------------------------------------------------
 
-class PairSymTensorField:
+@functools.lru_cache(maxsize=None)
+def _pair_rows(n, npairs, blocks):
+    pair_universe = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    block_choices = [list(canonical_indices(n, size)) for size in blocks]
+    return tuple((tuple(pairs), tuple(blocks))
+                 for pairs in itertools.combinations_with_replacement(pair_universe, npairs)
+                 for blocks in itertools.product(*block_choices))
+
+
+class PairSymTensorField(_StackedField):
     """Tensor field with ``npairs`` skew pairs then symmetric blocks.
 
     Slot layout: (a_1 b_1 a_2 b_2 ... a_P b_P | block_1 | block_2 ...).
     Components are skew within each pair, symmetric under exchanging whole
     pairs, and symmetric within each block; only canonical representatives
-    are stored.  Values are polynomial cores at a shared bump power.
+    are stored, as the rows of ``stack`` in ``canonical_keys`` order.
+    Values are polynomial cores at a shared bump power.
     """
 
-    def __init__(self, n, npairs, blocks, rho, power, comps=None):
-        self.n = n
+    def __init__(self, n, npairs, blocks, rho, power, comps=None, stack=None):
         self.npairs = npairs
         self.blocks = tuple(blocks)
-        self.rho = rho
-        self.power = 0 if rho is None else power
-        self.comps = {}
-        if comps:
-            for key, p in comps.items():
-                if not p.is_zero():
-                    self.comps[key] = p
+        super().__init__(n, rho, power, comps, stack)
 
     @property
     def nslots(self):
         return 2 * self.npairs + sum(self.blocks)
+
+    @property
+    def comps(self):
+        return self._materialised()
 
     def canonicalize(self, idx):
         """(key, sign) for a full index tuple, or None if forced zero."""
@@ -352,21 +310,16 @@ class PairSymTensorField:
         if got is None:
             return Polynomial.zero(self.n)
         key, sign = got
-        p = self.comps.get(key)
-        if p is None:
-            return Polynomial.zero(self.n)
+        p = self.comps.get(key, Polynomial.zero(self.n))
         return p if sign == 1 else -p
 
     def component(self, idx) -> BumpPoly:
         return BumpPoly(self.n, self.component_core(idx), self.rho, self.power)
 
     def canonical_keys(self):
-        pair_universe = [(a, b) for a in range(self.n) for b in range(a + 1, self.n)]
-        pair_choices = itertools.combinations_with_replacement(pair_universe, self.npairs)
-        block_choices = [list(canonical_indices(self.n, size)) for size in self.blocks]
-        for pairs in pair_choices:
-            for blocks in itertools.product(*block_choices):
-                yield (tuple(pairs), tuple(blocks))
+        return _pair_rows(self.n, self.npairs, self.blocks)
+
+    rows = canonical_keys
 
     def key_to_index(self, key):
         pairs, blocks = key
@@ -377,26 +330,200 @@ class PairSymTensorField:
             idx.extend(blk)
         return tuple(idx)
 
-    def is_zero(self):
-        return all(p.is_zero() for p in self.comps.values())
+    def _like(self, power, stack):
+        return PairSymTensorField(self.n, self.npairs, self.blocks, self.rho, power,
+                                  stack=stack)
 
     def __sub__(self, other):
-        if (self.n, self.npairs, self.blocks, self.rho) != \
-                (other.n, other.npairs, other.blocks, other.rho):
-            raise ValueError("structure mismatch")
-        e = min(self.power, other.power)
-        comps = {}
-        for key in set(self.comps) | set(other.comps):
-            a = BumpPoly(self.n, self.comps.get(key, Polynomial.zero(self.n)),
-                         self.rho, self.power).align_power(e)
-            b = BumpPoly(self.n, other.comps.get(key, Polynomial.zero(self.n)),
-                         other.rho, other.power).align_power(e)
-            comps[key] = a - b
-        return PairSymTensorField(self.n, self.npairs, self.blocks, self.rho, e, comps)
+        if (self.n, self.npairs, self.blocks, self.rho, self.power) != \
+                (other.n, other.npairs, other.blocks, other.rho, other.power):
+            raise ValueError("structure or bump power mismatch")
+        return self._like(self.power, self.stack - other.stack)
 
     def scale(self, c):
-        return PairSymTensorField(self.n, self.npairs, self.blocks, self.rho,
-                                  self.power, {k: p * c for k, p in self.comps.items()})
+        return self._like(self.power, self.stack.scale(c))
+
+
+# ---------------------------------------------------------------------------
+# compiled stencils
+# ---------------------------------------------------------------------------
+
+#: Compiled stencils: ``(out_rows, columns, sources, matrix, denom, rowsum)``.
+Stencil = collections.namedtuple("Stencil", "out_rows columns sources matrix denom rowsum")
+
+#: (term generator, n, m, k) -> Stencil; filled on first use.
+_STENCILS = {}
+
+
+def _stencil(terms, n, m, k) -> Stencil:
+    """The stencil of one whole-field operator at (n, m, k), compiled once.
+
+    ``terms(n, m, k)`` returns ``(out_rows, in_rows, triples)``: the row
+    keys of output and input, and ``(out row, (in row, source), weight)``
+    triples with ``Fraction`` weights, a source being the sorted axis tuple
+    of the input derivative read, () for the input itself.  The columns of
+    the integer matrix run over the sorted sources, then ``in_rows``: the
+    rows of the sources' derivative stacks stacked in turn.  An output row
+    is ``matrix @ atoms / denom``, and ``rowsum`` the largest absolute row
+    sum.  Every order comes from the canonical key lists, none from a set or
+    a dict, so the matrix does not depend on the hash seed.
+    """
+    got = _STENCILS.get((terms, n, m, k))
+    if got is None:
+        out_rows, in_rows, triples = terms(n, m, k)
+        triples = list(triples)
+        sources = sorted({src for _, (_, src), _ in triples})
+        out_pos = {key: i for i, key in enumerate(out_rows)}
+        col_pos = {(row, src): j * len(in_rows) + r for j, src in enumerate(sources)
+                   for r, row in enumerate(in_rows)}
+        denom = math.lcm(*{w.denominator for _, _, w in triples})
+        matrix = np.zeros((len(out_rows), len(col_pos)), dtype=object)
+        for key, atom, w in triples:
+            matrix[out_pos[key], col_pos[atom]] += w.numerator * (denom // w.denominator)
+        got = Stencil(tuple(out_rows), tuple(col_pos), sources, exact_array(matrix), denom,
+                      int(np.abs(matrix).sum(axis=1).max(initial=0)))
+        _STENCILS[(terms, n, m, k)] = got
+    return got
+
+
+def _apply(stencil: Stencil, field: _StackedField, scale=1) -> CoreStack:
+    """scale times the stencil's output rows, over the derivative stacks of
+    ``field`` that it reads."""
+    atoms = CoreStack.vstack(field.n, [field.derivative_stack(src)
+                                       for src in stencil.sources])
+    out = atoms.combine(stencil.matrix, stencil.denom, stencil.rowsum)
+    return out if scale == 1 else out.scale(scale)
+
+
+def _d_terms(n, m, k):
+    """Symmetrized derivative d: rank m -> m + 1."""
+    out = _field_rows(n, m + 1)
+    return out, _field_rows(n, m), (
+        (idx, (idx[:p] + idx[p + 1:], (idx[p],)), Fraction(1, m + 1))
+        for idx in out for p in range(m + 1))
+
+
+def _div_terms(n, m, k):
+    """Divergence: one derivative contracted against the last slot."""
+    out = _field_rows(n, m - 1)
+    return out, _field_rows(n, m), (
+        (idx, (tuple(sorted(idx + (a,))), (a,)), Fraction(1))
+        for idx in out for a in range(n))
+
+
+def _laplacian_terms(n, m, k):
+    """Componentwise Laplacian."""
+    rows = _field_rows(n, m)
+    return rows, rows, ((idx, (idx, (a, a)), Fraction(1)) for idx in rows for a in range(n))
+
+
+def _w_terms(n, m, k):
+    """W^k: the symmetrized alternating sum over the m-k derivative slots."""
+    mk = m - k
+    out = _pair_rows(n, 0, (mk, m))
+
+    def triples():
+        for key in out:
+            p_group, qi_group = key[1]
+            for l in range(mk + 1):
+                sign = (-1) ** l * math.comb(mk, l)
+                for (p_comp, p_der), wp in _position_splits(p_group, (mk - l, l)):
+                    wp *= sign
+                    for (q_comp, q_der, i_fixed), wq in _position_splits(
+                            qi_group, (l, mk - l, k)):
+                        yield key, (tuple(sorted(p_comp + q_comp + i_fixed)),
+                                    tuple(sorted(p_der + q_der))), wp * wq
+    return out, _field_rows(n, m), triples()
+
+
+def _r_terms(n, m, k):
+    """R^k: pairwise alternation of the m-k derivative slots."""
+    out = _pair_rows(n, m - k, (k,))
+    return out, _field_rows(n, m), (
+        (key, (tuple(sorted(comp + key[1][0])), tuple(sorted(der))),
+         Fraction(sign, 2 ** (m - k)))
+        for key in out for comp, der, sign in pair_alternations(key[0]))
+
+
+def _lower_r_terms(n, m, k):
+    """R^{k-1} from R^k: atoms are (R^k key, one derivative axis)."""
+    src = PairSymTensorField(n, m - k, (k,), None, 0)
+    out = _pair_rows(n, m - k + 1, (k - 1,))
+
+    def triples():
+        for key in out:
+            pairs, (fixed,) = key
+            old_flat = tuple(x for pq in pairs[:-1] for x in pq)
+            for (a,), (b,), sign in pair_alternations(pairs[-1:]):
+                got = src.canonicalize(old_flat + (a,) + fixed)
+                if got is not None:
+                    yield key, (got[0], (b,)), Fraction(sign * got[1], 2)
+    return out, src.rows(), triples()
+
+
+def _r_to_w_terms(n, m, k):
+    """W^k from R^k: 2^(m-k) times the average over both symmetrizations."""
+    mk = m - k
+    src = PairSymTensorField(n, mk, (k,), None, 0)
+    count = math.factorial(mk) * math.factorial(m)
+    out = _pair_rows(n, 0, (mk, m))
+
+    def triples():
+        for key in out:
+            p_group, qi_group = key[1]
+            for p_perm in itertools.permutations(p_group):
+                for qi_perm in itertools.permutations(qi_group):
+                    flat = [x for t in range(mk) for x in (p_perm[t], qi_perm[t])]
+                    got = src.canonicalize(flat + list(qi_perm[mk:]))
+                    if got is not None:
+                        yield key, (got[0], ()), Fraction(2 ** mk * got[1], count)
+    return out, src.rows(), triples()
+
+
+def _w_to_r_terms(n, m, k):
+    """R^k from W^k without the constant: pairwise alternation over 2^(m-k)."""
+    mk = m - k
+    src = PairSymTensorField(n, 0, (mk, m), None, 0)
+    out = _pair_rows(n, mk, (k,))
+    return out, src.rows(), (
+        (key, (src.canonicalize(p_part + q_part + key[1][0])[0], ()),
+         Fraction(sign, 2 ** mk))
+        for key in out for p_part, q_part, sign in pair_alternations(key[0]))
+
+
+# ---------------------------------------------------------------------------
+# first-order operators
+# ---------------------------------------------------------------------------
+
+def inner_derivative(f: PolyBumpField) -> PolyBumpField:
+    """Symmetrized derivative d: rank m -> m+1, bump power - 1."""
+    return PolyBumpField(f.n, f.m + 1, f.rho, f.power - 1,
+                         stack=_apply(_stencil(_d_terms, f.n, f.m, 0), f))
+
+
+def divergence(f: PolyBumpField) -> PolyBumpField:
+    """Divergence: contract one derivative against the last slot."""
+    if f.m == 0:
+        raise ValueError("divergence undefined for rank 0")
+    return PolyBumpField(f.n, f.m - 1, f.rho, f.power - 1,
+                         stack=_apply(_stencil(_div_terms, f.n, f.m, 0), f))
+
+
+def laplacian_power(f: PolyBumpField, times: int = 1) -> PolyBumpField:
+    """Componentwise Laplacian iterated ``times`` times."""
+    out = f
+    for _ in range(times):
+        out = PolyBumpField(out.n, out.m, out.rho, out.power - 2,
+                            stack=_apply(_stencil(_laplacian_terms, out.n, out.m, 0), out))
+    return out
+
+
+def potential_field(v: PolyBumpField, order: int = 1) -> PolyBumpField:
+    """d^order v."""
+    f = v
+    for _ in range(order):
+        f = inner_derivative(f)
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -430,18 +557,17 @@ def _position_splits(values, sizes):
 
 
 def saint_venant_W_component(f: PolyBumpField, i_group, j_group) -> Polynomial:
-    """One component of W f from the defining alternating-sum formula."""
+    """One component of W f from the defining alternating-sum formula, on
+    the dict derivative cores."""
     m = f.m
-    total = Polynomial.zero(f.n)
-    for p in range(m + 1):
-        sign = (-1) ** p * math.comb(m, p)
-        acc = Polynomial.zero(f.n)
-        for (i_comp, i_der), wi in _position_splits(i_group, (m - p, p)):
-            for (j_comp, j_der), wj in _position_splits(j_group, (p, m - p)):
-                term = f.derivative_core(i_comp + j_comp, tuple(sorted(i_der + j_der)))
-                acc = acc + term * (wi * wj)
-        total = total + acc * sign
-    return total
+    terms = [(f.derivative_core(i_comp + j_comp, tuple(sorted(i_der + j_der))),
+              (-1) ** p * math.comb(m, p) * wi * wj)
+             for p in range(m + 1)
+             for (i_comp, i_der), wi in _position_splits(i_group, (m - p, p))
+             for (j_comp, j_der), wj in _position_splits(j_group, (p, m - p))]
+    den = math.lcm(*(w.denominator for _, w in terms))
+    return linear_combination(f.n, ((core, int(w * den)) for core, w in terms),
+                              Fraction(1, den))
 
 
 def saint_venant_W(f: PolyBumpField) -> PairSymTensorField:
@@ -464,12 +590,10 @@ def pair_alternations(pairs):
 
 def operator_R_component(f: PolyBumpField, pairs_idx, fixed=()) -> Polynomial:
     """alpha-alternated m-fold derivative; ``fixed`` are spectator indices."""
-    npairs = len(pairs_idx) // 2
-    total = Polynomial.zero(f.n)
-    for comp, der, sign in pair_alternations(zip(pairs_idx[0::2], pairs_idx[1::2])):
-        term = f.derivative_core(comp + tuple(fixed), tuple(sorted(der)))
-        total = total + term * Fraction(sign, 2 ** npairs)
-    return total
+    return linear_combination(f.n, (
+        (f.derivative_core(comp + tuple(fixed), tuple(sorted(der))), sign)
+        for comp, der, sign in pair_alternations(zip(pairs_idx[0::2], pairs_idx[1::2]))),
+        Fraction(1, 2 ** (len(pairs_idx) // 2)))
 
 
 def operator_R(f: PolyBumpField) -> PairSymTensorField:
@@ -477,129 +601,27 @@ def operator_R(f: PolyBumpField) -> PairSymTensorField:
     return generalized_R(f, 0)
 
 
-# ---------------------------------------------------------------------------
-# compiled stencils
-# ---------------------------------------------------------------------------
-
-#: (term generator, n, m, k) -> compiled stencil; filled on first use.
-_STENCILS = {}
-
-
-def _stencil(terms, n, m, k):
-    """The stencil of one whole-field operator at (n, m, k), compiled once.
-
-    ``terms(n, m, k)`` yields ``(output key, atom, weight)`` with
-    ``Fraction`` weights; an atom is whatever the operator reads, such as a
-    (component, sorted derivative axes) pair of a field or a canonical key
-    of a pair-structured field.  The stencil is ``(rows, denom)``: ``rows``
-    maps each output key to its merged atoms ``((atom, numerator), ...)``
-    with ``int`` numerators, and ``denom`` is one ``int`` shared by every
-    row, so an output component is ``sum(numerator * core(atom)) / denom``.
-    """
-    got = _STENCILS.get((terms, n, m, k))
-    if got is None:
-        rows = collections.defaultdict(collections.Counter)
-        for key, atom, weight in terms(n, m, k):
-            rows[key][atom] += weight
-        denom = math.lcm(*(w.denominator for row in rows.values() for w in row.values()))
-        got = ({key: tuple((atom, int(w * denom)) for atom, w in row.items() if w)
-                for key, row in rows.items()}, denom)
-        _STENCILS[(terms, n, m, k)] = got
-    return got
-
-
-def _apply_stencil(stencil, n, atom_core, scale=1):
-    """{output key: component} of a stencil applied to atom_core."""
-    rows, denom = stencil
-    scale = scale * Fraction(1, denom)
-    return {key: linear_combination(n, ((atom_core(atom), c) for atom, c in atoms),
-                                    scale)
-            for key, atoms in rows.items()}
-
-
-def _w_terms(n, m, k):
-    """W^k: the symmetrized alternating sum over the m-k derivative slots."""
-    mk = m - k
-    for key in PairSymTensorField(n, 0, (mk, m), None, 0).canonical_keys():
-        p_group, qi_group = key[1]
-        for l in range(mk + 1):
-            sign = (-1) ** l * math.comb(mk, l)
-            for (p_comp, p_der), wp in _position_splits(p_group, (mk - l, l)):
-                for (q_comp, q_der, i_fixed), wq in _position_splits(
-                        qi_group, (l, mk - l, k)):
-                    yield key, (tuple(sorted(p_comp + q_comp + i_fixed)),
-                                tuple(sorted(p_der + q_der))), sign * wp * wq
-
-
-def _r_terms(n, m, k):
-    """R^k: pairwise alternation of the m-k derivative slots."""
-    for key in PairSymTensorField(n, m - k, (k,), None, 0).canonical_keys():
-        pairs, (fixed,) = key
-        for comp, der, sign in pair_alternations(pairs):
-            yield key, (tuple(sorted(comp + fixed)), tuple(sorted(der))), \
-                Fraction(sign, 2 ** (m - k))
-
-
-def _lower_r_terms(n, m, k):
-    """R^{k-1} from R^k: atoms are (R^k key, derivative axis)."""
-    src = PairSymTensorField(n, m - k, (k,), None, 0)
-    for key in PairSymTensorField(n, m - k + 1, (k - 1,), None, 0).canonical_keys():
-        pairs, (fixed,) = key
-        old_flat = tuple(x for pq in pairs[:-1] for x in pq)
-        for (a,), (b,), sign in pair_alternations(pairs[-1:]):
-            got = src.canonicalize(old_flat + (a,) + fixed)
-            if got is not None:
-                yield key, (got[0], b), Fraction(sign * got[1], 2)
-
-
-def _r_to_w_terms(n, m, k):
-    """W^k from R^k: 2^(m-k) times the average over both symmetrizations."""
-    mk = m - k
-    src = PairSymTensorField(n, mk, (k,), None, 0)
-    count = math.factorial(mk) * math.factorial(m)
-    for key in PairSymTensorField(n, 0, (mk, m), None, 0).canonical_keys():
-        p_group, qi_group = key[1]
-        for p_perm in itertools.permutations(p_group):
-            for qi_perm in itertools.permutations(qi_group):
-                flat = [x for t in range(mk) for x in (p_perm[t], qi_perm[t])]
-                got = src.canonicalize(flat + list(qi_perm[mk:]))
-                if got is not None:
-                    yield key, got[0], Fraction(2 ** mk * got[1], count)
-
-
-def _w_to_r_terms(n, m, k):
-    """R^k from W^k without the constant: pairwise alternation over 2^(m-k)."""
-    mk = m - k
-    src = PairSymTensorField(n, 0, (mk, m), None, 0)
-    for key in PairSymTensorField(n, mk, (k,), None, 0).canonical_keys():
-        pairs, (fixed,) = key
-        for p_part, q_part, sign in pair_alternations(pairs):
-            yield key, src.canonicalize(p_part + q_part + fixed)[0], \
-                Fraction(sign, 2 ** mk)
-
-
 def generalized_W(f: PolyBumpField, k: int) -> PairSymTensorField:
     """Order-(m-k) generalization; k=0 is W, k=m the identity embedding."""
     m = f.m
     if not 0 <= k <= m:
         raise ValueError("k out of range")
-    _require_budget(f, m - k)
-    comps = _apply_stencil(_stencil(_w_terms, f.n, m, k), f.n,
-                           lambda atom: f.derivative_core(*atom))
-    return PairSymTensorField(f.n, 0, (m - k, m), f.rho,
-                              f.power - (m - k) if f.rho is not None else 0, comps)
+    return PairSymTensorField(f.n, 0, (m - k, m), f.rho, f.power - (m - k),
+                              stack=_apply(_stencil(_w_terms, f.n, m, k), f))
 
 
 def generalized_W_component(f: PolyBumpField, k, p_group, qi_group) -> Polynomial:
     """One component of W^k f; qi_group holds the m-k q's and the k i's.
 
-    The component is symmetric within each group, so any ordering reads the
-    stencil row of the sorted groups.
+    The compiled stencil row on the dict derivative cores, summed by
+    ``linear_combination``.  The component is symmetric within each group,
+    so any ordering reads the stencil row of the sorted groups.
     """
-    rows, denom = _stencil(_w_terms, f.n, f.m, k)
-    atoms = rows.get(((), (tuple(sorted(p_group)), tuple(sorted(qi_group)))), ())
-    return linear_combination(f.n, ((f.derivative_core(*atom), c) for atom, c in atoms),
-                              Fraction(1, denom))
+    st = _stencil(_w_terms, f.n, f.m, k)
+    key = ((), (tuple(sorted(p_group)), tuple(sorted(qi_group))))
+    row = st.matrix[st.out_rows.index(key)]
+    return linear_combination(f.n, ((f.derivative_core(*st.columns[j]), int(row[j]))
+                                    for j in np.flatnonzero(row)), Fraction(1, st.denom))
 
 
 def generalized_R(f: PolyBumpField, k: int) -> PairSymTensorField:
@@ -607,11 +629,8 @@ def generalized_R(f: PolyBumpField, k: int) -> PairSymTensorField:
     m = f.m
     if not 0 <= k <= m:
         raise ValueError("k out of range")
-    _require_budget(f, m - k)
-    comps = _apply_stencil(_stencil(_r_terms, f.n, m, k), f.n,
-                           lambda atom: f.derivative_core(*atom))
-    return PairSymTensorField(f.n, m - k, (k,), f.rho,
-                              f.power - (m - k) if f.rho is not None else 0, comps)
+    return PairSymTensorField(f.n, m - k, (k,), f.rho, f.power - (m - k),
+                              stack=_apply(_stencil(_r_terms, f.n, m, k), f))
 
 
 def lower_generalized_R(rkf: PairSymTensorField) -> PairSymTensorField:
@@ -623,18 +642,9 @@ def lower_generalized_R(rkf: PairSymTensorField) -> PairSymTensorField:
     k = rkf.blocks[0]
     if k == 0:
         raise ValueError("already at k=0")
-    _require_budget(rkf, 1)
-
-    @functools.lru_cache(maxsize=None)
-    def atom_core(atom):
-        key, axis = atom
-        return bump_core_diff(rkf.comps.get(key, Polynomial.zero(rkf.n)), axis,
-                              rkf.rho, rkf.power)
-
-    comps = _apply_stencil(_stencil(_lower_r_terms, rkf.n, rkf.npairs + k, k),
-                           rkf.n, atom_core)
-    return PairSymTensorField(rkf.n, rkf.npairs + 1, (k - 1,), rkf.rho,
-                              rkf.power - 1 if rkf.rho is not None else 0, comps)
+    stack = _apply(_stencil(_lower_r_terms, rkf.n, rkf.npairs + k, k), rkf)
+    return PairSymTensorField(rkf.n, rkf.npairs + 1, (k - 1,), rkf.rho, rkf.power - 1,
+                              stack=stack)
 
 
 # ---------------------------------------------------------------------------
@@ -651,18 +661,13 @@ def w_to_r(wf: PairSymTensorField, m: int, constant=None) -> PairSymTensorField:
     return generalized_w_to_r(wf, m, 0, constant)
 
 
-def _key_atom(field: PairSymTensorField):
-    zero = Polynomial.zero(field.n)
-    return lambda key: field.comps.get(key, zero)
-
-
 def generalized_r_to_w(rkf: PairSymTensorField, m: int, k: int) -> PairSymTensorField:
     """W^k from R^k: 2^{m-k} with both partial symmetrizations."""
     mk = m - k
     if rkf.npairs != mk or rkf.blocks != (k,):
         raise ValueError("input does not have R^k structure")
-    comps = _apply_stencil(_stencil(_r_to_w_terms, rkf.n, m, k), rkf.n, _key_atom(rkf))
-    return PairSymTensorField(rkf.n, 0, (mk, m), rkf.rho, rkf.power, comps)
+    return PairSymTensorField(rkf.n, 0, (mk, m), rkf.rho, rkf.power,
+                              stack=_apply(_stencil(_r_to_w_terms, rkf.n, m, k), rkf))
 
 
 def generalized_w_to_r(wkf: PairSymTensorField, m: int, k: int,
@@ -678,9 +683,8 @@ def generalized_w_to_r(wkf: PairSymTensorField, m: int, k: int,
         raise ValueError("input does not have W^k structure")
     if constant is None:
         constant = Fraction(math.comb(m, k), mk + 1)
-    comps = _apply_stencil(_stencil(_w_to_r_terms, wkf.n, m, k), wkf.n, _key_atom(wkf),
-                           constant)
-    return PairSymTensorField(wkf.n, mk, (k,), wkf.rho, wkf.power, comps)
+    stack = _apply(_stencil(_w_to_r_terms, wkf.n, m, k), wkf, constant)
+    return PairSymTensorField(wkf.n, mk, (k,), wkf.rho, wkf.power, stack=stack)
 
 
 def solve_w_to_r_constant(n, m, k, rng, trials=3):

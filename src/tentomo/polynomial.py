@@ -7,10 +7,20 @@ for quadrature paths); all operations are coefficient-type agnostic.  Exact
 products and linear combinations run on ``int`` numerators over one common
 denominator and reduce each result coefficient once, instead of paying the
 gcd normalization of every ``Fraction`` operation.
+
+``CoreStack`` is the exact engine of the operator paths: many cores stacked
+as rows of one dense integer array over one common ``int`` denominator.  Its
+kernels (the quadric derivative of every row, a compiled stencil as one
+integer matrix product, the exact-zero test) run in int64 while a proven
+bound on every entry and partial sum stays below ``INT64_LIMIT`` = 2^62, and
+on ``object`` arrays of Python ints above it, so no kernel can overflow.
+The dict ``Polynomial``, ``quadric_derivative`` and ``linear_combination``
+stay as the general type and as the independent oracles of those kernels.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -20,6 +30,9 @@ import numpy as np
 
 #: Guardrail for runaway symbolic growth; operations raise beyond this.
 TERM_LIMIT = 10**6
+
+#: CoreStack arithmetic runs in int64 while its proven bound is below this.
+INT64_LIMIT = 2**62
 
 
 class PolynomialSizeError(RuntimeError):
@@ -308,6 +321,155 @@ def quadric_derivative(p, axis, c0, sigma, e) -> Polynomial:
                 side = down[:i] + (down[i] + 2,) + down[i + 1:]
                 terms[side] = get(side, 0) + scale * k * c
     return Polynomial(p.n, _over(terms, 1, d * den) if exact else terms)
+
+
+def _dtype(bound, *arrays):
+    """int64 for integers bounded by ``bound`` below INT64_LIMIT, unless an
+    array already holds Python ints; ``object`` (Python ints) otherwise."""
+    small = bound < INT64_LIMIT and all(a.dtype != object for a in arrays)
+    return np.int64 if small else object
+
+
+def exact_array(values):
+    """Integers as an int64 array when every |value| is below INT64_LIMIT,
+    and as an array of Python ints otherwise."""
+    arr = np.array(values, dtype=object)
+    return arr.astype(_dtype(int(np.abs(arr).max(initial=0))))
+
+
+def exact_matmul(left, right, bound):
+    """left @ right of integer arrays; ``bound`` bounds |every partial sum|,
+    and the product runs in the ``_dtype`` of that bound."""
+    dtype = _dtype(bound, left, right)
+    return left.astype(dtype, copy=False) @ right.astype(dtype, copy=False)
+
+
+@functools.lru_cache(maxsize=None)
+def _window(n, width, axis=0, by=0):
+    """Index of every row's cube [0, width)^n, moved by ``by`` along ``axis``."""
+    return (slice(None),) + tuple(slice(by * (j == axis), by * (j == axis) + width)
+                                  for j in range(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _exponents(n, side, axis):
+    """1, .., side - 1 along ``axis`` of a stack's array, for broadcasting."""
+    return np.arange(1, side).reshape((-1,) + (1,) * (n - 1 - axis))
+
+
+class CoreStack:
+    """Exact polynomial cores in ``n`` variables, stacked as rows.
+
+    ``arr[r, a_0, .., a_{n-1}] / den`` is the coefficient of x^a in row r.
+    Every axis has the same length, the side, and every row has total degree
+    below it.  ``bound`` is the largest |entry|, measured after each kernel;
+    ``arr`` is int64 below INT64_LIMIT and holds Python ints above it.
+    """
+
+    __slots__ = ("n", "arr", "den", "bound")
+
+    def __init__(self, n, arr, den=1):
+        self.n, self.den = n, den
+        self.bound = int(np.abs(arr).max(initial=0))
+        self.arr = arr.astype(_dtype(self.bound), copy=False)
+
+    @classmethod
+    def from_polys(cls, n, polys):
+        """Rows of exact (``int`` or ``Fraction``) polynomials."""
+        forms = [p._integer_form() for p in polys]
+        if None in forms:
+            raise TypeError("stacked cores need int or Fraction coefficients")
+        den = math.lcm(*(d for _, d in forms))
+        side = max([0] + [p.degree() for p in polys]) + 1
+        arr = np.zeros((len(polys),) + (side,) * n, dtype=object)
+        for r, (terms, d) in enumerate(forms):
+            for e, c in terms.items():
+                arr[(r,) + e] = c * (den // d)
+        return cls(n, arr, den)
+
+    @classmethod
+    def vstack(cls, n, stacks):
+        """The rows of every stack in turn, over one denominator and side."""
+        den = math.lcm(*(s.den for s in stacks))
+        side = max(s.side for s in stacks)
+        dtype = _dtype(max(s.bound * (den // s.den) for s in stacks))
+        parts = []
+        for s in stacks:
+            part = s.arr.astype(dtype) * (den // s.den) if s.den != den else s.arr
+            if s.side < side:
+                part, inner = np.zeros((len(part),) + (side,) * n, dtype), part
+                part[_window(n, s.side)] = inner
+            parts.append(part)
+        return cls(n, np.concatenate(parts), den)
+
+    @property
+    def side(self):
+        return self.arr.shape[1]
+
+    def is_zero(self):
+        return not self.arr.any()
+
+    def max_abs(self) -> Fraction:
+        """Largest |coefficient| of any row."""
+        return Fraction(self.bound, self.den)
+
+    def __sub__(self, other):
+        a, b = CoreStack.vstack(self.n, [self, other]).arr.reshape(
+            (2, len(self.arr)) + (max(self.side, other.side),) * self.n)
+        return CoreStack(self.n, a - b, math.lcm(self.den, other.den))
+
+    def scale(self, c):
+        c = Fraction(c)
+        dtype = _dtype(self.bound * max(abs(c.numerator), 1))
+        return CoreStack(self.n, self.arr.astype(dtype) * c.numerator,
+                         self.den * c.denominator)
+
+    def polys(self):
+        """Every row as a ``Polynomial``, in one pass over the nonzero entries."""
+        rows, *exps = np.nonzero(self.arr)
+        coeffs = self.arr[(rows, *exps)].tolist()
+        if self.den != 1:
+            coeffs = [Fraction(c, self.den) for c in coeffs]
+        terms = [{} for _ in range(len(self.arr))]
+        for r, e, c in zip(rows.tolist(), zip(*(ix.tolist() for ix in exps)), coeffs):
+            terms[r][e] = c
+        return [Polynomial(self.n, t) for t in terms]
+
+    def quadric_diff(self, axis, c0, sigma, e) -> "CoreStack":
+        """Q d_axis p + 2 sigma e x_axis p, Q = c0 + sigma |x|^2 (c0 an ``int``
+        or ``Fraction``), for every row p at once: ``quadric_derivative`` by
+        shifted slices and an index multiply.  The side grows by one, or
+        shrinks by one when sigma = 0.
+        """
+        num, s, two_se = c0.numerator, sigma * c0.denominator, 2 * sigma * e * c0.denominator
+        side, n = self.side, self.n
+        bound = ((abs(num) + n * abs(s)) * (side - 1) + abs(two_se)) * self.bound
+        dtype = _dtype(max(bound, self.bound, abs(num), abs(s), abs(two_se)))
+        arr = self.arr.astype(dtype, copy=False)
+        out = np.zeros((len(arr),) + (side + 1 if sigma else max(side - 1, 1),) * n, dtype)
+        # d_axis p has degree below side - 1, so side - 1 covers every axis
+        dp = arr[_window(n, side - 1, axis, 1)] * _exponents(n, side, axis)
+        if num:
+            out[_window(n, side - 1)] += num * dp
+        if s:
+            dp = s * dp
+            for i in range(n):
+                out[_window(n, side - 1, i, 2)] += dp
+        if two_se:
+            out[_window(n, side, axis, 1)] += two_se * arr
+        return CoreStack(n, out, self.den * c0.denominator)
+
+    def combine(self, matrix, denom, rowsum) -> "CoreStack":
+        """Rows sum_j matrix[i, j] row_j / denom: a compiled stencil as one
+        integer matrix product over the columns some row uses; ``rowsum``
+        is the largest absolute row sum of ``matrix``."""
+        flat = self.arr.reshape(len(self.arr), -1)
+        live = flat.any(axis=0)
+        prod = exact_matmul(matrix, flat[:, live], rowsum * self.bound)
+        out = np.zeros((len(matrix), flat.shape[1]), prod.dtype)
+        out[:, live] = prod
+        return CoreStack(self.n, out.reshape((len(matrix),) + self.arr.shape[1:]),
+                         self.den * denom)
 
 
 def random_polynomial(n, degree, rng, lo=-3, hi=3):

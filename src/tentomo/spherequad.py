@@ -12,6 +12,7 @@ so identity residuals on this path are exact rationals, not tolerances.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import math
@@ -20,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .polynomial import Polynomial, quadric_derivative
+from .polynomial import CoreStack, Polynomial, exact_array, exact_matmul
 
 
 class PiRational:
@@ -171,11 +172,11 @@ def integrate_core_over_ball(core: Polynomial, power, rho=Fraction(1)):
 # ---------------------------------------------------------------------------
 
 class HomogeneousRational:
-    """xi -> p(xi)/|xi|^{2r}; closed under differentiation.
+    """xi -> p(xi)/|xi|^{2r}.
 
     The homogeneity degree is deg(p) - 2r; the restriction to the unit sphere
-    is the restriction of the numerator.  Iterated derivatives are memoized
-    per instance (see ``diff_multi``).
+    is the restriction of the numerator.  ``verify_ibp`` differentiates it
+    by the quotient rule, as a stack of numerators.
     """
 
     def __init__(self, numerator: Polynomial, pow2r: int = 0):
@@ -186,8 +187,6 @@ class HomogeneousRational:
         self.n = numerator.n
         self.numerator = numerator
         self.pow2r = pow2r
-        self._dcache = {}
-        self._moments = {}
 
     @property
     def degree(self):
@@ -196,43 +195,12 @@ class HomogeneousRational:
             return None
         return self.numerator.degree() - 2 * self.pow2r
 
-    def diff(self, axis) -> "HomogeneousRational":
-        """Quotient rule ((dp)|xi|^2 - 2r p xi_a) / |xi|^{2(r+1)}: the
-        quadric derivative of p * Q^{-r} with Q = |xi|^2 (c0 = 0, sigma = 1)."""
-        num = quadric_derivative(self.numerator, axis, 0, 1, -self.pow2r)
-        return HomogeneousRational(num, self.pow2r + 1)
-
-    def diff_multi(self, axes) -> "HomogeneousRational":
-        """Iterated derivative, memoized by the sorted axis tuple.
-
-        Partial derivatives commute and every order of s steps ends at
-        pow2r = r + s, so every order gives the same exact numerator; the
-        cache keys on the sorted tuple and shares its prefixes.
-        """
-        key = tuple(sorted(axes))
-        if not key:
-            return self
-        out = self._dcache.get(key)
-        if out is None:
-            out = self.diff_multi(key[:-1]).diff(key[-1])
-            self._dcache[key] = out
-        return out
-
     def value(self, xi):
         norm2 = sum(c * c for c in xi)
         return self.numerator.eval(xi) / norm2 ** self.pow2r
 
     def sphere_integral(self, exact=True):
         return polynomial_sphere_integral(self.numerator, exact=exact)
-
-    def _sphere_moment(self, exps) -> PiRational:
-        """int_S xi^exps p(xi) dS, exactly; memoized per exponent tuple."""
-        got = self._moments.get(exps)
-        if got is None:
-            got = polynomial_sphere_integral(
-                Polynomial.monomial(self.n, exps) * self.numerator)
-            self._moments[exps] = got
-        return got
 
     def ball_integral(self, exact=True):
         """Radial-times-angular factorization; needs n + degree > 0."""
@@ -270,26 +238,16 @@ def metric_power_weight(n, idx, l) -> Polynomial:
 
     Equals sigma(i_1..i_s)[delta_{i1 i2}..delta_{i_{2l-1} i_{2l}}
     xi_{i_{2l+1}}..xi_{i_s}]; the dropped |xi|^{2l} factor is 1 on the sphere.
+    Counted instead of permuted: with c_v copies of axis v in the index, a
+    permutation whose l leading pairs hold d_v pairs of v leaves the monomial
+    xi^e, e_v = c_v - 2 d_v.  Of the s! permutations,
+    prod(c_v!) * l!/prod(d_v!) * (s-2l)!/prod(e_v!) do so: distinct pair
+    sequences times distinct tails times the reorderings of equal values.
     """
-    if 2 * l > len(idx):
+    s = len(idx)
+    if 2 * l > s:
         raise ValueError("too many metric factors")
-    counts = [0] * n
-    for v in idx:
-        counts[v] += 1
-    return _metric_power_weight(n, tuple(counts), l)
-
-
-@lru_cache(maxsize=None)
-def _metric_power_weight(n, counts, l) -> Polynomial:
-    """metric_power_weight by counting instead of permuting.
-
-    With c_v copies of axis v in the index, a permutation whose l leading
-    pairs hold d_v pairs of v leaves the monomial xi^e, e_v = c_v - 2 d_v.
-    Of the s! permutations, prod(c_v!) * l!/prod(d_v!) * (s-2l)!/prod(e_v!)
-    do so: distinct pair sequences times distinct tails times the
-    reorderings of equal values.
-    """
-    s = sum(counts)
+    counts = [list(idx).count(v) for v in range(n)]
     fixed = math.prod(math.factorial(c) for c in counts) \
         * math.factorial(l) * math.factorial(s - 2 * l)
     terms = {}
@@ -303,28 +261,94 @@ def _metric_power_weight(n, counts, l) -> Polynomial:
     return Polynomial(n, terms)
 
 
-def verify_ibp(g: HomogeneousRational, idx) -> PiRational:
-    """LHS - RHS of the sphere integration-by-parts identity, exactly.
+@lru_cache(maxsize=None)
+def _sphere_table(n, side):
+    """Sphere integrals of the monomials xi^a with every a_i < side, for
+    ``CoreStack`` rows of that side: (flat positions of the nonzero ones,
+    their integer numerators, one denominator, the one power of pi that
+    every nonzero integral in dimension n carries)."""
+    grid = list(itertools.product(range(0, side, 2), repeat=n))
+    values = [_monomial_sphere_exact(n, tuple(sorted(e))) for e in grid]
+    den = math.lcm(*(v.coef.denominator for v in values))
+    nums = exact_array([v.coef.numerator * (den // v.coef.denominator) for v in values])
+    return np.ravel_multi_index(np.array(grid).T, (side,) * n), nums, den, values[0].pi_pow
+
+
+@lru_cache(maxsize=None)
+def _ibp_weights(n, s):
+    """The right-hand side of the IBP identity as one integer matrix: row I
+    holds sum_l c_{l,s} (i^l j^l xi^(.s))_I on the sphere, as coefficients
+    of the monomials xi^e of ``exps``, over one denominator.  Returns
+    (index multisets, exps, matrix, denominator, largest absolute row sum)."""
+    multisets = tuple(itertools.combinations_with_replacement(range(n), s))
+    rows = []
+    for idx in multisets:
+        row = collections.defaultdict(Fraction)
+        for l in range(s // 2 + 1):
+            c = c_constant(l, s, n)
+            for e, w in metric_power_weight(n, idx, l).terms.items():
+                row[e] += c * w
+        rows.append(row)
+    exps = sorted({e for row in rows for e in row})
+    den = math.lcm(*(w.denominator for row in rows for w in row.values()))
+    matrix = [[int(row.get(e, 0) * den) for e in exps] for row in rows]
+    return multisets, exps, exact_array(matrix), den, max(sum(map(abs, r)) for r in matrix)
+
+
+def _derivative_tree(g: HomogeneousRational, s):
+    """(multisets, stack): row I of the stack is the numerator of d_I g over
+    |xi|^{2(r+s)}, for every sorted index multiset I of length s.  Level j+1
+    takes the quotient rule of level j's rows along each axis a, on the rows
+    whose multiset ends at or below a, so every row is derived once."""
+    keys, level = [()], CoreStack.from_polys(g.n, [g.numerator])
+    for j in range(s):
+        parts, grown = [], []
+        for a in range(g.n):
+            rows = [r for r, key in enumerate(keys) if not key or key[-1] <= a]
+            parts.append(CoreStack(g.n, level.arr[rows], level.den).quadric_diff(
+                a, 0, 1, -(g.pow2r + j)))
+            grown += [keys[r] + (a,) for r in rows]
+        keys, level = grown, CoreStack.vstack(g.n, parts)
+    return keys, level
+
+
+def _sphere_integrals(stack):
+    """(integer numerators, denominator, power of pi) of the sphere integral
+    of every row: one integer dot product with the monomial table."""
+    pos, nums, den, pi_pow = _sphere_table(stack.n, stack.side)
+    flat = stack.arr.reshape(len(stack.arr), -1)[:, pos]
+    bound = stack.bound * sum(map(abs, nums.tolist()))
+    return exact_matmul(flat, nums, bound), stack.den * den, pi_pow
+
+
+def verify_ibp(g: HomogeneousRational, s) -> dict:
+    """LHS - RHS of the sphere integration-by-parts identity, exactly, for
+    every sorted index multiset I of length s: {I: PiRational}.
 
     LHS = int_S d^s g / d xi_{i_1}..d xi_{i_s};
-    RHS = sum_l c_{l,s} int_S (i^l j^l xi^(.s))_{idx} g.
-    Requires g positive homogeneous of degree s-1.  The RHS integrals are
-    linear in the weight polynomial, so they are summed from the moments
-    int_S xi^e g of its monomials.
+    RHS = sum_l c_{l,s} int_S (i^l j^l xi^(.s))_I g.
+    Requires g positive homogeneous of degree s-1.  The residual depends on
+    an index only through its multiset.  The left-hand sides come from the
+    derivative tree; the right-hand sides are the cached weight matrix of
+    (n, s) times the moment vector int_S xi^e g, which is the sphere
+    integral of the numerator's rows shifted by every xi^e.
     """
-    s = len(idx)
+    multisets, exps, weights, wden, rowsum = _ibp_weights(g.n, s)
     if g.degree is None:
-        return PiRational(0)
+        return {idx: PiRational(0) for idx in multisets}
     if g.degree != s - 1:
         raise ValueError(f"need homogeneity degree {s - 1}, got {g.degree}")
-    lhs = g.diff_multi(idx).sphere_integral()
-    rhs = PiRational(0)
-    for l in range(s // 2 + 1):
-        weight = metric_power_weight(g.n, idx, l)
-        integral = sum((g._sphere_moment(e) * w for e, w in weight.terms.items()),
-                       PiRational(0))
-        rhs = rhs + integral * c_constant(l, s, g.n)
-    return lhs - rhs
+    keys, tree = _derivative_tree(g, s)
+    lhs, lhs_den, pi_pow = _sphere_integrals(tree)
+    lhs = dict(zip(keys, lhs.tolist()))
+    p = CoreStack.from_polys(g.n, [g.numerator])
+    shifted = np.zeros((len(exps),) + (p.side + s,) * g.n, dtype=p.arr.dtype)
+    for r, e in enumerate(exps):
+        shifted[(r,) + tuple(slice(a, a + p.side) for a in e)] = p.arr[0]
+    moments, mden, _ = _sphere_integrals(CoreStack(g.n, shifted, p.den))
+    rhs = exact_matmul(weights, moments, rowsum * int(np.abs(moments).max(initial=0))).tolist()
+    return {idx: PiRational(Fraction(lhs[idx], lhs_den) - Fraction(r, wden * mden), pi_pow)
+            for idx, r in zip(multisets, rhs)}
 
 
 # ---------------------------------------------------------------------------

@@ -112,7 +112,8 @@ class DenseTensor:
         return all(v == 0 for v in self.entries.values())
 
     def max_abs(self):
-        return worst(abs(v) for v in self.entries.values())
+        """Largest |entry|; entries not stored are 0."""
+        return worst([0.0, *map(abs, self.entries.values())])
 
 
 class SymTensor:
@@ -178,7 +179,8 @@ class SymTensor:
         return all(v == 0 for v in self.data.values())
 
     def max_abs(self):
-        return worst(abs(v) for v in self.data.values())
+        """Largest |entry|; entries not stored are 0."""
+        return worst([0.0, *map(abs, self.data.values())])
 
     def map_values(self, func):
         return SymTensor(self.n, self.m,

@@ -4,7 +4,8 @@ import math
 
 
 def worst(values):
-    """Largest value; NaN if any value is NaN, and 0.0 for no values.
+    """Largest value; NaN if any value is NaN, and NaN for no values, so a
+    check that sampled nothing fails.
 
     ``max`` keeps its candidate when a comparison is false, as every
     comparison with NaN is, so ``max(0.0, nan)`` drops the NaN.
@@ -15,7 +16,7 @@ def worst(values):
             return math.nan
         if out is None or v > out:
             out = v
-    return 0.0 if out is None else out
+    return math.nan if out is None else out
 
 
 def check_row(name, value, tolerance, parameters=None, mode="below", seconds=0.0):

@@ -6,7 +6,6 @@ quadrature criteria assert the stated tolerance at the stated rule degree;
 grid criteria assert the stated relative L2 bounds.
 """
 
-import itertools
 import math
 import time
 
@@ -121,8 +120,7 @@ def test_criterion_3_ibp_exact():
                 r = child.randint(0, 2)
                 g = sq.HomogeneousRational(
                     random_homogeneous(n, s - 1 + 2 * r, child), r)
-                for idx in itertools.product(range(n), repeat=s):
-                    ok &= sq.verify_ibp(g, idx).is_zero()
+                ok &= all(r.is_zero() for r in sq.verify_ibp(g, s).values())
     spot = sq.c_constant(0, 1, 2) == 1 and sq.c_constant(0, 1, 3) == 2
     spot &= sq.c_constant(1, 2, 3) == -2
     for n in (2, 3):

@@ -290,6 +290,23 @@ class TestTopLevel:
         assert main(["run", "--config", path]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_seed_flag_goes_through_the_table(self, tmp_path, monkeypatch, capsys):
+        # `run --seed -1` used to exit 0 and write "seed": -1 to the report
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", write_config(tmp_path, dict(PASS_CONFIG, seed=-1))]) == 2
+        from_config = capsys.readouterr().err
+        assert from_config.startswith("error: ")
+        assert main(["run", "--config", write_config(tmp_path, PASS_CONFIG),
+                     "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == from_config
+        assert not (tmp_path / "tentomo_out").exists()
+
+    @pytest.mark.parametrize("suite", ["ucp.trt", "ucp.mrt"])
+    def test_suite_defaults_validate_and_run(self, tmp_path, suite):
+        path = write_config(tmp_path, {"schema": 1, "suites": [{"suite": suite}]})
+        assert main(["validate", "--config", path]) == 0
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
+
     def test_out_is_an_existing_file_exit_2(self, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("")
@@ -331,6 +348,14 @@ def test_nan_residual_fails_the_run(tmp_path, monkeypatch, capsys):
     rows = json.loads((out / "report.json").read_text())["suites"][0]["residuals"]
     assert math.isnan(rows[0]["value"]) and not rows[0]["pass"]
     assert "FAIL john_relation_residual" in capsys.readouterr().out
+
+
+def test_a_check_with_no_samples_fails():
+    from tentomo.verdict import check_row, worst
+    assert math.isnan(worst([]))
+    assert math.isnan(worst(v for v in ()))
+    assert not check_row("empty", worst([]), 1e-10)["pass"]
+    assert worst([0.0, 2.5, 1.0]) == 2.5
 
 
 def test_nan_quadrature_error_fails_its_row(monkeypatch):
@@ -394,19 +419,17 @@ class TestEmitTables:
         assert rows[1][5] == "0.1"
 
 
-def test_ibp_rows_are_the_worst_over_every_ordered_index(monkeypatch):
+def test_ibp_rows_are_the_worst_over_every_ordered_index(tilted_sphere):
     # the suite evaluates one index per multiset; each row must still equal
     # the worst residual over every ordered index.  Integrating against
-    # xi_0 dS makes the residuals nonzero, so the comparison has content
+    # xi_0 dS (the fixture) makes the residuals nonzero, so the comparison
+    # has content
     import itertools
 
     import tentomo.spherequad as sq
-    from tentomo.polynomial import Polynomial, random_homogeneous
+    from tentomo.polynomial import random_homogeneous
     from tentomo.rng import SplitMix64
     from tentomo.verdict import worst
-    sphere = sq.polynomial_sphere_integral
-    monkeypatch.setattr(sq, "polynomial_sphere_integral", lambda p, exact=True:
-                        sphere(Polynomial.variable(p.n, 0) * p, exact))
     params = {"n_values": [2, 3], "s_values": [1, 2, 3, 4], "trials_per_case": 2}
     rows = cli._run_ibp(params, SplitMix64(5))
     rng, want = SplitMix64(5), []
@@ -418,7 +441,8 @@ def test_ibp_rows_are_the_worst_over_every_ordered_index(monkeypatch):
                 pow2r = child.randint(0, 2)
                 g = sq.HomogeneousRational(
                     random_homogeneous(n, s - 1 + 2 * pow2r, child), pow2r)
-                res += [abs(float(sq.verify_ibp(g, idx)))
+                residuals = sq.verify_ibp(g, s)
+                res += [abs(float(residuals[tuple(sorted(idx))]))
                         for idx in itertools.product(range(n), repeat=s)]
             want.append(worst(res))
     assert [row["value"] for row in rows if row["name"] == "ibp_residual"] == want

@@ -7,6 +7,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tentomo.polyfield import (BudgetError, PolyBumpField,
@@ -17,9 +18,11 @@ from tentomo.polyfield import (BudgetError, PolyBumpField,
                                laplacian_power, lower_generalized_R,
                                operator_R, operator_R_component,
                                potential_field, r_to_w, random_bump_field,
-                               saint_venant_W, solve_w_to_r_constant, w_to_r)
-from tentomo.polynomial import Polynomial
+                               saint_venant_W, saint_venant_W_component,
+                               solve_w_to_r_constant, w_to_r)
+from tentomo.polynomial import Polynomial, linear_combination
 from tentomo.rng import SplitMix64
+from tentomo.spherequad import HomogeneousRational
 from tentomo.symtensor import canonical_indices
 
 ONE = Fraction(1)
@@ -285,3 +288,131 @@ class TestSerialization:
         comp = f.to_json_dict()["components"][0]
         exps = [tuple(t["exps"]) for t in comp["terms"]]
         assert exps == sorted(exps)
+
+
+# ---------------------------------------------------------------------------
+# the stacked operators against the dict path
+# ---------------------------------------------------------------------------
+
+def dict_stencil(terms, n, m, k, atom_core, scale=1):
+    """{output key: core} of a term generator, summed on the dict path: the
+    enumerated weights merged per atom, then one ``linear_combination`` of
+    dict cores per output component."""
+    out_rows, _in_rows, triples = terms(n, m, k)
+    rows = {key: {} for key in out_rows}
+    for key, atom, weight in triples:
+        rows[key][atom] = rows[key].get(atom, 0) + weight
+    return {key: linear_combination(n, ((atom_core(atom) * w, 1) for atom, w in atoms.items()),
+                                    scale)
+            for key, atoms in rows.items()}
+
+
+def comps_of(field):
+    """Every canonical component, zero ones included, as dict cores."""
+    return {key: field.comps.get(key, Polynomial.zero(field.n)) for key in field.rows()}
+
+
+def oracle_fields(n, m, seed, power=None):
+    """Fields at rho 1, 3/2 and None, with int and with Fraction cores."""
+    rng = SplitMix64(seed)
+    for rho in (1, Fraction(3, 2), None):
+        for kind in ("int", "fraction"):
+            f = random_bump_field(n, m, rng, rho=rho, power=power or m + 2, degree=2,
+                                  label=f"{rho}-{kind}")
+            if kind == "fraction":
+                f = PolyBumpField(n, m, rho, f.power, {
+                    idx: Polynomial(n, {e: Fraction(c, 1 + (i + sum(idx)) % 4)
+                                        for i, (e, c) in enumerate(p.terms.items())})
+                    for idx, p in f.cores.items()})
+            yield f
+
+
+class TestStackAgainstDictOracles:
+    @pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
+    def test_w_and_r_family(self, n, m):
+        from tentomo.polyfield import _lower_r_terms, _r_to_w_terms, _w_to_r_terms
+        for f in oracle_fields(n, m, 200 + 10 * n + m):
+            for k in range(m + 1):
+                wk, rk = generalized_W(f, k), generalized_R(f, k)
+                for key in wk.rows():
+                    p_group, qi_group = key[1]
+                    assert wk.component_core(wk.key_to_index(key)) == \
+                        generalized_W_component(f, k, p_group, qi_group)
+                for key in rk.rows():
+                    flat = rk.key_to_index(key)
+                    assert rk.component_core(flat) == operator_R_component(
+                        f, flat[:2 * (m - k)], flat[2 * (m - k):])
+                w_in, r_in = comps_of(wk), comps_of(rk)
+                assert comps_of(generalized_r_to_w(rk, m, k)) == dict_stencil(
+                    _r_to_w_terms, n, m, k, lambda atom: r_in[atom[0]])
+                const = Fraction(math.comb(m, k), m - k + 1)
+                assert comps_of(generalized_w_to_r(wk, m, k)) == dict_stencil(
+                    _w_to_r_terms, n, m, k, lambda atom: w_in[atom[0]], const)
+                if k:
+                    assert comps_of(lower_generalized_R(rk)) == dict_stencil(
+                        _lower_r_terms, n, m, k, lambda atom: bump_core_diff(
+                            r_in[atom[0]], atom[1][0], rk.rho, rk.power))
+            w = saint_venant_W(f)
+            for key in w.rows():
+                i_group, j_group = key[1]
+                assert w.component_core(w.key_to_index(key)) == \
+                    saint_venant_W_component(f, i_group, j_group)
+            assert comps_of(r_to_w(operator_R(f), m)) == comps_of(saint_venant_W(f))
+            assert comps_of(w_to_r(saint_venant_W(f), m)) == comps_of(operator_R(f))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_d_divergence_laplacian(self, n):
+        for m in (0, 1, 2, 3):
+            for f in oracle_fields(n, m, 300 + 10 * n + m, power=4):
+                df = inner_derivative(f)
+                for idx in canonical_indices(n, m + 1):
+                    assert df.core(idx) == linear_combination(n, (
+                        (f.derivative_core(idx[:p] + idx[p + 1:], (idx[p],)), 1)
+                        for p in range(m + 1)), Fraction(1, m + 1))
+                if m:
+                    div = divergence(f)
+                    for idx in canonical_indices(n, m - 1):
+                        assert div.core(idx) == linear_combination(n, (
+                            (f.derivative_core(idx + (a,), (a,)), 1) for a in range(n)))
+                want = f
+                for times in (1, 2):
+                    lap = laplacian_power(f, times)
+                    want = PolyBumpField(n, m, f.rho, want.power - 2, {
+                        idx: linear_combination(n, ((want.derivative_core(idx, (a, a)), 1)
+                                                    for a in range(n)))
+                        for idx in canonical_indices(n, m)})
+                    assert all(lap.core(idx) == want.core(idx)
+                               for idx in canonical_indices(n, m))
+
+    def test_python_int_fallback_gives_identical_components(self, monkeypatch):
+        # a low int64 limit sends most kernels to Python ints (and some
+        # stacks back to int64 when their measured bound is small again)
+        from tentomo import polynomial
+        from tentomo import spherequad as sq
+        from tentomo.polynomial import random_homogeneous
+
+        def everything(f):
+            out = []
+            for k in range(f.m + 1):
+                wk, rk = generalized_W(f, k), generalized_R(f, k)
+                out += [comps_of(wk), comps_of(rk), comps_of(generalized_r_to_w(rk, f.m, k)),
+                        comps_of(generalized_w_to_r(wk, f.m, k))]
+                if k:
+                    out.append(comps_of(lower_generalized_R(rk)))
+            out.append(inner_derivative(f).cores)
+            return out
+
+        fields = list(oracle_fields(3, 3, 17))
+        g = HomogeneousRational(random_homogeneous(3, 7, SplitMix64(18)), 2)
+        want = [everything(f) for f in fields], sq.verify_ibp(g, 4)
+        dtypes = set()
+        real = polynomial.CoreStack.__init__
+
+        def spy(self, *args, **kwargs):
+            real(self, *args, **kwargs)
+            dtypes.add(self.arr.dtype)
+        monkeypatch.setattr(polynomial, "INT64_LIMIT", 1000)
+        monkeypatch.setattr(polynomial.CoreStack, "__init__", spy)
+        fields = list(oracle_fields(3, 3, 17))
+        assert ([everything(f) for f in fields], sq.verify_ibp(g, 4)) == want
+        assert dtypes == {np.dtype(object), np.dtype(np.int64)}

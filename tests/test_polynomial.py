@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 from tentomo.polyfield import bump_core_diff
-from tentomo.polynomial import (Polynomial, PolynomialSizeError,
+from tentomo.polynomial import (CoreStack, Polynomial, PolynomialSizeError,
                                 linear_combination, quadric_derivative,
                                 random_homogeneous, random_polynomial)
 from tentomo.rng import SplitMix64
-from tentomo.spherequad import HomogeneousRational
 
 
 def test_add_mul_exact():
@@ -142,18 +141,34 @@ class TestQuadricDerivative:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_homogeneous_rational_matches_quotient_rule(self, n):
+        # the stacked kernel with the quotient-rule parameters of
+        # p / |xi|^{2r}: (c0, sigma, e) = (0, 1, -r)
         rng = SplitMix64(50 + n)
         for degree in range(8):
             for pow2r in range(4):
                 numerator = random_homogeneous(n, degree, rng)
                 if (degree + pow2r) % 2:
                     numerator = _with_fractions(numerator)
-                g = HomogeneousRational(numerator, pow2r)
+                stack = CoreStack.from_polys(n, [numerator])
                 for axis in range(n):
-                    got = g.diff(axis)
-                    assert got.pow2r == pow2r + 1
-                    assert got.numerator == product_rule_oracle(
-                        numerator, axis, 0, 1, -pow2r)
+                    got, = stack.quadric_diff(axis, 0, 1, -pow2r).polys()
+                    assert got == product_rule_oracle(numerator, axis, 0, 1, -pow2r)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stacked_kernel_matches_one_core_at_a_time(self, n):
+        # CoreStack.quadric_diff on rows of mixed degree and denominator
+        # against quadric_derivative row by row; sigma = 0 is d/dx_axis
+        rng = SplitMix64(60 + n)
+        for degree in range(7):
+            rows = [random_polynomial(n, d, rng) for d in (degree, degree // 2, 0)]
+            rows[1] = _with_fractions(rows[1])
+            stack = CoreStack.from_polys(n, rows + [Polynomial.zero(n)])
+            assert stack.polys() == rows + [Polynomial.zero(n)]
+            for c0, sigma, e in ((1, -1, 3), (Fraction(9, 4), -1, 2), (0, 1, -2), (1, 0, 0)):
+                for axis in range(n):
+                    want = [quadric_derivative(p, axis, c0, sigma, e) if sigma
+                            else p.diff(axis) for p in rows + [Polynomial.zero(n)]]
+                    assert stack.quadric_diff(axis, c0, sigma, e).polys() == want
 
     def test_float_core_matches_product_rule(self):
         core = _with_fractions(random_polynomial(3, 5, SplitMix64(7))).to_float()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from tentomo.polynomial import Polynomial, random_homogeneous
+from tentomo.polynomial import Polynomial, quadric_derivative, random_homogeneous
 from tentomo import spherequad as sq
 from tentomo.rng import SplitMix64
 from tentomo.spherequad import (HomogeneousRational, PiRational, SphereRule,
@@ -19,6 +19,33 @@ from tentomo.spherequad import (HomogeneousRational, PiRational, SphereRule,
 
 def pi_rat(num, den=1, pow_=1):
     return PiRational(Fraction(num, den), pow_)
+
+
+def derivative(g, multiset):
+    """d_multiset g, read from the derivative tree of ``verify_ibp``."""
+    keys, tree = sq._derivative_tree(g, len(multiset))
+    return HomogeneousRational(tree.polys()[keys.index(multiset)],
+                               g.pow2r + len(multiset))
+
+
+def ibp_residual_oracle(g, idx):
+    """LHS - RHS of the IBP identity at one ordered index, on the dict path:
+    d^s g by chained ``quadric_derivative``, the moments int_S xi^e g by
+    ``polynomial_sphere_integral``, one weight polynomial per l."""
+    s = len(idx)
+    numerator, pow2r = g.numerator, g.pow2r
+    for axis in idx:
+        numerator = quadric_derivative(numerator, axis, 0, 1, -pow2r)
+        pow2r += 1
+    lhs = sq.polynomial_sphere_integral(numerator)
+    rhs = PiRational(0)
+    for l in range(s // 2 + 1):
+        weight = metric_power_weight(g.n, idx, l)
+        integral = sum((sq.polynomial_sphere_integral(
+            Polynomial.monomial(g.n, e) * g.numerator) * w for e, w in weight.terms.items()),
+            PiRational(0))
+        rhs = rhs + integral * c_constant(l, s, g.n)
+    return lhs - rhs
 
 
 class TestMonomialIntegrals:
@@ -55,14 +82,14 @@ class TestHomogeneousRational:
         rng = SplitMix64(1)
         g = HomogeneousRational(random_homogeneous(2, 3, rng), 1)
         assert g.degree == 1
-        dg = g.diff(0)
+        dg = derivative(g, (0,))
         assert dg.degree == 0
         assert dg.pow2r == 2
 
     def test_derivative_matches_finite_differences(self):
         rng = SplitMix64(2)
         g = HomogeneousRational(random_homogeneous(2, 4, rng), 1)
-        dg = g.diff(1)
+        dg = derivative(g, (1,))
         xi = (0.7, -0.4)
         h = 1e-6
         fd = (g.value((xi[0], xi[1] + h)) - g.value((xi[0], xi[1] - h))) / (2 * h)
@@ -125,19 +152,20 @@ class TestConstants:
 class TestIBP:
     def test_s1_constant_g(self):
         g = HomogeneousRational(Polynomial.constant(2, Fraction(1)), 0)
-        assert verify_ibp(g, (0,)).is_zero()
+        assert verify_ibp(g, 1)[(0,)].is_zero()
 
     def test_s1_rational_example(self):
         xy = Polynomial.monomial(2, (1, 1), Fraction(1))
         g = HomogeneousRational(xy, 1)
         # wrong homogeneity degree: needs s-1 = 0, xy/|xi|^2 has degree 0 -> ok
-        assert verify_ibp(g, (0,)).is_zero()
+        assert verify_ibp(g, 1)[(0,)].is_zero()
 
     def test_s2_random_all_pairs(self):
         rng = SplitMix64(3)
         g = HomogeneousRational(random_homogeneous(2, 1, rng), 0)
-        for idx in itertools.product(range(2), repeat=2):
-            assert verify_ibp(g, idx).is_zero()
+        residuals = verify_ibp(g, 2)
+        assert list(residuals) == [(0, 0), (0, 1), (1, 1)]
+        assert all(r.is_zero() for r in residuals.values())
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("s", [1, 2, 3, 4])
@@ -148,18 +176,15 @@ class TestIBP:
             r = child.randint(0, 2)
             g = HomogeneousRational(
                 random_homogeneous(n, s - 1 + 2 * r, child), r)
-            for idx in itertools.product(range(n), repeat=s):
-                assert verify_ibp(g, idx).is_zero()
+            residuals = verify_ibp(g, s)
+            assert list(residuals) == list(
+                itertools.combinations_with_replacement(range(n), s))
+            assert all(r.is_zero() for r in residuals.values())
 
-    def test_residual_depends_only_on_the_index_multiset(self, monkeypatch):
-        # the premise of evaluating one index per multiset.  Both sides of
-        # the identity integrate odd functions, so every true residual is 0
-        # (test_exact_zero_random_corpus checks that); integrating against
-        # xi_0 dS instead makes them nonzero, so the same arithmetic is
-        # compared across orderings on nonzero values
-        sphere = sq.polynomial_sphere_integral
-        monkeypatch.setattr(sq, "polynomial_sphere_integral", lambda p, exact=True:
-                            sphere(Polynomial.variable(p.n, 0) * p, exact))
+    def test_residual_depends_only_on_the_index_multiset(self, tilted_sphere):
+        # the premise of evaluating one index per multiset, on the per-index
+        # oracle; tilted (see the fixture), so orderings are compared on
+        # nonzero values
         n, s = 3, 4
         rng = SplitMix64(94)
         for trial in range(3):
@@ -167,18 +192,35 @@ class TestIBP:
             numerator = random_homogeneous(n, s - 1 + 2 * r, rng)
             if trial == 2:
                 numerator = numerator.map_coeff(lambda c: Fraction(c, 7))
+            g = HomogeneousRational(numerator, r)
             nonzero = False
             for multiset in itertools.combinations_with_replacement(range(n), s):
-                want = verify_ibp(HomogeneousRational(numerator, r), multiset)
+                want = ibp_residual_oracle(g, multiset)
                 nonzero = nonzero or not want.is_zero()
                 for order in set(itertools.permutations(multiset)):
-                    assert verify_ibp(HomogeneousRational(numerator, r), order) == want
+                    assert ibp_residual_oracle(g, order) == want
             assert nonzero
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_multiset_vector_matches_per_index_oracle(self, n, tilted_sphere):
+        # the stacked derivative tree, the monomial table and the weight
+        # matrix against the per-index dict formula, tilted so that the
+        # residuals compared are nonzero; int and Fraction numerators
+        rng = SplitMix64(120 + n)
+        for s in (1, 2, 3, 4):
+            for r in range(3):
+                numerator = random_homogeneous(n, s - 1 + 2 * r, rng)
+                if r == 1:
+                    numerator = numerator.map_coeff(lambda c: Fraction(c, 5))
+                g = HomogeneousRational(numerator, r)
+                got = verify_ibp(g, s)
+                assert all(got[idx] == ibp_residual_oracle(g, idx) for idx in got)
+                assert not all(v.is_zero() for v in got.values())
 
     def test_degree_mismatch_rejected(self):
         g = HomogeneousRational(Polynomial.constant(2, Fraction(1)), 0)
         with pytest.raises(ValueError):
-            verify_ibp(g, (0, 1))
+            verify_ibp(g, 2)
 
     def test_metric_weight_matches_symtensor(self):
         # i^l j^l (xi^(.s)) via the permutation formula agrees with the
@@ -196,24 +238,23 @@ class TestIBP:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_derivative_order_does_not_matter(self, n):
-        # the premise of the diff_multi memo: chaining diff step by step
-        # along any ordering of an axis multiset ends at the same exact
-        # numerator and pow2r
+        # the premise of the derivative tree, one row per sorted multiset:
+        # the quotient rule chained along any ordering of an axis multiset
+        # ends at the same exact numerator, and the tree holds it
         rng = SplitMix64(70 + n)
         g = HomogeneousRational(random_homogeneous(n, 5, rng), 1)
         for s in range(1, 5):
-            for multiset in itertools.combinations_with_replacement(range(n), s):
+            keys, tree = sq._derivative_tree(g, s)
+            assert sorted(keys) == list(itertools.combinations_with_replacement(range(n), s))
+            for multiset in keys:
                 results = set()
                 for order in set(itertools.permutations(multiset)):
-                    out = g
-                    for axis in order:
-                        out = out.diff(axis)
-                    results.add((out.numerator, out.pow2r))
+                    numerator = g.numerator
+                    for step, axis in enumerate(order):
+                        numerator = quadric_derivative(numerator, axis, 0, 1, -1 - step)
+                    results.add(numerator)
                 assert len(results) == 1
-                (numerator, pow2r), = results
-                assert pow2r == 1 + s
-                memo = g.diff_multi(multiset[::-1])
-                assert (memo.numerator, memo.pow2r) == (numerator, pow2r)
+                assert tree.polys()[keys.index(multiset)] == results.pop()
 
 
 class TestRules:
