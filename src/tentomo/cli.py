@@ -176,20 +176,19 @@ def _run_john(params, rng):
         child = rng.split(f"john-{n}-{m}")
         f = pf.random_bump_field(n, m, child, power=2 * m + 2, degree=2,
                                  label="f")
-        res = []
-        for t in range(count):
-            lc = child.split(f"line-{t}")
-            line = xr.Line(lc.point_in_ball(n, 1.5), lc.direction(n))
-            res.append(xr.verify_john_relation(f, line))
-        rows.append(check_row("john_relation_residual", worst(res), tol,
+        children = [child.split(f"line-{t}") for t in range(count)]
+        X = np.array([lc.point_in_ball(n, 1.5) for lc in children])
+        Xi = np.array([lc.direction(n) for lc in children])
+        rows.append(check_row("john_relation_residual",
+                              worst(xr.verify_john_relation(f, X, Xi)), tol,
                               {"n": n, "m": m, "lines": count}))
         # potential fields: both sides vanish
         v = pf.random_bump_field(n, m - 1, child, power=3 * m + 2, degree=2,
                                  label="v")
         pot = pf.inner_derivative(v)
-        line = xr.Line(child.point_in_ball(n, 1.2), child.direction(n))
+        x, xi = child.point_in_ball(n, 1.2), child.direction(n)
         rows.append(check_row("john_relation_potential",
-                              xr.verify_john_relation(pot, line), tol,
+                              worst(xr.verify_john_relation(pot, [x], [xi])), tol,
                               {"n": n, "m": m}))
     return rows
 
@@ -201,27 +200,24 @@ def _convergence_rows(label, f, k, degrees, points, tol, kind):
     identity); any other kind checks the momentum moment identity.
     """
     rows = []
-    per_point = []
     exprs = no.momentum_key_rhs_exprs(f, k) if kind == "key" else None
-    for x in points:
-        res_by_deg = []
-        for deg in degrees:
-            rule = sq.build_rule(f.n, deg)
-            if kind == "key":
-                res_by_deg.append(worst(abs(v) for v in no.verify_momentum_key_identity(
-                    f, x, k, rule, rhs_exprs=exprs).values()))
-            else:
-                res_by_deg.append(no.verify_momentum_moment_identity(f, x, k, rule).max_abs())
-        per_point.append(res_by_deg)
+    by_degree = []   # (degrees, points): the worst residual component
+    for deg in degrees:
+        rule = sq.build_rule(f.n, deg)
+        if kind == "key":
+            res = no.verify_momentum_key_identity(f, points, k, rule, rhs_exprs=exprs)
+            by_degree.append(np.max(np.abs(list(res.values())), axis=0))
+        else:
+            res = no.verify_momentum_moment_identity(f, points, k, rule)
+            by_degree.append(np.max(np.abs(res), axis=1))
     # one row per (degree, sample point); the stated tolerance is pinned at
     # the final (highest) degree, coarser degrees are trend diagnostics
     for j, deg in enumerate(degrees):
         bound = tol if j == len(degrees) - 1 else max(tol, 1e-2)
-        for i, p in enumerate(per_point):
-            rows.append(check_row(f"{label}_residual", p[j], bound,
+        for i, value in enumerate(by_degree[j]):
+            rows.append(check_row(f"{label}_residual", value, bound,
                                   {"degree": deg, "point": i}))
-    slack = worst(p[j + 1] - p[j] for p in per_point
-                  for j in range(len(degrees) - 1))
+    slack = worst(np.diff(by_degree, axis=0).ravel())
     rows.append(check_row(f"{label}_residual_monotone_slack", slack, 1e-12,
                           {"degrees": list(degrees)}))
     return rows
@@ -238,8 +234,8 @@ def _quadrature_convergence_row(label, f, x, degrees, ref_degree=320):
     key = next(iter(rf.canonical_keys()))
     comp = rf.component(rf.key_to_index(key))
     scalar = pf.PolyBumpField(f.n, 0, rf.rho, rf.power, {(): comp.core})
-    ref = no.n0_scalar(scalar, x, sq.build_rule(f.n, ref_degree))
-    errs = [abs(no.n0_scalar(scalar, x, sq.build_rule(f.n, d)) - ref)
+    ref = no.n0_scalar(scalar, [x], sq.build_rule(f.n, ref_degree))[0]
+    errs = [abs(no.n0_scalar(scalar, [x], sq.build_rule(f.n, d))[0] - ref)
             for d in degrees]
     violation = worst([errs[-1] - errs[0]]
                       + [errs[j + 1] - 1.1 * errs[j] for j in range(len(errs) - 1)])

@@ -53,7 +53,7 @@ from .polyfield import (PairSymTensorField, PolyBumpField, _position_splits,
 from .config import resolve
 from .spherequad import SphereRule, build_rule, c_constant
 from .symtensor import (SymTensor, canonical_indices, i_metric, j_metric,
-                        multiplicity, sym_dim, sym_power, j_contract)
+                        multiplicity, sym_dim)
 from .verdict import check_row, worst
 from .xray import (TANGENCY_TOL, TransformExpr, dot_power_terms, _chord_moment,
                    _int_power, _monomial_table, _monomials, _rowdot, _shifted,
@@ -419,8 +419,14 @@ def _foot_point_sum(f: PolyBumpField, k, pts, p, rank, rule: SphereRule):
             if p:
                 vals = vals * _int_power(_node_dots(nodes[sl], x), p)
             for c in range(len(out_exps)):
-                out[p0:p0 + pb, c] += (vals * node_w[sl, c, None]).sum(axis=0)
+                out[p0:p0 + pb, c] += _sum_rows(vals * node_w[sl, c, None])
     return out
+
+
+def _sum_rows(terms):
+    """Rows of a (nodes, points) block summed in rule order: numpy adds the
+    rows of two or more columns in order but sums one column pairwise."""
+    return terms.sum(axis=0) if terms.shape[1] > 1 else np.cumsum(terms)[-1:]
 
 
 def normal_momentum(f: PolyBumpField, x, k, rule: SphereRule) -> SymTensor:
@@ -448,13 +454,6 @@ def divergence_normal(f: PolyBumpField, x, k, r, rule: SphereRule) -> SymTensor:
     vals = _foot_point_sum(f, k, [x], k - r, rank, rule)[0]
     vals = vals * (math.factorial(k) / math.factorial(k - r))
     return SymTensor(f.n, rank, dict(zip(canonical_indices(f.n, rank), vals.tolist())))
-
-
-def xi_moment_integral(f: PolyBumpField, x, k, rank_out, rule: SphereRule) -> SymTensor:
-    """int_S xi^(.rank_out) J_m^k f(x, xi) dS at the base point x itself."""
-    vals = _angular_sum(TransformExpr.momentum(f, k), [x], 0, rank_out, rule)[0]
-    vals = vals.tolist()
-    return SymTensor(f.n, rank_out, dict(zip(canonical_indices(f.n, rank_out), vals)))
 
 
 def normal_momentum_on_points(f: PolyBumpField, pts, k, rule: SphereRule):
@@ -611,10 +610,10 @@ def normal_symbol(f: GridTensorField):
 # identity verification: scalar normal operator and i^l j^l matrices
 # ---------------------------------------------------------------------------
 
-def n0_scalar(g: PolyBumpField, x, rule: SphereRule) -> float:
-    """N_0 g(x) = int_S J_0 g(x, xi) dS for a scalar field."""
-    jg = TransformExpr.momentum(g, 0)
-    return float(_angular_sum(jg, [x], 0, 0, rule)[0, 0])
+def n0_scalar(g: PolyBumpField, pts, rule: SphereRule):
+    """N_0 g(x) = int_S J_0 g(x, xi) dS for a scalar field, at each point
+    of the (P, n) array ``pts``; returns shape (P,)."""
+    return _angular_sum(TransformExpr.momentum(g, 0), pts, 0, 0, rule)[:, 0]
 
 
 @lru_cache(maxsize=None)
@@ -630,7 +629,7 @@ def _iljl_matrix(n, m, l):
     return mat
 
 
-def verify_ray_key_identity(f: PolyBumpField, x, rule: SphereRule):
+def verify_ray_key_identity(f: PolyBumpField, pts, rule: SphereRule):
     """Residuals of the ray-transform key identity, per R-image component.
 
     LHS: m! N_0((Rf)_{i1 j1..im jm}) by angular quadrature of the exact
@@ -639,26 +638,38 @@ def verify_ray_key_identity(f: PolyBumpField, x, rule: SphereRule):
     inside the line integral.  This is the momentum key identity at k = 0
     (R^0 = R, and G_m = sum_l c_{l,m} i^l j^l N_m f), so it is checked as that.
     """
-    return verify_momentum_key_identity(f, x, 0, rule)
+    return verify_momentum_key_identity(f, pts, 0, rule)
 
 
-def verify_momentum_moment_identity(f: PolyBumpField, x, k, rule: SphereRule):
-    """Residual tensor of the momentum-data reduction identity.
+def verify_momentum_moment_identity(f: PolyBumpField, pts, k, rule: SphereRule):
+    """Residual tensors of the momentum-data reduction identity at each point
+    of the (P, n) array ``pts``; returns (P, dim S^(m-k)) in canonical order.
 
     LHS integrates xi^(.(m-k)) J^k f at the base point; RHS combines
-    x-contracted divergences of the normal operators N^r (foot-point path),
-    so the two sides are quadratures of genuinely different integrands.
+    x-contracted divergences delta^r N^r f (foot-point path, one sinogram per
+    r for all points), so the two sides are quadratures of genuinely
+    different integrands.
     """
     if not 0 <= k <= f.m:
         raise ValueError("k out of range")
-    x = np.asarray(x, dtype=float)
-    lhs = xi_moment_integral(f, x, k, f.m - k, rule)
-    rhs = SymTensor(f.n, f.m - k)
+    n, rank = f.n, f.m - k
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    lhs = _angular_sum(TransformExpr.momentum(f, k), pts, 0, rank, rule)
+    rhs = np.zeros_like(lhs)
     for r in range(k + 1):
         coeff = (-1.0) ** (k - r) * math.comb(k, r) / math.factorial(r)
-        t = divergence_normal(f, x, r, r, rule)
-        t = j_contract(sym_power(tuple(x), k - r, f.n), t)
-        rhs = rhs + t * coeff
+        div = _foot_point_sum(f, r, pts, 0, f.m - r, rule) * float(math.factorial(r))
+        cols = {idx: c for c, idx in enumerate(canonical_indices(n, f.m - r))}
+        for c, idx in enumerate(canonical_indices(n, rank)):
+            # j_contract(x^(.(k-r)), .) on every point: the tail runs over all
+            # ordered index tuples, its weight the product of x's components
+            total = np.zeros(len(pts))
+            for tail in itertools.product(range(n), repeat=k - r):
+                weight = np.ones(len(pts))
+                for i in sorted(tail):
+                    weight = weight * pts[:, i]
+                total = total + div[:, cols[tuple(sorted(idx + tail))]] * weight
+            rhs[:, c] += total * coeff
     return lhs - rhs
 
 
@@ -738,12 +749,12 @@ def momentum_key_rhs_exprs(f: PolyBumpField, k):
     return out
 
 
-def verify_momentum_key_identity(f: PolyBumpField, x, k, rule: SphereRule, rhs_exprs=None):
-    """Residuals of the momentum key identity at one point, per component."""
+def verify_momentum_key_identity(f: PolyBumpField, pts, k, rule: SphereRule, rhs_exprs=None):
+    """Residuals of the momentum key identity at each point of the (P, n)
+    array ``pts``: {component key: (P,) array}."""
     n, m = f.n, f.m
     if not 0 <= k <= m:
         raise ValueError("k out of range")
-    x = np.asarray(x, dtype=float)
     if rhs_exprs is None:
         rhs_exprs = momentum_key_rhs_exprs(f, k)
     rkf = generalized_R(f, k)
@@ -751,9 +762,8 @@ def verify_momentum_key_identity(f: PolyBumpField, x, k, rule: SphereRule, rhs_e
     for key, expr in rhs_exprs.items():
         comp = rkf.component(rkf.key_to_index(key))
         scalar = PolyBumpField(n, 0, rkf.rho, rkf.power, {(): comp.core})
-        lhs = math.factorial(m) * n0_scalar(scalar, x, rule)
-        rhs = _angular_sum(expr, [x], 0, 0, rule)[0, 0]
-        residuals[key] = lhs - rhs
+        lhs = math.factorial(m) * n0_scalar(scalar, pts, rule)
+        residuals[key] = lhs - _angular_sum(expr, pts, 0, 0, rule)[:, 0]
     return residuals
 
 
@@ -797,13 +807,10 @@ def verify_smoothness(f: GridTensorField):
 # ---------------------------------------------------------------------------
 
 def _sample_lines_through(rng, center, radius, count, n):
-    from .xray import Line
-    lines = []
-    for t in range(count):
-        child = rng.split(f"line-{t}")
-        x = np.asarray(center) + np.asarray(child.point_in_ball(n, radius))
-        lines.append(Line(x, child.direction(n)))
-    return lines
+    """(X, Xi) of ``count`` lines through the ball about ``center``."""
+    children = [rng.split(f"line-{t}") for t in range(count)]
+    X = np.asarray(center) + np.array([c.point_in_ball(n, radius) for c in children])
+    return X, np.array([c.direction(n) for c in children])
 
 
 def _exact_zero_value(pair_field):
@@ -826,7 +833,7 @@ def ucp_experiment(scenario, config, rng, lines_csv=None):
     """
     import time as _time
     from . import polyfield as pfmod
-    from .xray import Line, momentum_transform, ray_transform, write_transform_csv
+    from .xray import Line, ray_transform, write_transform_csv
 
     t_start = _time.perf_counter()
     checks = []
@@ -847,10 +854,9 @@ def ucp_experiment(scenario, config, rng, lines_csv=None):
         rf = pfmod.operator_R(f)
         checks.append(check_row("curvature_operator_exactly_zero",
                                 _exact_zero_value(rf), 1e-10))
-        lines = _sample_lines_through(rng, u_center, U_RADIUS, num_lines, n)
-        data = [ray_transform(f, line) for line in lines]
-        checks.append(check_row("ray_data_through_U_max",
-                                worst(abs(d) for d in data), UCP_TOL))
+        X, Xi = _sample_lines_through(rng, u_center, U_RADIUS, num_lines, n)
+        data = TransformExpr.momentum(f, 0).eval_lines(X, Xi)
+        checks.append(check_row("ray_data_through_U_max", worst(np.abs(data)), UCP_TOL))
         pts = np.array([u_center + np.asarray(rng.split(f"pt{t}").point_in_ball(n, U_RADIUS))
                         for t in range(num_points)])
         nmax = worst(np.abs(normal_momentum_on_points(f, pts, 0, rule)).ravel())
@@ -860,8 +866,12 @@ def ucp_experiment(scenario, config, rng, lines_csv=None):
         neg = worst(np.abs(normal_momentum_on_points(f_neg, pts[:3], 0, rule)).ravel())
         checks.append(check_row("nonpotential_normal_nonvanishing", neg, UCP_FLOOR,
                                 mode="above"))
+        # control of the exact-zero row: R does not vanish on f_neg
+        checks.append(check_row("curvature_operator_nonvanishing",
+                                _exact_zero_value(pfmod.operator_R(f_neg)), 1e-10,
+                                mode="above"))
         if lines_csv:
-            write_transform_csv(lines_csv, lines, data, ["value"])
+            write_transform_csv(lines_csv, X, Xi, data[:, None], ["value"])
 
     elif scenario == "mrt":
         k = params["k"]
@@ -876,28 +886,31 @@ def ucp_experiment(scenario, config, rng, lines_csv=None):
         rkf = pfmod.generalized_R(f, k)
         checks.append(check_row("generalized_curvature_exactly_zero",
                                 _exact_zero_value(rkf), 1e-10))
-        lines = _sample_lines_through(rng, u_center, U_RADIUS, num_lines, n)
-        values = []
+        X, Xi = _sample_lines_through(rng, u_center, U_RADIUS, num_lines, n)
+        values = [TransformExpr.momentum(f, p).eval_lines(X, Xi) for p in range(k + 2)]
         for p in range(k + 1):
-            data = [momentum_transform(f, line, p) for line in lines]
-            values.append(data)
             checks.append(check_row(f"momentum_data_order{p}_through_U_max",
-                                    worst(abs(d) for d in data), UCP_TOL))
+                                    worst(np.abs(values[p])), UCP_TOL))
         pts = np.array([u_center + np.asarray(rng.split(f"pt{t}").point_in_ball(n, U_RADIUS))
                         for t in range(num_points)])
         for p in range(k + 1):
             nmax = worst(np.abs(normal_momentum_on_points(f, pts, p, rule)).ravel())
             checks.append(check_row(f"normal_momentum_order{p}_on_U_max", nmax, UCP_TOL))
-        neg = worst(abs(momentum_transform(f, line, k + 1)) for line in lines)
-        checks.append(check_row(f"momentum_data_order{k + 1}_nonvanishing", neg,
-                                UCP_FLOOR, mode="above"))
+        checks.append(check_row(f"momentum_data_order{k + 1}_nonvanishing",
+                                worst(np.abs(values[k + 1])), UCP_FLOOR, mode="above"))
+        # control of the exact-zero row, on a field drawn after every other draw
+        f_neg = pfmod.random_bump_field(n, m, rng, power=m + k + 4,
+                                        degree=UCP_CORE_DEGREE, label="neg")
+        checks.append(check_row("generalized_curvature_nonvanishing",
+                                _exact_zero_value(pfmod.generalized_R(f_neg, k)), 1e-10,
+                                mode="above"))
         if lines_csv:
-            write_transform_csv(lines_csv, lines, list(zip(*values)),
+            write_transform_csv(lines_csv, X, Xi, np.stack(values[:k + 1], axis=1),
                                 [f"value_k{p}" for p in range(k + 1)])
 
     else:
         from .symtensor import sym_dim, sym_power_span_rank
-        from .xray import TransverseRay, transverse_transform, trt_pointwise_recover
+        from .xray import TransverseRay, trt_pointwise_recover
         f = pfmod.random_bump_field(n, m, rng, power=4,
                                     degree=UCP_CORE_DEGREE, label="f")
         u_center = np.asarray([2.5] + [0.0] * (n - 1))
@@ -936,7 +949,7 @@ def ucp_experiment(scenario, config, rng, lines_csv=None):
         checks.append(check_row("pointwise_recovery_max_err", worst(errs), UCP_TOL))
         # transverse data on lines from U into the support reduce to scalar
         # ray data of the contracted component <f, y^(.m)>
-        errs = []
+        rays, svals = [], []
         for t in range(num_lines):
             child = rng.split(f"ray{t}")
             eta = np.asarray(etas[t % n])
@@ -946,7 +959,7 @@ def ucp_experiment(scenario, config, rng, lines_csv=None):
             omega = omega / np.linalg.norm(omega)
             xpt = base - (base @ omega) * omega
             ray = TransverseRay(omega, xpt, eta - (eta @ omega) * omega)
-            tval = transverse_transform(f, ray)
+            rays.append(ray)
             # scalar oracle: contract f against y^(.m) componentwise
             contracted = {}
             for dense in itertools.product(range(n), repeat=m):
@@ -957,9 +970,11 @@ def ucp_experiment(scenario, config, rng, lines_csv=None):
                         wy *= ray.y[ax]
                     contracted[()] = contracted.get((), 0) + core * wy
             scalar = pfmod.PolyBumpField(n, 0, f.rho, f.power, contracted)
-            sval = ray_transform(scalar, Line(ray.x, ray.omega))
-            errs.append(abs(tval - sval))
-        checks.append(check_row("transverse_scalar_reduction_max", worst(errs), 1e-10))
+            svals.append(ray_transform(scalar, Line(ray.x, ray.omega)))
+        tvals = TransformExpr.momentum(f, 0).eval_lines(
+            [r.x for r in rays], [r.omega for r in rays], [r.y for r in rays])
+        checks.append(check_row("transverse_scalar_reduction_max",
+                                worst(np.abs(tvals - svals)), 1e-10))
         # negative control: dependent directions make recovery singular
         bad = [list(etas[0])] * n
         try:

@@ -36,7 +36,6 @@ import numpy as np
 from .polyfield import BudgetError, PolyBumpField, operator_R
 from .spherequad import bump_ball_monomial_integral
 from .symtensor import canonical_indices, multiplicity
-from .verdict import worst
 
 #: Lines closer to tangency than this (physical half-chord) count as misses.
 TANGENCY_TOL = 1e-14
@@ -256,8 +255,7 @@ def momentum_scale_residual(f, x, xi, k, r):
 
 def transverse_transform(f: PolyBumpField, ray: TransverseRay) -> float:
     """int <f(x + t omega), y^(.m)> dt with y orthogonal to the direction."""
-    return float(TransformExpr.momentum(f, 0).eval_lines(
-        ray.x[None, :], ray.omega[None, :], ray.y[None, :])[0])
+    return float(TransformExpr.momentum(f, 0).eval_lines([ray.x], [ray.omega], [ray.y])[0])
 
 
 def trt_pointwise_recover(etas, samples, m):
@@ -397,21 +395,21 @@ class TransformExpr:
         The xi-monomial prefactors are taken at Y[l] when Y is given: on the
         atom expansion of J_m this gives the transverse pairing with y.
         """
+        X = np.asarray(X, dtype=float)
+        Xi = np.asarray(Xi, dtype=float)
+        Y = Xi if Y is None else np.asarray(Y, dtype=float)
         cols = {}
         for (_xe, _xie, bid, dm, tp) in self.terms:
             cols.setdefault((bid, dm, tp), len(cols))
         jv = chord_integrals([(self.bases[bid].diff_multi(dm), tp)
                               for bid, dm, tp in cols], X, Xi)
-        Y = Xi if Y is None else Y
         total = np.zeros(len(X))
         for (xe, xie, bid, dm, tp), c in self.terms.items():
             total += c * _monomials(X, xe) * _monomials(Y, xie) * jv[:, cols[bid, dm, tp]]
         return total
 
     def eval(self, x, xi):
-        x = np.asarray(x, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        return float(self.eval_lines(x[None, :], xi[None, :])[0])
+        return float(self.eval_lines([x], [xi])[0])
 
 
 def dot_power_terms(n, p):
@@ -458,23 +456,30 @@ def john_apply(f: PolyBumpField, line: Line, k, pair) -> float:
     return john_operator(TransformExpr.momentum(f, k), i, j).eval(line.x, line.xi)
 
 
-def john_iterate(f: PolyBumpField, line: Line, pairs) -> float:
-    """Iterated John operators J_{i1 j1} ... J_{im jm} applied to J_m f."""
+def _iterated_john(f: PolyBumpField, pairs) -> TransformExpr:
+    """J_{i1 j1} ... J_{im jm} applied to the atom expansion of J_m f."""
     if f.rho is not None and 2 * len(pairs) > f.power:
         raise BudgetError("smoothness budget exhausted")
     expr = TransformExpr.momentum(f, 0)
     for (i, j) in pairs:
         expr = john_operator(expr, i, j)
-    return expr.eval(line.x, line.xi)
+    return expr
 
 
-def verify_john_relation(f: PolyBumpField, line: Line):
-    """Max residual of the iterated-John identity over R-image components.
+def john_iterate(f: PolyBumpField, line: Line, pairs) -> float:
+    """Iterated John operators J_{i1 j1} ... J_{im jm} applied to J_m f."""
+    return _iterated_john(f, pairs).eval(line.x, line.xi)
+
+
+def verify_john_relation(f: PolyBumpField, X, Xi):
+    """Per-line max residual of the iterated-John identity over R-image
+    components, on the lines (X[l], Xi[l]) of the (L, n) arrays X and Xi.
 
     Checks (-2)^m m! J_0((Rf)_{i1 j1 .. im jm}) = J_{i1 j1}..J_{im jm}(J_m f)
-    componentwise; both sides exact chord quadrature.  m >= 1 only (the m=0
-    display degenerates; the classical ultrahyperbolic identity is checked
-    separately by ``john_apply`` on scalar transforms).
+    componentwise; both sides exact chord quadrature, each one kernel call
+    over all lines.  m >= 1 only (the m=0 display degenerates; the classical
+    ultrahyperbolic identity is checked separately by ``john_apply`` on
+    scalar transforms).
     """
     m = f.m
     if m < 1:
@@ -486,44 +491,23 @@ def verify_john_relation(f: PolyBumpField, line: Line):
         pairs, _blocks = key
         comp = rf.component(rf.key_to_index(key))
         scalar = PolyBumpField(f.n, 0, rf.rho, rf.power, {(): comp.core})
-        lhs = factor * ray_transform(scalar, line)
-        residuals.append(abs(lhs - john_iterate(f, line, pairs)))
-    return worst(residuals)
+        lhs = factor * TransformExpr.momentum(scalar, 0).eval_lines(X, Xi)
+        residuals.append(np.abs(lhs - _iterated_john(f, pairs).eval_lines(X, Xi)))
+    return np.max(residuals, axis=0)
 
 
 # ---------------------------------------------------------------------------
-# line-set CSV interface
+# line-set CSV output
 # ---------------------------------------------------------------------------
 
-def read_lines_csv(path):
-    """Rows with columns x_1..x_n, xi_1..xi_n (header required)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        xcols = [i for i, h in enumerate(header) if h.startswith("x_")]
-        xicols = [i for i, h in enumerate(header) if h.startswith("xi_")]
-        if not xcols or len(xcols) != len(xicols):
-            raise ValueError("expected columns x_1..x_n, xi_1..xi_n")
-        lines = []
-        for row in reader:
-            if not row:
-                continue
-            x = [float(row[i]) for i in xcols]
-            xi = [float(row[i]) for i in xicols]
-            lines.append(Line(x, xi))
-    return lines
-
-
-def write_transform_csv(path, lines, values, value_names):
-    """Mirror the line rows and append one column per transform value."""
-    n = lines[0].n if lines else 0
+def write_transform_csv(path, X, Xi, values, value_names):
+    """One row per line (X[l], Xi[l]): its coordinates, then one column per
+    transform value; ``values`` has shape (L, len(value_names))."""
+    n = X.shape[1]
     header = [f"x_{i + 1}" for i in range(n)] + [f"xi_{i + 1}" for i in range(n)]
     header += list(value_names)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for line, vals in zip(lines, values):
-            row = [repr(float(c)) for c in line.x]
-            row += [repr(float(c)) for c in line.xi]
-            row += [repr(float(v)) for v in (vals if hasattr(vals, "__len__") else [vals])]
-            writer.writerow(row)
+        for row in np.hstack([X, Xi, values]).tolist():
+            writer.writerow([repr(v) for v in row])

@@ -165,9 +165,10 @@ class TestRun:
         cfg = write_config(tmp_path, PASS_CONFIG)
         out = tmp_path / "out"
         main(["run", "--config", cfg, "--out", str(out)])
-        from tentomo.xray import read_lines_csv
-        lines = read_lines_csv(out / "ucp_ray_lines.csv")
-        assert len(lines) == 6
+        with open(out / "ucp_ray_lines.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["x_1", "x_2", "xi_1", "xi_2", "value"]
+        assert len(rows) == 1 + 6
 
 
 class TestValidateAcceptsOnlyWhatRuns:
@@ -333,11 +334,12 @@ def test_import_loads_no_scipy():
 def test_nan_residual_fails_the_run(tmp_path, monkeypatch, capsys):
     import tentomo.xray as xr
     real = xr.verify_john_relation
-    calls = []
 
-    def nan_on_second_line(f, line):
-        calls.append(line)
-        return math.nan if len(calls) == 2 else real(f, line)
+    def nan_on_second_line(f, X, Xi):
+        res = real(f, X, Xi)
+        if len(res) > 1:
+            res[1] = math.nan
+        return res
 
     monkeypatch.setattr(xr, "verify_john_relation", nan_on_second_line)
     doc = {"schema": 1, "seed": 5, "suites": [
@@ -366,8 +368,9 @@ def test_nan_quadrature_error_fails_its_row(monkeypatch):
     from tentomo.rng import SplitMix64
     real = no.n0_scalar
 
-    def nan_at_degree_40(g, x, rule):
-        return math.nan if rule.degree == 40 else real(g, x, rule)
+    def nan_at_degree_40(g, pts, rule):
+        vals = real(g, pts, rule)
+        return np.full_like(vals, math.nan) if rule.degree == 40 else vals
 
     monkeypatch.setattr(no, "n0_scalar", nan_at_degree_40)
     f = random_bump_field(2, 1, SplitMix64(3), power=4, degree=2, label="f")

@@ -6,6 +6,7 @@ import pytest
 from tentomo.polyfield import inner_derivative, random_bump_field
 from tentomo.rng import SplitMix64
 from tentomo.spherequad import build_rule
+from tentomo.symtensor import canonical_indices
 from tentomo import normalops as no
 from tentomo.normalops import (FrequencySymbol, GridTensorField, d_field,
                                delta_field, divergence_normal,
@@ -176,14 +177,16 @@ class TestAngularNormal:
         assert (a - b).max_abs() < 1e-14
 
     def test_vectorized_matches_scalar(self, rule40):
+        # every point sums its nodes in rule order, one point on its own too
         f = random_bump_field(2, 1, SplitMix64(24), power=4, degree=2)
         pts = np.array([[0.3, -0.2], [0.9, 0.4], [1.4, 0.1]])
         batch = normal_momentum_on_points(f, pts, 1, rule40)
-        from tentomo.symtensor import canonical_indices
         for r, x in enumerate(pts):
+            assert np.array_equal(normal_momentum_on_points(f, pts[r:r + 1], 1, rule40),
+                                  batch[r:r + 1])
             single = normal_momentum(f, x, 1, rule40)
             for c, idx in enumerate(canonical_indices(2, 1)):
-                assert batch[r, c] == pytest.approx(single.get(idx), abs=1e-12)
+                assert batch[r, c] == single.get(idx)
 
     def test_no_points(self, rule40):
         f = random_bump_field(2, 1, SplitMix64(31), power=4, degree=2)
@@ -503,53 +506,52 @@ class TestKeyIdentities:
     def test_prop_ray_small_residual(self, m, rule40):
         f = random_bump_field(2, m, SplitMix64(40 + m), power=2 * m + 2,
                               degree=2)
-        for x in ([0.3, -0.2], [1.2, 0.5]):
-            res = verify_ray_key_identity(f, x, rule40)
-            assert max(abs(v) for v in res.values()) < 1e-10
+        res = verify_ray_key_identity(f, [[0.3, -0.2], [1.2, 0.5]], rule40)
+        assert np.max(np.abs(list(res.values()))) < 1e-10
 
     def test_prop_ray_potential_both_sides_zero(self, rule40):
         v = random_bump_field(2, 1, SplitMix64(43), power=7, degree=2)
         f = inner_derivative(v)
-        res = verify_ray_key_identity(f, [0.4, 0.2], rule40)
-        assert max(abs(v) for v in res.values()) < 1e-10
+        res = verify_ray_key_identity(f, [[0.4, 0.2]], rule40)
+        assert np.max(np.abs(list(res.values()))) < 1e-10
 
     @pytest.mark.parametrize("m,k", [(1, 0), (1, 1), (2, 1), (2, 2)])
     def test_lemma_mrt(self, m, k, rule40):
         f = random_bump_field(2, m, SplitMix64(50 + m + k), power=2 * m + 2,
                               degree=2)
-        for x in ([0.3, -0.1], [1.1, 0.6]):
-            assert verify_momentum_moment_identity(f, x, k, rule40).max_abs() < 1e-10
+        res = verify_momentum_moment_identity(f, [[0.3, -0.1], [1.1, 0.6]], k, rule40)
+        assert res.shape == (2, len(list(canonical_indices(2, m - k))))
+        assert np.max(np.abs(res)) < 1e-10
 
     def test_lemma_mrt_k0_definitional(self, rule40):
         f = random_bump_field(2, 2, SplitMix64(54), power=6, degree=2)
-        x = [0.2, 0.4]
-        res = verify_momentum_moment_identity(f, x, 0, rule40)
-        assert res.max_abs() < 1e-12
+        res = verify_momentum_moment_identity(f, [[0.2, 0.4]], 0, rule40)
+        assert np.max(np.abs(res)) < 1e-12
 
     @pytest.mark.parametrize("m,k", [(1, 1), (2, 1)])
     def test_prop_mrt(self, m, k, rule40):
         f = random_bump_field(2, m, SplitMix64(60 + m + k), power=2 * m + 2,
                               degree=2)
-        res = verify_momentum_key_identity(f, [0.3, -0.2], k, rule40)
-        assert max(abs(v) for v in res.values()) < 1e-10
+        res = verify_momentum_key_identity(f, [[0.3, -0.2]], k, rule40)
+        assert np.max(np.abs(list(res.values()))) < 1e-10
 
     def test_prop_mrt_k0_reduces_to_prop_ray(self, rule40):
         f = random_bump_field(2, 1, SplitMix64(63), power=4, degree=2)
-        x = [0.25, 0.1]
+        x = [[0.25, 0.1]]
         a = verify_momentum_key_identity(f, x, 0, rule40)
         b = verify_ray_key_identity(f, x, rule40)
-        ka = max(abs(v) for v in a.values())
-        kb = max(abs(v) for v in b.values())
+        ka = np.max(np.abs(list(a.values())))
+        kb = np.max(np.abs(list(b.values())))
         assert ka < 1e-10 and kb < 1e-10
 
     def test_prop_mrt_exterior_converges(self):
         f = random_bump_field(2, 1, SplitMix64(64), power=4, degree=2)
         exprs = no.momentum_key_rhs_exprs(f, 1)
-        x = [1.15, 0.55]
+        x = [[1.15, 0.55]]
         vals = []
         for deg in (20, 40, 60):
             res = verify_momentum_key_identity(f, x, 1, build_rule(2, deg), rhs_exprs=exprs)
-            vals.append(max(abs(v) for v in res.values()))
+            vals.append(np.max(np.abs(list(res.values()))))
         assert vals[2] <= vals[1] <= vals[0]
         assert vals[2] < 1e-5
 
@@ -612,6 +614,22 @@ class TestUCP:
                              SplitMix64(83))
         failing = [c for c in rep["residuals"] if not c["pass"]]
         assert failing  # the vanish-checks must fail for a non-potential f
+
+    @pytest.mark.parametrize("scenario,operator,control", [
+        ("ray", "operator_R", "curvature_operator_nonvanishing"),
+        ("mrt", "generalized_R", "generalized_curvature_nonvanishing")])
+    def test_collapsed_curvature_operator_fails_its_control(self, monkeypatch, scenario,
+                                                            operator, control):
+        # with the operator returning zero the exact-zero row still passes;
+        # its control row is what catches the collapse
+        import tentomo.polyfield as pf
+        real = getattr(pf, operator)
+        monkeypatch.setattr(pf, operator, lambda *args: real(*args).scale(0))
+        config = {"n": 2, "m": 2, "k": 1} if scenario == "mrt" else {"n": 2, "m": 1}
+        rep = ucp_experiment(scenario, {**config, "num_lines": 4, "num_points": 3},
+                             SplitMix64(86))
+        rows = {c["name"]: c for c in rep["residuals"]}
+        assert rows[control]["value"] == 0.0 and not rows[control]["pass"]
 
     def test_unknown_scenario(self):
         with pytest.raises(ValueError):

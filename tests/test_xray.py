@@ -18,7 +18,7 @@ from tentomo.symtensor import canonical_indices, multiplicity
 from tentomo.xray import (Line, TransverseRay, chord_integrals, chord_interval,
                           homogeneity_check, john_apply, john_iterate,
                           momentum_scale_residual, momentum_shift_residual,
-                          momentum_transform, ray_transform, read_lines_csv,
+                          momentum_transform, ray_transform,
                           transform_derivative, transverse_transform,
                           trt_pointwise_recover, verify_john_relation,
                           write_transform_csv)
@@ -28,6 +28,12 @@ RNG = SplitMix64(77)
 
 def random_line(rng, n=2, spread=1.8):
     return Line(rng.point_in_ball(n, spread), rng.direction(n))
+
+
+def random_lines(rng, count):
+    """(X, Xi) of ``count`` random lines, line t drawn from rng.split(f"l{t}")."""
+    lines = [random_line(rng.split(f"l{t}")) for t in range(count)]
+    return np.array([line.x for line in lines]), np.array([line.xi for line in lines])
 
 
 class TestRayTransform:
@@ -305,20 +311,17 @@ class TestJohn:
 
     def test_relation_m1(self):
         f = random_bump_field(2, 1, SplitMix64(33), power=4, degree=2)
-        rng = SplitMix64(34)
-        for t in range(20):
-            assert verify_john_relation(f, random_line(rng.split(f"l{t}"))) < 1e-10
+        assert np.all(verify_john_relation(f, *random_lines(SplitMix64(34), 20)) < 1e-10)
 
     def test_relation_m2(self):
         f = random_bump_field(2, 2, SplitMix64(35), power=6, degree=2)
-        rng = SplitMix64(36)
-        for t in range(10):
-            assert verify_john_relation(f, random_line(rng.split(f"l{t}"))) < 1e-9
+        assert np.all(verify_john_relation(f, *random_lines(SplitMix64(36), 10)) < 1e-9)
 
     def test_relation_trivial_on_potentials(self):
         v = random_bump_field(2, 0, SplitMix64(37), power=5, degree=2)
         f = inner_derivative(v)
-        assert verify_john_relation(f, random_line(SplitMix64(38))) < 1e-12
+        line = random_line(SplitMix64(38))
+        assert verify_john_relation(f, [line.x], [line.xi])[0] < 1e-12
 
     def test_iterate_equals_nested_apply(self):
         f = random_bump_field(2, 2, SplitMix64(39), power=6, degree=2)
@@ -329,7 +332,7 @@ class TestJohn:
     def test_m0_rejected_by_relation(self):
         f = random_bump_field(2, 0, SplitMix64(41), power=4, degree=2)
         with pytest.raises(ValueError):
-            verify_john_relation(f, random_line(SplitMix64(42)))
+            verify_john_relation(f, *random_lines(SplitMix64(42), 1))
 
 
 class TestTransverse:
@@ -414,15 +417,13 @@ class TestLineCSV:
     def test_round_trip_with_values(self, tmp_path):
         rng = SplitMix64(47)
         f = random_bump_field(2, 1, rng, power=3, degree=2)
-        lines = [random_line(rng.split(f"l{t}")) for t in range(5)]
-        values = [ray_transform(f, line) for line in lines]
+        X, Xi = random_lines(rng, 5)
+        values = np.array([ray_transform(f, Line(x, xi)) for x, xi in zip(X, Xi)])
         path = tmp_path / "lines.csv"
-        write_transform_csv(path, lines, values, ["value"])
-        back = read_lines_csv(path)
-        assert len(back) == 5
-        for a, b in zip(lines, back):
-            assert np.allclose(a.x, b.x) and np.allclose(a.xi, b.xi)
+        write_transform_csv(path, X, Xi, values[:, None], ["value"])
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["x_1", "x_2", "xi_1", "xi_2", "value"]
-        assert float(rows[1][4]) == pytest.approx(values[0], abs=1e-15)
+        # repr round-trips floats exactly
+        back = np.array([[float(v) for v in row] for row in rows[1:]])
+        assert np.array_equal(back, np.hstack([X, Xi, values[:, None]]))
