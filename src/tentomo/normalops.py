@@ -18,6 +18,16 @@ Three numerical paths coexist, each with its own error source and tolerance:
   to roundoff; this is the path on which N(potential) = 0 holds to machine
   precision.
 
+The spectral operators (d, delta, the Laplacian, the solenoidal split, the
+symbol and ``verify_smoothness``) run on half spectra.  Grid fields are real
+and each multiplier M is Hermitian, M(-w) = conj M(w) on the frequency
+lattice (factors i w_a times even real functions of w; an even N's Nyquist
+frequency is zeroed, as that bin is its own negative).  So M fhat is the
+spectrum of a real field: ``rfftn`` keeps the last axis's bins 0 .. N//2, the
+rest being their conjugates, and ``irfftn`` gives, up to roundoff, the
+``.real`` of a complex ``ifftn`` of the full spectrum.  Complex ``fftn`` is
+kept only in ``helmholtz_decompose_oracle``, an independent route.
+
 Spatial derivatives of normal operators are never taken by differencing
 quadrature output; they are moved onto the field inside the line integral via
 ``TransformExpr``.
@@ -41,7 +51,6 @@ builds, so batching never raises peak memory.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -95,16 +104,24 @@ class GridTensorField:
 
     @classmethod
     def sample(cls, field: PolyBumpField, N, L, enforce_margin=True):
-        """Sample a bump field; its support must sit well inside the box."""
+        """Sample a bump field; its support must sit well inside the box.
+
+        Cores are evaluated only where rho^2 - |x|^2 > 0, in the expression
+        order of ``BumpPoly.eval_many``: bit for bit the whole-mesh values.
+        """
         if field.rho is None:
             raise ValueError("grid sampling needs a compactly supported field")
         if enforce_margin and float(field.rho) > L / 4 + 1e-12:
             raise ValueError("support must leave a margin of at least L/4")
         axes = [np.arange(N) * (L / N) - L / 2 for _ in range(field.n)]
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        comps = [field.component(idx).eval_many(mesh)
-                 for idx in canonical_indices(field.n, field.m)]
-        return cls(field.n, field.m, N, L, np.stack(comps))
+        b = float(field.rho) ** 2 - (mesh * mesh).sum(axis=-1)
+        inside = b > 0
+        pts, bump = mesh[inside], b[inside] ** field.power
+        comps = np.zeros((sym_dim(field.n, field.m),) + (N,) * field.n)
+        for pos, idx in enumerate(canonical_indices(field.n, field.m)):
+            comps[pos][inside] = field.core(idx).eval_many(pts) * bump
+        return cls(field.n, field.m, N, L, comps)
 
     @property
     def h(self):
@@ -115,10 +132,6 @@ class GridTensorField:
 
     def index_list(self):
         return list(canonical_indices(self.n, self.m))
-
-    def component(self, idx):
-        key = tuple(sorted(idx))
-        return self.comps[self.index_list().index(key)]
 
     def norm_l2(self):
         """Multiplicity-weighted discrete L2 norm."""
@@ -135,29 +148,16 @@ class GridTensorField:
         return GridTensorField(self.n, self.m, self.N, self.L,
                                self.comps + other.comps)
 
-    def fft(self):
-        return np.fft.fftn(self.comps, axes=tuple(range(1, self.n + 1)))
+    def rfft(self):
+        """Half spectra of the components: ``rfftn`` over the grid axes, the
+        last axis keeping the frequencies 0 .. N//2."""
+        return np.fft.rfftn(self.comps, axes=tuple(range(1, self.n + 1)))
 
-    # -- interchange format: JSON header + row-major CSV -------------------
 
-    def save(self, path_prefix):
-        with open(str(path_prefix) + ".json", "w") as fh:
-            json.dump({"n": self.n, "m": self.m, "N": self.N, "L": self.L}, fh)
-        flat = self.comps.reshape(len(self.comps), -1).T
-        np.savetxt(str(path_prefix) + ".csv", flat, delimiter=",",
-                   header=",".join("c" + "".join(map(str, idx))
-                                   for idx in self.index_list()),
-                   comments="")
-
-    @classmethod
-    def load(cls, path_prefix):
-        with open(str(path_prefix) + ".json") as fh:
-            head = json.load(fh)
-        flat = np.loadtxt(str(path_prefix) + ".csv", delimiter=",", skiprows=1)
-        flat = np.atleast_2d(flat)
-        comps = flat.T.reshape((sym_dim(head["n"], head["m"]),)
-                               + (head["N"],) * head["n"])
-        return cls(head["n"], head["m"], head["N"], head["L"], comps)
+def _irfft(spec, N, n):
+    """Real fields from half spectra over the last n axes (the inverse of
+    ``GridTensorField.rfft``)."""
+    return np.fft.irfftn(spec, s=(N,) * n, axes=tuple(range(spec.ndim - n, spec.ndim)))
 
 
 class FrequencySymbol:
@@ -198,7 +198,10 @@ class FrequencySymbol:
 
 
 def _omega_mesh(N, L, n):
-    oms = [_omega(N, L) for _ in range(n)]
+    """Half-spectrum frequencies, shape (N, ..., N, N//2 + 1, n): the last
+    axis holds the ``rfftn`` bins 0 .. N//2, Nyquist zeroed as in ``_omega``."""
+    om = _omega(N, L)
+    oms = [om] * (n - 1) + [om[:N // 2 + 1]]
     return np.stack(np.meshgrid(*oms, indexing="ij"), axis=-1)
 
 
@@ -206,12 +209,9 @@ def d_field(v: GridTensorField) -> GridTensorField:
     """Spectral symmetrized derivative, rank m -> m+1."""
     sym = FrequencySymbol(v.n, v.m + 1)
     w = _omega_mesh(v.N, v.L, v.n)
-    vhat = v.fft()
     a = np.einsum("rca,...a->...rc", sym.imul_coeffs, w)
-    dv = 1j * np.einsum("...rc,c...->r...",
-                        a, vhat.reshape(vhat.shape[0], *vhat.shape[1:]))
-    out = np.fft.ifftn(dv, axes=tuple(range(1, v.n + 1))).real
-    return GridTensorField(v.n, v.m + 1, v.N, v.L, out)
+    dv = 1j * np.einsum("...rc,c...->r...", a, v.rfft())
+    return GridTensorField(v.n, v.m + 1, v.N, v.L, _irfft(dv, v.N, v.n))
 
 
 def delta_field(f: GridTensorField) -> GridTensorField:
@@ -220,19 +220,16 @@ def delta_field(f: GridTensorField) -> GridTensorField:
         raise ValueError("divergence needs rank >= 1")
     sym = FrequencySymbol(f.n, f.m)
     w = _omega_mesh(f.N, f.L, f.n)
-    fhat = f.fft()
     a = np.einsum("rca,...a->...rc", sym.jcon_coeffs, w)
-    df = 1j * np.einsum("...rc,c...->r...", a, fhat)
-    out = np.fft.ifftn(df, axes=tuple(range(1, f.n + 1))).real
-    return GridTensorField(f.n, f.m - 1, f.N, f.L, out)
+    df = 1j * np.einsum("...rc,c...->r...", a, f.rfft())
+    return GridTensorField(f.n, f.m - 1, f.N, f.L, _irfft(df, f.N, f.n))
 
 
 def laplacian_field(f: GridTensorField, times=1) -> GridTensorField:
     w = _omega_mesh(f.N, f.L, f.n)
     mult = -(w ** 2).sum(axis=-1)
-    fhat = f.fft() * mult[None, ...] ** times
-    out = np.fft.ifftn(fhat, axes=tuple(range(1, f.n + 1))).real
-    return GridTensorField(f.n, f.m, f.N, f.L, out)
+    fhat = f.rfft() * mult[None, ...] ** times
+    return GridTensorField(f.n, f.m, f.N, f.L, _irfft(fhat, f.N, f.n))
 
 
 def solenoidal_decompose(f: GridTensorField):
@@ -245,7 +242,8 @@ def solenoidal_decompose(f: GridTensorField):
         raise ValueError("decomposition needs rank >= 1")
     sym = FrequencySymbol(f.n, f.m)
     w = _omega_mesh(f.N, f.L, f.n).reshape(-1, f.n)
-    fhat = f.fft().reshape(f.comps.shape[0], -1).T  # (P, dim_m)
+    spec = f.rfft()
+    fhat = spec.reshape(len(spec), -1).T  # (P, dim_m)
     a = np.einsum("rca,pa->prc", sym.imul_coeffs, w)
     jm = np.einsum("rca,pa->prc", sym.jcon_coeffs, w)
     gram = jm @ a
@@ -258,22 +256,20 @@ def solenoidal_decompose(f: GridTensorField):
     vhat = -1j * wvec
     dvhat = np.einsum("prc,pc->pr", a, wvec)
     shat = fhat - dvhat
-    shape = (f.N,) * f.n
-    sf = np.stack([np.fft.ifftn(shat[:, c].reshape(shape)).real
-                   for c in range(shat.shape[1])])
-    vv = np.stack([np.fft.ifftn(vhat[:, c].reshape(shape)).real
-                   for c in range(vhat.shape[1])])
+    sf = _irfft(shat.T.reshape(spec.shape), f.N, f.n)
+    vv = _irfft(vhat.T.reshape((-1,) + spec.shape[1:]), f.N, f.n)
     return (GridTensorField(f.n, f.m, f.N, f.L, sf),
             GridTensorField(f.n, f.m - 1, f.N, f.L, vv))
 
 
 def helmholtz_decompose_oracle(f: GridTensorField):
     """Independent classical route for m=1: scalar Poisson solve for the
-    potential, v = Laplace^{-1} div f, then sf = f - grad v."""
+    potential, v = Laplace^{-1} div f, then sf = f - grad v.  It runs on the
+    full complex spectrum, the one ``fftn`` of the package."""
     if f.m != 1:
         raise ValueError("oracle is for vector fields")
-    w = _omega_mesh(f.N, f.L, f.n)
-    fhat = f.fft()
+    w = np.stack(np.meshgrid(*[_omega(f.N, f.L)] * f.n, indexing="ij"), axis=-1)
+    fhat = np.fft.fftn(f.comps, axes=tuple(range(1, f.n + 1)))
     div = 1j * sum(w[..., a] * fhat[a] for a in range(f.n))
     norm2 = (w ** 2).sum(axis=-1)
     inv = np.zeros_like(norm2)
@@ -385,7 +381,10 @@ def _horner(coeffs, s):
 def _node_dots(vecs, x):
     """(nodes, points) array of <vecs[i], x[:, j]>, summed term by term, so
     that no entry depends on the block it is computed in."""
-    return sum(vecs[:, a, None] * x[a] for a in range(len(x)))
+    out = vecs[:, 0, None] * x[0]
+    for a in range(1, len(x)):
+        out += vecs[:, a, None] * x[a]
+    return out
 
 
 def _foot_point_sum(f: PolyBumpField, k, pts, p, rank, rule: SphereRule):
@@ -412,12 +411,18 @@ def _foot_point_sum(f: PolyBumpField, k, pts, p, rank, rule: SphereRule):
         for n0 in range(0, len(nodes), nb):
             sl = slice(n0, n0 + nb)
             s = [_node_dots(basis[sl, j], x) for j in range(f.n - 1)]
-            h = rho2 - sum(c * c for c in s)
-            root = np.sqrt(np.maximum(h, 0.0))
+            h = s[0] * s[0]
+            for c in s[1:]:
+                h += c * c
+            np.subtract(rho2, h, out=h)
+            root = np.maximum(h, 0.0)
+            np.sqrt(root, out=root)
             hit = root > TANGENCY_TOL
-            vals = np.where(hit, _horner(r[sl], s) * _int_power(h, f.power) * root, 0.0)
+            vals = _horner(r[sl], s) * _int_power(h, f.power)
+            vals *= root
+            vals[~hit] = 0.0
             if p:
-                vals = vals * _int_power(_node_dots(nodes[sl], x), p)
+                vals *= _int_power(_node_dots(nodes[sl], x), p)
             for c in range(len(out_exps)):
                 out[p0:p0 + pb, c] += _sum_rows(vals * node_w[sl, c, None])
     return out
@@ -591,18 +596,13 @@ def normal_symbol(f: GridTensorField):
     inv = np.zeros_like(norm)
     np.divide(1.0, norm, out=inv, where=norm > 0)
     xi = np.stack([-w[..., 1] * inv, w[..., 0] * inv], axis=-1)
-    fhat = f.fft()
     idx_list = list(canonical_indices(n, m))
-    pairing = np.zeros_like(fhat[0])
-    monos = []
-    for pos, idx in enumerate(idx_list):
-        exps = _xi_monomial_exps(idx, n)
-        mono = xi[..., 0] ** exps[0] * xi[..., 1] ** exps[1]
-        monos.append(mono)
-        pairing = pairing + multiplicity(idx) * fhat[pos] * mono
+    monos = [xi[..., 0] ** e[0] * xi[..., 1] ** e[1]
+             for e in (_xi_monomial_exps(idx, n) for idx in idx_list)]
+    pairing = sum(multiplicity(idx) * fhat * mono
+                  for idx, fhat, mono in zip(idx_list, f.rfft(), monos))
     scale = 4.0 * np.pi * inv
-    out = np.stack([np.fft.ifftn(scale * monos[pos] * pairing).real
-                    for pos in range(len(idx_list))])
+    out = _irfft(np.stack([scale * mono * pairing for mono in monos]), N, n)
     return GridTensorField(n, m, N, f.L, out)
 
 
@@ -777,26 +777,18 @@ def verify_smoothness(f: GridTensorField):
     n, m = f.n, f.m
     sf, _v = solenoidal_decompose(f)
     lhs = laplacian_field(sf, times=m)
-    w = _omega_mesh(f.N, f.L, n)
-    fhat = f.fft()
+    iw = np.moveaxis(1j * _omega_mesh(f.N, f.L, n), -1, 0)
+    fhat = f.rfft()
     idx_list = f.index_list()
-    rhs_comps = []
-    for idx in idx_list:
-        acc = np.zeros(fhat.shape[1:], dtype=complex)
+    # the 2^m of the identity cancels the 1/2^m of R's alternations
+    rhs = np.zeros(fhat.shape, dtype=complex)
+    for c, idx in enumerate(idx_list):
         for jtuple in itertools.product(range(n), repeat=m):
-            jfac = np.ones(fhat.shape[1:], dtype=complex)
-            for a in jtuple:
-                jfac = jfac * (1j * w[..., a])
-            inner = np.zeros(fhat.shape[1:], dtype=complex)
-            for comp, der, sign in pair_alternations(zip(idx, jtuple)):
-                dfac = np.ones(fhat.shape[1:], dtype=complex)
-                for b in der:
-                    dfac = dfac * (1j * w[..., b])
-                pos = idx_list.index(tuple(sorted(comp)))
-                inner = inner + sign * dfac * fhat[pos]
-            acc = acc + jfac * inner / 2.0**m
-        rhs_comps.append(np.fft.ifftn(2.0**m * acc).real)
-    rhs = GridTensorField(n, m, f.N, f.L, np.stack(rhs_comps))
+            inner = sum(sign * math.prod((iw[b] for b in der), start=1)
+                        * fhat[idx_list.index(tuple(sorted(comp)))]
+                        for comp, der, sign in pair_alternations(zip(idx, jtuple)))
+            rhs[c] += math.prod((iw[a] for a in jtuple), start=1) * inner
+    rhs = GridTensorField(n, m, f.N, f.L, _irfft(rhs, f.N, n))
     residual = lhs - rhs
     rel = residual.norm_l2() / max(f.norm_l2(), 1e-300)
     return residual, rel

@@ -380,6 +380,22 @@ def test_nan_quadrature_error_fails_its_row(monkeypatch):
     assert math.isnan(row["value"]) and not row["pass"]
 
 
+@pytest.mark.parametrize("N,L", [(32, 4.0), (18, 4.5)])
+def test_refined_case_reads_the_grid_from_the_double_grid(N, L):
+    # the N-grid gap read off the shared 2N reference agrees with a standalone
+    # N-grid computation; only the order of the rule-node sums differs
+    from tentomo.polyfield import random_bump_field
+    from tentomo.rng import SplitMix64
+    from tentomo.spherequad import build_rule
+    rule = build_rule(2, 40)
+    f = random_bump_field(2, 0, SplitMix64(N), power=4, degree=2, label="f")
+    rel, rel2 = cli._normal_consistency_rels(f, 0, N, L, rule, refine=True)
+    (alone,) = cli._normal_consistency_rels(f, 0, N, L, rule)
+    (alone2,) = cli._normal_consistency_rels(f, 0, 2 * N, L, rule)
+    assert abs(rel - alone) <= 1e-12 * alone
+    assert rel2 == alone2
+
+
 @pytest.mark.parametrize("exc", [TypeError("unsupported operand"),
                                  ValueError("k out of range"),
                                  BudgetError("smoothness budget exhausted")],

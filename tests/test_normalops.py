@@ -6,7 +6,7 @@ import pytest
 from tentomo.polyfield import inner_derivative, random_bump_field
 from tentomo.rng import SplitMix64
 from tentomo.spherequad import build_rule
-from tentomo.symtensor import canonical_indices
+from tentomo.symtensor import canonical_indices, multiplicity
 from tentomo import normalops as no
 from tentomo.normalops import (FrequencySymbol, GridTensorField, d_field,
                                delta_field, divergence_normal,
@@ -30,13 +30,27 @@ class TestGrid:
         with pytest.raises(ValueError):
             GridTensorField.sample(f, 32, 3.0)   # rho=1 > L/4
 
-    def test_save_load_round_trip(self, tmp_path):
-        f = random_bump_field(2, 1, SplitMix64(2), power=3, degree=2)
-        g = GridTensorField.sample(f, 16, 4.0)
-        g.save(tmp_path / "field")
-        back = GridTensorField.load(tmp_path / "field")
-        assert back.n == 2 and back.m == 1 and back.N == 16
-        assert np.allclose(back.comps, g.comps)
+    @pytest.mark.parametrize("n,m,N,L", [(2, 1, 16, 4.0), (2, 2, 18, 4.5),
+                                         (2, 0, 33, 4.0), (3, 1, 12, 4.0)])
+    def test_support_only_sampling_is_bitwise_the_full_mesh(self, n, m, N, L):
+        # at (N, L) = (16, 4) grid points lie exactly on |x| = rho = 1
+        f = random_bump_field(n, m, SplitMix64(20 + N), power=5, degree=2)
+        g = GridTensorField.sample(f, N, L)
+        axes = [np.arange(N) * (L / N) - L / 2] * n
+        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        want = np.stack([f.component(idx).eval_many(mesh)
+                         for idx in canonical_indices(n, m)])
+        assert np.array_equal(g.comps, want)
+        if (N, L) == (16, 4.0):
+            assert ((mesh**2).sum(axis=-1) == 1.0).any()
+
+    @pytest.mark.parametrize("N,L", [(18, 4.5), (128, 4.0), (33, 5.0)])
+    def test_double_grid_read_at_even_points_is_the_grid(self, N, L):
+        f = random_bump_field(2, 1, SplitMix64(N), power=4, degree=2)
+        fine = GridTensorField.sample(f, 2 * N, L)
+        coarse = GridTensorField.sample(f, N, L)
+        assert np.array_equal(fine.axis_coords()[::2], coarse.axis_coords())
+        assert np.array_equal(fine.comps[:, ::2, ::2], coarse.comps)
 
     def test_d_field_matches_exact_derivative(self):
         # spectral d on a well-resolved bump vs the exact symmetrized
@@ -55,6 +69,99 @@ class TestGrid:
         lhs = delta_field(d_field(gv))
         rhs = laplacian_field(gv)
         assert (lhs - rhs).norm_l2() < 1e-10 * max(rhs.norm_l2(), 1.0)
+
+
+# -- full-spectrum oracles: every spectral operator as complex fftn on both
+# halves of the spectrum, with the Nyquist bins zeroed ------------------------
+
+def _full_omega_mesh(N, L, n):
+    om = 2.0 * np.pi * np.fft.fftfreq(N, d=L / N)
+    if N % 2 == 0:
+        om[N // 2] = 0.0
+    return np.stack(np.meshgrid(*[om] * n, indexing="ij"), axis=-1)
+
+
+def _full_fft(g):
+    return np.fft.fftn(g.comps, axes=tuple(range(1, g.n + 1)))
+
+
+def _full_ifft_real(spec, n):
+    return np.fft.ifftn(spec, axes=tuple(range(spec.ndim - n, spec.ndim))).real
+
+
+def _full_d(v):
+    sym = FrequencySymbol(v.n, v.m + 1)
+    a = np.einsum("rca,...a->...rc", sym.imul_coeffs, _full_omega_mesh(v.N, v.L, v.n))
+    return _full_ifft_real(1j * np.einsum("...rc,c...->r...", a, _full_fft(v)), v.n)
+
+
+def _full_delta(f):
+    sym = FrequencySymbol(f.n, f.m)
+    a = np.einsum("rca,...a->...rc", sym.jcon_coeffs, _full_omega_mesh(f.N, f.L, f.n))
+    return _full_ifft_real(1j * np.einsum("...rc,c...->r...", a, _full_fft(f)), f.n)
+
+
+def _full_laplacian(f, times=1):
+    mult = -(_full_omega_mesh(f.N, f.L, f.n) ** 2).sum(axis=-1)
+    return _full_ifft_real(_full_fft(f) * mult ** times, f.n)
+
+
+def _full_decompose(f):
+    sym = FrequencySymbol(f.n, f.m)
+    w = _full_omega_mesh(f.N, f.L, f.n).reshape(-1, f.n)
+    fhat = _full_fft(f).reshape(f.comps.shape[0], -1).T
+    a = np.einsum("rca,pa->prc", sym.imul_coeffs, w)
+    jm = np.einsum("rca,pa->prc", sym.jcon_coeffs, w)
+    gram = jm @ a
+    rhs = np.einsum("prc,pc->pr", jm, fhat)
+    dead = (w == 0).all(axis=1)
+    gram[dead] = np.eye(gram.shape[1])
+    rhs[dead] = 0.0
+    wvec = np.linalg.solve(gram, rhs[..., None])[..., 0]
+    shape = (-1,) + (f.N,) * f.n
+    shat = (fhat - np.einsum("prc,pc->pr", a, wvec)).T.reshape(shape)
+    return _full_ifft_real(shat, f.n), _full_ifft_real((-1j * wvec).T.reshape(shape), f.n)
+
+
+def _full_symbol(f):
+    w = _full_omega_mesh(f.N, f.L, 2)
+    norm = np.sqrt((w**2).sum(axis=-1))
+    inv = np.zeros_like(norm)
+    np.divide(1.0, norm, out=inv, where=norm > 0)
+    xi = np.stack([-w[..., 1] * inv, w[..., 0] * inv], axis=-1)
+    fhat = _full_fft(f)
+    monos = [xi[..., 0] ** e[0] * xi[..., 1] ** e[1]
+             for e in (no._xi_monomial_exps(idx, 2) for idx in f.index_list())]
+    pairing = sum(multiplicity(idx) * fhat[pos] * monos[pos]
+                  for pos, idx in enumerate(f.index_list()))
+    return _full_ifft_real(np.stack([4.0 * np.pi * inv * mono * pairing
+                                     for mono in monos]), 2)
+
+
+class TestHalfSpectrum:
+    """The half-spectrum operators against complex fftn on the full
+    spectrum: at even N the last axis's Nyquist bin must be zeroed as the
+    full mesh zeroes it, and odd N has no Nyquist bin."""
+
+    @staticmethod
+    def _rel(got, want):
+        return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+    @pytest.mark.parametrize("N", [32, 33])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_matches_full_spectrum_oracle(self, m, N):
+        # a coarse grid, so the fields carry content up to the Nyquist bins
+        f = random_bump_field(2, m, SplitMix64(40 + m), power=3, degree=2)
+        g = GridTensorField.sample(f, N, 4.0)
+        sf, v = solenoidal_decompose(g)
+        sf_full, v_full = _full_decompose(g)
+        pairs = [(d_field(g).comps, _full_d(g)), (delta_field(g).comps, _full_delta(g)),
+                 (laplacian_field(g).comps, _full_laplacian(g)),
+                 (sf.comps, sf_full), (v.comps, v_full),
+                 (normal_symbol(g).comps, _full_symbol(g))]
+        for got, want in pairs:
+            assert got.shape == want.shape
+            assert self._rel(got, want) <= 1e-13
 
 
 class TestFrequencySymbol:
@@ -278,7 +385,7 @@ class TestFootPointSum:
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_matches_chord_kernel_oracle(self, n, degree, rho, m):
         from fractions import Fraction
-        from tentomo.symtensor import canonical_indices
+        from tentomo.symtensor import canonical_indices, multiplicity
         rule = build_rule(n, degree)
         rho = Fraction(rho)
         f = random_bump_field(n, m, SplitMix64(90 + 10 * n + m), rho=rho,
@@ -299,7 +406,7 @@ class TestFootPointSum:
     def test_grazing_line_at_power_zero(self, rule40):
         # at bump power 0 a line with half-chord sqrt(H) ~ 1e-6 still adds
         # ~1e-6 of the sum, so the miss rule must be the chord kernel's
-        from tentomo.symtensor import canonical_indices
+        from tentomo.symtensor import canonical_indices, multiplicity
         f = random_bump_field(2, 1, SplitMix64(97), power=0, degree=2)
         x = np.array([0.3, 1.0 - 5e-13])   # |s| = 1 - 5e-13 along node (1, 0)
         for k in range(2):
