@@ -8,12 +8,15 @@ Three numerical paths coexist, each with its own error source and tolerance:
   the sphere rule's, decreasing with rule degree;
 * grid convolution with the sampled real-space kernel (n=2) -- error is
   kernel discretization, ~1e-3 at N=128.  ``normal_convolution`` assembles
-  it in frequency space at period 2N: one real FFT per field component and
-  per distinct kernel, the sum over field components taken on the spectra,
-  and one inverse FFT per output term.  The period is exact for the N output
-  cells: the linear convolution of N samples with the 2N-sample kernel has
-  length 3N - 1, so the terms that wrap onto the output indices [N, 2N) come
-  from indices [3N, 4N), where it is zero;
+  it in frequency space: one real FFT per field component and per kernel,
+  the sum over field components taken on the spectra, and one inverse FFT
+  per output term.  Only the box of E cells per axis that holds the field's
+  nonzero samples is transformed, against the N + E - 1 kernel offsets that
+  its N outputs read, at the smallest period 2^a 3^b >= N + E - 1 (at most
+  2N).  That is exact by overlap-save: each kept output reads kernel
+  indices 0 .. N + E - 2, all within one period, so nothing wraps onto them.
+  The margin L/4 that ``GridTensorField.sample`` enforces gives E ~ N/2, and
+  periods 192 and 384 for N = 128 and 256;
 * exact Fourier symbol (n=2) -- the normal operator as a multiplier, exact up
   to roundoff; this is the path on which N(potential) = 0 holds to machine
   precision.
@@ -44,8 +47,8 @@ over the (point, rule node) pairs:
   xi-moment integrals): ``_angular_sum`` runs that chord kernel itself.
 
 Both go through (point, node) pairs in blocks of at most ``LINE_BLOCK`` =
-2^16: one rule node over the N = 256 grid, the largest array the grid path
-builds, so batching never raises peak memory.
+2^14, and every point adds its nodes in rule order onto one running total,
+so a point's value does not depend on the batch it comes in.
 """
 
 from __future__ import annotations
@@ -252,7 +255,7 @@ def solenoidal_decompose(f: GridTensorField):
     eye = np.eye(gram.shape[1])
     gram[dead] = eye
     rhs[dead] = 0.0
-    wvec = np.linalg.solve(gram, rhs[..., None])[..., 0]   # what = i * vhat
+    wvec = _solve_spd(gram, rhs)   # what = i * vhat
     vhat = -1j * wvec
     dvhat = np.einsum("prc,pc->pr", a, wvec)
     shat = fhat - dvhat
@@ -260,6 +263,23 @@ def solenoidal_decompose(f: GridTensorField):
     vv = _irfft(vhat.T.reshape((-1,) + spec.shape[1:]), f.N, f.n)
     return (GridTensorField(f.n, f.m, f.N, f.L, sf),
             GridTensorField(f.n, f.m - 1, f.N, f.L, vv))
+
+
+def _solve_spd(a, b):
+    """x with a[p] x[p] = b[p] for every p, overwriting a and b: Gaussian
+    elimination vectorised over p, without pivoting, as every a[p] is
+    symmetric positive definite.  One unknown is the division b / a."""
+    d = a.shape[-1]
+    for j in range(d):
+        for r in range(j + 1, d):
+            f = a[:, r, j] / a[:, j, j]
+            a[:, r, j + 1:] -= f[:, None] * a[:, j, j + 1:]
+            b[:, r] -= f * b[:, j]
+    for j in range(d - 1, -1, -1):
+        for c in range(j + 1, d):
+            b[:, j] -= a[:, j, c] * b[:, c]
+        b[:, j] /= a[:, j, j]
+    return b
 
 
 def helmholtz_decompose_oracle(f: GridTensorField):
@@ -286,10 +306,10 @@ def helmholtz_decompose_oracle(f: GridTensorField):
 # angular-quadrature normal operators
 # ---------------------------------------------------------------------------
 
-#: Lines per kernel call.  One rule node over the N = 256 grid is 2^16 lines,
-#: the largest array the grid path builds, so gathering the nodes of smaller
-#: point sets into one call never raises peak memory.
-LINE_BLOCK = 1 << 16
+#: Lines per kernel call, and points per chunk of ``_foot_point_sum``: a
+#: (point, node) block of 2^14 doubles is 128 kB and stays in cache, and the
+#: grids walk their points in chunks of one node by 2^14 points.
+LINE_BLOCK = 1 << 14
 
 
 def _angular_sum(expr: TransformExpr, pts, p, rank, rule: SphereRule):
@@ -309,8 +329,12 @@ def _angular_sum(expr: TransformExpr, pts, p, rank, rule: SphereRule):
         node, pt = np.divmod(np.arange(start, min(start + LINE_BLOCK, count)), len(pts))
         x, xi = pts[pt], rule.nodes[node]
         vals = rule.weights[node] * expr.eval_lines(x, xi) * _rowdot(x, xi)**p
+        # bincount adds in input order, so with the running totals first each
+        # point adds its nodes in rule order, whatever the block
+        bins = np.concatenate([np.arange(len(pts)), pt])
         for c, e in enumerate(out_exps):
-            out[:, c] += np.bincount(pt, vals * _monomials(xi, e), minlength=len(pts))
+            out[:, c] = np.bincount(bins, np.concatenate([out[:, c], vals * _monomials(xi, e)]),
+                                    minlength=len(pts))
     return out
 
 
@@ -374,7 +398,8 @@ def _horner(coeffs, s):
         return coeffs[:, None]
     acc = _horner(coeffs[..., -1], s[:-1])
     for d in range(coeffs.shape[-1] - 2, -1, -1):
-        acc = acc * s[-1] + _horner(coeffs[..., d], s[:-1])
+        acc = acc * s[-1]
+        acc += _horner(coeffs[..., d], s[:-1])
     return acc
 
 
@@ -394,8 +419,10 @@ def _foot_point_sum(f: PolyBumpField, k, pts, p, rank, rule: SphereRule):
     polynomial R_xi per node, and each (point, node) pair then costs one
     evaluation of R_xi at s = E_xi x and one power of H = rho^2 - |s|^2.
     Lines whose half-chord sqrt(H) is not above ``TANGENCY_TOL`` miss, as in
-    the chord kernel.  Pairs go through as (nodes, points) blocks of at most
-    ``LINE_BLOCK`` entries, and each point sums its nodes in rule order.
+    the chord kernel.  Points go through in chunks of at most ``LINE_BLOCK``,
+    their pairs as (nodes, points) blocks of at most ``LINE_BLOCK`` entries,
+    and each point adds its nodes one by one in rule order onto its running
+    total, (((0 + v_0) + v_1) + ...), whatever its chunk and block.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     nodes = rule.nodes
@@ -403,11 +430,12 @@ def _foot_point_sum(f: PolyBumpField, k, pts, p, rank, rule: SphereRule):
     rho2 = float(f.rho)**2
     out_exps = [_xi_monomial_exps(idx, f.n) for idx in canonical_indices(f.n, rank)]
     node_w = np.stack([rule.weights * _monomials(nodes, e) for e in out_exps], axis=1)
-    out = np.zeros((len(pts), len(out_exps)))
+    out = np.zeros((len(out_exps), len(pts)))
     pb = max(1, min(len(pts), LINE_BLOCK))
     nb = max(1, LINE_BLOCK // pb)
     for p0 in range(0, len(pts), pb):
         x = pts[p0:p0 + pb].T
+        total = out[:, p0:p0 + pb]
         for n0 in range(0, len(nodes), nb):
             sl = slice(n0, n0 + nb)
             s = [_node_dots(basis[sl, j], x) for j in range(f.n - 1)]
@@ -417,21 +445,14 @@ def _foot_point_sum(f: PolyBumpField, k, pts, p, rank, rule: SphereRule):
             np.subtract(rho2, h, out=h)
             root = np.maximum(h, 0.0)
             np.sqrt(root, out=root)
-            hit = root > TANGENCY_TOL
+            root *= root > TANGENCY_TOL   # a line that misses adds +-0
             vals = _horner(r[sl], s) * _int_power(h, f.power)
             vals *= root
-            vals[~hit] = 0.0
             if p:
                 vals *= _int_power(_node_dots(nodes[sl], x), p)
-            for c in range(len(out_exps)):
-                out[p0:p0 + pb, c] += _sum_rows(vals * node_w[sl, c, None])
-    return out
-
-
-def _sum_rows(terms):
-    """Rows of a (nodes, points) block summed in rule order: numpy adds the
-    rows of two or more columns in order but sums one column pairwise."""
-    return terms.sum(axis=0) if terms.shape[1] > 1 else np.cumsum(terms)[-1:]
+            for row in node_w[sl, :, None] * vals[:, None, :]:
+                total += row
+    return out.T
 
 
 def normal_momentum(f: PolyBumpField, x, k, rule: SphereRule) -> SymTensor:
@@ -506,32 +527,41 @@ def _origin_cell_average(alpha, beta, h):
     return float((vals * w).sum()) * (math.pi / 8) / h**2
 
 
-def _kernel_values(x, y, alpha, beta):
-    """x^alpha[0] y^alpha[1] / (x^2 + y^2)^(beta/2) on the outer grid x by y."""
-    num = np.multiply.outer(_int_power(x, alpha[0]), _int_power(y, alpha[1]))
-    return num / _int_power(np.sqrt(np.add.outer(x * x, y * y)), beta)
+def _fft_period(need, cap):
+    """The smallest 2^a 3^b >= need, or ``cap`` where that is smaller."""
+    bits = range(cap.bit_length())
+    return min([cap] + [2**a * 3**b for a in bits for b in bits if 2**a * 3**b >= need])
 
 
-def _kernel_grid(N, h, alpha, beta):
-    """Sampled kernel x^alpha/|x|^beta at the offsets (i - N) h, i < 2N, n = 2.
+def _kernel_family(offsets, h, degree, beta):
+    """Sampled kernels x^alpha/|x|^beta (n = 2) for every alpha of the given
+    degree, at the cell offsets ``offsets[0]`` x ``offsets[1]`` (increasing
+    integer ranges that hold 0); row a of the result is alpha = (a, degree - a).
 
     Cells within ``AVERAGE_RADIUS`` (Chebyshev) of the origin hold cell
-    averages: the origin cell's from ``_origin_cell_average``, the others'
-    from a tensor Gauss-Legendre rule, all of them in one array evaluation.
+    averages: the origin cell's from ``_origin_cell_average``, the others' from
+    a tensor Gauss-Legendre rule over the near cells among the offsets.  Every
+    alpha shares |x|^beta and the sub-cell nodes.
     """
-    offs = (np.arange(2 * N) - N) * h
+    def values(x, y):
+        rpow = _int_power(np.sqrt(np.add.outer(x * x, y * y)), beta)
+        return np.stack([np.multiply.outer(_int_power(x, a), _int_power(y, degree - a)) / rpow
+                         for a in range(degree + 1)])
+
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = _kernel_values(offs, offs, alpha, beta)
+        vals = values(offsets[0] * h, offsets[1] * h)
     u, w = _leggauss(SUBSAMPLES)
+    cells = [np.arange(max(o[0], -AVERAGE_RADIUS), min(o[-1], AVERAGE_RADIUS) + 1)
+             for o in offsets]
     # node i of cell c sits at sub[c * SUBSAMPLES + i]; the half-weights
     # integrate to h per axis, so the weighted sum is already the cell average
-    sub = (np.arange(-AVERAGE_RADIUS, AVERAGE_RADIUS + 1)[:, None] * h
-           + 0.5 * h * u).ravel()
-    cells = 2 * AVERAGE_RADIUS + 1
-    near = _kernel_values(sub, sub, alpha, beta).reshape(cells, SUBSAMPLES, cells, SUBSAMPLES)
-    box = slice(N - AVERAGE_RADIUS, N + AVERAGE_RADIUS + 1)
-    vals[box, box] = np.einsum("i,aibj,j->ab", 0.5 * w, near, 0.5 * w)
-    vals[N, N] = _origin_cell_average(alpha, beta, h)
+    sub = [(c[:, None] * h + 0.5 * h * u).ravel() for c in cells]
+    near = values(*sub).reshape(degree + 1, len(cells[0]), SUBSAMPLES, len(cells[1]), SUBSAMPLES)
+    box = tuple(slice(c[0] - o[0], c[-1] + 1 - o[0]) for c, o in zip(cells, offsets))
+    vals[(slice(None),) + box] = np.einsum("i,daibj,j->dab", 0.5 * w, near, 0.5 * w)
+    origin = tuple(-o[0] for o in offsets)
+    for a in range(degree + 1):
+        vals[(a,) + origin] = _origin_cell_average((a, degree - a), beta, h)
     return vals
 
 
@@ -541,12 +571,20 @@ def normal_convolution(f: GridTensorField, k=0):
     Implements the closed convolution form: for each l <= k the kernel is
     (x^(.2m+2k-l)) / |x|^{2m+2k-2l+n-1} with the x^(.2k-l) contraction applied
     pointwise after convolving, weighted by 2 C(k,l) (-1)^l.  The products
-    are assembled in frequency space at period 2N: each field component and
-    each distinct kernel is transformed once, and each (l, x^(.2k-l)
+    are assembled in frequency space: each field component and each kernel of
+    the degree 2m+2k-l family is transformed once, and each (l, x^(.2k-l)
     component, output component) takes one inverse transform of its sum over
-    field components.  The period wraps linear index o + 2N onto o; for the
-    output indices [N, 2N) that is [3N, 4N), past the linear convolution's
-    last index 3N - 2, so the kept window is the linear convolution exactly.
+    field components.
+
+    Only the box of E = E_0 x E_1 cells holding every nonzero sample is
+    transformed (overlap-save).  Per axis, with the box at rows lo .. lo+E-1,
+    output q reads input lo + i at the offset d = q - lo - i, which runs over
+    the N + E - 1 values -(lo+E-1) .. N-1-lo; kernel index j holds offset
+    j - (lo+E-1) and the rest of the period is zero.  At period P >= N + E - 1
+    the cyclic sum at o = q + E - 1 reads kernel indices o - i in
+    0 .. N + E - 2, all inside one period, so nothing wraps onto the kept
+    window and it is the linear convolution exactly.  P is the smallest
+    2^a 3^b >= N + E - 1, capped at 2N (a field filling the box, E = N).
     """
     if f.n != 2:
         raise ValueError("convolution path implemented for n=2")
@@ -554,16 +592,24 @@ def normal_convolution(f: GridTensorField, k=0):
     h = f.h
     if f.comps.shape[1] < 16:
         raise ValueError("grid too coarse for kernel resolution")
-    shape = (2 * N,) * n
-    core = (slice(N, 2 * N),) * n
-    field_hat = np.fft.rfft2(f.comps, s=shape)
-    kernel_hat = {}
-    coords = f.axis_coords()
     idx_list = list(canonical_indices(n, m))
     out = np.zeros((len(idx_list),) + (N,) * n)
+    nonzero = (f.comps != 0).any(axis=0)
+    if not nonzero.any():
+        return GridTensorField(n, m, N, f.L, out)
+    rows = [np.flatnonzero(nonzero.any(axis=1 - ax)) for ax in range(n)]
+    lo = [r[0] for r in rows]
+    ext = [r[-1] + 1 - r[0] for r in rows]
+    shape = tuple(_fft_period(N + e - 1, 2 * N) for e in ext)
+    offsets = [np.arange(N + e - 1) - (a + e - 1) for a, e in zip(lo, ext)]
+    keep = tuple(slice(e - 1, e - 1 + N) for e in ext)
+    box = (slice(None),) + tuple(slice(a, a + e) for a, e in zip(lo, ext))
+    field_hat = np.fft.rfft2(f.comps[box], s=shape)
+    coords = f.axis_coords()
     for l in range(k + 1):
         beta = 2 * m + 2 * k - 2 * l + n - 1
         coeff = 2.0 * math.comb(k, l) * (-1) ** l
+        kernel_hat = np.fft.rfft2(_kernel_family(offsets, h, 2 * m + 2 * k - l, beta), s=shape)
         for p_idx in canonical_indices(n, 2 * k - l):
             p_exps = _xi_monomial_exps(p_idx, n)
             xpref = np.multiply.outer(_int_power(coords, p_exps[0]),
@@ -571,11 +617,9 @@ def normal_convolution(f: GridTensorField, k=0):
             for c, i_idx in enumerate(idx_list):
                 acc = 0.0
                 for jpos, j_idx in enumerate(idx_list):
-                    key = (_xi_monomial_exps(p_idx + i_idx + j_idx, n), beta)
-                    if key not in kernel_hat:
-                        kernel_hat[key] = np.fft.rfft2(_kernel_grid(N, h, *key))
-                    acc = acc + multiplicity(j_idx) * field_hat[jpos] * kernel_hat[key]
-                conv = np.fft.irfft2(acc, s=shape)[core]
+                    a0 = _xi_monomial_exps(p_idx + i_idx + j_idx, n)[0]
+                    acc = acc + multiplicity(j_idx) * field_hat[jpos] * kernel_hat[a0]
+                conv = np.fft.irfft2(acc, s=shape)[keep]
                 out[c] += (coeff * multiplicity(p_idx) * h**n) * xpref * conv
     return GridTensorField(n, m, N, f.L, out)
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import collections
 import itertools
-import json
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -370,23 +369,6 @@ class SphereRule:
     def integrate(self, func):
         return sum(w * func(tuple(node))
                    for node, w in zip(self.nodes, self.weights))
-
-    def to_json_dict(self):
-        return {"n": self.n, "degree": self.degree,
-                "nodes": self.nodes.tolist(), "weights": self.weights.tolist()}
-
-    @classmethod
-    def from_json_dict(cls, doc):
-        return cls(doc["n"], doc["degree"], doc["nodes"], doc["weights"])
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh)
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 def build_rule(n, degree, offset=0.0) -> SphereRule:

@@ -67,3 +67,20 @@ def test_rows_do_not_depend_on_their_batch(seed, order, keep):
         for i in range(ROWS):
             assert np.array_equal(_stacked(fn(np.array([i]))), full[i:i + 1],
                                   equal_nan=True), (name, i)
+
+
+def test_rows_of_a_batch_above_one_block():
+    # 2 000 points x 41 nodes fill several (node, point) blocks, so a row's
+    # nodes are split between blocks in the batch and not on their own
+    rule = build_rule(2, 40)
+    rng = SplitMix64(8)
+    f = random_bump_field(2, 1, rng.split("f"), power=4, degree=2)
+    expr = xr.TransformExpr.momentum(f, 1)
+    axis = np.linspace(-1.2, 1.2, 50)
+    pts = np.stack(np.meshgrid(axis, axis[::-1][:40], indexing="ij"), axis=-1).reshape(-1, 2)
+    assert len(pts) * len(rule.nodes) > max(no.LINE_BLOCK, 2**16)
+    for fn in (lambda x: no._foot_point_sum(f, 1, x, 1, 1, rule),
+               lambda x: no._angular_sum(expr, x, 0, 2, rule)):
+        batch = fn(pts)
+        for i in range(0, len(pts), 37):
+            assert np.array_equal(fn(pts[i:i + 1]), batch[i:i + 1]), i

@@ -123,6 +123,26 @@ def _full_decompose(f):
     return _full_ifft_real(shat, f.n), _full_ifft_real((-1j * wvec).T.reshape(shape), f.n)
 
 
+def _lapack_decompose(f):
+    """``solenoidal_decompose`` with ``np.linalg.solve`` for the per-frequency
+    Gram systems."""
+    sym = FrequencySymbol(f.n, f.m)
+    w = no._omega_mesh(f.N, f.L, f.n).reshape(-1, f.n)
+    spec = f.rfft()
+    fhat = spec.reshape(len(spec), -1).T
+    a = np.einsum("rca,pa->prc", sym.imul_coeffs, w)
+    jm = np.einsum("rca,pa->prc", sym.jcon_coeffs, w)
+    gram = jm @ a
+    rhs = np.einsum("prc,pc->pr", jm, fhat)
+    dead = (w == 0).all(axis=1)
+    gram[dead] = np.eye(gram.shape[1])
+    rhs[dead] = 0.0
+    wvec = np.linalg.solve(gram, rhs[..., None])[..., 0]
+    shat = fhat - np.einsum("prc,pc->pr", a, wvec)
+    return (no._irfft(shat.T.reshape(spec.shape), f.N, f.n),
+            no._irfft((-1j * wvec).T.reshape((-1,) + spec.shape[1:]), f.N, f.n))
+
+
 def _full_symbol(f):
     w = _full_omega_mesh(f.N, f.L, 2)
     norm = np.sqrt((w**2).sum(axis=-1))
@@ -240,6 +260,17 @@ class TestDecomposition:
         assert (sf - sfo).norm_l2() <= 1e-12 * g.norm_l2()
         assert (v - vo).norm_l2() <= 1e-12 * g.norm_l2()
 
+    @pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+    def test_gram_solve_matches_lapack(self, n, m):
+        f = random_bump_field(n, m, SplitMix64(140 + 10 * n + m), power=m + 4, degree=2)
+        g = GridTensorField.sample(f, 16, 4.0)
+        sf, v = solenoidal_decompose(g)
+        sf_want, v_want = _lapack_decompose(g)
+        if (n, m) == (2, 1):
+            assert np.array_equal(sf.comps, sf_want) and np.array_equal(v.comps, v_want)
+        for got, want in ((sf.comps, sf_want), (v.comps, v_want)):
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
     def test_rank_zero_rejected(self):
         g = GridTensorField.zeros(2, 0, 16, 4.0)
         with pytest.raises(ValueError):
@@ -301,7 +332,7 @@ class TestAngularNormal:
 
     def test_many_lines_match_chunked_points(self, rule40):
         # 1 700 points x 41 nodes = 69 700 lines, more than 2^16, so one call
-        # spans several kernel blocks with a node split between two of them
+        # spans several (node, point) blocks
         f = random_bump_field(2, 1, SplitMix64(30), power=4, degree=2)
         axis = np.linspace(-1.3, 1.3, 50)
         pts = np.stack(np.meshgrid(axis, axis[:34], indexing="ij"), axis=-1).reshape(-1, 2)
@@ -583,6 +614,38 @@ class TestConvolutionOracle:
         assert min(np.abs(g.comps[:, 1, :]).max(), np.abs(g.comps[:, -1, :]).max()) > 0.0
         want = _convolution_oracle(g, 1)
         got = normal_convolution(g, k=1).comps
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @staticmethod
+    def _field(name, m):
+        """A grid field whose nonzero box is off-centre, narrow or one cell."""
+        from fractions import Fraction
+        rng = SplitMix64(130 + m)
+        if name == "narrow":
+            f = random_bump_field(2, m, rng, rho=Fraction(1, 4), power=4, degree=2)
+            return GridTensorField.sample(f, 64, 4.0)
+        if name == "off-centre":
+            f = random_bump_field(2, m, rng, power=4, degree=2)
+            g = GridTensorField.sample(f, 48, 4.0)
+            g.comps = np.roll(g.comps, (13, -10), axis=(1, 2))
+            return g
+        g = GridTensorField.zeros(2, m, 32, 4.0)
+        g.comps[:, 27, 5] = np.arange(1.0, len(g.comps) + 1.0)
+        return g
+
+    @pytest.mark.parametrize("name,m,k", [
+        ("off-centre", 0, 0), ("off-centre", 1, 1), ("off-centre", 2, 1),
+        # at k = 1 the l = 0 and 1 terms of a narrow field cancel to ~1e-13
+        # of their size in both convolutions, so it is checked at k = 0
+        ("narrow", 0, 0), ("narrow", 1, 0), ("narrow", 2, 0),
+        ("one cell", 0, 0), ("one cell", 1, 1), ("one cell", 2, 1)])
+    def test_support_box_period(self, name, m, k):
+        # the transforms run at the smallest 2^a 3^b >= N + E - 1 for the
+        # nonzero box's extent E: one cell more of wrap and the kernel's
+        # far end lands on the kept window
+        g = self._field(name, m)
+        want = _convolution_oracle(g, k)
+        got = normal_convolution(g, k=k).comps
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     @pytest.mark.parametrize("h", [4 / 64, 4 / 512])

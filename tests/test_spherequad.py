@@ -11,7 +11,7 @@ import scipy.special
 from tentomo.polynomial import Polynomial, quadric_derivative, random_homogeneous
 from tentomo import spherequad as sq
 from tentomo.rng import SplitMix64
-from tentomo.spherequad import (HomogeneousRational, PiRational, SphereRule,
+from tentomo.spherequad import (HomogeneousRational, PiRational,
                                 build_rule, c_constant,
                                 integrate_core_over_ball, metric_power_weight,
                                 monomial_sphere_integral, verify_ibp)
@@ -298,15 +298,6 @@ class TestRules:
             assert errs[-1] < 1e-10
             for a, b in zip(errs, errs[1:]):
                 assert b <= a + 1e-15
-
-    def test_json_round_trip(self, tmp_path):
-        rule = build_rule(3, 4)
-        path = tmp_path / "rule.json"
-        rule.save(path)
-        back = SphereRule.load(path)
-        assert back.n == 3 and back.degree == 4
-        assert np.allclose(back.nodes, rule.nodes)
-        assert np.allclose(back.weights, rule.weights)
 
     def test_unsupported_dimension(self):
         with pytest.raises(ValueError):
