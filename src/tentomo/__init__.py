@@ -2,27 +2,4 @@
 operators, with exact and numerical verification of the identities behind
 unique-continuation arguments in tensor tomography."""
 
-from .polyfield import (BudgetError, BumpPoly, PairSymTensorField,
-                        PolyBumpField, divergence, generalized_R,
-                        generalized_W, inner_derivative, laplacian_power,
-                        operator_R, potential_field, r_to_w,
-                        random_bump_field, saint_venant_W, w_to_r)
-from .normalops import (GridTensorField, divergence_normal, normal_convolution,
-                        normal_momentum, normal_ray, normal_symbol,
-                        solenoidal_decompose, ucp_experiment,
-                        verify_momentum_key_identity,
-                        verify_momentum_moment_identity,
-                        verify_ray_key_identity, verify_smoothness)
-from .polynomial import Polynomial
-from .rng import SplitMix64
-from .spherequad import (HomogeneousRational, PiRational, SphereRule,
-                         build_rule, c_constant, integrate_homogeneous,
-                         monomial_sphere_integral, verify_ibp)
-from .symtensor import (DenseTensor, MultiIndex, SymTensor, alternate, inner,
-                        i_mul, j_contract, partial_symmetrize, sym_power,
-                        sym_power_span_rank, sym_product, symmetrize)
-from .xray import (Line, TransverseRay, momentum_transform, ray_transform,
-                   transform_derivative, transverse_transform,
-                   trt_pointwise_recover, verify_john_relation)
-
 __version__ = "0.1.0"

@@ -197,19 +197,22 @@ def _convergence_rows(label, f, k, degrees, points, tol, kind):
     """Residual rows plus monotonicity rows shared by prop-ray/mrt suites.
 
     ``kind`` "key" checks the momentum key identity (k = 0 is the ray key
-    identity); any other kind checks the momentum moment identity.
+    identity), "lemma" the momentum moment identity; any other kind is a
+    ``ValueError``.  All the degrees' rules go through one call as one stack:
+    one sinogram and one chord-kernel call per expression, with each rule's
+    sums taken in its own rule order, bitwise those of a one-rule call.
     """
+    if kind not in ("key", "lemma"):
+        raise ValueError(f"unknown convergence kind {kind!r}")
     rows = []
-    exprs = no.momentum_key_rhs_exprs(f, k) if kind == "key" else None
-    by_degree = []   # (degrees, points): the worst residual component
-    for deg in degrees:
-        rule = sq.build_rule(f.n, deg)
-        if kind == "key":
-            res = no.verify_momentum_key_identity(f, points, k, rule, rhs_exprs=exprs)
-            by_degree.append(np.max(np.abs(list(res.values())), axis=0))
-        else:
-            res = no.verify_momentum_moment_identity(f, points, k, rule)
-            by_degree.append(np.max(np.abs(res), axis=1))
+    rules = [sq.build_rule(f.n, deg) for deg in degrees]
+    # (degrees, points): the worst residual component
+    if kind == "key":
+        res = no.verify_momentum_key_identity(f, points, k, rules)
+        by_degree = np.max(np.abs(list(res.values())), axis=0)
+    else:
+        res = no.verify_momentum_moment_identity(f, points, k, rules)
+        by_degree = np.max(np.abs(res), axis=2)
     # one row per (degree, sample point); the stated tolerance is pinned at
     # the final (highest) degree, coarser degrees are trend diagnostics
     for j, deg in enumerate(degrees):
@@ -234,9 +237,9 @@ def _quadrature_convergence_row(label, f, x, degrees, ref_degree=320):
     key = next(iter(rf.canonical_keys()))
     comp = rf.component(rf.key_to_index(key))
     scalar = pf.PolyBumpField(f.n, 0, rf.rho, rf.power, {(): comp.core})
-    ref = no.n0_scalar(scalar, [x], sq.build_rule(f.n, ref_degree))[0]
-    errs = [abs(no.n0_scalar(scalar, [x], sq.build_rule(f.n, d))[0] - ref)
-            for d in degrees]
+    *vals, ref = no.n0_scalar(scalar, [x], [sq.build_rule(f.n, d)
+                                            for d in (*degrees, ref_degree)])[:, 0]
+    errs = [abs(v - ref) for v in vals]
     violation = worst([errs[-1] - errs[0]]
                       + [errs[j + 1] - 1.1 * errs[j] for j in range(len(errs) - 1)])
     return check_row(f"{label}_quadrature_error_decrease", violation, 0.0,

@@ -46,9 +46,15 @@ over the (point, rule node) pairs:
 * base-point lines, any ``TransformExpr`` (the key identities, N_0 and the
   xi-moment integrals): ``_angular_sum`` runs that chord kernel itself.
 
-Both go through (point, node) pairs in blocks of at most ``LINE_BLOCK`` =
-2^14, and every point adds its nodes in rule order onto one running total,
-so a point's value does not depend on the batch it comes in.
+Both take a stack of sphere rules and return one result per rule, so a
+convergence case runs all its rule degrees through one sinogram per (field,
+order) and one chord-kernel call per expression.  They go through the
+(point, node) pairs of all the rules in blocks of at most ``LINE_BLOCK`` =
+2^14, and every point adds each rule's nodes in rule order onto that rule's
+running total.  A line's chord value and a node's sinogram row do not depend
+on the other lines or nodes of their batch, so neither a point's value nor a
+rule's depends on the batch or the stack it comes in: each rule's sums are
+bitwise those of a one-rule call.
 """
 
 from __future__ import annotations
@@ -312,30 +318,41 @@ def helmholtz_decompose_oracle(f: GridTensorField):
 LINE_BLOCK = 1 << 14
 
 
-def _angular_sum(expr: TransformExpr, pts, p, rank, rule: SphereRule):
-    """sum over rule nodes of w <x,xi>^p xi^I expr(x, xi) per point x.
+def _stacked_nodes(rules):
+    """The nodes and weights of a stack of sphere rules, concatenated in
+    stack order, and the bounds of each rule's nodes in them."""
+    bounds = np.cumsum([0] + [len(rule) for rule in rules])
+    return (np.concatenate([rule.nodes for rule in rules]),
+            np.concatenate([rule.weights for rule in rules]), bounds)
+
+
+def _angular_sum(expr: TransformExpr, pts, p, rank, rules):
+    """sum over rule nodes of w <x,xi>^p xi^I expr(x, xi) per point x, for
+    each rule of the stack ``rules``.
 
     The line through x in direction xi is taken at the base point x itself,
     and ``expr`` goes through the chord kernel of ``xray``, so any
     ``TransformExpr`` works here.  Foot-point lines take the closed form of
     ``_foot_point_sum`` instead.  I runs over the canonical indices of
-    S^rank; returns an array (points, dim S^rank).
+    S^rank; returns an array (rules, points, dim S^rank).
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    nodes, weights, bounds = _stacked_nodes(rules)
+    owner = np.repeat(np.arange(len(rules)), np.diff(bounds)) * len(pts)
     out_exps = [_xi_monomial_exps(idx, expr.n) for idx in canonical_indices(expr.n, rank)]
-    out = np.zeros((len(pts), len(out_exps)))
-    count = len(pts) * len(rule.nodes)
+    out = np.zeros((len(rules) * len(pts), len(out_exps)))
+    count = len(pts) * len(nodes)
     for start in range(0, count, LINE_BLOCK):
         node, pt = np.divmod(np.arange(start, min(start + LINE_BLOCK, count)), len(pts))
-        x, xi = pts[pt], rule.nodes[node]
-        vals = rule.weights[node] * expr.eval_lines(x, xi) * _rowdot(x, xi)**p
+        x, xi = pts[pt], nodes[node]
+        vals = weights[node] * expr.eval_lines(x, xi) * _rowdot(x, xi)**p
         # bincount adds in input order, so with the running totals first each
-        # point adds its nodes in rule order, whatever the block
-        bins = np.concatenate([np.arange(len(pts)), pt])
+        # (rule, point) adds its nodes in rule order, whatever the block
+        bins = np.concatenate([np.arange(len(out)), owner[node] + pt])
         for c, e in enumerate(out_exps):
             out[:, c] = np.bincount(bins, np.concatenate([out[:, c], vals * _monomials(xi, e)]),
-                                    minlength=len(pts))
-    return out
+                                    minlength=len(out))
+    return out.reshape(len(rules), len(pts), len(out_exps))
 
 
 def _perp_basis(nodes):
@@ -412,30 +429,32 @@ def _node_dots(vecs, x):
     return out
 
 
-def _foot_point_sum(f: PolyBumpField, k, pts, p, rank, rule: SphereRule):
-    """sum over rule nodes of w <x,xi>^p xi^I J_m^k f(x - <x,xi>xi, xi) per x.
+def _foot_point_sum(f: PolyBumpField, k, pts, p, rank, rules):
+    """sum over rule nodes of w <x,xi>^p xi^I J_m^k f(x - <x,xi>xi, xi) per x,
+    for each rule of the stack ``rules``; returns (rules, points, dim S^rank).
 
     The backprojection of a compiled sinogram: ``_foot_sinogram`` gives one
-    polynomial R_xi per node, and each (point, node) pair then costs one
-    evaluation of R_xi at s = E_xi x and one power of H = rho^2 - |s|^2.
-    Lines whose half-chord sqrt(H) is not above ``TANGENCY_TOL`` miss, as in
-    the chord kernel.  Points go through in chunks of at most ``LINE_BLOCK``,
-    their pairs as (nodes, points) blocks of at most ``LINE_BLOCK`` entries,
-    and each point adds its nodes one by one in rule order onto its running
-    total, (((0 + v_0) + v_1) + ...), whatever its chunk and block.
+    polynomial R_xi per node of every rule, and each (point, node) pair then
+    costs one evaluation of R_xi at s = E_xi x and one power of
+    H = rho^2 - |s|^2.  Lines whose half-chord sqrt(H) is not above
+    ``TANGENCY_TOL`` miss, as in the chord kernel.  Points go through in
+    chunks of at most ``LINE_BLOCK``, their pairs as (nodes, points) blocks of
+    at most ``LINE_BLOCK`` entries, and each point adds each rule's nodes one
+    by one in rule order onto that rule's running total, (((0 + v_0) + v_1)
+    + ...), whatever its chunk and block.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    nodes = rule.nodes
+    nodes, weights, bounds = _stacked_nodes(rules)
     basis, r = _foot_sinogram(f, k, nodes)
     rho2 = float(f.rho)**2
     out_exps = [_xi_monomial_exps(idx, f.n) for idx in canonical_indices(f.n, rank)]
-    node_w = np.stack([rule.weights * _monomials(nodes, e) for e in out_exps], axis=1)
-    out = np.zeros((len(out_exps), len(pts)))
+    node_w = np.stack([weights * _monomials(nodes, e) for e in out_exps], axis=1)
+    out = np.zeros((len(rules), len(out_exps), len(pts)))
     pb = max(1, min(len(pts), LINE_BLOCK))
     nb = max(1, LINE_BLOCK // pb)
     for p0 in range(0, len(pts), pb):
         x = pts[p0:p0 + pb].T
-        total = out[:, p0:p0 + pb]
+        totals = list(out[:, :, p0:p0 + pb])
         for n0 in range(0, len(nodes), nb):
             sl = slice(n0, n0 + nb)
             s = [_node_dots(basis[sl, j], x) for j in range(f.n - 1)]
@@ -450,9 +469,12 @@ def _foot_point_sum(f: PolyBumpField, k, pts, p, rank, rule: SphereRule):
             vals *= root
             if p:
                 vals *= _int_power(_node_dots(nodes[sl], x), p)
-            for row in node_w[sl, :, None] * vals[:, None, :]:
-                total += row
-    return out.T
+            rows = node_w[sl, :, None] * vals[:, None, :]
+            # each rule's nodes in this block, onto that rule's totals
+            for j, total in enumerate(totals):
+                for row in rows[max(bounds[j] - n0, 0):max(bounds[j + 1] - n0, 0)]:
+                    total += row
+    return out.transpose(0, 2, 1)
 
 
 def normal_momentum(f: PolyBumpField, x, k, rule: SphereRule) -> SymTensor:
@@ -477,14 +499,14 @@ def divergence_normal(f: PolyBumpField, x, k, r, rule: SphereRule) -> SymTensor:
     rank = f.m - r
     if r == k + 1:
         return SymTensor(f.n, rank)
-    vals = _foot_point_sum(f, k, [x], k - r, rank, rule)[0]
+    vals = _foot_point_sum(f, k, [x], k - r, rank, [rule])[0, 0]
     vals = vals * (math.factorial(k) / math.factorial(k - r))
     return SymTensor(f.n, rank, dict(zip(canonical_indices(f.n, rank), vals.tolist())))
 
 
 def normal_momentum_on_points(f: PolyBumpField, pts, k, rule: SphereRule):
     """Vectorized (N_m^k f) on an array of points; returns (P, dim S^m)."""
-    return _foot_point_sum(f, k, pts, k, f.m, rule)
+    return _foot_point_sum(f, k, pts, k, f.m, [rule])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -654,10 +676,11 @@ def normal_symbol(f: GridTensorField):
 # identity verification: scalar normal operator and i^l j^l matrices
 # ---------------------------------------------------------------------------
 
-def n0_scalar(g: PolyBumpField, pts, rule: SphereRule):
+def n0_scalar(g: PolyBumpField, pts, rules):
     """N_0 g(x) = int_S J_0 g(x, xi) dS for a scalar field, at each point
-    of the (P, n) array ``pts``; returns shape (P,)."""
-    return _angular_sum(TransformExpr.momentum(g, 0), pts, 0, 0, rule)[:, 0]
+    of the (P, n) array ``pts`` and by each rule of the stack ``rules``;
+    returns shape (rules, P)."""
+    return _angular_sum(TransformExpr.momentum(g, 0), pts, 0, 0, rules)[..., 0]
 
 
 @lru_cache(maxsize=None)
@@ -673,8 +696,9 @@ def _iljl_matrix(n, m, l):
     return mat
 
 
-def verify_ray_key_identity(f: PolyBumpField, pts, rule: SphereRule):
-    """Residuals of the ray-transform key identity, per R-image component.
+def verify_ray_key_identity(f: PolyBumpField, pts, rules):
+    """Residuals of the ray-transform key identity, per R-image component,
+    by each rule of the stack ``rules``.
 
     LHS: m! N_0((Rf)_{i1 j1..im jm}) by angular quadrature of the exact
     polynomial components of Rf.  RHS: the c_{l,m}-weighted alternated
@@ -682,38 +706,39 @@ def verify_ray_key_identity(f: PolyBumpField, pts, rule: SphereRule):
     inside the line integral.  This is the momentum key identity at k = 0
     (R^0 = R, and G_m = sum_l c_{l,m} i^l j^l N_m f), so it is checked as that.
     """
-    return verify_momentum_key_identity(f, pts, 0, rule)
+    return verify_momentum_key_identity(f, pts, 0, rules)
 
 
-def verify_momentum_moment_identity(f: PolyBumpField, pts, k, rule: SphereRule):
+def verify_momentum_moment_identity(f: PolyBumpField, pts, k, rules):
     """Residual tensors of the momentum-data reduction identity at each point
-    of the (P, n) array ``pts``; returns (P, dim S^(m-k)) in canonical order.
+    of the (P, n) array ``pts``, by each rule of the stack ``rules``; returns
+    (rules, P, dim S^(m-k)) in canonical order.
 
     LHS integrates xi^(.(m-k)) J^k f at the base point; RHS combines
     x-contracted divergences delta^r N^r f (foot-point path, one sinogram per
-    r for all points), so the two sides are quadratures of genuinely
-    different integrands.
+    r for all points and rules), so the two sides are quadratures of
+    genuinely different integrands.
     """
     if not 0 <= k <= f.m:
         raise ValueError("k out of range")
     n, rank = f.n, f.m - k
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    lhs = _angular_sum(TransformExpr.momentum(f, k), pts, 0, rank, rule)
+    lhs = _angular_sum(TransformExpr.momentum(f, k), pts, 0, rank, rules)
     rhs = np.zeros_like(lhs)
     for r in range(k + 1):
         coeff = (-1.0) ** (k - r) * math.comb(k, r) / math.factorial(r)
-        div = _foot_point_sum(f, r, pts, 0, f.m - r, rule) * float(math.factorial(r))
+        div = _foot_point_sum(f, r, pts, 0, f.m - r, rules) * float(math.factorial(r))
         cols = {idx: c for c, idx in enumerate(canonical_indices(n, f.m - r))}
         for c, idx in enumerate(canonical_indices(n, rank)):
             # j_contract(x^(.(k-r)), .) on every point: the tail runs over all
             # ordered index tuples, its weight the product of x's components
-            total = np.zeros(len(pts))
+            total = np.zeros(lhs.shape[:2])
             for tail in itertools.product(range(n), repeat=k - r):
                 weight = np.ones(len(pts))
                 for i in sorted(tail):
                     weight = weight * pts[:, i]
-                total = total + div[:, cols[tuple(sorted(idx + tail))]] * weight
-            rhs[:, c] += total * coeff
+                total = total + div[..., cols[tuple(sorted(idx + tail))]] * weight
+            rhs[..., c] += total * coeff
     return lhs - rhs
 
 
@@ -793,21 +818,20 @@ def momentum_key_rhs_exprs(f: PolyBumpField, k):
     return out
 
 
-def verify_momentum_key_identity(f: PolyBumpField, pts, k, rule: SphereRule, rhs_exprs=None):
+def verify_momentum_key_identity(f: PolyBumpField, pts, k, rules):
     """Residuals of the momentum key identity at each point of the (P, n)
-    array ``pts``: {component key: (P,) array}."""
+    array ``pts``, by each rule of the stack ``rules``: {component key:
+    (rules, P) array}."""
     n, m = f.n, f.m
     if not 0 <= k <= m:
         raise ValueError("k out of range")
-    if rhs_exprs is None:
-        rhs_exprs = momentum_key_rhs_exprs(f, k)
     rkf = generalized_R(f, k)
     residuals = {}
-    for key, expr in rhs_exprs.items():
+    for key, expr in momentum_key_rhs_exprs(f, k).items():
         comp = rkf.component(rkf.key_to_index(key))
         scalar = PolyBumpField(n, 0, rkf.rho, rkf.power, {(): comp.core})
-        lhs = math.factorial(m) * n0_scalar(scalar, pts, rule)
-        residuals[key] = lhs - _angular_sum(expr, pts, 0, 0, rule)[:, 0]
+        lhs = math.factorial(m) * n0_scalar(scalar, pts, rules)
+        residuals[key] = lhs - _angular_sum(expr, pts, 0, 0, rules)[..., 0]
     return residuals
 
 

@@ -199,22 +199,8 @@ class HomogeneousRational:
         return self.numerator.eval(xi) / norm2 ** self.pow2r
 
     def sphere_integral(self, exact=True):
+        """Sphere integral of p(xi)/|xi|^{2r}: the numerator's restriction."""
         return polynomial_sphere_integral(self.numerator, exact=exact)
-
-    def ball_integral(self, exact=True):
-        """Radial-times-angular factorization; needs n + degree > 0."""
-        lam = self.degree
-        if lam is None:
-            return PiRational(0) if exact else 0.0
-        if self.n + lam <= 0:
-            raise ValueError("not integrable over the ball")
-        s = self.sphere_integral(exact=True) * Fraction(1, self.n + lam)
-        return s if exact else float(s)
-
-
-def integrate_homogeneous(g: HomogeneousRational, exact=True):
-    """Sphere integral of p(xi)/|xi|^{2r}: the numerator's restriction."""
-    return g.sphere_integral(exact=exact)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Batching cannot change a verdict: every line or point of a batched call
 gets exactly the value it gets as a one-row call, whatever the other rows
-of its batch are and in whatever order they come."""
+of its batch are and in whatever order they come, and every rule of a
+stacked call gets exactly the sums of a one-rule call."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from tentomo import cli
 from tentomo import normalops as no
 from tentomo import xray as xr
 from tentomo.polyfield import random_bump_field
@@ -31,6 +33,11 @@ def _stacked(out):
     return np.stack(list(out.values()), axis=1) if isinstance(out, dict) else out
 
 
+def _rule(out, j=0):
+    """Rule j's result of a call on a stack of rules."""
+    return {key: v[j] for key, v in out.items()} if isinstance(out, dict) else out[j]
+
+
 def _cases(seed):
     """(name, function of row indices) for every batched kernel and check."""
     rng = SplitMix64(seed)
@@ -43,14 +50,14 @@ def _cases(seed):
     return [
         ("eval_lines", lambda r: expr.eval_lines(X[r], Xi[r])),
         ("eval_lines transverse", lambda r: expr.eval_lines(X[r], Xi[r], X[r][:, ::-1])),
-        ("_angular_sum", lambda r: no._angular_sum(expr, pts[r], 1, 2, RULE)),
-        ("_foot_point_sum", lambda r: no._foot_point_sum(f2, 1, pts[r], 1, 1, RULE)),
+        ("_angular_sum", lambda r: _rule(no._angular_sum(expr, pts[r], 1, 2, [RULE]))),
+        ("_foot_point_sum", lambda r: _rule(no._foot_point_sum(f2, 1, pts[r], 1, 1, [RULE]))),
         ("verify_john_relation", lambda r: xr.verify_john_relation(f2, X[r], Xi[r])),
-        ("n0_scalar", lambda r: no.n0_scalar(g, pts[r], RULE)),
+        ("n0_scalar", lambda r: _rule(no.n0_scalar(g, pts[r], [RULE]))),
         ("verify_momentum_key_identity",
-         lambda r: no.verify_momentum_key_identity(f1, pts[r], 1, RULE)),
+         lambda r: _rule(no.verify_momentum_key_identity(f1, pts[r], 1, [RULE]))),
         ("verify_momentum_moment_identity",
-         lambda r: no.verify_momentum_moment_identity(f2, pts[r], 1, RULE)),
+         lambda r: _rule(no.verify_momentum_moment_identity(f2, pts[r], 1, [RULE]))),
     ]
 
 
@@ -79,8 +86,76 @@ def test_rows_of_a_batch_above_one_block():
     axis = np.linspace(-1.2, 1.2, 50)
     pts = np.stack(np.meshgrid(axis, axis[::-1][:40], indexing="ij"), axis=-1).reshape(-1, 2)
     assert len(pts) * len(rule.nodes) > max(no.LINE_BLOCK, 2**16)
-    for fn in (lambda x: no._foot_point_sum(f, 1, x, 1, 1, rule),
-               lambda x: no._angular_sum(expr, x, 0, 2, rule)):
+    for fn in (lambda x: no._foot_point_sum(f, 1, x, 1, 1, [rule])[0],
+               lambda x: no._angular_sum(expr, x, 0, 2, [rule])[0]):
         batch = fn(pts)
         for i in range(0, len(pts), 37):
             assert np.array_equal(fn(pts[i:i + 1]), batch[i:i + 1]), i
+
+
+#: Rules of different sizes (21, 41, 61 and 321 nodes), as the convergence
+#: checks stack them.
+STACK = [build_rule(2, d) for d in (20, 40, 60, 320)]
+
+
+def _stack_cases(seed):
+    """(name, function of a rule stack) for every call that takes one."""
+    rng = SplitMix64(seed)
+    f1 = random_bump_field(2, 1, rng.split("f1"), power=4, degree=2)
+    f2 = random_bump_field(2, 2, rng.split("f2"), power=6, degree=2)
+    g = random_bump_field(2, 0, rng.split("g"), power=4, degree=2)
+    pts = _rows(seed, 3, 1.6)[0] * 0.8
+    expr = xr.john_operator(xr.TransformExpr.momentum(f2, 1), 0, 1)
+    return [
+        ("_angular_sum", lambda rules: no._angular_sum(expr, pts, 1, 2, rules)),
+        ("_foot_point_sum", lambda rules: no._foot_point_sum(f2, 1, pts, 1, 1, rules)),
+        ("n0_scalar", lambda rules: no.n0_scalar(g, pts, rules)),
+        ("verify_momentum_key_identity",
+         lambda rules: no.verify_momentum_key_identity(f1, pts, 1, rules)),
+        ("verify_momentum_moment_identity",
+         lambda rules: no.verify_momentum_moment_identity(f2, pts, 1, rules)),
+    ]
+
+
+def _assert_rules_match_one_rule_calls(fn, rules, name):
+    alone = [_stacked(_rule(fn([rule]))) for rule in rules]
+    for order in (rules, rules[::-1]):
+        stacked = fn(order)
+        for j, rule in enumerate(order):
+            assert np.array_equal(_stacked(_rule(stacked, j)), alone[rules.index(rule)],
+                                  equal_nan=True), (name, rule.degree)
+
+
+def test_rules_of_a_stack_match_one_rule_calls():
+    for name, fn in _stack_cases(5):
+        _assert_rules_match_one_rule_calls(fn, STACK, name)
+
+
+def test_rules_of_a_stack_above_one_block():
+    # 40 points x 444 nodes fill two (point, node) blocks of the angular sum
+    # and two node blocks of the foot-point sum; both cut across rules
+    rng = SplitMix64(9)
+    f = random_bump_field(2, 1, rng.split("f"), power=4, degree=2)
+    expr = xr.TransformExpr.momentum(f, 1)
+    pts = _rows(9, 40, 1.6)[0] * 0.8
+    assert len(pts) * sum(len(rule) for rule in STACK) > no.LINE_BLOCK
+    for name, fn in (("_foot_point_sum", lambda rules: no._foot_point_sum(f, 1, pts, 1, 1, rules)),
+                     ("_angular_sum", lambda rules: no._angular_sum(expr, pts, 0, 2, rules))):
+        _assert_rules_match_one_rule_calls(fn, STACK, name)
+
+
+def test_kernel_calls_do_not_grow_with_the_degrees(monkeypatch):
+    counts = {"chord_integrals": 0, "_foot_sinogram": 0}
+    for mod, name in ((xr, "chord_integrals"), (no, "_foot_sinogram")):
+        def counted(*args, _real=getattr(mod, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(mod, name, counted)
+    seen = []
+    for degrees in ([20, 40], [20, 40, 60, 80]):
+        entry = {"suite": "identities.mrt", "lemma_cases": [[2, 1]],
+                 "prop_cases": [[1, 1]], "degrees": degrees}
+        cli.run_suite(entry, SplitMix64(0), None)
+        seen.append(dict(counts))
+        counts.update(dict.fromkeys(counts, 0))
+    assert seen[0] == seen[1] and all(seen[0].values()), seen

@@ -360,6 +360,15 @@ def test_a_check_with_no_samples_fails():
     assert worst([0.0, 2.5, 1.0]) == 2.5
 
 
+@pytest.mark.parametrize("kind", ["moment", "Key", ""])
+def test_convergence_rows_reject_an_unknown_kind(kind):
+    from tentomo.polyfield import random_bump_field
+    from tentomo.rng import SplitMix64
+    f = random_bump_field(2, 1, SplitMix64(3), power=4, degree=2, label="f")
+    with pytest.raises(ValueError, match="unknown convergence kind"):
+        cli._convergence_rows("x", f, 1, [20, 40], [[0.1, 0.2]], 1e-5, kind)
+
+
 def test_nan_quadrature_error_fails_its_row(monkeypatch):
     import numpy as np
 
@@ -368,9 +377,9 @@ def test_nan_quadrature_error_fails_its_row(monkeypatch):
     from tentomo.rng import SplitMix64
     real = no.n0_scalar
 
-    def nan_at_degree_40(g, pts, rule):
-        vals = real(g, pts, rule)
-        return np.full_like(vals, math.nan) if rule.degree == 40 else vals
+    def nan_at_degree_40(g, pts, rules):
+        vals = real(g, pts, rules)
+        return np.where([[rule.degree == 40] for rule in rules], math.nan, vals)
 
     monkeypatch.setattr(no, "n0_scalar", nan_at_degree_40)
     f = random_bump_field(2, 1, SplitMix64(3), power=4, degree=2, label="f")

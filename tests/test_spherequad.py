@@ -96,31 +96,17 @@ class TestHomogeneousRational:
         assert float(dg.value(xi)) == pytest.approx(fd, rel=1e-8)
 
     def test_restriction_examples(self):
-        from tentomo.spherequad import integrate_homogeneous
         xy = Polynomial.monomial(2, (1, 1), Fraction(1))
         g = HomogeneousRational(xy, 1)
-        assert integrate_homogeneous(g) == PiRational(0)
+        assert g.sphere_integral() == PiRational(0)
         x2 = Polynomial.monomial(2, (2, 0), Fraction(1))
-        assert integrate_homogeneous(HomogeneousRational(x2, 1)) == pi_rat(1)
-        assert integrate_homogeneous(g, exact=False) == 0.0
+        assert HomogeneousRational(x2, 1).sphere_integral() == pi_rat(1)
+        assert g.sphere_integral(exact=False) == 0.0
 
-    def test_sphere_equals_scaled_ball(self):
-        # integral over sphere = (n + lambda) * integral over ball, exactly,
-        # on all monomials of degree <= 8
-        for n in (2, 3):
-            for deg in range(9):
-                for exps in itertools.product(range(deg + 1), repeat=n):
-                    if sum(exps) != deg:
-                        continue
-                    g = HomogeneousRational(
-                        Polynomial.monomial(n, exps, Fraction(1)), 0)
-                    assert (g.sphere_integral()
-                            - g.ball_integral() * (n + deg)).is_zero()
-
-    def test_frozen_ball_example(self):
-        # n=2, g = xi_1^2: pi = 4 * (pi/4)
+    def test_frozen_sphere_example(self):
+        # n=2: the integral of xi_1^2 over S^1 is pi
         g = HomogeneousRational(Polynomial.monomial(2, (2, 0), Fraction(1)), 0)
-        assert g.ball_integral() == pi_rat(1, 4)
+        assert g.sphere_integral() == pi_rat(1)
 
     def test_inhomogeneous_rejected(self):
         p = Polynomial(2, {(1, 0): Fraction(1), (0, 0): Fraction(1)})
