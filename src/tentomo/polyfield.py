@@ -9,18 +9,18 @@ Q = c0 + sigma |x|^2, here B = rho^2 - |x|^2,
     D_i [q * Q^e] = (Q * D_i q + 2 sigma e x_i q) * Q^{e-1},
 
 and ``polynomial.quadric_derivative`` forms that numerator for one core,
-``CoreStack.quadric_diff`` for a whole stack of them, here and in the
-quotient rule of ``spherequad.verify_ibp`` (Q = |xi|^2).
+``CoreStack.quadric_level`` for a level of a derivative tree of them, here
+and in the quotient rule of ``spherequad.verify_ibp`` (Q = |xi|^2).
 
 Keeping the bump factor symbolic means every operator here (symmetrized
 derivative, divergence, Laplacian, the order-m curvature-type operators W
 and R, their generalizations and the conversions between them) is computed
 in exact rational arithmetic on small polynomial cores.  A field keeps its
 cores as one ``CoreStack``, one row per canonical component, in int64 under
-the stack's proven bound and in Python ints above it.  It derives one stack
-per sorted axis tuple, for all components at once and sharing prefixes, and
-every operator is a stencil compiled once per (operator, n, m, k) into one
-integer matrix over those stacks' rows, applied as one matrix product.
+the stack's proven bound and in Python ints above it.  It keeps derivative
+levels, level j the j-fold partials of all components, and every operator
+is a stencil compiled once per (operator, n, m, k) into one integer matrix
+over the levels it reads, applied as one matrix product.
 ``Polynomial`` cores (``cores``, ``comps``) are materialised lazily for the
 transforms.  ``rho=None`` selects unrestricted polynomial mode (global
 polynomial fields, differential operators only): the quadric derivative
@@ -38,7 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from .polynomial import (CoreStack, Polynomial, exact_array, linear_combination,
-                         quadric_derivative)
+                         quadric_derivative, tree_multisets)
 from .symtensor import SymTensor, canonical_indices, multiplicity
 
 
@@ -115,7 +115,7 @@ class _StackedField:
         self._stack = stack
         self._cores = None if stack is not None else \
             {key: p for key, p in (cores or {}).items() if not p.is_zero()}
-        self._deriv = {}
+        self._levels = []
 
     @property
     def stack(self) -> CoreStack:
@@ -134,19 +134,18 @@ class _StackedField:
     def is_zero(self):
         return self._stack.is_zero() if self._cores is None else not self._cores
 
-    def derivative_stack(self, axes) -> CoreStack:
-        """Cores of the |axes|-fold mixed partial of every row, for a sorted
-        axis tuple; built from the stack of its prefix and kept."""
-        if not axes:
-            return self.stack
-        got = self._deriv.get(axes)
-        if got is None:
-            _require_budget(self, len(axes))
+    def derivative_level(self, j) -> CoreStack:
+        """Cores of the j-fold mixed partials of every row, one block per axis
+        multiset of ``tree_multisets``: a ``quadric_level`` step of level
+        j - 1, kept."""
+        _require_budget(self, j)
+        levels = self._levels = self._levels or [self.stack]
+        while len(levels) <= j:
+            i = len(levels) - 1
             c0, sigma, e = (1, 0, 0) if self.rho is None else \
-                (self.rho * self.rho, -1, self.power - len(axes) + 1)
-            got = self.derivative_stack(axes[:-1]).quadric_diff(axes[-1], c0, sigma, e)
-            self._deriv[axes] = got
-        return got
+                (self.rho * self.rho, -1, self.power - i)
+            levels.append(levels[i].quadric_level(i, c0, sigma, e))
+        return levels[j]
 
 
 @functools.lru_cache(maxsize=None)
@@ -348,8 +347,8 @@ class PairSymTensorField(_StackedField):
 # compiled stencils
 # ---------------------------------------------------------------------------
 
-#: Compiled stencils: ``(out_rows, columns, sources, matrix, denom, rowsum)``.
-Stencil = collections.namedtuple("Stencil", "out_rows columns sources matrix denom rowsum")
+#: Compiled stencils: ``(out_rows, columns, lengths, matrix, denom, rowsum)``.
+Stencil = collections.namedtuple("Stencil", "out_rows columns lengths matrix denom rowsum")
 
 #: (term generator, n, m, k) -> Stencil; filled on first use.
 _STENCILS = {}
@@ -362,17 +361,19 @@ def _stencil(terms, n, m, k) -> Stencil:
     keys of output and input, and ``(out row, (in row, source), weight)``
     triples with ``Fraction`` weights, a source being the sorted axis tuple
     of the input derivative read, () for the input itself.  The columns of
-    the integer matrix run over the sorted sources, then ``in_rows``: the
-    rows of the sources' derivative stacks stacked in turn.  An output row
-    is ``matrix @ atoms / denom``, and ``rowsum`` the largest absolute row
-    sum.  Every order comes from the canonical key lists, none from a set or
-    a dict, so the matrix does not depend on the hash seed.
+    the integer matrix run over the rows of the field's derivative levels of
+    the ``lengths`` some source has, stacked in turn: by length, then by
+    ``tree_multisets``, then by ``in_rows``.  An output row is
+    ``matrix @ atoms / denom``, and ``rowsum`` the largest absolute row sum.
+    Every order comes from the canonical key lists, none from a set or a
+    dict, so the matrix does not depend on the hash seed.
     """
     got = _STENCILS.get((terms, n, m, k))
     if got is None:
         out_rows, in_rows, triples = terms(n, m, k)
         triples = list(triples)
-        sources = sorted({src for _, (_, src), _ in triples})
+        lengths = sorted({len(src) for _, (_, src), _ in triples})
+        sources = [src for j in lengths for src in tree_multisets(n, j)]
         out_pos = {key: i for i, key in enumerate(out_rows)}
         col_pos = {(row, src): j * len(in_rows) + r for j, src in enumerate(sources)
                    for r, row in enumerate(in_rows)}
@@ -380,17 +381,16 @@ def _stencil(terms, n, m, k) -> Stencil:
         matrix = np.zeros((len(out_rows), len(col_pos)), dtype=object)
         for key, atom, w in triples:
             matrix[out_pos[key], col_pos[atom]] += w.numerator * (denom // w.denominator)
-        got = Stencil(tuple(out_rows), tuple(col_pos), sources, exact_array(matrix), denom,
+        got = Stencil(tuple(out_rows), tuple(col_pos), lengths, exact_array(matrix), denom,
                       int(np.abs(matrix).sum(axis=1).max(initial=0)))
         _STENCILS[(terms, n, m, k)] = got
     return got
 
 
 def _apply(stencil: Stencil, field: _StackedField, scale=1) -> CoreStack:
-    """scale times the stencil's output rows, over the derivative stacks of
+    """scale times the stencil's output rows, over the derivative levels of
     ``field`` that it reads."""
-    atoms = CoreStack.vstack(field.n, [field.derivative_stack(src)
-                                       for src in stencil.sources])
+    atoms = CoreStack.vstack(field.n, [field.derivative_level(j) for j in stencil.lengths])
     out = atoms.combine(stencil.matrix, stencil.denom, stencil.rowsum)
     return out if scale == 1 else out.scale(scale)
 

@@ -10,10 +10,11 @@ gcd normalization of every ``Fraction`` operation.
 
 ``CoreStack`` is the exact engine of the operator paths: many cores stacked
 as rows of one dense integer array over one common ``int`` denominator.  Its
-kernels (the quadric derivative of every row, a compiled stencil as one
-integer matrix product, the exact-zero test) run in int64 while a proven
-bound on every entry and partial sum stays below ``INT64_LIMIT`` = 2^62, and
-on ``object`` arrays of Python ints above it, so no kernel can overflow.
+kernels (the quadric derivative of every row, along one axis or for one
+derivative-tree level, a compiled stencil as one integer matrix product, the
+exact-zero test) run in int64 while a proven bound on every entry and partial
+sum stays below ``INT64_LIMIT`` = 2^62, and on ``object`` arrays of Python
+ints above it, so no kernel can overflow.
 The dict ``Polynomial``, ``quadric_derivative`` and ``linear_combination``
 stay as the general type and as the independent oracles of those kernels.
 """
@@ -357,20 +358,32 @@ def _exponents(n, side, axis):
     return np.arange(1, side).reshape((-1,) + (1,) * (n - 1 - axis))
 
 
+@functools.lru_cache(maxsize=None)
+def tree_multisets(n, j):
+    """The sorted axis multisets of length j in derivative-tree order: for
+    a = 0, .., n - 1, those of length j - 1 over axes 0..a (a prefix, of
+    C(a + j - 1, j - 1) of them), each extended by a."""
+    if not j:
+        return ((),)
+    return tuple(key + (a,) for a in range(n) for key in tree_multisets(n, j - 1)
+                 if key[-1:] <= (a,))
+
+
 class CoreStack:
     """Exact polynomial cores in ``n`` variables, stacked as rows.
 
     ``arr[r, a_0, .., a_{n-1}] / den`` is the coefficient of x^a in row r.
     Every axis has the same length, the side, and every row has total degree
-    below it.  ``bound`` is the largest |entry|, measured after each kernel;
-    ``arr`` is int64 below INT64_LIMIT and holds Python ints above it.
+    below it.  ``bound`` bounds every |entry|, measured unless given (the
+    quadric kernels carry ((|c0| + n |sigma|)(side - 1) + |2 sigma e|) times
+    their input's); ``arr`` is int64 below INT64_LIMIT, Python ints above.
     """
 
     __slots__ = ("n", "arr", "den", "bound")
 
-    def __init__(self, n, arr, den=1):
+    def __init__(self, n, arr, den=1, bound=None):
         self.n, self.den = n, den
-        self.bound = int(np.abs(arr).max(initial=0))
+        self.bound = int(np.abs(arr).max(initial=0)) if bound is None else bound
         self.arr = arr.astype(_dtype(self.bound), copy=False)
 
     @classmethod
@@ -411,7 +424,7 @@ class CoreStack:
 
     def max_abs(self) -> Fraction:
         """Largest |coefficient| of any row."""
-        return Fraction(self.bound, self.den)
+        return Fraction(int(np.abs(self.arr).max(initial=0)), self.den)
 
     def __sub__(self, other):
         a, b = CoreStack.vstack(self.n, [self, other]).arr.reshape(
@@ -441,14 +454,30 @@ class CoreStack:
         shifted slices and an index multiply.  The side grows by one, or
         shrinks by one when sigma = 0.
         """
+        return self._quadric(c0, sigma, e, ((axis, len(self.arr)),))
+
+    def quadric_level(self, j, c0, sigma, e) -> "CoreStack":
+        """One level of a derivative tree: the rows come in equal blocks, one
+        per multiset I of ``tree_multisets(n, j)``, and block I + (a,) of
+        the result, for every a at or above I's last axis, is
+        ``quadric_diff(a, c0, sigma, e)`` of block I; row by row."""
+        rows = len(self.arr) // math.comb(self.n + j - 1, j)
+        return self._quadric(c0, sigma, e, tuple((a, math.comb(a + j, j) * rows)
+                                                 for a in range(self.n)))
+
+    def _quadric(self, c0, sigma, e, moves) -> "CoreStack":
+        """The quadric derivatives along axis of the first count rows, for each
+        (axis, count) of ``moves``, stacked under the a-priori bound."""
         num, s, two_se = c0.numerator, sigma * c0.denominator, 2 * sigma * e * c0.denominator
         side, n = self.side, self.n
         bound = ((abs(num) + n * abs(s)) * (side - 1) + abs(two_se)) * self.bound
         dtype = _dtype(max(bound, self.bound, abs(num), abs(s), abs(two_se)))
         arr = self.arr.astype(dtype, copy=False)
-        out = np.zeros((len(arr),) + (side + 1 if sigma else max(side - 1, 1),) * n, dtype)
+        starts = list(itertools.accumulate((count for _, count in moves), initial=0))
+        out = np.zeros((starts[-1],) + (side + 1 if sigma else max(side - 1, 1),) * n, dtype)
         # d_axis p has degree below side - 1, so side - 1 covers every axis
-        dp = arr[_window(n, side - 1, axis, 1)] * _exponents(n, side, axis)
+        dp = np.concatenate([arr[:count][_window(n, side - 1, axis, 1)]
+                             * _exponents(n, side, axis) for axis, count in moves])
         if num:
             out[_window(n, side - 1)] += num * dp
         if s:
@@ -456,8 +485,9 @@ class CoreStack:
             for i in range(n):
                 out[_window(n, side - 1, i, 2)] += dp
         if two_se:
-            out[_window(n, side, axis, 1)] += two_se * arr
-        return CoreStack(n, out, self.den * c0.denominator)
+            for (axis, count), start in zip(moves, starts):
+                out[start:start + count][_window(n, side, axis, 1)] += two_se * arr[:count]
+        return CoreStack(n, out, self.den * c0.denominator, bound)
 
     def combine(self, matrix, denom, rowsum) -> "CoreStack":
         """Rows sum_j matrix[i, j] row_j / denom: a compiled stencil as one

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .polynomial import CoreStack, Polynomial, exact_array, exact_matmul
+from .polynomial import CoreStack, Polynomial, exact_array, exact_matmul, tree_multisets
 
 
 class PiRational:
@@ -282,19 +282,12 @@ def _ibp_weights(n, s):
 
 def _derivative_tree(g: HomogeneousRational, s):
     """(multisets, stack): row I of the stack is the numerator of d_I g over
-    |xi|^{2(r+s)}, for every sorted index multiset I of length s.  Level j+1
-    takes the quotient rule of level j's rows along each axis a, on the rows
-    whose multiset ends at or below a, so every row is derived once."""
-    keys, level = [()], CoreStack.from_polys(g.n, [g.numerator])
+    |xi|^{2(r+s)}, for every multiset I of ``tree_multisets(n, s)``; level
+    j+1 is the quotient-rule level step (0, 1, -(r + j)) of level j."""
+    tree = CoreStack.from_polys(g.n, [g.numerator])
     for j in range(s):
-        parts, grown = [], []
-        for a in range(g.n):
-            rows = [r for r, key in enumerate(keys) if not key or key[-1] <= a]
-            parts.append(CoreStack(g.n, level.arr[rows], level.den).quadric_diff(
-                a, 0, 1, -(g.pow2r + j)))
-            grown += [keys[r] + (a,) for r in rows]
-        keys, level = grown, CoreStack.vstack(g.n, parts)
-    return keys, level
+        tree = tree.quadric_level(j, 0, 1, -(g.pow2r + j))
+    return tree_multisets(g.n, s), tree
 
 
 def _sphere_integrals(stack):
@@ -302,7 +295,7 @@ def _sphere_integrals(stack):
     of every row: one integer dot product with the monomial table."""
     pos, nums, den, pi_pow = _sphere_table(stack.n, stack.side)
     flat = stack.arr.reshape(len(stack.arr), -1)[:, pos]
-    bound = stack.bound * sum(map(abs, nums.tolist()))
+    bound = int(np.abs(flat).max(initial=0)) * sum(map(abs, nums.tolist()))
     return exact_matmul(flat, nums, bound), stack.den * den, pi_pow
 
 
@@ -332,7 +325,8 @@ def verify_ibp(g: HomogeneousRational, s) -> dict:
         shifted[(r,) + tuple(slice(a, a + p.side) for a in e)] = p.arr[0]
     moments, mden, _ = _sphere_integrals(CoreStack(g.n, shifted, p.den))
     rhs = exact_matmul(weights, moments, rowsum * int(np.abs(moments).max(initial=0))).tolist()
-    return {idx: PiRational(Fraction(lhs[idx], lhs_den) - Fraction(r, wden * mden), pi_pow)
+    den = wden * mden
+    return {idx: PiRational(Fraction(lhs[idx] * den - r * lhs_den, lhs_den * den), pi_pow)
             for idx, r in zip(multisets, rhs)}
 
 

@@ -262,17 +262,21 @@ def alternate(t: DenseTensor, slot_a, slot_b) -> DenseTensor:
 
 
 def sym_product(u: SymTensor, v: SymTensor) -> SymTensor:
-    """Symmetrized tensor product u (.) v of rank m+k."""
+    """Symmetrized tensor product u (.) v of rank m+k: entry I is the sum over
+    the size-m sub-multisets J of I of prod_a C(c_a, j_a) u_J v_{I-J} / C(m+k, m),
+    c_a and j_a counting axis a in I and J: the average over I's orderings."""
     if u.n != v.n:
         raise ValueError("dimension mismatch")
     m, k = u.m, v.m
-    fact = math.factorial(m + k)
     out = SymTensor(u.n, m + k)
     for idx in canonical_indices(u.n, m + k):
         total = 0
-        for perm in itertools.permutations(idx):
-            total = total + u.get(perm[:m]) * v.get(perm[m:])
-        out[idx] = _divide(total, fact)
+        for first, ways in Counter(itertools.combinations(idx, m)).items():
+            rest = list(idx)
+            for a in first:
+                rest.remove(a)
+            total = total + ways * u.get(first) * v.get(rest)
+        out[idx] = _divide(total, math.comb(m + k, m))
     return out
 
 

@@ -447,6 +447,25 @@ class TestEmitTables:
         assert rows[1][5] == "0.1"
 
 
+@pytest.mark.parametrize("op", ["saint_venant_W", "operator_R"])
+def test_nonpotential_controls_flag_a_vanishing_operator(monkeypatch, op):
+    # the two controls close the algebra table at exactly 0.0 and read 1.0
+    # once W (or R) sends the random round-trip fields to zero
+    from tentomo import polyfield as pf
+    from tentomo.rng import SplitMix64
+    params = {"trials": 1, "roundtrip_trials": 3}
+    names = ["W_of_nonpotential_nonzero", "R_of_nonpotential_nonzero"]
+    rows = cli._run_algebra(params, SplitMix64(3))
+    assert [(r["name"], r["value"], r["pass"]) for r in rows[-2:]] == \
+        [(name, 0.0, True) for name in names]
+    real = getattr(pf, op)
+    monkeypatch.setattr(pf, op, lambda f: real(f).scale(0))
+    flags = {r["name"]: r for r in cli._run_algebra(params, SplitMix64(3))[-2:]}
+    flagged = names[op == "operator_R"]
+    assert flags[flagged]["value"] == 1.0 and not flags[flagged]["pass"]
+    assert flags[names[op != "operator_R"]]["value"] == 0.0
+
+
 def test_ibp_rows_are_the_worst_over_every_ordered_index(tilted_sphere):
     # the suite evaluates one index per multiset; each row must still equal
     # the worst residual over every ordered index.  Integrating against

@@ -384,6 +384,24 @@ class TestStackAgainstDictOracles:
                     assert all(lap.core(idx) == want.core(idx)
                                for idx in canonical_indices(n, m))
 
+    def test_operators_share_one_level_step_per_level(self, monkeypatch):
+        # the derivative levels of a field are built once, one level step
+        # each, and every operator reads them: no quadric derivative per
+        # sorted axis tuple
+        from tentomo.polynomial import CoreStack
+        levels, real = [], CoreStack.quadric_level
+
+        def counted(self, j, *params):
+            levels.append(j)
+            return real(self, j, *params)
+        monkeypatch.setattr(CoreStack, "quadric_level", counted)
+        monkeypatch.setattr(CoreStack, "quadric_diff", None)
+        f = random_bump_field(3, 3, SplitMix64(41), power=5, degree=2)
+        for k in range(4):
+            generalized_W(f, k), generalized_R(f, k)
+        inner_derivative(f), divergence(f), laplacian_power(f)
+        assert levels == [0, 1, 2]
+
     def test_python_int_fallback_gives_identical_components(self, monkeypatch):
         # a low int64 limit sends most kernels to Python ints (and some
         # stacks back to int64 when their measured bound is small again)

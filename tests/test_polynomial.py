@@ -1,15 +1,16 @@
 """Exact polynomial arithmetic."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from tentomo.polyfield import bump_core_diff
-from tentomo.polynomial import (CoreStack, Polynomial, PolynomialSizeError,
+from tentomo.polynomial import (INT64_LIMIT, CoreStack, Polynomial, PolynomialSizeError,
                                 linear_combination, quadric_derivative,
-                                random_homogeneous, random_polynomial)
+                                random_homogeneous, random_polynomial, tree_multisets)
 from tentomo.rng import SplitMix64
 
 
@@ -178,3 +179,76 @@ class TestQuadricDerivative:
             assert set(got.terms) == set(want.terms)
             for exps, c in want.terms.items():
                 assert got.terms[exps] == pytest.approx(c, rel=1e-14)
+
+
+def chain_oracle(p, order, params):
+    """``quadric_derivative`` along the axes of ``order`` in turn, step j
+    with (c0, sigma, e) = params(j); d/dx_axis when sigma = 0."""
+    for j, axis in enumerate(order):
+        c0, sigma, e = params(j)
+        p = quadric_derivative(p, axis, c0, sigma, e) if sigma else p.diff(axis)
+    return p
+
+
+class TestQuadricLevel:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_tree_multisets_are_every_sorted_multiset_once(self, n):
+        for j in range(5):
+            keys = tree_multisets(n, j)
+            assert sorted(keys) == list(itertools.combinations_with_replacement(range(n), j))
+            # the multisets over axes 0..a are a prefix: what a level step reads
+            for a in range(n):
+                assert all(max(key, default=0) <= a for key in keys[:math.comb(a + j, j)])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("kind", ["quotient", "bump", "polynomial"])
+    def test_levels_match_dict_chains_in_every_axis_order(self, n, kind):
+        # blocks of rows of mixed degree and denominator, one per multiset:
+        # every ordering of a multiset's axes chains to the block's numerators
+        rng = SplitMix64(80 + n)
+        params = {"quotient": lambda j: (0, 1, -(2 + j)),
+                  "bump": lambda j: (Fraction(9, 4), -1, 6 - j),
+                  "polynomial": lambda j: (1, 0, 0)}[kind]
+        rows = [random_homogeneous(n, 3, rng), _with_fractions(random_polynomial(n, 2, rng)),
+                Polynomial.zero(n), Polynomial.constant(n, Fraction(-2, 3))]
+        level = CoreStack.from_polys(n, rows)
+        for j in range(5):
+            got = level.polys()
+            assert len(got) == len(tree_multisets(n, j)) * len(rows)
+            for b, key in enumerate(tree_multisets(n, j)):
+                for order in set(itertools.permutations(key)):
+                    want = [chain_oracle(p, order, params) for p in rows]
+                    assert got[b * len(rows):(b + 1) * len(rows)] == want
+            level = level.quadric_level(j, *params(j))
+            assert level.bound >= np.abs(level.arr).max()
+
+    def test_a_row_does_not_depend_on_the_rest_of_its_level(self):
+        rng = SplitMix64(90)
+        rows = [random_polynomial(3, 4, rng) for _ in range(3)]
+        alone = [CoreStack.from_polys(3, [p]) for p in rows]
+        level = CoreStack.from_polys(3, rows)
+        for j in range(3):
+            alone = [s.quadric_level(j, 1, -1, 5 - j) for s in alone]
+            level = level.quadric_level(j, 1, -1, 5 - j)
+            got = level.polys()
+            for r, s in enumerate(alone):
+                assert got[r::len(rows)] == s.polys()
+
+    def test_bound_crossing_int64_at_the_second_level_gives_python_ints(self):
+        # the carried a-priori bound is below INT64_LIMIT after one step and
+        # above it after two; the second level's entries pass 2^63
+        big = 2**62 // 100
+        p = Polynomial(2, {(1, 0): big, (0, 1): -big})
+        params = lambda j: (1, -1, 10 - j)  # noqa: E731
+        first = CoreStack.from_polys(2, [p]).quadric_level(0, *params(0))
+        second = first.quadric_level(1, *params(1))
+        # ((|c0| + n |sigma|)(side - 1) + |2 sigma e|) times the input's bound
+        assert first.bound == (3 * 1 + 20) * big and second.bound == (3 * 2 + 18) * first.bound
+        assert first.bound < INT64_LIMIT <= second.bound
+        assert first.arr.dtype == np.int64 and second.arr.dtype == object
+        assert all(type(c) is int for c in second.arr.ravel())
+        polys = second.polys()
+        assert max(abs(c) for q in polys for c in q.terms.values()) > 2**63
+        for b, key in enumerate(tree_multisets(2, 2)):
+            for order in set(itertools.permutations(key)):
+                assert polys[b] == chain_oracle(p, order, params)

@@ -167,6 +167,21 @@ class TestIBP:
                 itertools.combinations_with_replacement(range(n), s))
             assert all(r.is_zero() for r in residuals.values())
 
+    def test_one_level_step_per_level(self, monkeypatch):
+        # the derivative tree is one quadric level step per level, never
+        # one quadric derivative per (level, axis)
+        from tentomo.polynomial import CoreStack
+        levels, real = [], CoreStack.quadric_level
+
+        def counted(self, j, *params):
+            levels.append(j)
+            return real(self, j, *params)
+        monkeypatch.setattr(CoreStack, "quadric_level", counted)
+        monkeypatch.setattr(CoreStack, "quadric_diff", None)
+        g = HomogeneousRational(random_homogeneous(3, 5, SplitMix64(95)), 1)
+        assert all(r.is_zero() for r in verify_ibp(g, 4).values())
+        assert levels == [0, 1, 2, 3]
+
     def test_residual_depends_only_on_the_index_multiset(self, tilted_sphere):
         # the premise of evaluating one index per multiset, on the per-index
         # oracle; tilted (see the fixture), so orderings are compared on

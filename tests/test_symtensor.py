@@ -178,6 +178,24 @@ class TestSymProduct:
             sym_product(random_sym(2, 1, SplitMix64(1)),
                         random_sym(3, 1, SplitMix64(1)))
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_sub_multiset_splits_match_the_permutation_average(self, n):
+        # oracle: the definition, u(I_1..I_m) v(I_m+1..I_m+k) averaged over
+        # all (m+k)! orderings of every canonical index I
+        rng = SplitMix64(12 + n)
+        for m, k in itertools.product(range(5), repeat=2):
+            if m + k > 4:
+                continue
+            u, v = random_sym(n, m, rng), random_sym(n, k, rng)
+            want = SymTensor(n, m + k)
+            for idx in canonical_indices(n, m + k):
+                want[idx] = sum((u.get(p[:m]) * v.get(p[m:])
+                                 for p in itertools.permutations(idx)),
+                                Fraction(0)) / math.factorial(m + k)
+            got = sym_product(u, v)
+            assert got == want
+            assert all(type(x) is Fraction for x in got.data.values())
+
 
 class TestMetricOperators:
     def test_i_on_scalar_gives_metric(self):
