@@ -4,8 +4,8 @@
 unknown keys, checks every value (defaults too) and fills in the defaults.
 ``validate`` and ``run`` both call it, so ``validate`` accepts exactly what
 the runners execute, and the runners read the complete dict it returns.
-``ConfigError.exit_code`` is 2 for the top level or an unknown suite and 3
-for a suite parameter.
+``ConfigError.exit_code`` is 2 for the top level, an unknown suite or a suite
+named twice, and 3 for a suite parameter.
 """
 
 import json
@@ -135,8 +135,15 @@ def load_config(path):
 def validate_config(doc):
     """The resolved top level of ``doc``, after every suite entry resolved."""
     top = _resolve_table(TOP_LEVEL, doc, "config", 2)
+    first = {}
     for pos, entry in enumerate(top["suites"]):
         resolve(entry, f"suites[{pos}]")
+        # a suite's table is named after it, so a second entry would overwrite it
+        name = entry["suite"]
+        if name in first:
+            raise ConfigError(f"suites[{pos}]: suite {name!r} is already suites"
+                              f"[{first[name]}]; name each suite once", 2)
+        first[name] = pos
     return top
 
 

@@ -1,6 +1,7 @@
 """Normal operators of the ray and momentum ray transforms, the
 solenoidal-potential decomposition, and verification of the central
-identities relating them.
+identities relating them.  The suites that turn these into report rows,
+the UCP ones included, are in ``tentomo.suites``.
 
 Three numerical paths coexist, each with its own error source and tolerance:
 
@@ -68,11 +69,9 @@ import numpy as np
 
 from .polyfield import (PairSymTensorField, PolyBumpField, _position_splits,
                         generalized_R, pair_alternations)
-from .config import resolve
-from .spherequad import SphereRule, build_rule, c_constant
+from .spherequad import SphereRule, c_constant
 from .symtensor import (SymTensor, canonical_indices, i_metric, j_metric,
                         multiplicity, sym_dim)
-from .verdict import check_row, worst
 from .xray import (TANGENCY_TOL, TransformExpr, dot_power_terms, _chord_moment,
                    _int_power, _monomial_table, _monomials, _rowdot, _shifted,
                    _xi_monomial_exps)
@@ -860,194 +859,3 @@ def verify_smoothness(f: GridTensorField):
     residual = lhs - rhs
     rel = residual.norm_l2() / max(f.norm_l2(), 1e-300)
     return residual, rel
-
-
-# ---------------------------------------------------------------------------
-# desk-scale unique-continuation experiments
-# ---------------------------------------------------------------------------
-
-def _sample_lines_through(rng, center, radius, count, n):
-    """(X, Xi) of ``count`` lines through the ball about ``center``."""
-    children = [rng.split(f"line-{t}") for t in range(count)]
-    X = np.asarray(center) + np.array([c.point_in_ball(n, radius) for c in children])
-    return X, np.array([c.direction(n) for c in children])
-
-
-def _exact_zero_value(pair_field):
-    """Largest |coefficient| of any component core, as a float."""
-    return float(pair_field.stack.max_abs())
-
-
-#: UCP tolerance, negative-control floor, radius of U, rule and core degrees.
-UCP_TOL, UCP_FLOOR, U_RADIUS, UCP_RULE_DEGREE, UCP_CORE_DEGREE = 1e-9, 1e-3, 0.25, 30, 2
-
-
-def ucp_experiment(scenario, config, rng, lines_csv=None):
-    """Run one unique-continuation mechanics scenario and report residuals.
-
-    ``scenario`` is one of "ray", "mrt", "trt", and ``config`` holds ucp.<scenario>
-    suite parameters.  The report is a dict {scenario, config, residuals:
-    [{name, value, tolerance, pass}], timing}.  Checks named *_nonvanishing are
-    negative controls: they pass when the value EXCEEDS the threshold.  For
-    "ray" and "mrt", ``lines_csv`` receives the sampled lines and their data.
-    """
-    import time as _time
-    from . import polyfield as pfmod
-    from .xray import Line, ray_transform, write_transform_csv
-
-    t_start = _time.perf_counter()
-    checks = []
-    params = resolve({**config, "suite": f"ucp.{scenario}"})
-    n, m = params["n"], params["m"]
-    u_center = np.asarray([0.2] + [0.0] * (n - 1))
-    num_lines, num_points = params["num_lines"], params["num_points"]
-
-    if scenario == "ray":
-        rule = build_rule(n, UCP_RULE_DEGREE)
-        if params["potential"]:
-            v = pfmod.random_bump_field(n, m - 1, rng, power=m + 3,
-                                        degree=UCP_CORE_DEGREE, label="v")
-            f = pfmod.inner_derivative(v)
-        else:
-            f = pfmod.random_bump_field(n, m, rng, power=m + 3,
-                                        degree=UCP_CORE_DEGREE, label="f")
-        rf = pfmod.operator_R(f)
-        checks.append(check_row("curvature_operator_exactly_zero",
-                                _exact_zero_value(rf), 1e-10))
-        X, Xi = _sample_lines_through(rng, u_center, U_RADIUS, num_lines, n)
-        data = TransformExpr.momentum(f, 0).eval_lines(X, Xi)
-        checks.append(check_row("ray_data_through_U_max", worst(np.abs(data)), UCP_TOL))
-        pts = np.array([u_center + np.asarray(rng.split(f"pt{t}").point_in_ball(n, U_RADIUS))
-                        for t in range(num_points)])
-        nmax = worst(np.abs(normal_momentum_on_points(f, pts, 0, rule)).ravel())
-        checks.append(check_row("normal_operator_on_U_max", nmax, UCP_TOL))
-        f_neg = pfmod.random_bump_field(n, m, rng, power=m + 3,
-                                        degree=UCP_CORE_DEGREE, label="neg")
-        neg = worst(np.abs(normal_momentum_on_points(f_neg, pts[:3], 0, rule)).ravel())
-        checks.append(check_row("nonpotential_normal_nonvanishing", neg, UCP_FLOOR,
-                                mode="above"))
-        # control of the exact-zero row: R does not vanish on f_neg
-        checks.append(check_row("curvature_operator_nonvanishing",
-                                _exact_zero_value(pfmod.operator_R(f_neg)), 1e-10,
-                                mode="above"))
-        if lines_csv:
-            write_transform_csv(lines_csv, X, Xi, data[:, None], ["value"])
-
-    elif scenario == "mrt":
-        k = params["k"]
-        rule = build_rule(n, UCP_RULE_DEGREE)
-        if params["potential"]:
-            v = pfmod.random_bump_field(n, m - k - 1, rng, power=m + k + 4,
-                                        degree=UCP_CORE_DEGREE, label="v")
-            f = pfmod.potential_field(v, order=k + 1)
-        else:
-            f = pfmod.random_bump_field(n, m, rng, power=m + k + 4,
-                                        degree=UCP_CORE_DEGREE, label="f")
-        rkf = pfmod.generalized_R(f, k)
-        checks.append(check_row("generalized_curvature_exactly_zero",
-                                _exact_zero_value(rkf), 1e-10))
-        X, Xi = _sample_lines_through(rng, u_center, U_RADIUS, num_lines, n)
-        values = [TransformExpr.momentum(f, p).eval_lines(X, Xi) for p in range(k + 2)]
-        for p in range(k + 1):
-            checks.append(check_row(f"momentum_data_order{p}_through_U_max",
-                                    worst(np.abs(values[p])), UCP_TOL))
-        pts = np.array([u_center + np.asarray(rng.split(f"pt{t}").point_in_ball(n, U_RADIUS))
-                        for t in range(num_points)])
-        for p in range(k + 1):
-            nmax = worst(np.abs(normal_momentum_on_points(f, pts, p, rule)).ravel())
-            checks.append(check_row(f"normal_momentum_order{p}_on_U_max", nmax, UCP_TOL))
-        checks.append(check_row(f"momentum_data_order{k + 1}_nonvanishing",
-                                worst(np.abs(values[k + 1])), UCP_FLOOR, mode="above"))
-        # control of the exact-zero row, on a field drawn after every other draw
-        f_neg = pfmod.random_bump_field(n, m, rng, power=m + k + 4,
-                                        degree=UCP_CORE_DEGREE, label="neg")
-        checks.append(check_row("generalized_curvature_nonvanishing",
-                                _exact_zero_value(pfmod.generalized_R(f_neg, k)), 1e-10,
-                                mode="above"))
-        if lines_csv:
-            write_transform_csv(lines_csv, X, Xi, np.stack(values[:k + 1], axis=1),
-                                [f"value_k{p}" for p in range(k + 1)])
-
-    else:
-        from .symtensor import sym_dim, sym_power_span_rank
-        from .xray import TransverseRay, trt_pointwise_recover
-        f = pfmod.random_bump_field(n, m, rng, power=4,
-                                    degree=UCP_CORE_DEGREE, label="f")
-        u_center = np.asarray([2.5] + [0.0] * (n - 1))
-        etas = []
-        while True:
-            etas = [rng.split(f"eta{t}").direction(n) for t in range(n)]
-            if abs(np.linalg.det(np.array(etas))) > 0.2:
-                break
-        expected = sym_dim(n, m)
-        rank = sym_power_span_rank([list(e) for e in etas], m)
-        checks.append(check_row("sym_power_span_rank_deficit",
-                                abs(rank - expected), 0.5))
-        # f vanishes on U (support is disjoint from U by construction)
-        pts_u = [u_center + np.asarray(rng.split(f"u{t}").point_in_ball(n, U_RADIUS))
-                 for t in range(num_points)]
-        fmax_u = worst(f.value(tuple(x)).max_abs() for x in pts_u)
-        checks.append(check_row("field_vanishes_on_U_max", fmax_u, 1e-12))
-        # pointwise recovery from pairings against the eta products
-        errs = []
-        for t in range(num_points):
-            x = rng.split(f"rp{t}").point_in_ball(n, 0.9)
-            fx = f.value(x)
-            samples = {}
-            for combo in canonical_indices(n, m):
-                val = 0.0
-                for dense in itertools.product(range(n), repeat=m):
-                    w = fx.get(dense)
-                    if w:
-                        prod = 1.0
-                        for eta_i, ax in zip(combo, dense):
-                            prod *= etas[eta_i][ax]
-                        val += w * prod
-                samples[combo] = val
-            rec = trt_pointwise_recover([list(e) for e in etas], samples, m)
-            errs.append((rec - fx).max_abs())
-        checks.append(check_row("pointwise_recovery_max_err", worst(errs), UCP_TOL))
-        # transverse data on lines from U into the support reduce to scalar
-        # ray data of the contracted component <f, y^(.m)>
-        rays, svals = [], []
-        for t in range(num_lines):
-            child = rng.split(f"ray{t}")
-            eta = np.asarray(etas[t % n])
-            base = u_center + np.asarray(child.point_in_ball(n, U_RADIUS))
-            target = np.asarray(child.point_in_ball(n, 0.8))
-            omega = target - base
-            omega = omega / np.linalg.norm(omega)
-            xpt = base - (base @ omega) * omega
-            ray = TransverseRay(omega, xpt, eta - (eta @ omega) * omega)
-            rays.append(ray)
-            # scalar oracle: contract f against y^(.m) componentwise
-            contracted = {}
-            for dense in itertools.product(range(n), repeat=m):
-                core = f.core(dense)
-                if not core.is_zero():
-                    wy = 1.0
-                    for ax in dense:
-                        wy *= ray.y[ax]
-                    contracted[()] = contracted.get((), 0) + core * wy
-            scalar = pfmod.PolyBumpField(n, 0, f.rho, f.power, contracted)
-            svals.append(ray_transform(scalar, Line(ray.x, ray.omega)))
-        tvals = TransformExpr.momentum(f, 0).eval_lines(
-            [r.x for r in rays], [r.omega for r in rays], [r.y for r in rays])
-        checks.append(check_row("transverse_scalar_reduction_max",
-                                worst(np.abs(tvals - svals)), 1e-10))
-        # negative control: dependent directions make recovery singular
-        bad = [list(etas[0])] * n
-        try:
-            trt_pointwise_recover(bad, samples, m)
-            raised = 0.0
-        except ValueError:
-            raised = 1.0
-        checks.append(check_row("dependent_directions_rejected", raised, 0.5,
-                                mode="above"))
-
-    return {
-        "scenario": scenario,
-        "config": params,
-        "residuals": checks,
-        "timing": {"total_seconds": _time.perf_counter() - t_start},
-    }

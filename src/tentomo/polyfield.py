@@ -38,7 +38,8 @@ from fractions import Fraction
 import numpy as np
 
 from .polynomial import (CoreStack, Polynomial, exact_array, linear_combination,
-                         quadric_derivative, tree_multisets)
+                         quadric_derivative, random_polynomial, tree_multisets)
+from .spherequad import PiRational, integrate_core_over_ball
 from .symtensor import SymTensor, canonical_indices, multiplicity
 
 
@@ -232,7 +233,6 @@ class PolyBumpField(_StackedField):
 
 def random_bump_field(n, m, rng, rho=1, power=4, degree=2, label="field"):
     """Random field with small integer polynomial cores."""
-    from .polynomial import random_polynomial
     child = rng.split(label)
     cores = {}
     for idx in canonical_indices(n, m):
@@ -723,7 +723,6 @@ def field_l2_inner(f: PolyBumpField, g: PolyBumpField):
     """
     if (f.n, f.m, f.rho) != (g.n, g.m, g.rho) or f.rho is None:
         raise ValueError("fields must share rank and compact support")
-    from .spherequad import PiRational, integrate_core_over_ball
     total = PiRational(0)
     for idx in canonical_indices(f.n, f.m):
         a = f.core(idx)

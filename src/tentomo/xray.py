@@ -35,7 +35,7 @@ import numpy as np
 
 from .polyfield import BudgetError, PolyBumpField, operator_R
 from .spherequad import bump_ball_monomial_integral
-from .symtensor import canonical_indices, multiplicity
+from .symtensor import SymTensor, canonical_indices, multiplicity, sym_dim
 
 #: Lines closer to tangency than this (physical half-chord) count as misses.
 TANGENCY_TOL = 1e-14
@@ -264,7 +264,6 @@ def trt_pointwise_recover(etas, samples, m):
     ``samples`` maps canonical index combinations (i1 <= ... <= im over the
     eta list) to pairing values; the system is square of size C(n+m-1, m).
     """
-    from .symtensor import SymTensor, sym_dim
     n = len(etas)
     if any(len(v) != n for v in etas):
         raise ValueError("need n linearly independent vectors in dimension n")

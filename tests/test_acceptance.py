@@ -16,6 +16,7 @@ from tentomo import polyfield as pf
 from tentomo import spherequad as sq
 from tentomo import symtensor as st
 from tentomo import xray as xr
+from tentomo.cli import run_suite
 from tentomo.polynomial import random_homogeneous
 from tentomo.rng import SplitMix64
 
@@ -299,22 +300,22 @@ def test_criterion_8_solenoidal_decomposition():
                   "; ".join(details), t0)
 
 
-def test_criterion_9_ucp_mechanics():
+def test_criterion_9_ucp_mechanics(tmp_path):
     t0 = time.time()
     rng = SplitMix64(SEED)
     ok = True
     details = []
-    rep = no.ucp_experiment("ray", {"n": 2, "m": 1, "num_lines": 20,
-                                    "num_points": 8}, rng.split("ray"))
+    rep = run_suite({"suite": "ucp.ray", "n": 2, "m": 1, "num_lines": 20,
+                     "num_points": 8}, rng.split("ray"), tmp_path)
     ok &= all(c["pass"] for c in rep["residuals"])
     details.append("ray: potential data vanish <= 1e-9, negative control fails"
                    " to vanish")
-    rep = no.ucp_experiment("mrt", {"n": 2, "m": 2, "k": 1, "num_lines": 15,
-                                    "num_points": 6}, rng.split("mrt"))
+    rep = run_suite({"suite": "ucp.mrt", "n": 2, "m": 2, "k": 1, "num_lines": 15,
+                     "num_points": 6}, rng.split("mrt"), tmp_path)
     ok &= all(c["pass"] for c in rep["residuals"])
     details.append("mrt: generalized-potential momentum data vanish")
-    rep = no.ucp_experiment("trt", {"n": 3, "m": 2, "num_lines": 12,
-                                    "num_points": 8}, rng.split("trt"))
+    rep = run_suite({"suite": "ucp.trt", "n": 3, "m": 2, "num_lines": 12,
+                     "num_points": 8}, rng.split("trt"), tmp_path)
     ok &= all(c["pass"] for c in rep["residuals"])
     rank_ok = st.sym_power_span_rank(
         [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 2) == math.comb(3 + 2 - 1, 2)

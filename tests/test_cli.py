@@ -1,6 +1,7 @@
 """CLI contract: config validation, exit codes, report/table output,
 determinism."""
 
+import ast
 import csv
 import json
 import math
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hs
 
-from tentomo import cli
+from tentomo import cli, config, suites
 from tentomo.cli import (ConfigError, emit_tables, load_config, main,
                          validate_config)
 from tentomo.config import JOHN_CASE, SUITES, TOP_LEVEL, Check
@@ -315,6 +316,34 @@ class TestTopLevel:
                      "--out", str(taken)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_suite_named_twice_exit_2(self, tmp_path, capsys):
+        # the second entry's table used to overwrite the first's, with exit 0
+        doc = {"schema": 1, "suites": [
+            {"suite": "identities.ibp", "n_values": [2], "trials_per_case": 1},
+            {"suite": "identities.ibp", "n_values": [3], "trials_per_case": 1}]}
+        path = write_config(tmp_path, doc)
+        assert main(["validate", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: suites[1]: ") and "'identities.ibp'" in err
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("taken", ["report.json", "identities_ibp.csv",
+                                       "ucp_ray_lines.csv"])
+    def test_unwritable_output_file_exit_2(self, tmp_path, capsys, taken):
+        # a directory in the place of an output file used to exit 1 with a traceback
+        doc = {"schema": 1, "suites": [
+            {"suite": "identities.ibp", "n_values": [2], "s_values": [1],
+             "trials_per_case": 1},
+            {"suite": "ucp.ray", "num_lines": 2, "num_points": 1}]}
+        out = tmp_path / "out"
+        (out / taken).mkdir(parents=True)
+        assert main(["run", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: ") and taken in err
+        assert "Traceback" not in err
+
 
 def test_import_loads_no_scipy():
     # scipy is a test and benchmark oracle only; the package must not need it
@@ -329,6 +358,23 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_no_function_level_imports():
+    # an import inside a function hides a dependency of its module; one that
+    # breaks an import cycle is listed here, with the cycle named at the import
+    allowed = set()
+    found = set()
+    for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found |= {(path.name, func.name) for node in ast.walk(func)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))}
+    assert found <= allowed, sorted(found)
+
+
+def test_every_suite_has_exactly_one_runner():
+    assert set(suites.SUITE_RUNNERS) == set(config.SUITES)
 
 
 def test_nan_residual_fails_the_run(tmp_path, monkeypatch, capsys):
@@ -366,7 +412,7 @@ def test_convergence_rows_reject_an_unknown_kind(kind):
     from tentomo.rng import SplitMix64
     f = random_bump_field(2, 1, SplitMix64(3), power=4, degree=2, label="f")
     with pytest.raises(ValueError, match="unknown convergence kind"):
-        cli._convergence_rows("x", f, 1, [20, 40], [[0.1, 0.2]], 1e-5, kind)
+        suites._convergence_rows("x", f, 1, [20, 40], [[0.1, 0.2]], 1e-5, kind)
 
 
 def test_nan_quadrature_error_fails_its_row(monkeypatch):
@@ -383,8 +429,8 @@ def test_nan_quadrature_error_fails_its_row(monkeypatch):
 
     monkeypatch.setattr(no, "n0_scalar", nan_at_degree_40)
     f = random_bump_field(2, 1, SplitMix64(3), power=4, degree=2, label="f")
-    row = cli._quadrature_convergence_row("q", f, np.asarray([1.25, 0.45]),
-                                          [20, 40, 60])
+    row = suites._quadrature_convergence_row("q", f, np.asarray([1.25, 0.45]),
+                                             [20, 40, 60])
     assert math.isnan(row["parameters"]["errors"][1])
     assert math.isnan(row["value"]) and not row["pass"]
 
@@ -398,9 +444,9 @@ def test_refined_case_reads_the_grid_from_the_double_grid(N, L):
     from tentomo.spherequad import build_rule
     rule = build_rule(2, 40)
     f = random_bump_field(2, 0, SplitMix64(N), power=4, degree=2, label="f")
-    rel, rel2 = cli._normal_consistency_rels(f, 0, N, L, rule, refine=True)
-    (alone,) = cli._normal_consistency_rels(f, 0, N, L, rule)
-    (alone2,) = cli._normal_consistency_rels(f, 0, 2 * N, L, rule)
+    rel, rel2 = suites._normal_consistency_rels(f, 0, N, L, rule, refine=True)
+    (alone,) = suites._normal_consistency_rels(f, 0, N, L, rule)
+    (alone2,) = suites._normal_consistency_rels(f, 0, 2 * N, L, rule)
     assert abs(rel - alone) <= 1e-12 * alone
     assert rel2 == alone2
 
@@ -411,10 +457,10 @@ def test_refined_case_reads_the_grid_from_the_double_grid(N, L):
                          ids=["TypeError", "ValueError", "BudgetError"])
 def test_internal_error_exit_4(tmp_path, monkeypatch, capsys, exc):
     # validate rejects every precondition, so any exception in a suite is a bug
-    def broken(params, rng):
+    def broken(params, rng, outdir):
         raise exc
 
-    monkeypatch.setitem(cli.SUITE_RUNNERS, "identities.algebra", broken)
+    monkeypatch.setitem(suites.SUITE_RUNNERS, "identities.algebra", broken)
     doc = {"schema": 1, "suites": [{"suite": "identities.algebra"}]}
     assert main(["run", "--config", write_config(tmp_path, doc),
                  "--out", str(tmp_path / "out")]) == 4
@@ -448,25 +494,25 @@ class TestEmitTables:
 
 
 @pytest.mark.parametrize("op", ["saint_venant_W", "operator_R"])
-def test_nonpotential_controls_flag_a_vanishing_operator(monkeypatch, op):
+def test_nonpotential_controls_flag_a_vanishing_operator(monkeypatch, tmp_path, op):
     # the two controls close the algebra table at exactly 0.0 and read 1.0
     # once W (or R) sends the random round-trip fields to zero
     from tentomo import polyfield as pf
     from tentomo.rng import SplitMix64
     params = {"trials": 1, "roundtrip_trials": 3}
     names = ["W_of_nonpotential_nonzero", "R_of_nonpotential_nonzero"]
-    rows = cli._run_algebra(params, SplitMix64(3))
+    rows = suites._run_algebra(params, SplitMix64(3), tmp_path)
     assert [(r["name"], r["value"], r["pass"]) for r in rows[-2:]] == \
         [(name, 0.0, True) for name in names]
     real = getattr(pf, op)
     monkeypatch.setattr(pf, op, lambda f: real(f).scale(0))
-    flags = {r["name"]: r for r in cli._run_algebra(params, SplitMix64(3))[-2:]}
+    flags = {r["name"]: r for r in suites._run_algebra(params, SplitMix64(3), tmp_path)[-2:]}
     flagged = names[op == "operator_R"]
     assert flags[flagged]["value"] == 1.0 and not flags[flagged]["pass"]
     assert flags[names[op != "operator_R"]]["value"] == 0.0
 
 
-def test_ibp_rows_are_the_worst_over_every_ordered_index(tilted_sphere):
+def test_ibp_rows_are_the_worst_over_every_ordered_index(tilted_sphere, tmp_path):
     # the suite evaluates one index per multiset; each row must still equal
     # the worst residual over every ordered index.  Integrating against
     # xi_0 dS (the fixture) makes the residuals nonzero, so the comparison
@@ -478,7 +524,7 @@ def test_ibp_rows_are_the_worst_over_every_ordered_index(tilted_sphere):
     from tentomo.rng import SplitMix64
     from tentomo.verdict import worst
     params = {"n_values": [2, 3], "s_values": [1, 2, 3, 4], "trials_per_case": 2}
-    rows = cli._run_ibp(params, SplitMix64(5))
+    rows = suites._run_ibp(params, SplitMix64(5), tmp_path)
     rng, want = SplitMix64(5), []
     for n in params["n_values"]:
         for s in params["s_values"]:

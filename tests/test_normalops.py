@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tentomo.cli import run_suite
 from tentomo.polyfield import inner_derivative, random_bump_field
 from tentomo.rng import SplitMix64
 from tentomo.spherequad import build_rule
@@ -14,7 +15,7 @@ from tentomo.normalops import (FrequencySymbol, GridTensorField, d_field,
                                normal_convolution, normal_momentum,
                                normal_momentum_on_points, normal_ray,
                                normal_symbol, solenoidal_decompose,
-                               ucp_experiment, verify_momentum_moment_identity,
+                               verify_momentum_moment_identity,
                                verify_momentum_key_identity, verify_ray_key_identity,
                                verify_smoothness)
 
@@ -758,50 +759,42 @@ class TestSmoothness:
 
 
 class TestUCP:
-    def test_ray_scenario(self):
-        rep = ucp_experiment("ray", {"n": 2, "m": 1, "num_lines": 10,
-                                     "num_points": 5}, SplitMix64(80))
+    def test_ray_scenario(self, tmp_path):
+        rep = run_suite({"suite": "ucp.ray", "n": 2, "m": 1, "num_lines": 10,
+                         "num_points": 5}, SplitMix64(80), tmp_path)
         assert all(c["pass"] for c in rep["residuals"])
         names = [c["name"] for c in rep["residuals"]]
         assert "nonpotential_normal_nonvanishing" in names
 
-    def test_mrt_scenario(self):
-        rep = ucp_experiment("mrt", {"n": 2, "m": 2, "k": 1, "num_lines": 8,
-                                     "num_points": 4}, SplitMix64(81))
+    def test_mrt_scenario(self, tmp_path):
+        rep = run_suite({"suite": "ucp.mrt", "n": 2, "m": 2, "k": 1, "num_lines": 8,
+                         "num_points": 4}, SplitMix64(81), tmp_path)
         assert all(c["pass"] for c in rep["residuals"])
 
-    def test_trt_scenario(self):
-        rep = ucp_experiment("trt", {"n": 3, "m": 2, "num_lines": 8,
-                                     "num_points": 5}, SplitMix64(82))
+    def test_trt_scenario(self, tmp_path):
+        rep = run_suite({"suite": "ucp.trt", "n": 3, "m": 2, "num_lines": 8,
+                         "num_points": 5}, SplitMix64(82), tmp_path)
         assert all(c["pass"] for c in rep["residuals"])
 
-    def test_negative_control_detects_nonpotential(self):
-        rep = ucp_experiment("ray", {"n": 2, "m": 1, "potential": False,
-                                     "num_lines": 8, "num_points": 4},
-                             SplitMix64(83))
+    def test_negative_control_detects_nonpotential(self, tmp_path):
+        rep = run_suite({"suite": "ucp.ray", "n": 2, "m": 1, "potential": False,
+                         "num_lines": 8, "num_points": 4},
+                        SplitMix64(83), tmp_path)
         failing = [c for c in rep["residuals"] if not c["pass"]]
         assert failing  # the vanish-checks must fail for a non-potential f
 
     @pytest.mark.parametrize("scenario,operator,control", [
         ("ray", "operator_R", "curvature_operator_nonvanishing"),
         ("mrt", "generalized_R", "generalized_curvature_nonvanishing")])
-    def test_collapsed_curvature_operator_fails_its_control(self, monkeypatch, scenario,
-                                                            operator, control):
+    def test_collapsed_curvature_operator_fails_its_control(self, monkeypatch, tmp_path,
+                                                            scenario, operator, control):
         # with the operator returning zero the exact-zero row still passes;
         # its control row is what catches the collapse
         import tentomo.polyfield as pf
         real = getattr(pf, operator)
         monkeypatch.setattr(pf, operator, lambda *args: real(*args).scale(0))
         config = {"n": 2, "m": 2, "k": 1} if scenario == "mrt" else {"n": 2, "m": 1}
-        rep = ucp_experiment(scenario, {**config, "num_lines": 4, "num_points": 3},
-                             SplitMix64(86))
+        rep = run_suite({"suite": f"ucp.{scenario}", **config, "num_lines": 4,
+                         "num_points": 3}, SplitMix64(86), tmp_path)
         rows = {c["name"]: c for c in rep["residuals"]}
         assert rows[control]["value"] == 0.0 and not rows[control]["pass"]
-
-    def test_unknown_scenario(self):
-        with pytest.raises(ValueError):
-            ucp_experiment("bogus", {}, SplitMix64(84))
-
-    def test_mrt_k_range(self):
-        with pytest.raises(ValueError):
-            ucp_experiment("mrt", {"n": 2, "m": 1, "k": 1}, SplitMix64(85))
