@@ -22,11 +22,11 @@ Three numerical paths coexist, each with its own error source and tolerance:
   to roundoff; this is the path on which N(potential) = 0 holds to machine
   precision.
 
-The spectral operators (d, delta, the Laplacian, the solenoidal split, the
-symbol and ``verify_smoothness``) run on half spectra.  Grid fields are real
-and each multiplier M is Hermitian, M(-w) = conj M(w) on the frequency
-lattice (factors i w_a times even real functions of w; an even N's Nyquist
-frequency is zeroed, as that bin is its own negative).  So M fhat is the
+The spectral operators (d, delta, the solenoidal split and the symbol) run
+on half spectra.  Grid fields are real and each multiplier M is Hermitian,
+M(-w) = conj M(w) on the frequency lattice (factors i w_a times even real
+functions of w; an even N's Nyquist frequency is zeroed, as that bin is its
+own negative).  So M fhat is the
 spectrum of a real field: ``rfftn`` keeps the last axis's bins 0 .. N//2, the
 rest being their conjugates, and ``irfftn`` gives, up to roundoff, the
 ``.real`` of a complex ``ifftn`` of the full spectrum.  Complex ``fftn`` is
@@ -107,18 +107,12 @@ class GridTensorField:
             raise ValueError("component array has wrong shape")
 
     @classmethod
-    def zeros(cls, n, m, N, L):
-        return cls(n, m, N, L, np.zeros((sym_dim(n, m),) + (N,) * n))
-
-    @classmethod
     def sample(cls, field: PolyBumpField, N, L, enforce_margin=True):
         """Sample a bump field; its support must sit well inside the box.
 
         Cores are evaluated only where rho^2 - |x|^2 > 0, in the expression
         order of ``BumpPoly.eval_many``: bit for bit the whole-mesh values.
         """
-        if field.rho is None:
-            raise ValueError("grid sampling needs a compactly supported field")
         if enforce_margin and float(field.rho) > L / 4 + 1e-12:
             raise ValueError("support must leave a margin of at least L/4")
         axes = [np.arange(N) * (L / N) - L / 2 for _ in range(field.n)]
@@ -195,16 +189,6 @@ class FrequencySymbol:
         self.imul_coeffs = imul
         self.jcon_coeffs = jcon
 
-    def imul_matrix(self, y):
-        return np.einsum("rca,a->rc", self.imul_coeffs, np.asarray(y, float))
-
-    def jcon_matrix(self, y):
-        return np.einsum("rca,a->rc", self.jcon_coeffs, np.asarray(y, float))
-
-    def gram(self, y):
-        return self.jcon_matrix(y) @ self.imul_matrix(y)
-
-
 def _omega_mesh(N, L, n):
     """Half-spectrum frequencies, shape (N, ..., N, N//2 + 1, n): the last
     axis holds the ``rfftn`` bins 0 .. N//2, Nyquist zeroed as in ``_omega``."""
@@ -231,13 +215,6 @@ def delta_field(f: GridTensorField) -> GridTensorField:
     a = np.einsum("rca,...a->...rc", sym.jcon_coeffs, w)
     df = 1j * np.einsum("...rc,c...->r...", a, f.rfft())
     return GridTensorField(f.n, f.m - 1, f.N, f.L, _irfft(df, f.N, f.n))
-
-
-def laplacian_field(f: GridTensorField, times=1) -> GridTensorField:
-    w = _omega_mesh(f.N, f.L, f.n)
-    mult = -(w ** 2).sum(axis=-1)
-    fhat = f.rfft() * mult[None, ...] ** times
-    return GridTensorField(f.n, f.m, f.N, f.L, _irfft(fhat, f.N, f.n))
 
 
 def solenoidal_decompose(f: GridTensorField):
@@ -378,8 +355,6 @@ def _foot_sinogram(f: PolyBumpField, k, nodes):
     array arithmetic over all nodes at once.  Returns (E, R) with R of
     shape (nodes, D+k+1, ..., D+k+1), one axis per coordinate of s.
     """
-    if f.rho is None:
-        raise ValueError("ray transforms need compactly supported fields")
     n, e = f.n, f.power
     nodes = np.asarray(nodes, dtype=float)
     basis = _perp_basis(nodes)
@@ -474,33 +449,6 @@ def _foot_point_sum(f: PolyBumpField, k, pts, p, rank, rules):
                 for row in rows[max(bounds[j] - n0, 0):max(bounds[j + 1] - n0, 0)]:
                     total += row
     return out.transpose(0, 2, 1)
-
-
-def normal_momentum(f: PolyBumpField, x, k, rule: SphereRule) -> SymTensor:
-    """(N_m^k f)(x) = int <x,xi>^k xi^(.m) J_m^k f(x - <x,xi>xi, xi) dS."""
-    return divergence_normal(f, x, k, 0, rule)
-
-
-def normal_ray(f: PolyBumpField, x, rule: SphereRule) -> SymTensor:
-    return divergence_normal(f, x, 0, 0, rule)
-
-
-def divergence_normal(f: PolyBumpField, x, k, r, rule: SphereRule) -> SymTensor:
-    """(delta^r N_m^k f)(x) via the closed angular formula.
-
-    Carries the factor k!/(k-r)! and weight <x,xi>^{k-r} for r <= k;
-    r = k+1 returns the zero tensor by contract.
-    """
-    if not 0 <= r <= k + 1:
-        raise ValueError("need 0 <= r <= k+1")
-    if r > f.m:
-        raise ValueError("divergence order exceeds rank")
-    rank = f.m - r
-    if r == k + 1:
-        return SymTensor(f.n, rank)
-    vals = _foot_point_sum(f, k, [x], k - r, rank, [rule])[0, 0]
-    vals = vals * (math.factorial(k) / math.factorial(k - r))
-    return SymTensor(f.n, rank, dict(zip(canonical_indices(f.n, rank), vals.tolist())))
 
 
 def normal_momentum_on_points(f: PolyBumpField, pts, k, rule: SphereRule):
@@ -695,19 +643,6 @@ def _iljl_matrix(n, m, l):
     return mat
 
 
-def verify_ray_key_identity(f: PolyBumpField, pts, rules):
-    """Residuals of the ray-transform key identity, per R-image component,
-    by each rule of the stack ``rules``.
-
-    LHS: m! N_0((Rf)_{i1 j1..im jm}) by angular quadrature of the exact
-    polynomial components of Rf.  RHS: the c_{l,m}-weighted alternated
-    spatial derivatives of i^l j^l N_m f, with every derivative moved onto f
-    inside the line integral.  This is the momentum key identity at k = 0
-    (R^0 = R, and G_m = sum_l c_{l,m} i^l j^l N_m f), so it is checked as that.
-    """
-    return verify_momentum_key_identity(f, pts, 0, rules)
-
-
 def verify_momentum_moment_identity(f: PolyBumpField, pts, k, rules):
     """Residual tensors of the momentum-data reduction identity at each point
     of the (P, n) array ``pts``, by each rule of the stack ``rules``; returns
@@ -832,30 +767,3 @@ def verify_momentum_key_identity(f: PolyBumpField, pts, k, rules):
         lhs = math.factorial(m) * n0_scalar(scalar, pts, rules)
         residuals[key] = lhs - _angular_sum(expr, pts, 0, 0, rules)[..., 0]
     return residuals
-
-
-def verify_smoothness(f: GridTensorField):
-    """Residual of Delta^m sf = 2^m (even-index divergence)^m R f, spectrally.
-
-    The even-index divergence candidate contracts one derivative against each
-    j-slot of R f.  Validated exactly at m=1; for m >= 2 the result is
-    informational (the defining reference is external).
-    """
-    n, m = f.n, f.m
-    sf, _v = solenoidal_decompose(f)
-    lhs = laplacian_field(sf, times=m)
-    iw = np.moveaxis(1j * _omega_mesh(f.N, f.L, n), -1, 0)
-    fhat = f.rfft()
-    idx_list = f.index_list()
-    # the 2^m of the identity cancels the 1/2^m of R's alternations
-    rhs = np.zeros(fhat.shape, dtype=complex)
-    for c, idx in enumerate(idx_list):
-        for jtuple in itertools.product(range(n), repeat=m):
-            inner = sum(sign * math.prod((iw[b] for b in der), start=1)
-                        * fhat[idx_list.index(tuple(sorted(comp)))]
-                        for comp, der, sign in pair_alternations(zip(idx, jtuple)))
-            rhs[c] += math.prod((iw[a] for a in jtuple), start=1) * inner
-    rhs = GridTensorField(n, m, f.N, f.L, _irfft(rhs, f.N, n))
-    residual = lhs - rhs
-    rel = residual.norm_l2() / max(f.norm_l2(), 1e-300)
-    return residual, rel

@@ -13,7 +13,7 @@ and ``polynomial.quadric_derivative`` forms that numerator for one core,
 and in the quotient rule of ``spherequad.verify_ibp`` (Q = |xi|^2).
 
 Keeping the bump factor symbolic means every operator here (symmetrized
-derivative, divergence, Laplacian, the order-m curvature-type operators W
+derivative, divergence, the order-m curvature-type operators W
 and R, their generalizations and the conversions between them) is computed
 in exact rational arithmetic on small polynomial cores.  A field keeps its
 cores as one ``CoreStack``, one row per canonical component, in int64 under
@@ -22,9 +22,7 @@ levels, level j the j-fold partials of all components, and every operator
 is a stencil compiled once per (operator, n, m, k) into one integer matrix
 over the levels it reads, applied as one matrix product.
 ``Polynomial`` cores (``cores``, ``comps``) are materialised lazily for the
-transforms.  ``rho=None`` selects unrestricted polynomial mode (global
-polynomial fields, differential operators only): the quadric derivative
-with (c0, sigma, e) = (1, 0, 0).
+transforms.
 """
 
 from __future__ import annotations
@@ -49,9 +47,8 @@ class BudgetError(ValueError):
 
 def bump_core_diff(core: Polynomial, axis: int, rho, power: int) -> Polynomial:
     """Core of d/dx_axis applied to core*B^power, at power-1: the quadric
-    derivative with c0 = rho^2, sigma = -1, or d/dx_axis when rho is None."""
-    return core.diff(axis) if rho is None else \
-        quadric_derivative(core, axis, rho * rho, -1, power)
+    derivative with c0 = rho^2, sigma = -1."""
+    return quadric_derivative(core, axis, rho * rho, -1, power)
 
 
 class BumpPoly:
@@ -63,7 +60,7 @@ class BumpPoly:
         self.n = n
         self.core = core
         self.rho = rho
-        self.power = 0 if rho is None else power
+        self.power = power
         self._dcache = {}
 
     def is_zero(self):
@@ -86,22 +83,18 @@ class BumpPoly:
         return self.diff_multi(axes[:-1]).diff(axes[-1])
 
     def value(self, x):
-        if self.rho is not None:
-            r2 = sum(c * c for c in x)
-            if r2 > self.rho * self.rho:
-                return 0.0
-            return self.core.eval(x) * (self.rho * self.rho - r2) ** self.power
-        return self.core.eval(x)
+        r2 = sum(c * c for c in x)
+        if r2 > self.rho * self.rho:
+            return 0.0
+        return self.core.eval(x) * (self.rho * self.rho - r2) ** self.power
 
     def eval_many(self, points):
         """Vectorized float evaluation at points of shape (..., n)."""
         pts = np.asarray(points, dtype=float)
         vals = self.core.eval_many(pts)
-        if self.rho is not None:
-            r2 = (pts * pts).sum(axis=-1)
-            b = float(self.rho) ** 2 - r2
-            vals = np.where(b > 0, vals * np.maximum(b, 0.0) ** self.power, 0.0)
-        return vals
+        r2 = (pts * pts).sum(axis=-1)
+        b = float(self.rho) ** 2 - r2
+        return np.where(b > 0, vals * np.maximum(b, 0.0) ** self.power, 0.0)
 
 
 class _StackedField:
@@ -112,7 +105,7 @@ class _StackedField:
     def __init__(self, n, rho, power, cores, stack):
         self.n = n
         self.rho = rho
-        self.power = 0 if rho is None else power
+        self.power = power
         self._stack = stack
         self._cores = None if stack is not None else \
             {key: p for key, p in (cores or {}).items() if not p.is_zero()}
@@ -143,9 +136,7 @@ class _StackedField:
         levels = self._levels = self._levels or [self.stack]
         while len(levels) <= j:
             i = len(levels) - 1
-            c0, sigma, e = (1, 0, 0) if self.rho is None else \
-                (self.rho * self.rho, -1, self.power - i)
-            levels.append(levels[i].quadric_level(i, c0, sigma, e))
+            levels.append(levels[i].quadric_level(i, self.rho * self.rho, -1, self.power - i))
         return levels[j]
 
 
@@ -211,24 +202,9 @@ class PolyBumpField(_StackedField):
                 terms.append({"exps": list(exps), "num": c.numerator,
                               "den": c.denominator})
             comps.append({"index": list(idx), "terms": terms})
-        rho = None if self.rho is None else {
-            "num": Fraction(self.rho).numerator, "den": Fraction(self.rho).denominator}
-        return {"n": self.n, "m": self.m, "rho": rho, "s": self.power,
-                "components": comps}
-
-    @classmethod
-    def from_json_dict(cls, doc) -> "PolyBumpField":
-        rho = doc["rho"]
-        if isinstance(rho, dict):
-            rho = Fraction(rho["num"], rho["den"])
-        elif rho is not None:
-            rho = Fraction(rho)
-        cores = {}
-        for comp in doc["components"]:
-            terms = {tuple(t["exps"]): Fraction(t["num"], t["den"])
-                     for t in comp["terms"]}
-            cores[tuple(comp["index"])] = Polynomial(doc["n"], terms)
-        return cls(doc["n"], doc["m"], rho, doc["s"], cores)
+        rho = Fraction(self.rho)
+        return {"n": self.n, "m": self.m, "rho": {"num": rho.numerator, "den": rho.denominator},
+                "s": self.power, "components": comps}
 
 
 def random_bump_field(n, m, rng, rho=1, power=4, degree=2, label="field"):
@@ -241,7 +217,7 @@ def random_bump_field(n, m, rng, rho=1, power=4, degree=2, label="field"):
 
 
 def _require_budget(f, need):
-    if f.rho is not None and f.power < need:
+    if f.power < need:
         raise BudgetError(f"need {need} derivatives, bump power is {f.power}")
 
 
@@ -411,12 +387,6 @@ def _div_terms(n, m, k):
         for idx in out for a in range(n))
 
 
-def _laplacian_terms(n, m, k):
-    """Componentwise Laplacian."""
-    rows = _field_rows(n, m)
-    return rows, rows, ((idx, (idx, (a, a)), Fraction(1)) for idx in rows for a in range(n))
-
-
 def _w_terms(n, m, k):
     """W^k: the symmetrized alternating sum over the m-k derivative slots."""
     mk = m - k
@@ -447,7 +417,7 @@ def _r_terms(n, m, k):
 
 def _lower_r_terms(n, m, k):
     """R^{k-1} from R^k: atoms are (R^k key, one derivative axis)."""
-    src = PairSymTensorField(n, m - k, (k,), None, 0)
+    src = PairSymTensorField(n, m - k, (k,), 1, 0)
     out = _pair_rows(n, m - k + 1, (k - 1,))
 
     def triples():
@@ -464,7 +434,7 @@ def _lower_r_terms(n, m, k):
 def _r_to_w_terms(n, m, k):
     """W^k from R^k: 2^(m-k) times the average over both symmetrizations."""
     mk = m - k
-    src = PairSymTensorField(n, mk, (k,), None, 0)
+    src = PairSymTensorField(n, mk, (k,), 1, 0)
     count = math.factorial(mk) * math.factorial(m)
     out = _pair_rows(n, 0, (mk, m))
 
@@ -483,7 +453,7 @@ def _r_to_w_terms(n, m, k):
 def _w_to_r_terms(n, m, k):
     """R^k from W^k without the constant: pairwise alternation over 2^(m-k)."""
     mk = m - k
-    src = PairSymTensorField(n, 0, (mk, m), None, 0)
+    src = PairSymTensorField(n, 0, (mk, m), 1, 0)
     out = _pair_rows(n, mk, (k,))
     return out, src.rows(), (
         (key, (src.canonicalize(p_part + q_part + key[1][0])[0], ()),
@@ -507,15 +477,6 @@ def divergence(f: PolyBumpField) -> PolyBumpField:
         raise ValueError("divergence undefined for rank 0")
     return PolyBumpField(f.n, f.m - 1, f.rho, f.power - 1,
                          stack=_apply(_stencil(_div_terms, f.n, f.m, 0), f))
-
-
-def laplacian_power(f: PolyBumpField, times: int = 1) -> PolyBumpField:
-    """Componentwise Laplacian iterated ``times`` times."""
-    out = f
-    for _ in range(times):
-        out = PolyBumpField(out.n, out.m, out.rho, out.power - 2,
-                            stack=_apply(_stencil(_laplacian_terms, out.n, out.m, 0), out))
-    return out
 
 
 def potential_field(v: PolyBumpField, order: int = 1) -> PolyBumpField:
@@ -721,8 +682,8 @@ def field_l2_inner(f: PolyBumpField, g: PolyBumpField):
     Uses the closed-form integral of monomial-times-bump over the ball, so
     duality identities verify to exact rational (times pi) equality.
     """
-    if (f.n, f.m, f.rho) != (g.n, g.m, g.rho) or f.rho is None:
-        raise ValueError("fields must share rank and compact support")
+    if (f.n, f.m, f.rho) != (g.n, g.m, g.rho):
+        raise ValueError("fields must share rank and support")
     total = PiRational(0)
     for idx in canonical_indices(f.n, f.m):
         a = f.core(idx)

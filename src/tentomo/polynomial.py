@@ -10,11 +10,11 @@ gcd normalization of every ``Fraction`` operation.
 
 ``CoreStack`` is the exact engine of the operator paths: many cores stacked
 as rows of one dense integer array over one common ``int`` denominator.  Its
-kernels (the quadric derivative of every row, along one axis or for one
-derivative-tree level, a compiled stencil as one integer matrix product, the
-exact-zero test) run in int64 while a proven bound on every entry and partial
-sum stays below ``INT64_LIMIT`` = 2^62, and on ``object`` arrays of Python
-ints above it, so no kernel can overflow.
+kernels (the quadric derivative of every row for one derivative-tree level,
+a compiled stencil as one integer matrix product, the exact-zero test) run
+in int64 while a proven bound on every entry and partial sum stays below
+``INT64_LIMIT`` = 2^62, and on ``object`` arrays of Python ints above it, so
+no kernel can overflow.
 The dict ``Polynomial``, ``quadric_derivative`` and ``linear_combination``
 stay as the general type and as the independent oracles of those kernels.
 """
@@ -213,12 +213,6 @@ class Polynomial:
                 self._integer = False
         return self._integer or None
 
-    def map_coeff(self, func):
-        return Polynomial(self.n, {e: func(c) for e, c in self.terms.items()})
-
-    def to_float(self):
-        return self.map_coeff(float)
-
     def compiled(self):
         """(exponents, coefficients) arrays for vectorized evaluation."""
         if self._compiled is None:
@@ -374,9 +368,9 @@ class CoreStack:
 
     ``arr[r, a_0, .., a_{n-1}] / den`` is the coefficient of x^a in row r.
     Every axis has the same length, the side, and every row has total degree
-    below it.  ``bound`` bounds every |entry|, measured unless given (the
-    quadric kernels carry ((|c0| + n |sigma|)(side - 1) + |2 sigma e|) times
-    their input's); ``arr`` is int64 below INT64_LIMIT, Python ints above.
+    below it.  ``bound`` bounds every |entry|, measured unless given (a
+    quadric level step carries ((|c0| + n |sigma|)(side - 1) + |2 sigma e|)
+    times its input's); ``arr`` is int64 below INT64_LIMIT, Python ints above.
     """
 
     __slots__ = ("n", "arr", "den", "bound")
@@ -448,26 +442,19 @@ class CoreStack:
             terms[r][e] = c
         return [Polynomial(self.n, t) for t in terms]
 
-    def quadric_diff(self, axis, c0, sigma, e) -> "CoreStack":
-        """Q d_axis p + 2 sigma e x_axis p, Q = c0 + sigma |x|^2 (c0 an ``int``
-        or ``Fraction``), for every row p at once: ``quadric_derivative`` by
-        shifted slices and an index multiply.  The side grows by one, or
-        shrinks by one when sigma = 0.
-        """
-        return self._quadric(c0, sigma, e, ((axis, len(self.arr)),))
-
     def quadric_level(self, j, c0, sigma, e) -> "CoreStack":
         """One level of a derivative tree: the rows come in equal blocks, one
         per multiset I of ``tree_multisets(n, j)``, and block I + (a,) of
         the result, for every a at or above I's last axis, is
-        ``quadric_diff(a, c0, sigma, e)`` of block I; row by row."""
+        Q d_a p + 2 sigma e x_a p, Q = c0 + sigma |x|^2 (c0 an ``int`` or
+        ``Fraction``), of every row p of block I: ``quadric_derivative`` by
+        shifted slices and an index multiply.  The side grows by one, or
+        shrinks by one when sigma = 0.  The result is stacked under the
+        a-priori bound."""
         rows = len(self.arr) // math.comb(self.n + j - 1, j)
-        return self._quadric(c0, sigma, e, tuple((a, math.comb(a + j, j) * rows)
-                                                 for a in range(self.n)))
-
-    def _quadric(self, c0, sigma, e, moves) -> "CoreStack":
-        """The quadric derivatives along axis of the first count rows, for each
-        (axis, count) of ``moves``, stacked under the a-priori bound."""
+        # axis a differentiates the first comb(a + j, j) blocks, those whose
+        # last axis is at most a
+        moves = [(a, math.comb(a + j, j) * rows) for a in range(self.n)]
         num, s, two_se = c0.numerator, sigma * c0.denominator, 2 * sigma * e * c0.denominator
         side, n = self.side, self.n
         bound = ((abs(num) + n * abs(s)) * (side - 1) + abs(two_se)) * self.bound

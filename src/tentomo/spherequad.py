@@ -16,7 +16,7 @@ import collections
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -198,9 +198,10 @@ class HomogeneousRational:
         norm2 = sum(c * c for c in xi)
         return self.numerator.eval(xi) / norm2 ** self.pow2r
 
-    def sphere_integral(self, exact=True):
-        """Sphere integral of p(xi)/|xi|^{2r}: the numerator's restriction."""
-        return polynomial_sphere_integral(self.numerator, exact=exact)
+    @cached_property
+    def stack(self) -> CoreStack:
+        """The numerator as a one-row ``CoreStack``, built on first use."""
+        return CoreStack.from_polys(self.n, [self.numerator])
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +285,7 @@ def _derivative_tree(g: HomogeneousRational, s):
     """(multisets, stack): row I of the stack is the numerator of d_I g over
     |xi|^{2(r+s)}, for every multiset I of ``tree_multisets(n, s)``; level
     j+1 is the quotient-rule level step (0, 1, -(r + j)) of level j."""
-    tree = CoreStack.from_polys(g.n, [g.numerator])
+    tree = g.stack
     for j in range(s):
         tree = tree.quadric_level(j, 0, 1, -(g.pow2r + j))
     return tree_multisets(g.n, s), tree
@@ -319,7 +320,7 @@ def verify_ibp(g: HomogeneousRational, s) -> dict:
     keys, tree = _derivative_tree(g, s)
     lhs, lhs_den, pi_pow = _sphere_integrals(tree)
     lhs = dict(zip(keys, lhs.tolist()))
-    p = CoreStack.from_polys(g.n, [g.numerator])
+    p = g.stack
     shifted = np.zeros((len(exps),) + (p.side + s,) * g.n, dtype=p.arr.dtype)
     for r, e in enumerate(exps):
         shifted[(r,) + tuple(slice(a, a + p.side) for a in e)] = p.arr[0]
@@ -346,22 +347,12 @@ class SphereRule:
     def __len__(self):
         return len(self.weights)
 
-    def integrate(self, func):
-        return sum(w * func(tuple(node))
-                   for node, w in zip(self.nodes, self.weights))
 
-
-def build_rule(n, degree, offset=0.0) -> SphereRule:
-    """n=2: equispaced angles; n=3: Gauss-Legendre polar x equispaced azimuth.
-
-    ``offset`` rotates the n=2 node set by a fraction of the spacing without
-    changing the exactness degree; two rules with different offsets have
-    independent quadrature errors, which keeps two-sided identity checks
-    honest.
-    """
+def build_rule(n, degree) -> SphereRule:
+    """n=2: equispaced angles; n=3: Gauss-Legendre polar x equispaced azimuth."""
     if n == 2:
         count = max(degree + 1, 4)
-        angles = 2 * np.pi * (np.arange(count) + offset) / count
+        angles = 2 * np.pi * np.arange(count) / count
         nodes = np.stack([np.cos(angles), np.sin(angles)], axis=1)
         weights = np.full(count, 2 * np.pi / count)
         return SphereRule(2, degree, nodes, weights)

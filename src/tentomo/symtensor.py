@@ -41,30 +41,6 @@ def multiplicity(idx):
     return math.factorial(m) // denom
 
 
-class MultiIndex:
-    """Index tuple i_1..i_m over axes 0..n-1, canonical when non-decreasing."""
-
-    __slots__ = ("indices",)
-
-    def __init__(self, indices):
-        self.indices = tuple(indices)
-
-    def canonical(self) -> "MultiIndex":
-        return MultiIndex(sorted(self.indices))
-
-    def multiplicity(self) -> int:
-        return multiplicity(self.indices)
-
-    def __eq__(self, other):
-        return sorted(self.indices) == sorted(other.indices)
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.indices)))
-
-    def __repr__(self):
-        return f"MultiIndex{self.indices}"
-
-
 class DenseTensor:
     """Full n^m array of scalars, stored sparsely as a dict."""
 
@@ -128,10 +104,6 @@ class SymTensor:
                 self.data[tuple(sorted(idx))] = v
 
     @classmethod
-    def zero(cls, n, m):
-        return cls(n, m)
-
-    @classmethod
     def from_vector(cls, n, vec):
         """Rank-1 tensor from a vector."""
         return cls(n, 1, {(i,): v for i, v in enumerate(vec) if v != 0})
@@ -182,10 +154,6 @@ class SymTensor:
         """Largest |entry|; entries not stored are 0."""
         return worst([0.0, *map(abs, self.data.values())])
 
-    def map_values(self, func):
-        return SymTensor(self.n, self.m,
-                         {i: func(v) for i, v in self.data.items()})
-
     def to_canonical_vector(self):
         return [self.get(idx) for idx in canonical_indices(self.n, self.m)]
 
@@ -220,44 +188,6 @@ def symmetrize(t: DenseTensor) -> SymTensor:
         for perm in itertools.permutations(idx):
             total = total + t[perm]
         out[idx] = _divide(total, fact)
-    return out
-
-
-def partial_symmetrize(t: DenseTensor, slots) -> DenseTensor:
-    """Average t over permutations of the named slots only (0-based)."""
-    slots = tuple(slots)
-    if not slots:
-        raise ValueError("slots must be nonempty")
-    if any(s < 0 or s >= t.m for s in slots):
-        raise IndexError("slot index out of range")
-    fact = math.factorial(len(slots))
-    out = DenseTensor(t.n, t.m)
-    for idx in itertools.product(range(t.n), repeat=t.m):
-        total = 0
-        for perm in itertools.permutations([idx[s] for s in slots]):
-            jdx = list(idx)
-            for s, v in zip(slots, perm):
-                jdx[s] = v
-            total = total + t[tuple(jdx)]
-        v = _divide(total, fact)
-        if v != 0:
-            out[idx] = v
-    return out
-
-
-def alternate(t: DenseTensor, slot_a, slot_b) -> DenseTensor:
-    """(alpha t)(..a..b..) = (t(..a..b..) - t(..b..a..)) / 2."""
-    if slot_a == slot_b:
-        raise ValueError("alternation slots must differ")
-    if not (0 <= slot_a < t.m and 0 <= slot_b < t.m):
-        raise IndexError("slot index out of range")
-    out = DenseTensor(t.n, t.m)
-    for idx in itertools.product(range(t.n), repeat=t.m):
-        jdx = list(idx)
-        jdx[slot_a], jdx[slot_b] = jdx[slot_b], jdx[slot_a]
-        v = _divide(t[idx] - t[tuple(jdx)], 2)
-        if v != 0:
-            out[idx] = v
     return out
 
 

@@ -21,8 +21,9 @@ def worst(values):
 
 def check_row(name, value, tolerance, parameters=None, mode="below", seconds=0.0):
     """One report row; ``mode="above"`` marks a negative control, which
-    passes when the value exceeds the tolerance.  NaN fails either way."""
+    passes when the value exceeds the tolerance.  A value that is not finite
+    (NaN, inf or -inf) fails either way: an overflow shows nothing."""
     ok = value <= tolerance if mode == "below" else value > tolerance
     return {"name": name, "parameters": parameters or {},
             "value": float(value), "tolerance": float(tolerance),
-            "pass": bool(ok), "seconds": seconds}
+            "pass": bool(ok) and math.isfinite(value), "seconds": seconds}

@@ -96,13 +96,6 @@ def _chord_midpoints(X, Xi, rho):
     return tc, Y, H, root / np.sqrt(a), root > TANGENCY_TOL
 
 
-def chord_interval(x, xi, rho):
-    """Parameter interval where |x + t*xi| <= rho, or None on a miss."""
-    tc, _y, _H, h, hit = _chord_midpoints(np.asarray(x, dtype=float)[None, :],
-                                          np.asarray(xi, dtype=float)[None, :], rho)
-    return (float(tc[0] - h[0]), float(tc[0] + h[0])) if hit[0] else None
-
-
 def chord_integrals(atoms, X, Xi):
     """Exact int t^tpow * bump(x + t*xi) dt over the support chord.
 
@@ -116,8 +109,6 @@ def chord_integrals(atoms, X, Xi):
     Xi = np.asarray(Xi, dtype=float)
     out = np.zeros((len(X), len(atoms)))
     rhos = {bump.rho for bump, _ in atoms}
-    if None in rhos:
-        raise ValueError("ray transforms need compactly supported fields")
     if len(rhos) > 1:
         raise ValueError("support mismatch")
     if not atoms:
@@ -251,11 +242,6 @@ def momentum_scale_residual(f, x, xi, k, r):
     lhs = momentum_transform(f, Line(x, np.asarray(xi, float) * r), k)
     rhs = (r ** (f.m - k) / abs(r)) * momentum_transform(f, Line(x, xi), k)
     return lhs - rhs
-
-
-def transverse_transform(f: PolyBumpField, ray: TransverseRay) -> float:
-    """int <f(x + t omega), y^(.m)> dt with y orthogonal to the direction."""
-    return float(TransformExpr.momentum(f, 0).eval_lines([ray.x], [ray.omega], [ray.y])[0])
 
 
 def trt_pointwise_recover(etas, samples, m):
@@ -424,24 +410,6 @@ def dot_power_terms(n, p):
     return terms
 
 
-def transform_derivative(f: PolyBumpField, line: Line, k, x_orders, xi_orders) -> float:
-    """Exact mixed partial of (x, xi) -> J_m^k f at the line's (x, xi).
-
-    ``x_orders`` and ``xi_orders`` are per-axis derivative counts.
-    """
-    total_order = sum(x_orders) + sum(xi_orders)
-    if f.rho is not None and total_order > f.power:
-        raise BudgetError("derivative order exceeds smoothness budget")
-    expr = TransformExpr.momentum(f, k)
-    for i, cnt in enumerate(x_orders):
-        for _ in range(cnt):
-            expr = expr.dx(i)
-    for i, cnt in enumerate(xi_orders):
-        for _ in range(cnt):
-            expr = expr.dxi(i)
-    return expr.eval(line.x, line.xi)
-
-
 def john_operator(expr: TransformExpr, i, j) -> TransformExpr:
     """J_ij = d^2/dx_i dxi_j - d^2/dx_j dxi_i on a transform expression."""
     return expr.dx(i).dxi(j) - expr.dx(j).dxi(i)
@@ -450,24 +418,19 @@ def john_operator(expr: TransformExpr, i, j) -> TransformExpr:
 def john_apply(f: PolyBumpField, line: Line, k, pair) -> float:
     """One John operator applied to J_m^k f, evaluated at the line."""
     i, j = pair
-    if f.rho is not None and 2 > f.power:
+    if 2 > f.power:
         raise BudgetError("smoothness budget exhausted")
     return john_operator(TransformExpr.momentum(f, k), i, j).eval(line.x, line.xi)
 
 
 def _iterated_john(f: PolyBumpField, pairs) -> TransformExpr:
     """J_{i1 j1} ... J_{im jm} applied to the atom expansion of J_m f."""
-    if f.rho is not None and 2 * len(pairs) > f.power:
+    if 2 * len(pairs) > f.power:
         raise BudgetError("smoothness budget exhausted")
     expr = TransformExpr.momentum(f, 0)
     for (i, j) in pairs:
         expr = john_operator(expr, i, j)
     return expr
-
-
-def john_iterate(f: PolyBumpField, line: Line, pairs) -> float:
-    """Iterated John operators J_{i1 j1} ... J_{im jm} applied to J_m f."""
-    return _iterated_john(f, pairs).eval(line.x, line.xi)
 
 
 def verify_john_relation(f: PolyBumpField, X, Xi):

@@ -14,6 +14,11 @@ from tentomo.polynomial import (INT64_LIMIT, CoreStack, Polynomial, PolynomialSi
 from tentomo.rng import SplitMix64
 
 
+def float_copy(p):
+    """p with every coefficient as a float."""
+    return Polynomial(p.n, {e: float(c) for e, c in p.terms.items()})
+
+
 def test_add_mul_exact():
     x = Polynomial.variable(2, 0)
     y = Polynomial.variable(2, 1)
@@ -40,7 +45,7 @@ def test_eval_many_matches_eval():
     rng = SplitMix64(1)
     p = random_polynomial(3, 3, rng)
     pts = np.array([[0.3, -1.2, 0.5], [1.0, 0.0, 2.0]])
-    got = p.to_float().eval_many(pts)
+    got = float_copy(p).eval_many(pts)
     for row, pt in zip(got, pts):
         assert row == pytest.approx(float(p.eval(tuple(pt))), rel=1e-12)
 
@@ -73,7 +78,7 @@ def test_integer_form_arithmetic_matches_fraction_arithmetic():
             combo[e] = combo.get(e, Fraction(0)) + Fraction(v) * c * Fraction(5, 7)
     assert linear_combination(2, [(a, 2), (b, -3)], Fraction(5, 7)).terms == \
         {e: c for e, c in combo.items() if c}
-    floats = linear_combination(2, [(a.to_float(), 2), (b.to_float(), -3)],
+    floats = linear_combination(2, [(float_copy(a), 2), (float_copy(b), -3)],
                                 Fraction(5, 7))
     for e, c in combo.items():
         assert floats.terms.get(e, 0.0) == pytest.approx(float(c), rel=1e-12)
@@ -150,15 +155,17 @@ class TestQuadricDerivative:
                 numerator = random_homogeneous(n, degree, rng)
                 if (degree + pow2r) % 2:
                     numerator = _with_fractions(numerator)
+                # level 0 of a one-block stack: one block per axis
                 stack = CoreStack.from_polys(n, [numerator])
-                for axis in range(n):
-                    got, = stack.quadric_diff(axis, 0, 1, -pow2r).polys()
-                    assert got == product_rule_oracle(numerator, axis, 0, 1, -pow2r)
+                got = stack.quadric_level(0, 0, 1, -pow2r).polys()
+                assert got == [product_rule_oracle(numerator, axis, 0, 1, -pow2r)
+                               for axis in range(n)]
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_stacked_kernel_matches_one_core_at_a_time(self, n):
-        # CoreStack.quadric_diff on rows of mixed degree and denominator
-        # against quadric_derivative row by row; sigma = 0 is d/dx_axis
+        # CoreStack.quadric_level at level 0, one block of rows of mixed
+        # degree and denominator, against quadric_derivative row by row and
+        # axis by axis; sigma = 0 is d/dx_axis
         rng = SplitMix64(60 + n)
         for degree in range(7):
             rows = [random_polynomial(n, d, rng) for d in (degree, degree // 2, 0)]
@@ -166,13 +173,12 @@ class TestQuadricDerivative:
             stack = CoreStack.from_polys(n, rows + [Polynomial.zero(n)])
             assert stack.polys() == rows + [Polynomial.zero(n)]
             for c0, sigma, e in ((1, -1, 3), (Fraction(9, 4), -1, 2), (0, 1, -2), (1, 0, 0)):
-                for axis in range(n):
-                    want = [quadric_derivative(p, axis, c0, sigma, e) if sigma
-                            else p.diff(axis) for p in rows + [Polynomial.zero(n)]]
-                    assert stack.quadric_diff(axis, c0, sigma, e).polys() == want
+                want = [quadric_derivative(p, axis, c0, sigma, e) if sigma else p.diff(axis)
+                        for axis in range(n) for p in rows + [Polynomial.zero(n)]]
+                assert stack.quadric_level(0, c0, sigma, e).polys() == want
 
     def test_float_core_matches_product_rule(self):
-        core = _with_fractions(random_polynomial(3, 5, SplitMix64(7))).to_float()
+        core = float_copy(_with_fractions(random_polynomial(3, 5, SplitMix64(7))))
         for axis in range(3):
             got = quadric_derivative(core, axis, 2.25, -1, 3)
             want = product_rule_oracle(core, axis, 2.25, -1, 3)

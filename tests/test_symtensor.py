@@ -9,10 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as hyp
 
 from tentomo.rng import SplitMix64
-from tentomo.symtensor import (DenseTensor, MultiIndex, SymTensor, alternate,
-                               canonical_indices, i_mul, inner,
-                               j_contract, j_metric, metric_tensor,
-                               multiplicity, partial_symmetrize, sym_dim,
+from tentomo.symtensor import (DenseTensor, SymTensor, canonical_indices,
+                               i_mul, inner, j_contract, j_metric,
+                               metric_tensor, multiplicity, sym_dim,
                                sym_power, sym_power_span_rank, sym_product,
                                symmetrize)
 
@@ -40,25 +39,16 @@ def brute_symmetrize(t):
     return out
 
 
-class TestMultiIndex:
-    def test_canonicalization_idempotent(self):
-        mi = MultiIndex((2, 0, 1))
-        assert mi.canonical().canonical().indices == (0, 1, 2)
-
-    def test_equal_sorted_forms_are_equal(self):
-        assert MultiIndex((2, 0, 1)) == MultiIndex((1, 2, 0))
-        assert hash(MultiIndex((2, 0))) == hash(MultiIndex((0, 2)))
-
-    @pytest.mark.parametrize("idx,mult", [((0, 1), 2), ((0, 0), 1),
-                                          ((0, 1, 1), 3), ((0, 1, 2), 6)])
-    def test_multiplicity(self, idx, mult):
-        assert multiplicity(idx) == mult
-        # m!/prod(counts!) computed directly
-        from collections import Counter
-        denom = 1
-        for c in Counter(idx).values():
-            denom *= math.factorial(c)
-        assert mult == math.factorial(len(idx)) // denom
+@pytest.mark.parametrize("idx,mult", [((0, 1), 2), ((0, 0), 1),
+                                      ((0, 1, 1), 3), ((0, 1, 2), 6)])
+def test_multiplicity(idx, mult):
+    assert multiplicity(idx) == mult
+    # m!/prod(counts!) computed directly
+    from collections import Counter
+    denom = 1
+    for c in Counter(idx).values():
+        denom *= math.factorial(c)
+    assert mult == math.factorial(len(idx)) // denom
 
 
 class TestSymmetrize:
@@ -94,65 +84,6 @@ class TestSymmetrize:
             for m in range(0, 5):
                 assert sym_dim(n, m) == math.comb(n + m - 1, m)
                 assert len(list(canonical_indices(n, m))) == sym_dim(n, m)
-
-
-class TestPartialSymmetrize:
-    def test_full_slot_set_agrees_with_symmetrize(self):
-        rng = SplitMix64(4)
-        t = random_dense(2, 3, rng)
-        full = partial_symmetrize(t, (0, 1, 2))
-        s = symmetrize(t)
-        for idx in itertools.product(range(2), repeat=3):
-            assert full[idx] == s.get(idx)
-
-    def test_single_slot_is_identity(self):
-        rng = SplitMix64(5)
-        t = random_dense(3, 2, rng)
-        got = partial_symmetrize(t, (1,))
-        for idx in itertools.product(range(3), repeat=2):
-            assert got[idx] == t[idx]
-
-    def test_two_slots_brute_force(self):
-        rng = SplitMix64(6)
-        t = random_dense(2, 3, rng)
-        got = partial_symmetrize(t, (0, 1))
-        for idx in itertools.product(range(2), repeat=3):
-            want = (Fraction(t[idx]) +
-                    Fraction(t[(idx[1], idx[0], idx[2])])) / 2
-            assert got[idx] == want
-
-    def test_slot_out_of_range(self):
-        t = random_dense(2, 2, SplitMix64(7))
-        with pytest.raises(IndexError):
-            partial_symmetrize(t, (0, 5))
-        with pytest.raises(ValueError):
-            partial_symmetrize(t, ())
-
-
-class TestAlternate:
-    def test_kills_symmetric_part(self):
-        s = random_sym(2, 2, SplitMix64(8)).to_dense()
-        assert alternate(s, 0, 1).is_zero()
-
-    def test_definition_example(self):
-        t = DenseTensor(2, 2, {(0, 1): Fraction(1)})
-        a = alternate(t, 0, 1)
-        assert a[(0, 1)] == Fraction(1, 2)
-        assert a[(1, 0)] == Fraction(-1, 2)
-
-    def test_idempotent_on_same_pair(self):
-        t = random_dense(2, 3, SplitMix64(9))
-        once = alternate(t, 0, 2)
-        twice = alternate(once, 0, 2)
-        for idx in itertools.product(range(2), repeat=3):
-            assert once[idx] == twice[idx]
-
-    def test_slot_errors(self):
-        t = random_dense(2, 2, SplitMix64(10))
-        with pytest.raises(ValueError):
-            alternate(t, 1, 1)
-        with pytest.raises(IndexError):
-            alternate(t, 0, 4)
 
 
 class TestSymProduct:
