@@ -1,12 +1,13 @@
 """Normal operators, the solenoidal decomposition, and the key identities."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from tentomo.cli import run_suite
-from tentomo.polyfield import inner_derivative, random_bump_field
+from tentomo.polyfield import inner_derivative, pair_alternations, random_bump_field
 from tentomo.rng import SplitMix64
 from tentomo.spherequad import build_rule
 from tentomo.symtensor import canonical_indices, multiplicity, sym_dim
@@ -317,6 +318,16 @@ class TestAngularNormal:
         out = normal_momentum_on_points(f, [[0.0, 0.0]], 1, rule40)[0]
         assert np.abs(out).max() < 1e-14
 
+    def test_momentum_k0_is_ray(self, rule40):
+        # N_m f(x) = sum over nodes of w xi^I J_m f(x, xi), the line through x
+        from tentomo.xray import Line, ray_transform
+        f = random_bump_field(2, 1, SplitMix64(23), power=4, degree=2)
+        x = [0.3, -0.2]
+        got = normal_momentum_on_points(f, [x], 0, rule40)[0]
+        want = sum(w * np.asarray(xi) * ray_transform(f, Line(x, xi))
+                   for xi, w in zip(rule40.nodes, rule40.weights))
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
     def test_vectorized_matches_scalar(self, rule40):
         # every point sums its nodes in rule order, one point on its own too
         f = random_bump_field(2, 1, SplitMix64(24), power=4, degree=2)
@@ -345,6 +356,14 @@ class TestAngularNormal:
 
 
 class TestDivergenceNormal:
+    def test_r0_is_normal_momentum(self, rule40):
+        # the public entry point is the r = 0 member of the foot-point family
+        f = random_bump_field(2, 1, SplitMix64(26), power=4, degree=2)
+        x = np.array([0.2, 0.5])
+        got = normal_momentum_on_points(f, [x], 1, rule40)[0]
+        want = _foot_point_oracle(f, x, 1, rule40)[0]
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
     def test_matches_finite_difference_divergence(self, rule40):
         f = random_bump_field(2, 1, SplitMix64(27), power=4, degree=2)
         x = np.array([0.3, -0.2])
@@ -705,7 +724,34 @@ class TestKeyIdentities:
         assert vals[2] < 1e-5
 
 
+def _even_divergence_of_R(g):
+    """2^m (even-index divergence)^m R g on the full spectrum: one derivative
+    contracted against each j-slot of R g, R's alternations written out (the
+    2^m cancels their 1/2^m)."""
+    n, m = g.n, g.m
+    iw = np.moveaxis(1j * _full_omega_mesh(g.N, g.L, n), -1, 0)
+    fhat = _full_fft(g)
+    idx_list = g.index_list()
+    rhs = np.zeros(fhat.shape, dtype=complex)
+    for c, idx in enumerate(idx_list):
+        for jtuple in itertools.product(range(n), repeat=m):
+            inner = sum(sign * math.prod((iw[b] for b in der), start=1)
+                        * fhat[idx_list.index(tuple(sorted(comp)))]
+                        for comp, der, sign in pair_alternations(zip(idx, jtuple)))
+            rhs[c] += math.prod((iw[a] for a in jtuple), start=1) * inner
+    return GridTensorField(n, m, g.N, g.L, _full_ifft_real(rhs, n))
+
+
 class TestSmoothness:
+    def test_m1_identity(self):
+        # Delta^m sf = 2^m (even-index divergence)^m R f at m = 1; for m >= 2
+        # Delta^m amplifies the spectrum's roundoff by |omega|^(2m)
+        f = random_bump_field(2, 1, SplitMix64(70), power=6, degree=2)
+        g = GridTensorField.sample(f, 128, 4.0)
+        sf, _ = solenoidal_decompose(g)
+        residual = _full_laplacian(sf) - _even_divergence_of_R(g)
+        assert residual.norm_l2() < 1e-6 * g.norm_l2()
+
     def test_m1_closed_form_reduction_oracle(self):
         # independent route for m=1: Delta sf = Delta f - d (delta f)
         f = random_bump_field(2, 1, SplitMix64(73), power=6, degree=2)

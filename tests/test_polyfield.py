@@ -17,13 +17,14 @@ from tentomo.polyfield import (BudgetError, PolyBumpField,
                                generalized_w_to_r, inner_derivative,
                                lower_generalized_R,
                                operator_R, operator_R_component,
-                               potential_field, r_to_w, random_bump_field,
+                               pair_alternations, potential_field, r_to_w,
+                               random_bump_field,
                                saint_venant_W, saint_venant_W_component,
                                solve_w_to_r_constant, w_to_r)
 from tentomo.polynomial import Polynomial, linear_combination
 from tentomo.rng import SplitMix64
 from tentomo.spherequad import HomogeneousRational
-from tentomo.symtensor import canonical_indices
+from tentomo.symtensor import DenseTensor, SymTensor, canonical_indices
 
 ONE = Fraction(1)
 
@@ -59,6 +60,11 @@ class TestBumpPoly:
         f = scalar_bump(power=2)
         assert f.component(()).value((2.0, 0.0)) == 0.0
 
+    def test_derivative_core_of_no_axes_is_the_core(self):
+        f = random_bump_field(2, 2, SplitMix64(5), power=2, degree=2)
+        for idx in canonical_indices(2, 2):
+            assert f.derivative_core(idx, ()) == f.core(idx)
+
     def test_laplacian_against_symbolic_oracle(self):
         f = scalar_bump(power=3)
         lap = divergence(inner_derivative(f))   # delta d is the Laplacian at m = 0
@@ -70,6 +76,42 @@ class TestBumpPoly:
             total = total + bump_core_diff(once, a, ONE, 2)
         assert lap.core(()) == total
         assert lap.power == 1
+
+
+class TestPairAlternations:
+    """The (first, second, sign) enumerator behind R's alternations."""
+
+    def test_definition_example(self):
+        assert list(pair_alternations([(0, 1)])) == [((0,), (1,), 1), ((1,), (0,), -1)]
+
+    def test_swap_patterns_in_product_order(self):
+        assert list(pair_alternations([(0, 1), (2, 3)])) == [
+            ((0, 2), (1, 3), 1), ((0, 3), (1, 2), -1),
+            ((1, 2), (0, 3), -1), ((1, 3), (0, 2), 1)]
+
+    def test_no_pairs_is_one_plain_pattern(self):
+        assert list(pair_alternations([])) == [((), (), 1)]
+
+    def test_kills_symmetric_part(self):
+        rng = SplitMix64(8)
+        s = SymTensor(2, 4, {idx: rng.rational(-5, 5) for idx in canonical_indices(2, 4)})
+        for a, b, c, d in itertools.product(range(2), repeat=4):
+            assert sum(sign * s[first + second] for first, second, sign
+                       in pair_alternations([(a, b), (c, d)])) == 0
+
+    def test_idempotent_on_same_pair(self):
+        rng = SplitMix64(9)
+        t = DenseTensor.from_function(3, 2, lambda idx: rng.rational(-5, 5))
+
+        def alternate(u):
+            return DenseTensor.from_function(3, 2, lambda idx: sum(
+                sign * Fraction(u[first + second])
+                for first, second, sign in pair_alternations([idx])) / 2)
+        once = alternate(t)
+        twice = alternate(once)
+        for idx in itertools.product(range(3), repeat=2):
+            assert once[idx] == twice[idx]
+        assert once[(0, 1)] == (Fraction(t[(0, 1)]) - Fraction(t[(1, 0)])) / 2
 
 
 class TestDivergence:

@@ -39,16 +39,33 @@ def brute_symmetrize(t):
     return out
 
 
-@pytest.mark.parametrize("idx,mult", [((0, 1), 2), ((0, 0), 1),
-                                      ((0, 1, 1), 3), ((0, 1, 2), 6)])
-def test_multiplicity(idx, mult):
-    assert multiplicity(idx) == mult
-    # m!/prod(counts!) computed directly
-    from collections import Counter
-    denom = 1
-    for c in Counter(idx).values():
-        denom *= math.factorial(c)
-    assert mult == math.factorial(len(idx)) // denom
+class TestMultiIndex:
+    """A multi-index names a symmetric entry through its sorted form."""
+
+    def test_canonicalization_idempotent(self):
+        t = SymTensor(3, 3, {(2, 0, 1): Fraction(5)})
+        assert list(t.data) == [(0, 1, 2)]
+        assert SymTensor(3, 3, t.data).data == t.data
+        assert all(list(idx) == sorted(idx) for idx in canonical_indices(3, 3))
+
+    def test_equal_sorted_forms_are_equal(self):
+        t = random_sym(3, 3, SplitMix64(3))
+        for idx in itertools.product(range(3), repeat=3):
+            assert t[idx] == t[tuple(sorted(idx))]
+        u = SymTensor(3, 2)
+        u[(2, 0)] = Fraction(1)
+        assert u == SymTensor(3, 2, {(0, 2): Fraction(1)})
+
+    @pytest.mark.parametrize("idx,mult", [((0, 1), 2), ((0, 0), 1),
+                                          ((0, 1, 1), 3), ((0, 1, 2), 6)])
+    def test_multiplicity(self, idx, mult):
+        assert multiplicity(idx) == mult
+        # m!/prod(counts!) computed directly
+        from collections import Counter
+        denom = 1
+        for c in Counter(idx).values():
+            denom *= math.factorial(c)
+        assert mult == math.factorial(len(idx)) // denom
 
 
 class TestSymmetrize:
