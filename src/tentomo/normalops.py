@@ -34,7 +34,7 @@ kept only in ``helmholtz_decompose_oracle``, an independent route.
 
 Spatial derivatives of normal operators are never taken by differencing
 quadrature output; they are moved onto the field inside the line integral via
-``TransformExpr``.
+``TransformExpr``, whose atoms read the field's exact derivative levels.
 
 Angular sums come in two forms, each reducing with w <x,xi>^p xi^I per point
 over the (point, rule node) pairs:
@@ -110,8 +110,8 @@ class GridTensorField:
     def sample(cls, field: PolyBumpField, N, L, enforce_margin=True):
         """Sample a bump field; its support must sit well inside the box.
 
-        Cores are evaluated only where rho^2 - |x|^2 > 0, in the expression
-        order of ``BumpPoly.eval_many``: bit for bit the whole-mesh values.
+        Cores are evaluated only where rho^2 - |x|^2 > 0, as
+        q(x) * (rho^2 - |x|^2)^power: bit for bit the whole-mesh values.
         """
         if enforce_margin and float(field.rho) > L / 4 + 1e-12:
             raise ValueError("support must leave a margin of at least L/4")
@@ -756,14 +756,12 @@ def verify_momentum_key_identity(f: PolyBumpField, pts, k, rules):
     """Residuals of the momentum key identity at each point of the (P, n)
     array ``pts``, by each rule of the stack ``rules``: {component key:
     (rules, P) array}."""
-    n, m = f.n, f.m
+    m = f.m
     if not 0 <= k <= m:
         raise ValueError("k out of range")
     rkf = generalized_R(f, k)
     residuals = {}
     for key, expr in momentum_key_rhs_exprs(f, k).items():
-        comp = rkf.component(rkf.key_to_index(key))
-        scalar = PolyBumpField(n, 0, rkf.rho, rkf.power, {(): comp.core})
-        lhs = math.factorial(m) * n0_scalar(scalar, pts, rules)
+        lhs = math.factorial(m) * n0_scalar(rkf.component_field(key), pts, rules)
         residuals[key] = lhs - _angular_sum(expr, pts, 0, 0, rules)[..., 0]
     return residuals

@@ -8,9 +8,11 @@ Q = c0 + sigma |x|^2, here B = rho^2 - |x|^2,
 
     D_i [q * Q^e] = (Q * D_i q + 2 sigma e x_i q) * Q^{e-1},
 
-and ``polynomial.quadric_derivative`` forms that numerator for one core,
-``CoreStack.quadric_level`` for a level of a derivative tree of them, here
-and in the quotient rule of ``spherequad.verify_ibp`` (Q = |xi|^2).
+and ``CoreStack.quadric_level`` forms that numerator for a level of a
+derivative tree of cores, here and in the quotient rule of
+``spherequad.verify_ibp`` (Q = |xi|^2); ``polynomial.quadric_derivative``
+forms it for one dict core, and ``PolyBumpField.derivative_core`` folds it
+over an axis multiset as the independent oracle.
 
 Keeping the bump factor symbolic means every operator here (symmetrized
 derivative, divergence, the order-m curvature-type operators W
@@ -20,9 +22,10 @@ cores as one ``CoreStack``, one row per canonical component, in int64 under
 the stack's proven bound and in Python ints above it.  It keeps derivative
 levels, level j the j-fold partials of all components, and every operator
 is a stencil compiled once per (operator, n, m, k) into one integer matrix
-over the levels it reads, applied as one matrix product.
-``Polynomial`` cores (``cores``, ``comps``) are materialised lazily for the
-transforms.
+over the levels it reads, applied as one matrix product.  The levels are
+the one derivative engine: the transforms read them too, each level
+materialised as ``Polynomial`` cores once by ``level_cores``, as are the
+field's own cores (``cores``, ``comps``).
 """
 
 from __future__ import annotations
@@ -45,58 +48,6 @@ class BudgetError(ValueError):
     """Smoothness budget exhausted: not enough bump power for a derivative."""
 
 
-def bump_core_diff(core: Polynomial, axis: int, rho, power: int) -> Polynomial:
-    """Core of d/dx_axis applied to core*B^power, at power-1: the quadric
-    derivative with c0 = rho^2, sigma = -1."""
-    return quadric_derivative(core, axis, rho * rho, -1, power)
-
-
-class BumpPoly:
-    """Scalar field q(x)*(rho^2-|x|^2)^power on the ball, zero outside."""
-
-    __slots__ = ("n", "core", "rho", "power", "_dcache")
-
-    def __init__(self, n, core, rho, power):
-        self.n = n
-        self.core = core
-        self.rho = rho
-        self.power = power
-        self._dcache = {}
-
-    def is_zero(self):
-        return self.core.is_zero()
-
-    def diff(self, axis) -> "BumpPoly":
-        got = self._dcache.get(axis)
-        if got is not None:
-            return got
-        _require_budget(self, 1)
-        out = BumpPoly(self.n, bump_core_diff(self.core, axis, self.rho, self.power),
-                       self.rho, self.power - 1)
-        self._dcache[axis] = out
-        return out
-
-    def diff_multi(self, axes) -> "BumpPoly":
-        """Iterated derivative along a sorted axis tuple; instances shared."""
-        if not axes:
-            return self
-        return self.diff_multi(axes[:-1]).diff(axes[-1])
-
-    def value(self, x):
-        r2 = sum(c * c for c in x)
-        if r2 > self.rho * self.rho:
-            return 0.0
-        return self.core.eval(x) * (self.rho * self.rho - r2) ** self.power
-
-    def eval_many(self, points):
-        """Vectorized float evaluation at points of shape (..., n)."""
-        pts = np.asarray(points, dtype=float)
-        vals = self.core.eval_many(pts)
-        r2 = (pts * pts).sum(axis=-1)
-        b = float(self.rho) ** 2 - r2
-        return np.where(b > 0, vals * np.maximum(b, 0.0) ** self.power, 0.0)
-
-
 class _StackedField:
     """Rows of exact cores at one bump power, as a ``CoreStack`` whose row r
     is the component ``rows()[r]``, or as a dict of nonzero ``Polynomial``
@@ -110,6 +61,7 @@ class _StackedField:
         self._cores = None if stack is not None else \
             {key: p for key, p in (cores or {}).items() if not p.is_zero()}
         self._levels = []
+        self._level_cores = {}
 
     @property
     def stack(self) -> CoreStack:
@@ -139,6 +91,21 @@ class _StackedField:
             levels.append(levels[i].quadric_level(i, self.rho * self.rho, -1, self.power - i))
         return levels[j]
 
+    def level_cores(self, j):
+        """The rows of ``derivative_level(j)`` as ``Polynomial`` cores, built
+        once: row r of the block of multiset I is at I's position in
+        ``tree_multisets`` times len(rows()), plus r.  Level 0 is the
+        field's own cores, read without building a stack."""
+        got = self._level_cores.get(j)
+        if got is None:
+            if j:
+                got = self.derivative_level(j).polys()
+            else:
+                zero = Polynomial.zero(self.n)
+                got = [self._materialised().get(key, zero) for key in self.rows()]
+            self._level_cores[j] = got
+        return got
+
 
 @functools.lru_cache(maxsize=None)
 def _field_rows(n, m):
@@ -158,7 +125,7 @@ class PolyBumpField(_StackedField):
         self.m = m
         super().__init__(n, rho, power, cores and
                          {tuple(sorted(idx)): p for idx, p in cores.items()}, stack)
-        self._bumps = {}
+        self._dcores = {}
 
     def rows(self):
         return _field_rows(self.n, self.m)
@@ -172,23 +139,27 @@ class PolyBumpField(_StackedField):
     def core(self, idx) -> Polynomial:
         return self.cores.get(tuple(sorted(idx)), Polynomial.zero(self.n))
 
-    def component(self, idx) -> BumpPoly:
-        key = tuple(sorted(idx))
-        bp = self._bumps.get(key)
-        if bp is None:
-            bp = BumpPoly(self.n, self.core(key), self.rho, self.power)
-            self._bumps[key] = bp
-        return bp
-
     def derivative_core(self, idx, axes) -> Polynomial:
         """Core of the |axes|-fold mixed partial of component idx, on the
-        dict path: the independent oracle of ``derivative_stack``."""
-        return self.component(idx).diff_multi(tuple(sorted(axes))).core
+        dict path: the independent oracle of ``level_cores``, a memoised
+        fold of ``quadric_derivative`` over the sorted axes."""
+        key, axes = tuple(sorted(idx)), tuple(sorted(axes))
+        if not axes:
+            return self.core(key)
+        got = self._dcores.get((key, axes))
+        if got is None:
+            _require_budget(self, len(axes))
+            got = self._dcores[key, axes] = quadric_derivative(
+                self.derivative_core(key, axes[:-1]), axes[-1], self.rho * self.rho, -1,
+                self.power - len(axes) + 1)
+        return got
 
     def value(self, x) -> SymTensor:
+        """The field at the point x: 0 outside the support ball."""
+        r2, rho2 = sum(c * c for c in x), self.rho * self.rho
         out = SymTensor(self.n, self.m)
-        for idx in self.cores:
-            out[idx] = self.component(idx).value(x)
+        for idx, core in self.cores.items():
+            out[idx] = 0.0 if r2 > rho2 else core.eval(x) * (rho2 - r2) ** self.power
         return out
 
     # -- serialization ----------------------------------------------------
@@ -288,8 +259,10 @@ class PairSymTensorField(_StackedField):
         p = self.comps.get(key, Polynomial.zero(self.n))
         return p if sign == 1 else -p
 
-    def component(self, idx) -> BumpPoly:
-        return BumpPoly(self.n, self.component_core(idx), self.rho, self.power)
+    def component_field(self, key) -> PolyBumpField:
+        """The component of canonical key ``key`` as a scalar field."""
+        return PolyBumpField(self.n, 0, self.rho, self.power,
+                             {(): self.comps.get(key, Polynomial.zero(self.n))})
 
     def canonical_keys(self):
         return _pair_rows(self.n, self.npairs, self.blocks)
@@ -305,18 +278,12 @@ class PairSymTensorField(_StackedField):
             idx.extend(blk)
         return tuple(idx)
 
-    def _like(self, power, stack):
-        return PairSymTensorField(self.n, self.npairs, self.blocks, self.rho, power,
-                                  stack=stack)
-
     def __sub__(self, other):
         if (self.n, self.npairs, self.blocks, self.rho, self.power) != \
                 (other.n, other.npairs, other.blocks, other.rho, other.power):
             raise ValueError("structure or bump power mismatch")
-        return self._like(self.power, self.stack - other.stack)
-
-    def scale(self, c):
-        return self._like(self.power, self.stack.scale(c))
+        return PairSymTensorField(self.n, self.npairs, self.blocks, self.rho, self.power,
+                                  stack=self.stack - other.stack)
 
 
 # ---------------------------------------------------------------------------
@@ -617,9 +584,9 @@ def r_to_w(rf: PairSymTensorField, m: int) -> PairSymTensorField:
     return generalized_r_to_w(rf, m, 0)
 
 
-def w_to_r(wf: PairSymTensorField, m: int, constant=None) -> PairSymTensorField:
+def w_to_r(wf: PairSymTensorField, m: int) -> PairSymTensorField:
     """(1/(m+1)) alpha...alpha applied to a W image, producing the R image."""
-    return generalized_w_to_r(wf, m, 0, constant)
+    return generalized_w_to_r(wf, m, 0)
 
 
 def generalized_r_to_w(rkf: PairSymTensorField, m: int, k: int) -> PairSymTensorField:
@@ -631,49 +598,14 @@ def generalized_r_to_w(rkf: PairSymTensorField, m: int, k: int) -> PairSymTensor
                               stack=_apply(_stencil(_r_to_w_terms, rkf.n, m, k), rkf))
 
 
-def generalized_w_to_r(wkf: PairSymTensorField, m: int, k: int,
-                       constant=None) -> PairSymTensorField:
-    """R^k from W^k via pairwise alternation.
-
-    ``constant`` defaults to binom(m,k)/(m-k+1); pass the empirically solved
-    value when the default fails the exact round trip (see
-    ``solve_w_to_r_constant``).
-    """
+def generalized_w_to_r(wkf: PairSymTensorField, m: int, k: int) -> PairSymTensorField:
+    """R^k from W^k: (k+1)/(m+1) times the pairwise alternation, which is
+    1/(m+1) at k = 0 and the identity at k = m."""
     mk = m - k
     if wkf.npairs != 0 or wkf.blocks != (mk, m):
         raise ValueError("input does not have W^k structure")
-    if constant is None:
-        constant = Fraction(math.comb(m, k), mk + 1)
-    stack = _apply(_stencil(_w_to_r_terms, wkf.n, m, k), wkf, constant)
+    stack = _apply(_stencil(_w_to_r_terms, wkf.n, m, k), wkf, Fraction(k + 1, m + 1))
     return PairSymTensorField(wkf.n, mk, (k,), wkf.rho, wkf.power, stack=stack)
-
-
-def solve_w_to_r_constant(n, m, k, rng, trials=3):
-    """Scalar c with R^k f = c * (alpha...alpha W^k f), solved exactly.
-
-    Returns the verified rational constant, or None when no single scalar
-    works (which would falsify the equivalence, not just the constant).
-    """
-    ratio = None
-    for t in range(trials):
-        f = random_bump_field(n, m, rng, power=m - k + 1, degree=2,
-                              label=f"wr-const-{t}")
-        lhs = generalized_R(f, k)
-        alt = generalized_w_to_r(generalized_W(f, k), m, k, constant=Fraction(1))
-        for key in lhs.canonical_keys():
-            lp = lhs.comps.get(key, Polynomial.zero(n))
-            rp = alt.comps.get(key, Polynomial.zero(n))
-            if rp.is_zero():
-                if not lp.is_zero():
-                    return None
-                continue
-            exps = next(iter(rp.terms))
-            cand = Fraction(lp.terms.get(exps, Fraction(0))) / Fraction(rp.terms[exps])
-            if ratio is None:
-                ratio = cand
-            if not (rp * ratio - lp).is_zero():
-                return None
-    return ratio
 
 
 def field_l2_inner(f: PolyBumpField, g: PolyBumpField):

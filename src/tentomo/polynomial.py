@@ -15,8 +15,9 @@ a compiled stencil as one integer matrix product, the exact-zero test) run
 in int64 while a proven bound on every entry and partial sum stays below
 ``INT64_LIMIT`` = 2^62, and on ``object`` arrays of Python ints above it, so
 no kernel can overflow.
-The dict ``Polynomial``, ``quadric_derivative`` and ``linear_combination``
-stay as the general type and as the independent oracles of those kernels.
+The dict ``Polynomial`` stays the general type (float cores, the transforms'
+cores, sphere integrals), and ``quadric_derivative`` and
+``linear_combination`` stay as the independent oracles of those kernels.
 """
 
 from __future__ import annotations

@@ -194,10 +194,6 @@ class HomogeneousRational:
             return None
         return self.numerator.degree() - 2 * self.pow2r
 
-    def value(self, xi):
-        norm2 = sum(c * c for c in xi)
-        return self.numerator.eval(xi) / norm2 ** self.pow2r
-
     @cached_property
     def stack(self) -> CoreStack:
         """The numerator as a one-row ``CoreStack``, built on first use."""

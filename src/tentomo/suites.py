@@ -96,27 +96,16 @@ def _run_algebra(params, rng, outdir):
                           {"trials": params["roundtrip_trials"]}))
 
     gen_worst = 0.0
-    default_ok = True
-    solved = None
     for t in range(params["roundtrip_trials"]):
         child = rng.split(f"genrt-{t}")
         field = pf.random_bump_field(2, 2, child, power=2, degree=2, label="g")
         rk = pf.generalized_R(field, 1)
         wk = pf.generalized_W(field, 1)
-        if not (pf.generalized_r_to_w(rk, 2, 1) - wk).is_zero():
+        if not (pf.generalized_r_to_w(rk, 2, 1) - wk).is_zero() or \
+                not (pf.generalized_w_to_r(wk, 2, 1) - rk).is_zero():
             gen_worst = 1.0
-        if not (pf.generalized_w_to_r(wk, 2, 1) - rk).is_zero():
-            default_ok = False
-            if solved is None:
-                solved = pf.solve_w_to_r_constant(2, 2, 1, child.split("solve"))
-            if solved is None or \
-                    not (pf.generalized_w_to_r(wk, 2, 1, constant=solved) - rk).is_zero():
-                gen_worst = 1.0
-    extra = {"m": 2, "k": 1, "default_constant_ok": default_ok}
-    if solved is not None:
-        extra["solved_constant"] = f"{solved.numerator}/{solved.denominator}"
     rows.append(check_row("generalized_rw_roundtrips_exact", gen_worst, TOL_EXACT,
-                          extra))
+                          {"m": 2, "k": 1}))
     rows += [check_row(name, val, TOL_EXACT, {"trials": params["roundtrip_trials"]})
              for name, val in controls.items()]
     return rows
@@ -218,19 +207,18 @@ def _convergence_rows(label, f, k, degrees, points, tol, kind):
     return rows
 
 
-def _quadrature_convergence_row(label, f, x, degrees, ref_degree=320):
-    """Genuine quadrature convergence of the checked quantity itself.
+def _quadrature_convergence_row(label, f, x, degrees):
+    """Genuine quadrature convergence of the checked quantity itself, its
+    errors taken against the degree-320 rule.
 
     The value is the worst violation of (a) overall decrease across the
     sweep and (b) per-step non-increase with 10% plateau slack (kink
     positions aligning with nodes can stall one step).
     """
     rf = pf.operator_R(f)
-    key = next(iter(rf.canonical_keys()))
-    comp = rf.component(rf.key_to_index(key))
-    scalar = pf.PolyBumpField(f.n, 0, rf.rho, rf.power, {(): comp.core})
+    scalar = rf.component_field(next(iter(rf.canonical_keys())))
     *vals, ref = no.n0_scalar(scalar, [x], [sq.build_rule(f.n, d)
-                                            for d in (*degrees, ref_degree)])[:, 0]
+                                            for d in (*degrees, 320)])[:, 0]
     errs = [abs(v - ref) for v in vals]
     violation = worst([errs[-1] - errs[0]]
                       + [errs[j + 1] - 1.1 * errs[j] for j in range(len(errs) - 1)])

@@ -84,13 +84,6 @@ class DenseTensor:
         return DenseTensor(self.n, self.m,
                            {i: v * scalar for i, v in self.entries.items()})
 
-    def is_zero(self):
-        return all(v == 0 for v in self.entries.values())
-
-    def max_abs(self):
-        """Largest |entry|; entries not stored are 0."""
-        return worst([0.0, *map(abs, self.entries.values())])
-
 
 class SymTensor:
     """Symmetric tensor, one stored scalar per canonical index tuple."""
@@ -147,9 +140,6 @@ class SymTensor:
 
     __rmul__ = __mul__
 
-    def is_zero(self):
-        return all(v == 0 for v in self.data.values())
-
     def max_abs(self):
         """Largest |entry|; entries not stored are 0."""
         return worst([0.0, *map(abs, self.data.values())])
@@ -169,9 +159,9 @@ class SymTensor:
         return f"SymTensor(n={self.n}, m={self.m}, {self.data})"
 
 
-def metric_tensor(n, scalar_one=Fraction(1)):
+def metric_tensor(n):
     """Euclidean metric delta_ij as a rank-2 SymTensor."""
-    return SymTensor(n, 2, {(i, i): scalar_one for i in range(n)})
+    return SymTensor(n, 2, {(i, i): Fraction(1) for i in range(n)})
 
 
 # ---------------------------------------------------------------------------
@@ -290,34 +280,12 @@ def sym_power_span_rank(vectors, m) -> int:
         raise ValueError("need exactly n vectors of dimension n")
     rank1 = [SymTensor.from_vector(n, v) for v in vectors]
     rows = []
-    exact = all(isinstance(c, (int, Fraction)) for v in vectors for c in v)
     for combo in canonical_indices(n, m):
         t = rank1[combo[0]] if m else SymTensor(n, 0, {(): 1})
         for i in combo[1:]:
             t = sym_product(t, rank1[i])
         rows.append(t.to_canonical_vector())
-    if exact:
-        return _exact_rank([[Fraction(c) for c in row] for row in rows])
     return int(np.linalg.matrix_rank(np.array(rows, dtype=float)))
-
-
-def _exact_rank(rows):
-    """Gaussian elimination over the rationals."""
-    rows = [row[:] for row in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col] != 0:
-                factor = rows[r][col] / pr[col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], pr)]
-        rank += 1
-    return rank
 
 
 def _divide(value, k):

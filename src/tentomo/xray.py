@@ -6,11 +6,11 @@ form: centred at the chord's midpoint, it is a sum of rational moments
 int_{-1}^{1} u^j (1 - u^2)^e du, and float roundoff is the only error.
 
 One kernel, ``chord_integrals``, computes every such integral, for a set of
-atoms (bump, t power) on an array of lines at once.  It drops the lines that
-miss the support, restricts each atom's polynomial to the remaining chords
-and sums its coefficients against the moments.  Every transform here is a
-reduction of its output; ``normalops`` compiles its sinogram from the same
-helpers.
+atoms (core, bump power, t power) on one support ball and an array of lines
+at once.  It drops the lines that miss the support, restricts each atom's
+polynomial to the remaining chords and sums its coefficients against the
+moments.  Every transform here is a reduction of its output; ``normalops``
+compiles its sinogram from the same helpers.
 
 Mixed (x, xi)-derivatives of transforms are computed analytically by
 differentiating under the integral sign, never by nested numerical
@@ -21,7 +21,10 @@ a linear combination of atoms
 
 where h is a mixed partial of a field component; d/dx_i maps an atom to one
 with h differentiated, d/dxi_i additionally raises the t power, and monomial
-prefactors follow the product rule.
+prefactors follow the product rule.  An atom names (field, component row,
+sorted axis multiset, t power), and ``eval_lines`` reads its core from the
+field's exact derivative level of that many axes, the level the W/R
+stencils read.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .polyfield import BudgetError, PolyBumpField, operator_R
+from .polynomial import tree_multisets
 from .spherequad import bump_ball_monomial_integral
 from .symtensor import SymTensor, canonical_indices, multiplicity, sym_dim
 
@@ -65,14 +69,14 @@ class TransverseRay:
 
     __slots__ = ("omega", "x", "y")
 
-    def __init__(self, omega, x, y, tol=1e-9):
+    def __init__(self, omega, x, y):
         self.omega = np.asarray(omega, dtype=float)
         self.x = np.asarray(x, dtype=float)
         self.y = np.asarray(y, dtype=float)
         norm = np.linalg.norm(self.omega)
-        if abs(norm - 1.0) > tol:
+        if abs(norm - 1.0) > 1e-9:
             raise ValueError("omega must be a unit vector")
-        if abs(self.x @ self.omega) > tol or abs(self.y @ self.omega) > tol:
+        if abs(self.x @ self.omega) > 1e-9 or abs(self.y @ self.omega) > 1e-9:
             raise ValueError("x and y must be orthogonal to omega")
 
 
@@ -96,11 +100,12 @@ def _chord_midpoints(X, Xi, rho):
     return tc, Y, H, root / np.sqrt(a), root > TANGENCY_TOL
 
 
-def chord_integrals(atoms, X, Xi):
-    """Exact int t^tpow * bump(x + t*xi) dt over the support chord.
+def chord_integrals(atoms, rho, X, Xi):
+    """Exact int t^tpow q(x + t xi) B(x + t xi)^e dt over the support chord.
 
-    ``atoms`` is a sequence of (BumpPoly, tpow) pairs sharing one support
-    ball; X and Xi hold one line per row, shape (L, n).  Returns (L, atoms).
+    ``atoms`` is a sequence of (core q, bump power e, tpow) triples on the
+    ball of radius ``rho``, B = rho^2 - |x|^2; X and Xi hold one line per
+    row, shape (L, n).  Returns (L, atoms).
     On the chord t = tc + h*u, u in [-1, 1], with half-chord h = sqrt(H)/|xi|,
     the bump factor is B = H (1 - u^2), so an atom t^p q B^e integrates to
     h H^e sum_j M(2j, e) c_2j for c_b = [u^b] (tc + h u)^p q(Y + h u xi).
@@ -108,27 +113,22 @@ def chord_integrals(atoms, X, Xi):
     X = np.asarray(X, dtype=float)
     Xi = np.asarray(Xi, dtype=float)
     out = np.zeros((len(X), len(atoms)))
-    rhos = {bump.rho for bump, _ in atoms}
-    if len(rhos) > 1:
-        raise ValueError("support mismatch")
-    if not atoms:
-        return out
-    tc, Y, H, h, hit = _chord_midpoints(X, Xi, float(rhos.pop()))
+    tc, Y, H, h, hit = _chord_midpoints(X, Xi, float(rho))
     tc, Y, Xi, H, h = tc[hit], Y[hit], Xi[hit], H[hit], h[hit]
     n = X.shape[1]
     # the variables are (x_1 .. x_n, t) = (Y + u h xi, tc + u h): one u per line
     forms = [[(h * Xi[:, a])[:, None]] for a in range(n)] + [[h[:, None]]]
     offsets = [Y[:, a:a + 1] for a in range(n)] + [tc[:, None]]
-    top = max(max(bump.core.degree(), 0) + tpow for bump, tpow in atoms)
+    top = max(max(core.degree(), 0) + tpow for core, _, tpow in atoms)
     monos = {(0,) * (n + 1): np.zeros((len(tc), top + 1))}
     monos[(0,) * (n + 1)][:, 0] = 1.0
-    for col, (bump, tpow) in enumerate(atoms):
-        exps, coeffs = bump.core.compiled()
+    for col, (core, power, tpow) in enumerate(atoms):
+        exps, coeffs = core.compiled()
         c = np.zeros((len(tc), top + 1))
         for ex, v in zip(exps.tolist(), coeffs.tolist()):
             c += v * _monomial_table(monos, tuple(ex) + (tpow,), forms, offsets)
-        moments = np.array([_chord_moment(b, bump.power) for b in range(0, top + 1, 2)])
-        out[hit, col] = _rowdot(c[:, ::2], moments) * h * _int_power(H, bump.power)
+        moments = np.array([_chord_moment(b, power) for b in range(0, top + 1, 2)])
+        out[hit, col] = _rowdot(c[:, ::2], moments) * h * _int_power(H, power)
     return out
 
 
@@ -282,7 +282,13 @@ def trt_pointwise_recover(etas, samples, m):
 # ---------------------------------------------------------------------------
 
 class TransformExpr:
-    """Linear combination of x^a xi^b * (momentum transform atoms)."""
+    """Linear combination of x^a xi^b * (momentum transform atoms).
+
+    ``terms`` maps (x exponents, xi exponents, base, axes, t power) to a
+    coefficient.  The base (id of a field of ``bases``, component row) and
+    the sorted axis multiset name the atom's core: row ``row`` of the
+    field's derivative level |axes|, in the block of ``axes``.
+    """
 
     __slots__ = ("n", "terms", "bases")
 
@@ -294,18 +300,17 @@ class TransformExpr:
     @classmethod
     def momentum(cls, f: PolyBumpField, k: int = 0) -> "TransformExpr":
         """The atom expansion of J_m^k f."""
-        expr = cls(f.n)
+        expr = cls(f.n, bases={id(f): f})
         zero = (0,) * f.n
-        for idx in canonical_indices(f.n, f.m):
-            if not f.core(idx).is_zero():
+        cores = f.level_cores(0)
+        for row, idx in enumerate(f.rows()):
+            if cores[row]:
                 expr._add(float(multiplicity(idx)), zero,
-                          _xi_monomial_exps(idx, f.n), f.component(idx), (), k)
+                          _xi_monomial_exps(idx, f.n), (id(f), row), (), k)
         return expr
 
     def _add(self, coeff, xexp, xiexp, base, dmulti, tpow):
-        bid = id(base)
-        self.bases[bid] = base
-        key = (xexp, xiexp, bid, dmulti, tpow)
+        key = (xexp, xiexp, base, dmulti, tpow)
         c = self.terms.get(key, 0.0) + coeff
         if c == 0.0:
             self.terms.pop(key, None)
@@ -338,24 +343,22 @@ class TransformExpr:
 
     def dx(self, i) -> "TransformExpr":
         out = self._blank()
-        for (xe, xie, bid, dm, tp), c in self.terms.items():
+        for (xe, xie, base, dm, tp), c in self.terms.items():
             if xe[i]:
                 lowered = list(xe)
                 lowered[i] -= 1
-                out._add(c * xe[i], tuple(lowered), xie, self.bases[bid], dm, tp)
-            out._add(c, xe, xie, self.bases[bid],
-                     tuple(sorted(dm + (i,))), tp)
+                out._add(c * xe[i], tuple(lowered), xie, base, dm, tp)
+            out._add(c, xe, xie, base, tuple(sorted(dm + (i,))), tp)
         return out
 
     def dxi(self, i) -> "TransformExpr":
         out = self._blank()
-        for (xe, xie, bid, dm, tp), c in self.terms.items():
+        for (xe, xie, base, dm, tp), c in self.terms.items():
             if xie[i]:
                 lowered = list(xie)
                 lowered[i] -= 1
-                out._add(c * xie[i], xe, tuple(lowered), self.bases[bid], dm, tp)
-            out._add(c, xe, xie, self.bases[bid],
-                     tuple(sorted(dm + (i,))), tp + 1)
+                out._add(c * xie[i], xe, tuple(lowered), base, dm, tp)
+            out._add(c, xe, xie, base, tuple(sorted(dm + (i,))), tp + 1)
         return out
 
     def dx_multi(self, axes):
@@ -367,11 +370,11 @@ class TransformExpr:
     def mul_prefactor(self, weight_terms) -> "TransformExpr":
         """Multiply by a polynomial in (x, xi): {(xexp, xiexp): coeff}."""
         out = self._blank()
-        for (xe, xie, bid, dm, tp), c in self.terms.items():
+        for (xe, xie, base, dm, tp), c in self.terms.items():
             for (wx, wxi), wc in weight_terms.items():
                 nxe = tuple(a + b for a, b in zip(xe, wx))
                 nxie = tuple(a + b for a, b in zip(xie, wxi))
-                out._add(c * float(wc), nxe, nxie, self.bases[bid], dm, tp)
+                out._add(c * float(wc), nxe, nxie, base, dm, tp)
         return out
 
     def eval_lines(self, X, Xi, Y=None):
@@ -384,13 +387,22 @@ class TransformExpr:
         Xi = np.asarray(Xi, dtype=float)
         Y = Xi if Y is None else np.asarray(Y, dtype=float)
         cols = {}
-        for (_xe, _xie, bid, dm, tp) in self.terms:
-            cols.setdefault((bid, dm, tp), len(cols))
-        jv = chord_integrals([(self.bases[bid].diff_multi(dm), tp)
-                              for bid, dm, tp in cols], X, Xi)
+        for (_xe, _xie, base, dm, tp) in self.terms:
+            cols.setdefault((base, dm, tp), len(cols))
+        if not cols:
+            return np.zeros(len(X))
+        atoms, rhos = [], set()
+        for (fid, row), dm, tp in cols:
+            f, j = self.bases[fid], len(dm)
+            block = tree_multisets(f.n, j).index(dm)
+            atoms.append((f.level_cores(j)[block * len(f.rows()) + row], f.power - j, tp))
+            rhos.add(f.rho)
+        if len(rhos) > 1:
+            raise ValueError("support mismatch")
+        jv = chord_integrals(atoms, rhos.pop(), X, Xi)
         total = np.zeros(len(X))
-        for (xe, xie, bid, dm, tp), c in self.terms.items():
-            total += c * _monomials(X, xe) * _monomials(Y, xie) * jv[:, cols[bid, dm, tp]]
+        for (xe, xie, base, dm, tp), c in self.terms.items():
+            total += c * _monomials(X, xe) * _monomials(Y, xie) * jv[:, cols[base, dm, tp]]
         return total
 
     def eval(self, x, xi):
@@ -450,11 +462,8 @@ def verify_john_relation(f: PolyBumpField, X, Xi):
     factor = (-2.0) ** m * math.factorial(m)
     residuals = []
     for key in rf.canonical_keys():
-        pairs, _blocks = key
-        comp = rf.component(rf.key_to_index(key))
-        scalar = PolyBumpField(f.n, 0, rf.rho, rf.power, {(): comp.core})
-        lhs = factor * TransformExpr.momentum(scalar, 0).eval_lines(X, Xi)
-        residuals.append(np.abs(lhs - _iterated_john(f, pairs).eval_lines(X, Xi)))
+        lhs = factor * TransformExpr.momentum(rf.component_field(key), 0).eval_lines(X, Xi)
+        residuals.append(np.abs(lhs - _iterated_john(f, key[0]).eval_lines(X, Xi)))
     return np.max(residuals, axis=0)
 
 

@@ -389,22 +389,48 @@ UNREFERENCED = {
 }
 
 
+#: Def names defined more than once under src/, each with every scope that
+#: defines it (class, enclosing function or module), sorted.  A def that
+#: shares a name passes the caller check when any of its namesakes is
+#: called, so each one listed here has a caller of its own.
+SHARED_NAMES = {
+    "degree": ("HomogeneousRational", "Polynomial"),
+    "eval": ("Polynomial", "TransformExpr"),
+    "is_zero": ("CoreStack", "PiRational", "Polynomial", "_StackedField"),
+    "max_abs": ("CoreStack", "SymTensor"),
+    "scale": ("CoreStack", "TransformExpr"),
+    "stack": ("HomogeneousRational", "_StackedField"),
+    "triples": ("_lower_r_terms", "_r_to_w_terms", "_w_terms"),
+}
+
+
 def test_every_def_has_a_caller():
     # every function and class under src/ is named somewhere else under
-    # src/ (called, read as an attribute or imported), or is listed above
-    defined, named = set(), set()
+    # src/ (called, read as an attribute or imported), or is listed above;
+    # a name defined twice must be listed in SHARED_NAMES with its scopes
+    defined, named, scopes = set(), set(), {}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    defined.add(child.name)
+                    scopes.setdefault(child.name, []).append(scope)
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Name):
+                named.add(child.id)
+            elif isinstance(child, ast.Attribute):
+                named.add(child.attr)
+            elif isinstance(child, ast.alias):
+                named.add(child.name)
+            visit(child, scope)
+
     for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not (node.name.startswith("__") and node.name.endswith("__")):
-                    defined.add(node.name)
-            elif isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
-            elif isinstance(node, ast.alias):
-                named.add(node.name)
+        visit(ast.parse(path.read_text()), path.stem)
     assert sorted(defined - named) == sorted(UNREFERENCED)
+    assert {name: tuple(sorted(where)) for name, where in scopes.items()
+            if len(where) > 1} == SHARED_NAMES
 
 
 def test_every_suite_has_exactly_one_runner():
@@ -548,11 +574,34 @@ def test_nonpotential_controls_flag_a_vanishing_operator(monkeypatch, tmp_path, 
     assert [(r["name"], r["value"], r["pass"]) for r in rows[-2:]] == \
         [(name, 0.0, True) for name in names]
     real = getattr(pf, op)
-    monkeypatch.setattr(pf, op, lambda f: real(f).scale(0))
+    monkeypatch.setattr(pf, op, lambda f: real(f) - real(f))
     flags = {r["name"]: r for r in suites._run_algebra(params, SplitMix64(3), tmp_path)[-2:]}
     flagged = names[op == "operator_R"]
     assert flags[flagged]["value"] == 1.0 and not flags[flagged]["pass"]
     assert flags[names[op != "operator_R"]]["value"] == 0.0
+
+
+def test_generalized_round_trip_row_fails_on_a_wrong_constant(monkeypatch, tmp_path):
+    # 3/2 times (k+1)/(m+1) is the customary binom(m,k)/(m-k+1) at (m, k) =
+    # (2, 1); with it W^k -> R^k no longer closes the round trip
+    from fractions import Fraction
+
+    from tentomo import polyfield as pf
+    from tentomo.rng import SplitMix64
+
+    def row():
+        rows = suites._run_algebra({"trials": 1, "roundtrip_trials": 3}, SplitMix64(3), tmp_path)
+        got = next(r for r in rows if r["name"] == "generalized_rw_roundtrips_exact")
+        return got["value"], got["pass"], got["parameters"]
+    assert row() == (0.0, True, {"m": 2, "k": 1})
+    real = pf.generalized_w_to_r
+
+    def scaled(wkf, m, k):
+        out = real(wkf, m, k)
+        return pf.PairSymTensorField(out.n, out.npairs, out.blocks, out.rho, out.power,
+                                     stack=out.stack.scale(Fraction(3, 2)))
+    monkeypatch.setattr(pf, "generalized_w_to_r", scaled)
+    assert row() == (1.0, False, {"m": 2, "k": 1})
 
 
 def test_ibp_rows_are_the_worst_over_every_ordered_index(tilted_sphere, tmp_path):

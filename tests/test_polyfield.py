@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from tentomo.polyfield import (BudgetError, PolyBumpField,
-                               bump_core_diff, divergence, field_l2_inner,
+                               divergence, field_l2_inner,
                                generalized_R, generalized_W,
                                generalized_W_component, generalized_r_to_w,
                                generalized_w_to_r, inner_derivative,
@@ -20,8 +20,8 @@ from tentomo.polyfield import (BudgetError, PolyBumpField,
                                pair_alternations, potential_field, r_to_w,
                                random_bump_field,
                                saint_venant_W, saint_venant_W_component,
-                               solve_w_to_r_constant, w_to_r)
-from tentomo.polynomial import Polynomial, linear_combination
+                               w_to_r)
+from tentomo.polynomial import Polynomial, linear_combination, quadric_derivative, tree_multisets
 from tentomo.rng import SplitMix64
 from tentomo.spherequad import HomogeneousRational
 from tentomo.symtensor import DenseTensor, SymTensor, canonical_indices
@@ -34,7 +34,7 @@ def scalar_bump(n=2, power=2, core=None):
     return PolyBumpField(n, 0, ONE, power, {(): core})
 
 
-class TestBumpPoly:
+class TestBumpField:
     def test_derivative_frozen_example(self):
         # d/dx_i of (1-|x|^2)^2 = -4 x_i (1-|x|^2) on the ball
         f = scalar_bump(power=2)
@@ -49,7 +49,7 @@ class TestBumpPoly:
         f = random_bump_field(2, 0, rng, power=3, degree=2)
         df = inner_derivative(f)
         for i in range(2):
-            assert df.core((i,)) == bump_core_diff(f.core(()), i, ONE, 3)
+            assert df.core((i,)) == quadric_derivative(f.core(()), i, ONE, -1, 3)
 
     def test_budget_error(self):
         f = scalar_bump(power=1)
@@ -58,7 +58,7 @@ class TestBumpPoly:
 
     def test_value_outside_support_is_zero(self):
         f = scalar_bump(power=2)
-        assert f.component(()).value((2.0, 0.0)) == 0.0
+        assert f.value((2.0, 0.0))[()] == 0.0
 
     def test_derivative_core_of_no_axes_is_the_core(self):
         f = random_bump_field(2, 2, SplitMix64(5), power=2, degree=2)
@@ -72,8 +72,8 @@ class TestBumpPoly:
         core = f.core(())
         total = Polynomial.zero(2)
         for a in range(2):
-            once = bump_core_diff(core, a, ONE, 3)
-            total = total + bump_core_diff(once, a, ONE, 2)
+            once = quadric_derivative(core, a, ONE, -1, 3)
+            total = total + quadric_derivative(once, a, ONE, -1, 2)
         assert lap.core(()) == total
         assert lap.power == 1
 
@@ -150,15 +150,15 @@ class TestSaintVenant:
         rng = SplitMix64(4)
         f = random_bump_field(2, 1, rng, power=2, degree=2)
         w = saint_venant_W(f)
-        want = bump_core_diff(f.core((0,)), 1, ONE, 2) \
-            - bump_core_diff(f.core((1,)), 0, ONE, 2)
+        want = quadric_derivative(f.core((0,)), 1, ONE, -1, 2) \
+            - quadric_derivative(f.core((1,)), 0, ONE, -1, 2)
         assert w.component_core((0, 1)) == want
 
     def test_r_m1_single_component(self):
         p = Polynomial.variable(2, 0) ** 2
         f = PolyBumpField(2, 1, ONE, 2, {(0,): p})
         r = operator_R(f)
-        want = bump_core_diff(p, 1, ONE, 2) * Fraction(1, 2)
+        want = quadric_derivative(p, 1, ONE, -1, 2) * Fraction(1, 2)
         assert r.component_core((0, 1)) == want
 
     def test_potential_fields_in_kernel(self):
@@ -267,24 +267,16 @@ class TestEquivalences:
                 got = rk.component_core(pair + (i_fixed,))
                 assert got == rs.component_core(pair)
 
-    def test_generalized_round_trip_and_constant(self):
-        rng = SplitMix64(10)
-        f = random_bump_field(2, 2, rng, power=2, degree=2)
-        rk = generalized_R(f, 1)
-        wk = generalized_W(f, 1)
-        assert (generalized_r_to_w(rk, 2, 1) - wk).is_zero()
-        # the default constant binom(m,k)/(m-k+1) = 1 fails at (2,1); the
-        # empirically solved constant closes the round trip exactly
-        assert not (generalized_w_to_r(wk, 2, 1) - rk).is_zero()
-        const = solve_w_to_r_constant(2, 2, 1, rng.split("solve"))
-        assert const == Fraction(2, 3)
-        assert (generalized_w_to_r(wk, 2, 1, constant=const) - rk).is_zero()
-
-    def test_solved_constant_matches_default_at_k0(self):
-        rng = SplitMix64(11)
-        for m in (1, 2):
-            const = solve_w_to_r_constant(2, m, 0, rng.split(f"m{m}"))
-            assert const == Fraction(1, m + 1)
+    @pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
+    def test_generalized_round_trips_exact(self, n, m):
+        # R^k f = (k+1)/(m+1) alpha...alpha W^k f for every 0 <= k <= m
+        rng = SplitMix64(10 + 10 * n + m)
+        f = random_bump_field(n, m, rng, power=m + 1, degree=2)
+        for k in range(m + 1):
+            rk = generalized_R(f, k)
+            wk = generalized_W(f, k)
+            assert (generalized_r_to_w(rk, m, k) - wk).is_zero()
+            assert (generalized_w_to_r(wk, m, k) - rk).is_zero()
 
     def test_recover_lower_generalized_R(self):
         rng = SplitMix64(12)
@@ -381,13 +373,13 @@ class TestStackAgainstDictOracles:
                 w_in, r_in = comps_of(wk), comps_of(rk)
                 assert comps_of(generalized_r_to_w(rk, m, k)) == dict_stencil(
                     _r_to_w_terms, n, m, k, lambda atom: r_in[atom[0]])
-                const = Fraction(math.comb(m, k), m - k + 1)
+                const = Fraction(k + 1, m + 1)
                 assert comps_of(generalized_w_to_r(wk, m, k)) == dict_stencil(
                     _w_to_r_terms, n, m, k, lambda atom: w_in[atom[0]], const)
                 if k:
                     assert comps_of(lower_generalized_R(rk)) == dict_stencil(
-                        _lower_r_terms, n, m, k, lambda atom: bump_core_diff(
-                            r_in[atom[0]], atom[1][0], rk.rho, rk.power))
+                        _lower_r_terms, n, m, k, lambda atom: quadric_derivative(
+                            r_in[atom[0]], atom[1][0], rk.rho * rk.rho, -1, rk.power))
             w = saint_venant_W(f)
             for key in w.rows():
                 i_group, j_group = key[1]
@@ -395,6 +387,20 @@ class TestStackAgainstDictOracles:
                     saint_venant_W_component(f, i_group, j_group)
             assert comps_of(r_to_w(operator_R(f), m)) == comps_of(saint_venant_W(f))
             assert comps_of(w_to_r(saint_venant_W(f), m)) == comps_of(operator_R(f))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_level_cores_match_the_dict_oracle(self, n, m):
+        # the core a TransformExpr atom (component r, multiset I) reads is row
+        # r of the block of I in level |I|, at every level up to the power
+        for f in oracle_fields(n, m, 400 + 10 * n + m):
+            rows = f.rows()
+            for j in range(f.power + 1):
+                cores = f.level_cores(j)
+                assert len(cores) == len(tree_multisets(n, j)) * len(rows)
+                for block, axes in enumerate(tree_multisets(n, j)):
+                    for r, idx in enumerate(rows):
+                        assert cores[block * len(rows) + r] == f.derivative_core(idx, axes)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_d_divergence_laplacian(self, n):

@@ -238,7 +238,6 @@ class TestSpanRank:
 def test_max_abs_counts_the_entries_not_stored():
     # a zero tensor stores nothing; its largest |entry| is 0, not "no sample"
     assert SymTensor(2, 2).max_abs() == 0.0
-    assert DenseTensor(2, 2).max_abs() == 0.0
     t = SymTensor(2, 2, {(0, 1): Fraction(-3, 2)})
     assert t.max_abs() == Fraction(3, 2)
     assert math.isnan(SymTensor(2, 1, {(0,): math.nan}).max_abs())

@@ -82,9 +82,8 @@ def quad_pairing(f, k, x, xi, y):
     t0, t1 = (-b - math.sqrt(disc)) / (2.0 * a), (-b + math.sqrt(disc)) / (2.0 * a)
 
     def integrand(t):
-        p = x + t * xi
-        return t**k * sum(multiplicity(idx) * math.prod(y[i] for i in idx)
-                          * f.component(idx).value(p)
+        values = f.value(x + t * xi)
+        return t**k * sum(multiplicity(idx) * math.prod(y[i] for i in idx) * values[idx]
                           for idx in canonical_indices(f.n, f.m))
 
     return quad(integrand, t0, t1, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
@@ -136,12 +135,13 @@ class TestChordOracle:
             assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
-def gauss_legendre_chord_integrals(atoms, X, Xi):
-    """int t^tpow bump(x + t xi) dt by Gauss-Legendre on the chord.  The
-    integrand is a polynomial of degree deg q + 2e + tpow in t, so order
+def gauss_legendre_chord_integrals(atoms, rho, X, Xi):
+    """int t^tpow q(x + t xi) B(x + t xi)^e dt by Gauss-Legendre on the
+    chord, for (q, e, tpow) atoms, B = rho^2 - |x|^2.  The integrand is a
+    polynomial of degree deg q + 2e + tpow in t, so order
     (deg q + 2e + tpow)//2 + 1 is exact up to roundoff; the chord comes from
     the quadratic's discriminant."""
-    rho = float(atoms[0][0].rho)
+    rho = float(rho)
     a = np.einsum("ij,ij->i", Xi, Xi)
     b = 2.0 * np.einsum("ij,ij->i", X, Xi)
     disc = b * b - 4.0 * a * (np.einsum("ij,ij->i", X, X) - rho * rho)
@@ -149,12 +149,14 @@ def gauss_legendre_chord_integrals(atoms, X, Xi):
     hit = (disc > 0.0) & (half * np.sqrt(a) > 1e-14)
     mid, half = -b[hit] / (2.0 * a[hit]), half[hit]
     out = np.zeros((len(X), len(atoms)))
-    for col, (bump, tpow) in enumerate(atoms):
-        order = (max(bump.core.degree(), 0) + 2 * bump.power + tpow) // 2 + 1
+    for col, (core, power, tpow) in enumerate(atoms):
+        order = (max(core.degree(), 0) + 2 * power + tpow) // 2 + 1
         nodes, weights = np.polynomial.legendre.leggauss(order)
         ts = mid[:, None] + half[:, None] * nodes
         pts = X[hit][:, None, :] + ts[..., None] * Xi[hit][:, None, :]
-        out[hit, col] = half * ((bump.eval_many(pts) * ts**tpow) @ weights)
+        b = rho * rho - (pts * pts).sum(axis=-1)
+        bump = np.where(b > 0, np.maximum(b, 0.0) ** power, 0.0)
+        out[hit, col] = half * ((core.eval_many(pts) * bump * ts**tpow) @ weights)
     return out
 
 
@@ -182,14 +184,14 @@ class TestClosedFormKernel:
     def test_matches_gauss_legendre(self, n):
         rng = SplitMix64(300 + n)
         f = random_bump_field(n, 1, rng.split("f"), power=4, degree=2)
-        atoms = [(f.component(idx).diff_multi(dm), tpow)
+        atoms = [(f.derivative_core(idx, dm), f.power - order, tpow)
                  for idx in canonical_indices(n, 1)
                  for order in range(4)
                  for dm in canonical_indices(n, order)
                  for tpow in range(4)]
         X, Xi = self.lines(n, rng)
-        got = chord_integrals(atoms, X, Xi)
-        want = gauss_legendre_chord_integrals(atoms, X, Xi)
+        got = chord_integrals(atoms, f.rho, X, Xi)
+        want = gauss_legendre_chord_integrals(atoms, f.rho, X, Xi)
         assert np.all(got[-3] == 0.0) and np.all(want[-3] == 0.0)
         assert np.all(want[-2:] != 0.0)
         scale = np.abs(want).max(axis=0)
@@ -262,7 +264,7 @@ class TestTransformDerivative:
         line = random_line(SplitMix64(24))
         lhs = TransformExpr.momentum(f, 0).dx(0).eval(line.x, line.xi)
         df = PolyBumpField(2, 0, f.rho, f.power - 1,
-                           {(): f.component(()).diff(0).core})
+                           {(): f.derivative_core((), (0,))})
         assert lhs == pytest.approx(ray_transform(df, line), abs=1e-13)
 
     def test_against_central_finite_differences(self):
@@ -293,6 +295,33 @@ class TestTransformDerivative:
         line = random_line(SplitMix64(28))
         with pytest.raises(Exception):
             TransformExpr.momentum(f, 0).dx(0).dx(0).dxi(0).eval(line.x, line.xi)
+
+    def test_float_core_scalar_field_builds_no_stack(self, monkeypatch):
+        # ucp.trt contracts f against y^(.m) into a scalar field with float
+        # cores; its ray transform reads level 0, the field's own cores
+        from tentomo.polynomial import CoreStack
+        f = random_bump_field(3, 2, SplitMix64(29), power=3, degree=2)
+        y = np.array([0.3, -1.1, 0.7])
+        contracted = sum((f.core(idx) * (multiplicity(idx) * math.prod(y[list(idx)]))
+                          for idx in canonical_indices(3, 2)), Polynomial.zero(3))
+        scalar = PolyBumpField(3, 0, f.rho, f.power, {(): contracted})
+        X, Xi = random_lines(SplitMix64(30), 8)
+        X, Xi = np.c_[X, np.zeros(8)], np.c_[Xi, 0.5 * np.ones(8)]
+
+        def no_stack(*args, **kwargs):
+            raise AssertionError("a CoreStack was built")
+        monkeypatch.setattr(CoreStack, "__init__", no_stack)
+        got = TransformExpr.momentum(scalar, 0).eval_lines(X, Xi)
+        monkeypatch.undo()
+        want = TransformExpr.momentum(f, 0).eval_lines(X, Xi, np.tile(y, (8, 1)))
+        assert np.any(want != 0.0)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+    def test_support_mismatch_rejected(self):
+        f = random_bump_field(2, 0, SplitMix64(31), power=2, degree=1)
+        g = random_bump_field(2, 0, SplitMix64(32), rho=Fraction(3, 2), power=2, degree=1)
+        with pytest.raises(ValueError, match="support mismatch"):
+            (TransformExpr.momentum(f) + TransformExpr.momentum(g)).eval([0.1, 0.2], [1.0, 0.0])
 
 
 class TestJohn:
