@@ -67,8 +67,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .polyfield import (PairSymTensorField, PolyBumpField, _position_splits,
-                        generalized_R, pair_alternations)
+from .polyfield import (PolyBumpField, _pair_rows, _position_splits, generalized_R,
+                        pair_alternations)
 from .spherequad import SphereRule, c_constant
 from .symtensor import (SymTensor, canonical_indices, i_metric, j_metric,
                         multiplicity, sym_dim)
@@ -731,10 +731,9 @@ def _g_tensor_exprs(f, k, r):
 def momentum_key_rhs_exprs(f: PolyBumpField, k):
     """One TransformExpr per output component of the momentum key identity."""
     n, m = f.n, f.m
-    layout = PairSymTensorField(n, m - k, (k,), f.rho, f.power)
     gexprs = {r: _g_tensor_exprs(f, k, r) for r in range(k + 1)}
     out = {}
-    for key in layout.canonical_keys():
+    for key in _pair_rows(n, m - k, (k,)):
         pairs, (fixed,) = key
         total = None
         for r in range(k + 1):

@@ -17,15 +17,17 @@ over an axis multiset as the independent oracle.
 Keeping the bump factor symbolic means every operator here (symmetrized
 derivative, divergence, the order-m curvature-type operators W
 and R, their generalizations and the conversions between them) is computed
-in exact rational arithmetic on small polynomial cores.  A field keeps its
-cores as one ``CoreStack``, one row per canonical component, in int64 under
-the stack's proven bound and in Python ints above it.  It keeps derivative
-levels, level j the j-fold partials of all components, and every operator
-is a stencil compiled once per (operator, n, m, k) into one integer matrix
-over the levels it reads, applied as one matrix product.  The levels are
-the one derivative engine: the transforms read them too, each level
-materialised as ``Polynomial`` cores once by ``level_cores``, as are the
-field's own cores (``cores``, ``comps``).
+in exact rational arithmetic on small polynomial cores.  A field stores its
+cores once, as one ``CoreStack`` with one row per canonical component, in
+int64 under the stack's proven bound and in Python ints above it; cores
+given as a dict (``int`` or ``Fraction`` coefficients) are stacked at
+construction.  It keeps derivative levels, level j the j-fold partials of
+all components, and every operator is a stencil compiled once per
+(operator, n, m, k) into one integer matrix over the levels it reads,
+applied as one matrix product.  The levels are the one derivative engine:
+the transforms read them too, each level materialised as ``Polynomial``
+cores once by ``level_cores``, and the dict views (``cores``, ``comps``,
+``core``, ``component_core``) are the nonzero rows of level 0.
 """
 
 from __future__ import annotations
@@ -49,43 +51,38 @@ class BudgetError(ValueError):
 
 
 class _StackedField:
-    """Rows of exact cores at one bump power, as a ``CoreStack`` whose row r
-    is the component ``rows()[r]``, or as a dict of nonzero ``Polynomial``
-    cores; each form is built from the other on first use."""
+    """Rows of exact cores at one bump power, stored once as the
+    ``CoreStack`` ``stack`` whose row r is the component ``rows()[r]``.
+    A dict of ``int`` or ``Fraction`` cores (absent keys are zero) is
+    stacked at construction; float coefficients raise ``TypeError``."""
 
     def __init__(self, n, rho, power, cores, stack):
         self.n = n
         self.rho = rho
         self.power = power
-        self._stack = stack
-        self._cores = None if stack is not None else \
-            {key: p for key, p in (cores or {}).items() if not p.is_zero()}
-        self._levels = []
-        self._level_cores = {}
+        if stack is None:
+            cores, zero = cores or {}, Polynomial.zero(n)
+            if not set(cores) <= set(self.rows()):
+                raise ValueError("cores keyed by non-canonical components")
+            stack = CoreStack.from_polys(n, [cores.get(key, zero) for key in self.rows()])
+        self.stack = stack
+        self._levels = [stack]
+        self._level_polys = {}
 
-    @property
-    def stack(self) -> CoreStack:
-        if self._stack is None:
-            zero = Polynomial.zero(self.n)
-            self._stack = CoreStack.from_polys(
-                self.n, [self._cores.get(key, zero) for key in self.rows()])
-        return self._stack
-
-    def _materialised(self):
-        if self._cores is None:
-            self._cores = {key: p for key, p in zip(self.rows(), self._stack.polys())
-                           if p.terms}
-        return self._cores
+    @functools.cached_property
+    def cores(self):
+        """The nonzero rows of ``level_cores(0)``, by component key."""
+        return {key: p for key, p in zip(self.rows(), self.level_cores(0)) if p.terms}
 
     def is_zero(self):
-        return self._stack.is_zero() if self._cores is None else not self._cores
+        return self.stack.is_zero()
 
     def derivative_level(self, j) -> CoreStack:
         """Cores of the j-fold mixed partials of every row, one block per axis
         multiset of ``tree_multisets``: a ``quadric_level`` step of level
         j - 1, kept."""
         _require_budget(self, j)
-        levels = self._levels = self._levels or [self.stack]
+        levels = self._levels
         while len(levels) <= j:
             i = len(levels) - 1
             levels.append(levels[i].quadric_level(i, self.rho * self.rho, -1, self.power - i))
@@ -94,16 +91,10 @@ class _StackedField:
     def level_cores(self, j):
         """The rows of ``derivative_level(j)`` as ``Polynomial`` cores, built
         once: row r of the block of multiset I is at I's position in
-        ``tree_multisets`` times len(rows()), plus r.  Level 0 is the
-        field's own cores, read without building a stack."""
-        got = self._level_cores.get(j)
+        ``tree_multisets`` times len(rows()), plus r."""
+        got = self._level_polys.get(j)
         if got is None:
-            if j:
-                got = self.derivative_level(j).polys()
-            else:
-                zero = Polynomial.zero(self.n)
-                got = [self._materialised().get(key, zero) for key in self.rows()]
-            self._level_cores[j] = got
+            got = self._level_polys[j] = self.derivative_level(j).polys()
         return got
 
 
@@ -115,10 +106,10 @@ def _field_rows(n, m):
 class PolyBumpField(_StackedField):
     """Symmetric rank-m tensor field with shared bump factor.
 
-    ``cores`` maps canonical index tuples to polynomial cores; absent keys
-    are zero.  All components share (rho, power), so differential operators
-    act uniformly.  ``stack`` holds the same cores, one row per canonical
-    index in ``canonical_indices`` order.
+    ``cores`` maps index tuples to polynomial cores; absent keys are zero.
+    All components share (rho, power), so differential operators act
+    uniformly.  ``stack`` holds one row per canonical index in
+    ``canonical_indices`` order.
     """
 
     def __init__(self, n, m, rho, power, cores=None, stack=None):
@@ -131,10 +122,6 @@ class PolyBumpField(_StackedField):
         return _field_rows(self.n, self.m)
 
     # -- access ---------------------------------------------------------
-
-    @property
-    def cores(self):
-        return self._materialised()
 
     def core(self, idx) -> Polynomial:
         return self.cores.get(tuple(sorted(idx)), Polynomial.zero(self.n))
@@ -205,14 +192,40 @@ def _pair_rows(n, npairs, blocks):
                  for blocks in itertools.product(*block_choices))
 
 
+def canonical_key(npairs, blocks, idx):
+    """(key, sign) of a full index tuple in the layout of ``npairs`` skew
+    pairs then symmetric ``blocks``, or None if the component is forced zero."""
+    idx = tuple(idx)
+    if len(idx) != 2 * npairs + sum(blocks):
+        raise ValueError("index length mismatch")
+    sign = 1
+    pairs = []
+    for t in range(npairs):
+        a, b = idx[2 * t], idx[2 * t + 1]
+        if a == b:
+            return None
+        if a > b:
+            a, b = b, a
+            sign = -sign
+        pairs.append((a, b))
+    pairs.sort()
+    pos = 2 * npairs
+    keys = []
+    for size in blocks:
+        keys.append(tuple(sorted(idx[pos:pos + size])))
+        pos += size
+    return (tuple(pairs), tuple(keys)), sign
+
+
 class PairSymTensorField(_StackedField):
     """Tensor field with ``npairs`` skew pairs then symmetric blocks.
 
     Slot layout: (a_1 b_1 a_2 b_2 ... a_P b_P | block_1 | block_2 ...).
     Components are skew within each pair, symmetric under exchanging whole
     pairs, and symmetric within each block; only canonical representatives
-    are stored, as the rows of ``stack`` in ``canonical_keys`` order.
-    Values are polynomial cores at a shared bump power.
+    are stored, as the rows of ``stack`` in ``canonical_keys`` order, and
+    ``comps`` maps their keys to the nonzero cores.  Values are polynomial
+    cores at a shared bump power.
     """
 
     def __init__(self, n, npairs, blocks, rho, power, comps=None, stack=None):
@@ -221,38 +234,11 @@ class PairSymTensorField(_StackedField):
         super().__init__(n, rho, power, comps, stack)
 
     @property
-    def nslots(self):
-        return 2 * self.npairs + sum(self.blocks)
-
-    @property
     def comps(self):
-        return self._materialised()
-
-    def canonicalize(self, idx):
-        """(key, sign) for a full index tuple, or None if forced zero."""
-        idx = tuple(idx)
-        if len(idx) != self.nslots:
-            raise ValueError("index length mismatch")
-        sign = 1
-        pairs = []
-        for t in range(self.npairs):
-            a, b = idx[2 * t], idx[2 * t + 1]
-            if a == b:
-                return None
-            if a > b:
-                a, b = b, a
-                sign = -sign
-            pairs.append((a, b))
-        pairs.sort()
-        pos = 2 * self.npairs
-        blocks = []
-        for size in self.blocks:
-            blocks.append(tuple(sorted(idx[pos:pos + size])))
-            pos += size
-        return (tuple(pairs), tuple(blocks)), sign
+        return self.cores
 
     def component_core(self, idx) -> Polynomial:
-        got = self.canonicalize(idx)
+        got = canonical_key(self.npairs, self.blocks, idx)
         if got is None:
             return Polynomial.zero(self.n)
         key, sign = got
@@ -260,9 +246,11 @@ class PairSymTensorField(_StackedField):
         return p if sign == 1 else -p
 
     def component_field(self, key) -> PolyBumpField:
-        """The component of canonical key ``key`` as a scalar field."""
-        return PolyBumpField(self.n, 0, self.rho, self.power,
-                             {(): self.comps.get(key, Polynomial.zero(self.n))})
+        """The component of canonical key ``key`` as a scalar field: its row
+        of ``stack``."""
+        r = self.rows().index(key)
+        return PolyBumpField(self.n, 0, self.rho, self.power, stack=CoreStack(
+            self.n, self.stack.arr[r:r + 1], self.stack.den, self.stack.bound))
 
     def canonical_keys(self):
         return _pair_rows(self.n, self.npairs, self.blocks)
@@ -384,7 +372,6 @@ def _r_terms(n, m, k):
 
 def _lower_r_terms(n, m, k):
     """R^{k-1} from R^k: atoms are (R^k key, one derivative axis)."""
-    src = PairSymTensorField(n, m - k, (k,), 1, 0)
     out = _pair_rows(n, m - k + 1, (k - 1,))
 
     def triples():
@@ -392,16 +379,15 @@ def _lower_r_terms(n, m, k):
             pairs, (fixed,) = key
             old_flat = tuple(x for pq in pairs[:-1] for x in pq)
             for (a,), (b,), sign in pair_alternations(pairs[-1:]):
-                got = src.canonicalize(old_flat + (a,) + fixed)
+                got = canonical_key(m - k, (k,), old_flat + (a,) + fixed)
                 if got is not None:
                     yield key, (got[0], (b,)), Fraction(sign * got[1], 2)
-    return out, src.rows(), triples()
+    return out, _pair_rows(n, m - k, (k,)), triples()
 
 
 def _r_to_w_terms(n, m, k):
     """W^k from R^k: 2^(m-k) times the average over both symmetrizations."""
     mk = m - k
-    src = PairSymTensorField(n, mk, (k,), 1, 0)
     count = math.factorial(mk) * math.factorial(m)
     out = _pair_rows(n, 0, (mk, m))
 
@@ -411,19 +397,18 @@ def _r_to_w_terms(n, m, k):
             for p_perm in itertools.permutations(p_group):
                 for qi_perm in itertools.permutations(qi_group):
                     flat = [x for t in range(mk) for x in (p_perm[t], qi_perm[t])]
-                    got = src.canonicalize(flat + list(qi_perm[mk:]))
+                    got = canonical_key(mk, (k,), flat + list(qi_perm[mk:]))
                     if got is not None:
                         yield key, (got[0], ()), Fraction(2 ** mk * got[1], count)
-    return out, src.rows(), triples()
+    return out, _pair_rows(n, mk, (k,)), triples()
 
 
 def _w_to_r_terms(n, m, k):
     """R^k from W^k without the constant: pairwise alternation over 2^(m-k)."""
     mk = m - k
-    src = PairSymTensorField(n, 0, (mk, m), 1, 0)
     out = _pair_rows(n, mk, (k,))
-    return out, src.rows(), (
-        (key, (src.canonicalize(p_part + q_part + key[1][0])[0], ()),
+    return out, _pair_rows(n, 0, (mk, m)), (
+        (key, (canonical_key(0, (mk, m), p_part + q_part + key[1][0])[0], ()),
          Fraction(sign, 2 ** mk))
         for key in out for p_part, q_part, sign in pair_alternations(key[0]))
 

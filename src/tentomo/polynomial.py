@@ -389,11 +389,14 @@ class CoreStack:
             raise TypeError("stacked cores need int or Fraction coefficients")
         den = math.lcm(*(d for _, d in forms))
         side = max([0] + [p.degree() for p in polys]) + 1
-        arr = np.zeros((len(polys),) + (side,) * n, dtype=object)
-        for r, (terms, d) in enumerate(forms):
-            for e, c in terms.items():
-                arr[(r,) + e] = c * (den // d)
-        return cls(n, arr, den)
+        rows = [r for r, (terms, _) in enumerate(forms) for _ in terms]
+        exps = [e for terms, _ in forms for e in terms]
+        coeffs = [c * (den // d) for terms, d in forms for c in terms.values()]
+        bound = max(map(abs, coeffs), default=0)
+        arr = np.zeros((len(polys),) + (side,) * n, dtype=_dtype(bound))
+        if coeffs:
+            arr[(rows, *zip(*exps))] = np.array(coeffs, dtype=arr.dtype)
+        return cls(n, arr, den, bound)
 
     @classmethod
     def vstack(cls, n, stacks):

@@ -18,7 +18,7 @@ from . import polyfield as pf
 from . import spherequad as sq
 from . import symtensor as st
 from . import xray as xr
-from .polynomial import random_homogeneous
+from .polynomial import Polynomial, random_homogeneous
 from .verdict import check_row, worst
 
 #: Tolerances by numerical path.
@@ -456,17 +456,18 @@ def _run_ucp_trt(params, rng, outdir):
         xpt = base - (base @ omega) * omega
         ray = xr.TransverseRay(omega, xpt, eta - (eta @ omega) * omega)
         rays.append(ray)
-        # scalar oracle: contract f against y^(.m) componentwise
-        contracted = {}
+        # scalar oracle: contract f against y^(.m) componentwise, in float
+        # coefficients, and integrate the contraction along the line
+        contracted = Polynomial.zero(n)
         for dense in itertools.product(range(n), repeat=m):
             core = f.core(dense)
             if not core.is_zero():
                 wy = 1.0
                 for ax in dense:
                     wy *= ray.y[ax]
-                contracted[()] = contracted.get((), 0) + core * wy
-        scalar = pf.PolyBumpField(n, 0, f.rho, f.power, contracted)
-        svals.append(xr.ray_transform(scalar, xr.Line(ray.x, ray.omega)))
+                contracted = contracted + core * wy
+        svals.append(xr.chord_integrals([(contracted, f.power, 0)], f.rho,
+                                        [ray.x], [ray.omega])[0, 0])
     tvals = xr.TransformExpr.momentum(f, 0).eval_lines(
         [r.x for r in rays], [r.omega for r in rays], [r.y for r in rays])
     rows.append(check_row("transverse_scalar_reduction_max",

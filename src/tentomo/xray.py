@@ -56,10 +56,6 @@ class Line:
         if float(self.xi @ self.xi) == 0.0:
             raise ValueError("direction must be nonzero")
 
-    @property
-    def n(self):
-        return len(self.x)
-
     def __repr__(self):
         return f"Line(x={self.x.tolist()}, xi={self.xi.tolist()})"
 

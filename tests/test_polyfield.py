@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tentomo.polyfield import (BudgetError, PolyBumpField,
+from tentomo.polyfield import (BudgetError, PairSymTensorField, PolyBumpField,
                                divergence, field_l2_inner,
                                generalized_R, generalized_W,
                                generalized_W_component, generalized_r_to_w,
@@ -76,6 +76,34 @@ class TestBumpField:
             total = total + quadric_derivative(once, a, ONE, -1, 2)
         assert lap.core(()) == total
         assert lap.power == 1
+
+
+class TestCoreStore:
+    def test_float_cores_are_rejected(self):
+        core = Polynomial(2, {(1, 0): 0.5})
+        with pytest.raises(TypeError):
+            PolyBumpField(2, 1, ONE, 2, {(0,): core})
+        with pytest.raises(TypeError):
+            PairSymTensorField(2, 1, (0,), ONE, 2, {(((0, 1),), ((),)): core})
+
+    def test_non_canonical_keys_are_rejected(self):
+        with pytest.raises(ValueError):
+            PolyBumpField(2, 1, ONE, 2, {(0, 1): Polynomial.constant(2, 1)})
+        with pytest.raises(ValueError):
+            PairSymTensorField(2, 1, (0,), ONE, 2, {(((1, 0),), ((),)): Polynomial.constant(2, 1)})
+
+    def test_component_field_slices_its_row(self, monkeypatch):
+        from tentomo.polynomial import CoreStack
+        rf = generalized_R(random_bump_field(3, 2, SplitMix64(33), power=4, degree=2), 1)
+
+        def no_stacking(*args, **kwargs):
+            raise AssertionError("from_polys was called")
+        monkeypatch.setattr(CoreStack, "from_polys", no_stacking)
+        assert rf.comps
+        for key in rf.canonical_keys():
+            scalar = rf.component_field(key)
+            assert scalar.core(()) == rf.comps.get(key, Polynomial.zero(3))
+            assert scalar.power == rf.power and scalar.rho == rf.rho
 
 
 class TestPairAlternations:

@@ -129,6 +129,43 @@ def _with_fractions(p):
                             for i, (e, c) in enumerate(p.terms.items())})
 
 
+def _from_polys_term_by_term(n, polys):
+    """The reference stacking: an object array filled one term at a time,
+    its bound measured."""
+    forms = [p._integer_form() for p in polys]
+    den = math.lcm(*(d for _, d in forms))
+    side = max([0] + [p.degree() for p in polys]) + 1
+    arr = np.zeros((len(polys),) + (side,) * n, dtype=object)
+    for r, (terms, d) in enumerate(forms):
+        for e, c in terms.items():
+            arr[(r,) + e] = c * (den // d)
+    return CoreStack(n, arr, den)
+
+
+class TestFromPolys:
+    @pytest.mark.parametrize("case", ["int", "fraction", "zero", "big"])
+    def test_matches_the_term_by_term_fill(self, case):
+        rng = SplitMix64(80)
+        rows = [random_polynomial(3, d, rng) for d in (3, 1, 0)] + [Polynomial.zero(3)]
+        if case == "fraction":
+            rows = [_with_fractions(p) for p in rows]
+        elif case == "zero":
+            rows = [Polynomial.zero(3)] * 3
+        elif case == "big":
+            rows[1] = Polynomial(3, {(1, 0, 0): INT64_LIMIT, (0, 2, 0): Fraction(-5, 3)})
+        got, want = CoreStack.from_polys(3, rows), _from_polys_term_by_term(3, rows)
+        assert got.arr.dtype == want.arr.dtype == (object if case == "big" else np.int64)
+        assert got.arr.shape == want.arr.shape and np.array_equal(got.arr, want.arr)
+        assert (got.den, got.bound) == (want.den, want.bound)
+        if case == "big":
+            assert all(type(c) is int for c in got.arr.ravel())
+        assert got.polys() == rows
+
+    def test_float_coefficients_are_rejected(self):
+        with pytest.raises(TypeError):
+            CoreStack.from_polys(2, [Polynomial(2, {(1, 0): 0.5})])
+
+
 class TestQuadricDerivative:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("exact", ["int", "fraction"])

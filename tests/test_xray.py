@@ -296,23 +296,16 @@ class TestTransformDerivative:
         with pytest.raises(Exception):
             TransformExpr.momentum(f, 0).dx(0).dx(0).dxi(0).eval(line.x, line.xi)
 
-    def test_float_core_scalar_field_builds_no_stack(self, monkeypatch):
-        # ucp.trt contracts f against y^(.m) into a scalar field with float
-        # cores; its ray transform reads level 0, the field's own cores
-        from tentomo.polynomial import CoreStack
+    def test_float_contraction_oracle_matches_the_transverse_pairing(self):
+        # the ucp.trt oracle: f contracted against y^(.m) in float
+        # coefficients, integrated along each line by the chord kernel
         f = random_bump_field(3, 2, SplitMix64(29), power=3, degree=2)
         y = np.array([0.3, -1.1, 0.7])
         contracted = sum((f.core(idx) * (multiplicity(idx) * math.prod(y[list(idx)]))
                           for idx in canonical_indices(3, 2)), Polynomial.zero(3))
-        scalar = PolyBumpField(3, 0, f.rho, f.power, {(): contracted})
         X, Xi = random_lines(SplitMix64(30), 8)
         X, Xi = np.c_[X, np.zeros(8)], np.c_[Xi, 0.5 * np.ones(8)]
-
-        def no_stack(*args, **kwargs):
-            raise AssertionError("a CoreStack was built")
-        monkeypatch.setattr(CoreStack, "__init__", no_stack)
-        got = TransformExpr.momentum(scalar, 0).eval_lines(X, Xi)
-        monkeypatch.undo()
+        got = chord_integrals([(contracted, f.power, 0)], f.rho, X, Xi)[:, 0]
         want = TransformExpr.momentum(f, 0).eval_lines(X, Xi, np.tile(y, (8, 1)))
         assert np.any(want != 0.0)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
