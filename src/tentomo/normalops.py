@@ -49,7 +49,8 @@ over the (point, rule node) pairs:
 
 Both take a stack of sphere rules and return one result per rule, so a
 convergence case runs all its rule degrees through one sinogram per (field,
-order) and one chord-kernel call per expression.  They go through the
+order), and through one chord-kernel call per block of lines for all the
+expressions of an identity (``xray.eval_exprs``).  They go through the
 (point, node) pairs of all the rules in blocks of at most ``LINE_BLOCK`` =
 2^14, and every point adds each rule's nodes in rule order onto that rule's
 running total.  A line's chord value and a node's sinogram row do not depend
@@ -72,9 +73,9 @@ from .polyfield import (PolyBumpField, _pair_rows, _position_splits, generalized
 from .spherequad import SphereRule, c_constant
 from .symtensor import (SymTensor, canonical_indices, i_metric, j_metric,
                         multiplicity, sym_dim)
-from .xray import (TANGENCY_TOL, TransformExpr, dot_power_terms, _chord_moment,
-                   _int_power, _monomial_table, _monomials, _rowdot, _shifted,
-                   _xi_monomial_exps)
+from .xray import (TANGENCY_TOL, TransformExpr, dot_power_terms, eval_exprs,
+                   _chord_moment, _int_power, _monomial_table, _monomials, _rowdot,
+                   _shifted, _xi_monomial_exps)
 
 
 # ---------------------------------------------------------------------------
@@ -302,33 +303,35 @@ def _stacked_nodes(rules):
             np.concatenate([rule.weights for rule in rules]), bounds)
 
 
-def _angular_sum(expr: TransformExpr, pts, p, rank, rules):
-    """sum over rule nodes of w <x,xi>^p xi^I expr(x, xi) per point x, for
-    each rule of the stack ``rules``.
+def _angular_sum(exprs, pts, p, rank, rules):
+    """sum over rule nodes of w <x,xi>^p xi^I e(x, xi) per point x, for each
+    expression e of the list ``exprs`` and each rule of the stack ``rules``.
 
     The line through x in direction xi is taken at the base point x itself,
-    and ``expr`` goes through the chord kernel of ``xray``, so any
-    ``TransformExpr`` works here.  Foot-point lines take the closed form of
-    ``_foot_point_sum`` instead.  I runs over the canonical indices of
-    S^rank; returns an array (rules, points, dim S^rank).
+    and each block of lines is one ``xray.eval_exprs`` call for all the
+    expressions, so any ``TransformExpr`` works here, each bitwise as alone.
+    Foot-point lines take the closed form of ``_foot_point_sum`` instead.
+    I runs over the canonical indices of S^rank; returns an array
+    (exprs, rules, points, dim S^rank).
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     nodes, weights, bounds = _stacked_nodes(rules)
     owner = np.repeat(np.arange(len(rules)), np.diff(bounds)) * len(pts)
-    out_exps = [_xi_monomial_exps(idx, expr.n) for idx in canonical_indices(expr.n, rank)]
-    out = np.zeros((len(rules) * len(pts), len(out_exps)))
+    out_exps = [_xi_monomial_exps(idx, exprs[0].n) for idx in canonical_indices(exprs[0].n, rank)]
+    out = np.zeros((len(exprs), len(out_exps), len(rules) * len(pts)))
     count = len(pts) * len(nodes)
     for start in range(0, count, LINE_BLOCK):
         node, pt = np.divmod(np.arange(start, min(start + LINE_BLOCK, count)), len(pts))
         x, xi = pts[pt], nodes[node]
-        vals = weights[node] * expr.eval_lines(x, xi) * _rowdot(x, xi)**p
+        vals = weights[node, None] * eval_exprs(exprs, x, xi) * (_rowdot(x, xi)**p)[:, None]
+        terms = vals.T[:, None, :] * np.array([_monomials(xi, e) for e in out_exps])
         # bincount adds in input order, so with the running totals first each
-        # (rule, point) adds its nodes in rule order, whatever the block
-        bins = np.concatenate([np.arange(len(out)), owner[node] + pt])
-        for c, e in enumerate(out_exps):
-            out[:, c] = np.bincount(bins, np.concatenate([out[:, c], vals * _monomials(xi, e)]),
-                                    minlength=len(out))
-    return out.reshape(len(rules), len(pts), len(out_exps))
+        # (expression, component, rule, point) adds its nodes in rule order
+        bins = np.arange(out.size // out.shape[2])[:, None] * out.shape[2] + owner[node] + pt
+        out = np.bincount(np.concatenate([np.arange(out.size), bins.ravel()]),
+                          np.concatenate([out.ravel(), terms.ravel()]),
+                          minlength=out.size).reshape(out.shape)
+    return out.reshape(len(exprs), len(out_exps), len(rules), len(pts)).transpose(0, 2, 3, 1)
 
 
 def _perp_basis(nodes):
@@ -627,7 +630,7 @@ def n0_scalar(g: PolyBumpField, pts, rules):
     """N_0 g(x) = int_S J_0 g(x, xi) dS for a scalar field, at each point
     of the (P, n) array ``pts`` and by each rule of the stack ``rules``;
     returns shape (rules, P)."""
-    return _angular_sum(TransformExpr.momentum(g, 0), pts, 0, 0, rules)[..., 0]
+    return _angular_sum([TransformExpr.momentum(g, 0)], pts, 0, 0, rules)[0, ..., 0]
 
 
 @lru_cache(maxsize=None)
@@ -657,7 +660,7 @@ def verify_momentum_moment_identity(f: PolyBumpField, pts, k, rules):
         raise ValueError("k out of range")
     n, rank = f.n, f.m - k
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    lhs = _angular_sum(TransformExpr.momentum(f, k), pts, 0, rank, rules)
+    lhs = _angular_sum([TransformExpr.momentum(f, k)], pts, 0, rank, rules)[0]
     rhs = np.zeros_like(lhs)
     for r in range(k + 1):
         coeff = (-1.0) ** (k - r) * math.comb(k, r) / math.factorial(r)
@@ -754,13 +757,13 @@ def momentum_key_rhs_exprs(f: PolyBumpField, k):
 def verify_momentum_key_identity(f: PolyBumpField, pts, k, rules):
     """Residuals of the momentum key identity at each point of the (P, n)
     array ``pts``, by each rule of the stack ``rules``: {component key:
-    (rules, P) array}."""
+    (rules, P) array}.  Both sides of every component, m! N_0((R^k f)_key)
+    and its right-hand side, go through one ``_angular_sum`` call."""
     m = f.m
     if not 0 <= k <= m:
         raise ValueError("k out of range")
     rkf = generalized_R(f, k)
-    residuals = {}
-    for key, expr in momentum_key_rhs_exprs(f, k).items():
-        lhs = math.factorial(m) * n0_scalar(rkf.component_field(key), pts, rules)
-        residuals[key] = lhs - _angular_sum(expr, pts, 0, 0, rules)[..., 0]
-    return residuals
+    rhs = momentum_key_rhs_exprs(f, k)
+    lhs = [TransformExpr.momentum(rkf.component_field(key), 0) for key in rhs]
+    sums = _angular_sum(lhs + list(rhs.values()), pts, 0, 0, rules)[..., 0]
+    return {key: math.factorial(m) * sums[i] - sums[len(lhs) + i] for i, key in enumerate(rhs)}

@@ -9,8 +9,10 @@ One kernel, ``chord_integrals``, computes every such integral, for a set of
 atoms (core, bump power, t power) on one support ball and an array of lines
 at once.  It drops the lines that miss the support, restricts each atom's
 polynomial to the remaining chords and sums its coefficients against the
-moments.  Every transform here is a reduction of its output; ``normalops``
-compiles its sinogram from the same helpers.
+moments.  No atom's value depends on the other lines or atoms of its call, so
+``eval_exprs`` makes one kernel call for the atoms of every expression on a
+line set, and each expression is a reduction of that output, bitwise as if
+alone.  ``normalops`` compiles its sinogram from the same helpers.
 
 Mixed (x, xi)-derivatives of transforms are computed analytically by
 differentiating under the integral sign, never by nested numerical
@@ -22,7 +24,7 @@ a linear combination of atoms
 where h is a mixed partial of a field component; d/dx_i maps an atom to one
 with h differentiated, d/dxi_i additionally raises the t power, and monomial
 prefactors follow the product rule.  An atom names (field, component row,
-sorted axis multiset, t power), and ``eval_lines`` reads its core from the
+sorted axis multiset, t power), and ``eval_exprs`` reads its core from the
 field's exact derivative level of that many axes, the level the W/R
 stencils read.
 """
@@ -105,6 +107,8 @@ def chord_integrals(atoms, rho, X, Xi):
     On the chord t = tc + h*u, u in [-1, 1], with half-chord h = sqrt(H)/|xi|,
     the bump factor is B = H (1 - u^2), so an atom t^p q B^e integrates to
     h H^e sum_j M(2j, e) c_2j for c_b = [u^b] (tc + h u)^p q(Y + h u xi).
+    No value depends on its batch: dot products go line by line (``_rowdot``),
+    and each atom sums its moments only up to its own degree deg q + p.
     """
     X = np.asarray(X, dtype=float)
     Xi = np.asarray(Xi, dtype=float)
@@ -115,16 +119,17 @@ def chord_integrals(atoms, rho, X, Xi):
     # the variables are (x_1 .. x_n, t) = (Y + u h xi, tc + u h): one u per line
     forms = [[(h * Xi[:, a])[:, None]] for a in range(n)] + [[h[:, None]]]
     offsets = [Y[:, a:a + 1] for a in range(n)] + [tc[:, None]]
-    top = max(max(core.degree(), 0) + tpow for core, _, tpow in atoms)
+    top = max((max(core.degree(), 0) + tpow for core, _, tpow in atoms), default=0)
     monos = {(0,) * (n + 1): np.zeros((len(tc), top + 1))}
     monos[(0,) * (n + 1)][:, 0] = 1.0
     for col, (core, power, tpow) in enumerate(atoms):
         exps, coeffs = core.compiled()
+        deg = max(core.degree(), 0) + tpow
         c = np.zeros((len(tc), top + 1))
         for ex, v in zip(exps.tolist(), coeffs.tolist()):
             c += v * _monomial_table(monos, tuple(ex) + (tpow,), forms, offsets)
-        moments = np.array([_chord_moment(b, power) for b in range(0, top + 1, 2)])
-        out[hit, col] = _rowdot(c[:, ::2], moments) * h * _int_power(H, power)
+        moments = np.array([_chord_moment(b, power) for b in range(0, deg + 1, 2)])
+        out[hit, col] = _rowdot(c[:, :deg + 1:2], moments) * h * _int_power(H, power)
     return out
 
 
@@ -178,10 +183,7 @@ def _int_power(base, e):
 
 
 def _xi_monomial_exps(idx, n):
-    exps = [0] * n
-    for i in idx:
-        exps[i] += 1
-    return tuple(exps)
+    return tuple(idx.count(a) for a in range(n))
 
 
 def _monomials(V, exps):
@@ -317,14 +319,9 @@ class TransformExpr:
         return TransformExpr(self.n, {}, dict(self.bases))
 
     def __add__(self, other):
-        out = TransformExpr(self.n, dict(self.terms), dict(self.bases))
-        out.bases.update(other.bases)
+        out = TransformExpr(self.n, dict(self.terms), {**self.bases, **other.bases})
         for key, c in other.terms.items():
-            s = out.terms.get(key, 0.0) + c
-            if s == 0.0:
-                out.terms.pop(key, None)
-            else:
-                out.terms[key] = s
+            out._add(c, *key)
         return out
 
     def __sub__(self, other):
@@ -333,9 +330,8 @@ class TransformExpr:
     def scale(self, c):
         c = float(c)
         if c == 0.0:
-            return TransformExpr(self.n, {}, dict(self.bases))
-        return TransformExpr(self.n, {k: v * c for k, v in self.terms.items()},
-                             dict(self.bases))
+            return self._blank()
+        return TransformExpr(self.n, {k: v * c for k, v in self.terms.items()}, dict(self.bases))
 
     def dx(self, i) -> "TransformExpr":
         out = self._blank()
@@ -374,48 +370,49 @@ class TransformExpr:
         return out
 
     def eval_lines(self, X, Xi, Y=None):
-        """Values on the lines (X[l], Xi[l]), one kernel call for all atoms.
-
-        The xi-monomial prefactors are taken at Y[l] when Y is given: on the
-        atom expansion of J_m this gives the transverse pairing with y.
-        """
-        X = np.asarray(X, dtype=float)
-        Xi = np.asarray(Xi, dtype=float)
-        Y = Xi if Y is None else np.asarray(Y, dtype=float)
-        cols = {}
-        for (_xe, _xie, base, dm, tp) in self.terms:
-            cols.setdefault((base, dm, tp), len(cols))
-        if not cols:
-            return np.zeros(len(X))
-        atoms, rhos = [], set()
-        for (fid, row), dm, tp in cols:
-            f, j = self.bases[fid], len(dm)
-            block = tree_multisets(f.n, j).index(dm)
-            atoms.append((f.level_cores(j)[block * len(f.rows()) + row], f.power - j, tp))
-            rhos.add(f.rho)
-        if len(rhos) > 1:
-            raise ValueError("support mismatch")
-        jv = chord_integrals(atoms, rhos.pop(), X, Xi)
-        total = np.zeros(len(X))
-        for (xe, xie, base, dm, tp), c in self.terms.items():
-            total += c * _monomials(X, xe) * _monomials(Y, xie) * jv[:, cols[base, dm, tp]]
-        return total
+        """Values on the lines (X[l], Xi[l]); see ``eval_exprs``."""
+        return eval_exprs([self], X, Xi, Y)[:, 0]
 
     def eval(self, x, xi):
         return float(self.eval_lines([x], [xi])[0])
 
 
+def eval_exprs(exprs, X, Xi, Y=None):
+    """Values of ``TransformExpr``s on the lines (X[l], Xi[l]), shape
+    (L, len(exprs)), from one kernel call for the atoms of them all; column i
+    is bitwise ``exprs[i].eval_lines(X, Xi, Y)``.  The xi-monomial prefactors
+    are taken at Y[l] when Y is given: on the atom expansion of J_m this
+    gives the transverse pairing with y."""
+    X = np.asarray(X, dtype=float)
+    Xi = np.asarray(Xi, dtype=float)
+    Y = Xi if Y is None else np.asarray(Y, dtype=float)
+    out = np.zeros((len(X), len(exprs)))
+    cols, bases = {}, {}
+    for expr in exprs:
+        bases.update(expr.bases)
+        for (_xe, _xie, base, dm, tp) in expr.terms:
+            cols.setdefault((base, dm, tp), len(cols))
+    if not cols:
+        return out
+    atoms, rhos = [], set()
+    for (fid, row), dm, tp in cols:
+        f, j = bases[fid], len(dm)
+        block = tree_multisets(f.n, j).index(dm)
+        atoms.append((f.level_cores(j)[block * len(f.rows()) + row], f.power - j, tp))
+        rhos.add(f.rho)
+    if len(rhos) > 1:
+        raise ValueError("support mismatch")
+    jv = chord_integrals(atoms, rhos.pop(), X, Xi)
+    for i, expr in enumerate(exprs):
+        for (xe, xie, base, dm, tp), c in expr.terms.items():
+            out[:, i] += c * _monomials(X, xe) * _monomials(Y, xie) * jv[:, cols[base, dm, tp]]
+    return out
+
+
 def dot_power_terms(n, p):
     """<x, xi>^p expanded as {(xexp, xiexp): multinomial coefficient}."""
-    terms = {}
-    for combo in itertools.combinations_with_replacement(range(n), p):
-        exps = [0] * n
-        for a in combo:
-            exps[a] += 1
-        terms[(tuple(exps), tuple(exps))] = multiplicity(combo)
-    if p == 0:
-        terms = {((0,) * n, (0,) * n): 1}
-    return terms
+    return {(_xi_monomial_exps(combo, n),) * 2: multiplicity(combo)
+            for combo in itertools.combinations_with_replacement(range(n), p)}
 
 
 def john_operator(expr: TransformExpr, i, j) -> TransformExpr:
@@ -446,21 +443,20 @@ def verify_john_relation(f: PolyBumpField, X, Xi):
     components, on the lines (X[l], Xi[l]) of the (L, n) arrays X and Xi.
 
     Checks (-2)^m m! J_0((Rf)_{i1 j1 .. im jm}) = J_{i1 j1}..J_{im jm}(J_m f)
-    componentwise; both sides exact chord quadrature, each one kernel call
-    over all lines.  m >= 1 only (the m=0 display degenerates; the classical
-    ultrahyperbolic identity is checked separately by ``john_apply`` on
-    scalar transforms).
+    componentwise; both sides of every component are exact chord quadrature,
+    all in one kernel call over all lines.  m >= 1 only (the m=0 display
+    degenerates; the classical ultrahyperbolic identity is checked separately
+    by ``john_apply`` on scalar transforms).
     """
     m = f.m
     if m < 1:
         raise ValueError("the iterated relation needs m >= 1")
     rf = operator_R(f)
-    factor = (-2.0) ** m * math.factorial(m)
-    residuals = []
-    for key in rf.canonical_keys():
-        lhs = factor * TransformExpr.momentum(rf.component_field(key), 0).eval_lines(X, Xi)
-        residuals.append(np.abs(lhs - _iterated_john(f, key[0]).eval_lines(X, Xi)))
-    return np.max(residuals, axis=0)
+    keys = list(rf.canonical_keys())
+    vals = eval_exprs([TransformExpr.momentum(rf.component_field(key), 0) for key in keys]
+                      + [_iterated_john(f, key[0]) for key in keys], X, Xi)
+    lhs = (-2.0) ** m * math.factorial(m) * vals[:, :len(keys)]
+    return np.max(np.abs(lhs - vals[:, len(keys):]), axis=1)
 
 
 # ---------------------------------------------------------------------------

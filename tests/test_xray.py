@@ -3,6 +3,7 @@ laws, analytic derivatives against finite differences, and the iterated John
 relation."""
 
 import csv
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from tentomo import suites
 from tentomo.polyfield import (PolyBumpField, inner_derivative,
                                random_bump_field)
 from tentomo.polynomial import Polynomial
@@ -315,6 +317,56 @@ class TestTransformDerivative:
         g = random_bump_field(2, 0, SplitMix64(32), rho=Fraction(3, 2), power=2, degree=1)
         with pytest.raises(ValueError, match="support mismatch"):
             (TransformExpr.momentum(f) + TransformExpr.momentum(g)).eval([0.1, 0.2], [1.0, 0.0])
+
+
+def per_ray_transverse_oracle(f, ray):
+    """The ucp.trt scalar oracle one ray at a time: f contracted against
+    y^(.m) over every dense ordering, in float coefficients, then one
+    chord-kernel call for the contraction."""
+    contracted = Polynomial.zero(f.n)
+    for dense in itertools.product(range(f.n), repeat=f.m):
+        core = f.core(dense)
+        if not core.is_zero():
+            wy = 1.0
+            for ax in dense:
+                wy *= ray.y[ax]
+            contracted = contracted + core * wy
+    return chord_integrals([(contracted, f.power, 0)], f.rho, [ray.x], [ray.omega])[0, 0]
+
+
+def transverse_rays(rng, n, count):
+    """Rays from a ball about (2.5, 0, ..) into the support, as ucp.trt draws
+    them, with y the part of a random direction orthogonal to omega."""
+    rays = []
+    for t in range(count):
+        child = rng.split(f"ray{t}")
+        base = np.asarray([2.5] + [0.0] * (n - 1)) + child.point_in_ball(n, 0.25)
+        omega = np.asarray(child.point_in_ball(n, 0.8)) - base
+        omega = omega / np.linalg.norm(omega)
+        eta = np.asarray(child.direction(n))
+        rays.append(TransverseRay(omega, base - (base @ omega) * omega,
+                                  eta - (eta @ omega) * omega))
+    return rays
+
+
+class TestTransverseOracle:
+    """``suites._transverse_oracle``, which integrates each component once
+    over all rays and then contracts, against the per-ray route, for the
+    (n, m) = (3, 2) fields that ucp.trt draws."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_the_per_ray_contraction(self, seed, monkeypatch):
+        rng = SplitMix64(seed)
+        n, m = 3, 2
+        f = random_bump_field(n, m, rng.split("f"), power=4, degree=2)
+        rays = transverse_rays(rng, n, 12)
+        want = np.array([per_ray_transverse_oracle(f, ray) for ray in rays])
+        # an independent route: not through the atom expansion of J_m
+        monkeypatch.setattr(TransformExpr, "momentum", None)
+        X, Om, Y = (np.array([getattr(r, a) for r in rays]) for a in ("x", "omega", "y"))
+        got = suites._transverse_oracle(f, X, Om, Y)
+        assert np.abs(want).max() > 0.0
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want).max()))
 
 
 class TestJohn:
