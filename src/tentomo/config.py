@@ -107,7 +107,7 @@ SUITES = {
                        lambda v, p: integer(0, p["m"] - 1).ok(v)), "momentum order"),
         *UCP_SAMPLES, POTENTIAL),
     "ucp.trt": (
-        ("n", 3, integer(3), "dimension"),
+        ("n", 3, integer(3, 6), "dimension"),
         ("m", 1, integer(1), "tensor rank"),
         *UCP_SAMPLES),
 }

@@ -30,7 +30,11 @@ own negative).  So M fhat is the
 spectrum of a real field: ``rfftn`` keeps the last axis's bins 0 .. N//2, the
 rest being their conjugates, and ``irfftn`` gives, up to roundoff, the
 ``.real`` of a complex ``ifftn`` of the full spectrum.  Complex ``fftn`` is
-kept only in ``helmholtz_decompose_oracle``, an independent route.
+kept only in ``helmholtz_decompose_oracle``, an independent route.  The
+multipliers of d and delta and the Gram systems of the split are i_w and j_w
+built from the per-axis tables of ``symtensor.sym_maps``, as are the i^l j^l
+matrices of the key identities (exact products, converted to float once) and
+the j_x contractions of the moment identity.
 
 Spatial derivatives of normal operators are never taken by differencing
 quadrature output; they are moved onto the field inside the line integral via
@@ -61,9 +65,7 @@ bitwise those of a one-rule call.
 
 from __future__ import annotations
 
-import itertools
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -71,8 +73,7 @@ import numpy as np
 from .polyfield import (PolyBumpField, _pair_rows, _position_splits, generalized_R,
                         pair_alternations)
 from .spherequad import SphereRule, c_constant
-from .symtensor import (SymTensor, canonical_indices, i_metric, j_metric,
-                        multiplicity, sym_dim)
+from .symtensor import canonical_indices, multiplicity, sym_dim, sym_maps
 from .xray import (TANGENCY_TOL, TransformExpr, dot_power_terms, eval_exprs,
                    _chord_moment, _int_power, _monomial_table, _monomials, _rowdot,
                    _shifted, _xi_monomial_exps)
@@ -163,33 +164,6 @@ def _irfft(spec, N, n):
     return np.fft.irfftn(spec, s=(N,) * n, axes=tuple(range(spec.ndim - n, spec.ndim)))
 
 
-class FrequencySymbol:
-    """Canonical-coordinate matrices of y-multiplication maps on S^m.
-
-    ``imul_coeffs[r, c, a]`` gives the matrix of i_y = (y (.) .) as
-    sum_a y_a * imul_coeffs[..a]; ``jcon_coeffs`` likewise for the dual
-    contraction j_y.  For y != 0 the Gram of i_y is positive definite.
-    """
-
-    def __init__(self, n, m):
-        if m < 1:
-            raise ValueError("need rank >= 1")
-        self.n = n
-        self.m = m
-        rows = list(canonical_indices(n, m))
-        cols = list(canonical_indices(n, m - 1))
-        imul = np.zeros((len(rows), len(cols), n))
-        for r, idx in enumerate(rows):
-            for p in range(m):
-                rest = tuple(sorted(idx[:p] + idx[p + 1:]))
-                imul[r, cols.index(rest), idx[p]] += 1.0 / m
-        jcon = np.zeros((len(cols), len(rows), n))
-        for c, jdx in enumerate(cols):
-            for a in range(n):
-                jcon[c, rows.index(tuple(sorted(jdx + (a,)))), a] += 1.0
-        self.imul_coeffs = imul
-        self.jcon_coeffs = jcon
-
 def _omega_mesh(N, L, n):
     """Half-spectrum frequencies, shape (N, ..., N, N//2 + 1, n): the last
     axis holds the ``rfftn`` bins 0 .. N//2, Nyquist zeroed as in ``_omega``."""
@@ -199,21 +173,19 @@ def _omega_mesh(N, L, n):
 
 
 def d_field(v: GridTensorField) -> GridTensorField:
-    """Spectral symmetrized derivative, rank m -> m+1."""
-    sym = FrequencySymbol(v.n, v.m + 1)
+    """Spectral symmetrized derivative, rank m -> m+1: the multiplier 1j i_w."""
     w = _omega_mesh(v.N, v.L, v.n)
-    a = np.einsum("rca,...a->...rc", sym.imul_coeffs, w)
+    a = np.einsum("arc,...a->...rc", sym_maps(v.n, v.m + 1)[0].astype(float), w)
     dv = 1j * np.einsum("...rc,c...->r...", a, v.rfft())
     return GridTensorField(v.n, v.m + 1, v.N, v.L, _irfft(dv, v.N, v.n))
 
 
 def delta_field(f: GridTensorField) -> GridTensorField:
-    """Spectral divergence, rank m -> m-1."""
+    """Spectral divergence, rank m -> m-1: the multiplier 1j j_w."""
     if f.m < 1:
         raise ValueError("divergence needs rank >= 1")
-    sym = FrequencySymbol(f.n, f.m)
     w = _omega_mesh(f.N, f.L, f.n)
-    a = np.einsum("rca,...a->...rc", sym.jcon_coeffs, w)
+    a = np.einsum("arc,...a->...rc", sym_maps(f.n, f.m)[1].astype(float), w)
     df = 1j * np.einsum("...rc,c...->r...", a, f.rfft())
     return GridTensorField(f.n, f.m - 1, f.N, f.L, _irfft(df, f.N, f.n))
 
@@ -226,12 +198,12 @@ def solenoidal_decompose(f: GridTensorField):
     """
     if f.m < 1:
         raise ValueError("decomposition needs rank >= 1")
-    sym = FrequencySymbol(f.n, f.m)
+    imul, jcon = (t.astype(float) for t in sym_maps(f.n, f.m))
     w = _omega_mesh(f.N, f.L, f.n).reshape(-1, f.n)
     spec = f.rfft()
     fhat = spec.reshape(len(spec), -1).T  # (P, dim_m)
-    a = np.einsum("rca,pa->prc", sym.imul_coeffs, w)
-    jm = np.einsum("rca,pa->prc", sym.jcon_coeffs, w)
+    a = np.einsum("arc,pa->prc", imul, w)
+    jm = np.einsum("arc,pa->prc", jcon, w)
     gram = jm @ a
     rhs = np.einsum("prc,pc->pr", jm, fhat)
     dead = (w == 0).all(axis=1)
@@ -635,15 +607,15 @@ def n0_scalar(g: PolyBumpField, pts, rules):
 
 @lru_cache(maxsize=None)
 def _iljl_matrix(n, m, l):
-    """Matrix of i^l j^l on S^m in canonical coordinates (exact, as floats)."""
-    rows = list(canonical_indices(n, m))
-    mat = np.zeros((len(rows), len(rows)))
-    for col, jdx in enumerate(rows):
-        basis = SymTensor(n, m, {jdx: Fraction(1)})
-        t = i_metric(j_metric(basis, l), l)
-        for r, idx in enumerate(rows):
-            mat[r, col] = float(t.get(idx))
-    return mat
+    """Matrix of i^l j^l on S^m in canonical coordinates: the exact product of
+    j = sum_a j_{e_a} j_{e_a} down to S^(m-2l) and i = sum_a i_{e_a} i_{e_a}
+    back up, from the ``sym_maps`` tables, converted to float once."""
+    mat = np.identity(sym_dim(n, m), dtype=int)
+    for p in range(m, m - 2 * l, -2):
+        mat = sum(sym_maps(n, p - 1)[1][a] @ sym_maps(n, p)[1][a] for a in range(n)) @ mat
+    for p in range(m - 2 * l + 2, m + 1, 2):
+        mat = sum(sym_maps(n, p)[0][a] @ sym_maps(n, p - 1)[0][a] for a in range(n)) @ mat
+    return mat.astype(float)
 
 
 def verify_momentum_moment_identity(f: PolyBumpField, pts, k, rules):
@@ -652,9 +624,10 @@ def verify_momentum_moment_identity(f: PolyBumpField, pts, k, rules):
     (rules, P, dim S^(m-k)) in canonical order.
 
     LHS integrates xi^(.(m-k)) J^k f at the base point; RHS combines
-    x-contracted divergences delta^r N^r f (foot-point path, one sinogram per
-    r for all points and rules), so the two sides are quadratures of
-    genuinely different integrands.
+    x-contracted divergences j_x^(k-r) delta^r N^r f (foot-point path, one
+    sinogram per r for all points and rules), so the two sides are
+    quadratures of genuinely different integrands.  Each j_x contracts one
+    slot through the ``sym_maps`` table, for every point at once.
     """
     if not 0 <= k <= f.m:
         raise ValueError("k out of range")
@@ -665,17 +638,10 @@ def verify_momentum_moment_identity(f: PolyBumpField, pts, k, rules):
     for r in range(k + 1):
         coeff = (-1.0) ** (k - r) * math.comb(k, r) / math.factorial(r)
         div = _foot_point_sum(f, r, pts, 0, f.m - r, rules) * float(math.factorial(r))
-        cols = {idx: c for c, idx in enumerate(canonical_indices(n, f.m - r))}
-        for c, idx in enumerate(canonical_indices(n, rank)):
-            # j_contract(x^(.(k-r)), .) on every point: the tail runs over all
-            # ordered index tuples, its weight the product of x's components
-            total = np.zeros(lhs.shape[:2])
-            for tail in itertools.product(range(n), repeat=k - r):
-                weight = np.ones(len(pts))
-                for i in sorted(tail):
-                    weight = weight * pts[:, i]
-                total = total + div[..., cols[tuple(sorted(idx + tail))]] * weight
-            rhs[..., c] += total * coeff
+        for p in range(f.m - r, rank, -1):
+            jcon = sym_maps(n, p)[1].astype(float)
+            div = sum(pts[:, a, None] * (div @ jcon[a].T) for a in range(n))
+        rhs += div * coeff
     return lhs - rhs
 
 

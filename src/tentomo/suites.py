@@ -415,21 +415,22 @@ def _run_ucp_trt(params, rng, outdir):
         etas = [rng.split(f"eta{t}").direction(n) for t in range(n)]
         if abs(np.linalg.det(np.array(etas))) > 0.2:
             break
-    rank = st.sym_power_span_rank([list(e) for e in etas], m)
+    eta_rows = st.sym_power_rows(etas, m)
     rows.append(check_row("sym_power_span_rank_deficit",
-                          abs(rank - st.sym_dim(n, m)), 0.5))
+                          abs(st.sym_power_span_rank(eta_rows) - st.sym_dim(n, m)), 0.5))
     # f vanishes on U (support is disjoint from U by construction)
     pts_u = [u_center + np.asarray(rng.split(f"u{t}").point_in_ball(n, U_RADIUS))
              for t in range(params["num_points"])]
     fmax_u = worst(f.value(tuple(x)).max_abs() for x in pts_u)
     rows.append(check_row("field_vanishes_on_U_max", fmax_u, 1e-12))
-    # pointwise recovery from pairings against the eta products
-    errs = []
-    for t in range(params["num_points"]):
-        x = rng.split(f"rp{t}").point_in_ball(n, 0.9)
-        fx = f.value(x)
-        samples = {}
-        for combo in st.canonical_indices(n, m):
+    # pointwise recovery from pairings against the eta products, every
+    # point in one solve
+    combos = list(st.canonical_indices(n, m))
+    fxs = [f.value(rng.split(f"rp{t}").point_in_ball(n, 0.9))
+           for t in range(params["num_points"])]
+    samples = np.zeros((len(fxs), len(combos)))
+    for t, fx in enumerate(fxs):
+        for c, combo in enumerate(combos):
             val = 0.0
             for dense in itertools.product(range(n), repeat=m):
                 w = fx.get(dense)
@@ -438,10 +439,11 @@ def _run_ucp_trt(params, rng, outdir):
                     for eta_i, ax in zip(combo, dense):
                         prod *= etas[eta_i][ax]
                     val += w * prod
-            samples[combo] = val
-        rec = xr.trt_pointwise_recover([list(e) for e in etas], samples, m)
-        errs.append((rec - fx).max_abs())
-    rows.append(check_row("pointwise_recovery_max_err", worst(errs), UCP_TOL))
+            samples[t, c] = val
+    rec = xr.trt_pointwise_recover(eta_rows, samples, n, m)
+    want = np.array([fx.to_canonical_vector() for fx in fxs], dtype=float)
+    rows.append(check_row("pointwise_recovery_max_err", worst(np.abs(rec - want).ravel()),
+                          UCP_TOL))
     # transverse data on lines from U into the support reduce to scalar
     # ray data of the contracted component <f, y^(.m)>
     rays = []
@@ -459,9 +461,9 @@ def _run_ucp_trt(params, rng, outdir):
     rows.append(check_row("transverse_scalar_reduction_max",
                           worst(np.abs(tvals - _transverse_oracle(f, X, Om, Y))), 1e-10))
     # negative control: dependent directions make recovery singular
-    bad = [list(etas[0])] * n
+    bad = [etas[0]] * n
     try:
-        xr.trt_pointwise_recover(bad, samples, m)
+        xr.trt_pointwise_recover(st.sym_power_rows(bad, m), samples, n, m)
         raised = 0.0
     except ValueError:
         raised = 1.0

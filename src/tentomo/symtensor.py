@@ -1,13 +1,17 @@
 """Finite-dimensional symmetric tensor algebra.
 
-Rank-m tensors over R^n are tiny here (n <= 4, m <= 4 in practice), so
-contractions are explicit loops over dense index tuples; correctness first.
+Rank-m tensors over R^n are tiny here (n <= 6, m <= 4 in practice).
 Symmetric tensors are stored compressed: one scalar per non-decreasing index
 tuple, of which there are C(n+m-1, m).
 
-Scalars are generic: exact ``Fraction`` entries for identity proofs, floats
-for quadrature paths, and any ring element supporting ``+``/``*`` otherwise
-(polynomials included).
+``SymTensor`` and its dict operators loop over index tuples and are generic
+in the scalar (``Fraction``, float, or any ring element, polynomials
+included); the algebra suite checks them, and tests compare the tables
+against them.  ``sym_maps(n, m)`` holds the exact canonical-coordinate
+matrices of i_{e_a} and j_{e_a} for each axis a, and every
+i_y = sum_a y_a i_{e_a} or j_y matrix of the package is built from it: the grid
+symbols, the metric pair i^l j^l, the moment identity's j_x and the
+eta-product matrix of ``sym_power_rows``.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -269,23 +274,53 @@ def j_metric(g: SymTensor, times: int = 1) -> SymTensor:
     return g
 
 
-def sym_power_span_rank(vectors, m) -> int:
-    """Rank of {eta_{i1} (.) ... (.) eta_{im}} over canonical i1<=..<=im.
+@lru_cache(maxsize=None)
+def sym_maps(n, m):
+    """Canonical-coordinate matrices of i_{e_a}: S^(m-1) -> S^m and
+    j_{e_a}: S^m -> S^(m-1) for every axis a, m >= 1.
 
-    Full rank C(n+m-1, m) exactly when the n vectors are linearly
-    independent; rank-deficient inputs yield a smaller rank.
+    Returns (imul, jcon), read-only object arrays of shape
+    (n, dim S^m, dim S^(m-1)) and (n, dim S^(m-1), dim S^m):
+    (e_a (.) u)_I = (c_a(I)/m) u_{I-a}, c_a(I) counting a in I, as a
+    ``Fraction``, and (j_{e_a} g)_J = g_{J+a}, an ``int``.  Each (row,
+    column) pair is nonzero for at most one axis, so i_y = sum_a y_a imul[a]
+    in floats rounds each entry once.
     """
+    if m < 1:
+        raise ValueError("need rank >= 1")
+    rows = {idx: r for r, idx in enumerate(canonical_indices(n, m))}
+    cols = list(canonical_indices(n, m - 1))
+    imul = np.zeros((n, len(rows), len(cols)), dtype=object)
+    jcon = np.zeros((n, len(cols), len(rows)), dtype=object)
+    for c, idx in enumerate(cols):
+        for a in range(n):
+            r = rows[tuple(sorted(idx + (a,)))]
+            imul[a, r, c] = Fraction(idx.count(a) + 1, m)
+            jcon[a, c, r] = 1
+    imul.flags.writeable = jcon.flags.writeable = False
+    return imul, jcon
+
+
+def sym_power_rows(vectors, m):
+    """The eta-product matrix of n vectors in R^n: row c, for each canonical
+    c = (c1 <= .. <= cm), holds v_{c1} (.) ... (.) v_{cm} in canonical
+    coordinates, built as i_{v_{c1}} ... i_{v_{cm}}(1) from the ``sym_maps``
+    tables in floats."""
     n = len(vectors)
     if any(len(v) != n for v in vectors):
         raise ValueError("need exactly n vectors of dimension n")
-    rank1 = [SymTensor.from_vector(n, v) for v in vectors]
-    rows = []
-    for combo in canonical_indices(n, m):
-        t = rank1[combo[0]] if m else SymTensor(n, 0, {(): 1})
-        for i in combo[1:]:
-            t = sym_product(t, rank1[i])
-        rows.append(t.to_canonical_vector())
-    return int(np.linalg.matrix_rank(np.array(rows, dtype=float)))
+    vecs = np.asarray(vectors, dtype=float)
+    rows = {(): np.ones(1)}
+    for p in range(1, m + 1):
+        i_vec = np.einsum("ta,arc->trc", vecs, sym_maps(n, p)[0].astype(float))
+        rows = {c: i_vec[c[0]] @ rows[c[1:]] for c in canonical_indices(n, p)}
+    return np.array(list(rows.values()))
+
+
+def sym_power_span_rank(rows) -> int:
+    """Rank of an eta-product matrix of ``sym_power_rows``: C(n+m-1, m)
+    exactly when the n vectors are linearly independent, smaller otherwise."""
+    return int(np.linalg.matrix_rank(rows))
 
 
 def _divide(value, k):

@@ -41,7 +41,7 @@ import numpy as np
 from .polyfield import BudgetError, PolyBumpField, operator_R
 from .polynomial import tree_multisets
 from .spherequad import bump_ball_monomial_integral
-from .symtensor import SymTensor, canonical_indices, multiplicity, sym_dim
+from .symtensor import canonical_indices, multiplicity, sym_dim, sym_power_span_rank
 
 #: Lines closer to tangency than this (physical half-chord) count as misses.
 TANGENCY_TOL = 1e-14
@@ -242,37 +242,21 @@ def momentum_scale_residual(f, x, xi, k, r):
     return lhs - rhs
 
 
-def trt_pointwise_recover(etas, samples, m):
-    """Solve <f, eta_{i1} (.) ... (.) eta_{im}> = sample for symmetric f.
+def trt_pointwise_recover(eta_rows, samples, n, m):
+    """Solve <f, eta_{c1} (.) ... (.) eta_{cm}> = samples[p, c] for the
+    symmetric f of each point p.
 
-    ``samples`` maps canonical index combinations (i1 <= ... <= im over the
-    eta list) to pairing values; the system is square of size C(n+m-1, m).
+    ``eta_rows`` is the eta-product matrix of ``symtensor.sym_power_rows``,
+    one row per canonical c; the pairing weights its column I by
+    multiplicity(I).  ``samples`` is (points, C(n+m-1, m)), columns in
+    canonical order; returns the recovered canonical coordinates, same
+    shape.  The system, its rank guard and its solve serve every point at
+    once; dependent etas, whose products do not span S^m, raise ValueError.
     """
-    n = len(etas)
-    if any(len(v) != n for v in etas):
-        raise ValueError("need n linearly independent vectors in dimension n")
-    combos = list(canonical_indices(n, m))
-    cols = list(canonical_indices(n, m))
-    a = np.zeros((len(combos), len(cols)))
-    rhs = np.zeros(len(combos))
-    for r_i, combo in enumerate(combos):
-        rhs[r_i] = samples[combo]
-        for c_i, col in enumerate(cols):
-            # <f, eta_{i1} x ... x eta_{im}> = sum over dense orderings
-            total = 0.0
-            for perm in set(itertools.permutations(col)):
-                v = 1.0
-                for eta_i, ax in zip(combo, perm):
-                    v *= etas[eta_i][ax]
-                total += v
-            a[r_i, c_i] = total
-    if np.linalg.matrix_rank(a) < sym_dim(n, m):
+    if sym_power_span_rank(eta_rows) < sym_dim(n, m):
         raise ValueError("singular recovery system: directions are dependent")
-    sol = np.linalg.solve(a, rhs)
-    out = SymTensor(n, m)
-    for c_i, col in enumerate(cols):
-        out[col] = sol[c_i]
-    return out
+    mult = [multiplicity(col) for col in canonical_indices(n, m)]
+    return np.linalg.solve(eta_rows * mult, np.asarray(samples, dtype=float).T).T
 
 
 # ---------------------------------------------------------------------------

@@ -305,8 +305,8 @@ def test_criterion_9_ucp_mechanics(tmp_path):
     rep = run_suite({"suite": "ucp.trt", "n": 3, "m": 2, "num_lines": 12,
                      "num_points": 8}, rng.split("trt"), tmp_path)
     ok &= all(c["pass"] for c in rep["residuals"])
-    rank_ok = st.sym_power_span_rank(
-        [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 2) == math.comb(3 + 2 - 1, 2)
+    rank_ok = st.sym_power_span_rank(st.sym_power_rows(
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 2)) == math.comb(3 + 2 - 1, 2)
     ok &= rank_ok
     details.append("trt: recovery exact to 1e-9 with rank C(n+m-1,m) "
                    "confirmed, dependent directions rejected")

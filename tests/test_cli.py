@@ -275,6 +275,18 @@ class TestValidateAcceptsOnlyWhatRuns:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+    def test_trt_dimension_is_bounded(self, tmp_path, capsys):
+        # the direction draw waits for |det| > 0.2, which at n = 10 never
+        # comes: run used to hang where validate said exit 0
+        path = write_config(tmp_path, {"schema": 1, "suites": [
+            {"suite": "ucp.trt", "n": 7, "m": 1}]})
+        assert main(["validate", "--config", path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'n'" in err
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestTopLevel:
     @pytest.mark.parametrize("field", [
         {"output_dir": 5},
@@ -380,7 +392,9 @@ UNREFERENCED = {
     "polynomial_sphere_integral": "oracle", "sym_power": "oracle", "diff": "oracle",
     # read by the benchmark
     "to_json_dict": "benchmark API",
+    "i_metric": "oracle", "j_metric": "oracle",
     "monomial": "test constructor", "variable": "test constructor",
+    "from_vector": "test constructor",
     # paper laws that tests check, to become report rows
     "homogeneity_check": "law awaiting a row", "momentum_shift_residual": "law awaiting a row",
     "momentum_scale_residual": "law awaiting a row", "john_apply": "law awaiting a row",

@@ -10,9 +10,9 @@ from tentomo.cli import run_suite
 from tentomo.polyfield import inner_derivative, pair_alternations, random_bump_field
 from tentomo.rng import SplitMix64
 from tentomo.spherequad import build_rule
-from tentomo.symtensor import canonical_indices, multiplicity, sym_dim
+from tentomo.symtensor import canonical_indices, multiplicity, sym_dim, sym_maps
 from tentomo import normalops as no
-from tentomo.normalops import (FrequencySymbol, GridTensorField, d_field,
+from tentomo.normalops import (GridTensorField, d_field,
                                delta_field, helmholtz_decompose_oracle,
                                normal_convolution, normal_momentum_on_points,
                                normal_symbol, solenoidal_decompose,
@@ -103,15 +103,20 @@ def _full_ifft_real(spec, n):
     return np.fft.ifftn(spec, axes=tuple(range(spec.ndim - n, spec.ndim))).real
 
 
+def _tables(n, m):
+    """The float i_{e_a} and j_{e_a} tables on S^m, as (rows, columns, axis)."""
+    return [np.moveaxis(t.astype(float), 0, -1) for t in sym_maps(n, m)]
+
+
 def _full_d(v):
-    sym = FrequencySymbol(v.n, v.m + 1)
-    a = np.einsum("rca,...a->...rc", sym.imul_coeffs, _full_omega_mesh(v.N, v.L, v.n))
+    imul, _ = _tables(v.n, v.m + 1)
+    a = np.einsum("rca,...a->...rc", imul, _full_omega_mesh(v.N, v.L, v.n))
     return _full_ifft_real(1j * np.einsum("...rc,c...->r...", a, _full_fft(v)), v.n)
 
 
 def _full_delta(f):
-    sym = FrequencySymbol(f.n, f.m)
-    a = np.einsum("rca,...a->...rc", sym.jcon_coeffs, _full_omega_mesh(f.N, f.L, f.n))
+    _, jcon = _tables(f.n, f.m)
+    a = np.einsum("rca,...a->...rc", jcon, _full_omega_mesh(f.N, f.L, f.n))
     return _full_ifft_real(1j * np.einsum("...rc,c...->r...", a, _full_fft(f)), f.n)
 
 
@@ -121,11 +126,11 @@ def _full_laplacian(f):
 
 
 def _full_decompose(f):
-    sym = FrequencySymbol(f.n, f.m)
+    imul, jcon = _tables(f.n, f.m)
     w = _full_omega_mesh(f.N, f.L, f.n).reshape(-1, f.n)
     fhat = _full_fft(f).reshape(f.comps.shape[0], -1).T
-    a = np.einsum("rca,pa->prc", sym.imul_coeffs, w)
-    jm = np.einsum("rca,pa->prc", sym.jcon_coeffs, w)
+    a = np.einsum("rca,pa->prc", imul, w)
+    jm = np.einsum("rca,pa->prc", jcon, w)
     gram = jm @ a
     rhs = np.einsum("prc,pc->pr", jm, fhat)
     dead = (w == 0).all(axis=1)
@@ -140,12 +145,12 @@ def _full_decompose(f):
 def _lapack_decompose(f):
     """``solenoidal_decompose`` with ``np.linalg.solve`` for the per-frequency
     Gram systems."""
-    sym = FrequencySymbol(f.n, f.m)
+    imul, jcon = _tables(f.n, f.m)
     w = no._omega_mesh(f.N, f.L, f.n).reshape(-1, f.n)
     spec = f.rfft()
     fhat = spec.reshape(len(spec), -1).T
-    a = np.einsum("rca,pa->prc", sym.imul_coeffs, w)
-    jm = np.einsum("rca,pa->prc", sym.jcon_coeffs, w)
+    a = np.einsum("rca,pa->prc", imul, w)
+    jm = np.einsum("rca,pa->prc", jcon, w)
     gram = jm @ a
     rhs = np.einsum("prc,pc->pr", jm, fhat)
     dead = (w == 0).all(axis=1)
@@ -195,50 +200,6 @@ class TestHalfSpectrum:
         for got, want in pairs:
             assert got.shape == want.shape
             assert self._rel(got, want) <= 1e-13
-
-
-class TestFrequencySymbol:
-    def test_gram_positive_definite(self):
-        sym = FrequencySymbol(2, 2)
-        rng = SplitMix64(5)
-        for t in range(10):
-            y = [rng.uniform() - 0.5 for _ in range(2)]
-            if abs(y[0]) + abs(y[1]) < 1e-3:
-                continue
-            g = (sym.jcon_coeffs @ y) @ (sym.imul_coeffs @ y)
-            eig = np.linalg.eigvalsh(g)
-            assert eig.min() > 0
-
-    def test_matches_symtensor_product(self):
-        # i_y via the coefficient tensor vs sym_product on a random tensor
-        from fractions import Fraction
-        from tentomo.symtensor import (SymTensor, canonical_indices,
-                                       sym_product)
-        sym = FrequencySymbol(2, 2)
-        rng = SplitMix64(6)
-        y = [rng.rational(-3, 3), rng.rational(-3, 3)]
-        v = SymTensor(2, 1, {(0,): rng.rational(-3, 3),
-                             (1,): rng.rational(-3, 3)})
-        want = sym_product(SymTensor.from_vector(2, y), v)
-        a = sym.imul_coeffs @ [float(c) for c in y]
-        vec = [float(v.get(i)) for i in canonical_indices(2, 1)]
-        got = a @ vec
-        for pos, idx in enumerate(canonical_indices(2, 2)):
-            assert got[pos] == pytest.approx(float(want.get(idx)), abs=1e-13)
-
-    def test_jcon_is_dual(self):
-        # <i_y v, g> = <v, j_y g> with multiplicity-weighted inner products
-        from tentomo.symtensor import canonical_indices, multiplicity
-        sym = FrequencySymbol(2, 2)
-        rng = SplitMix64(7)
-        y = [0.3, -1.2]
-        a = sym.imul_coeffs @ y
-        j = sym.jcon_coeffs @ y
-        w2 = np.array([multiplicity(i) for i in canonical_indices(2, 2)])
-        w1 = np.array([multiplicity(i) for i in canonical_indices(2, 1)])
-        v = np.array([rng.uniform() for _ in range(2)])
-        g = np.array([rng.uniform() for _ in range(3)])
-        assert (a @ v * w2) @ g == pytest.approx((v * w1) @ (j @ g), rel=1e-12)
 
 
 class TestDecomposition:
@@ -717,6 +678,22 @@ class TestKeyIdentities:
         # at k = 0 the momentum key identity is the ray key identity
         a = verify_momentum_key_identity(f, x, 0, [rule40])
         assert np.max(np.abs(list(a.values()))) < 1e-10
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_iljl_matrix_is_the_metric_operator_route(self, n):
+        # oracle: i^l j^l by the dict operators on each basis tensor, exact,
+        # then float; the table products must give the same doubles
+        from fractions import Fraction
+        from tentomo.symtensor import SymTensor, i_metric, j_metric
+        for m in range(6):
+            idx_list = list(canonical_indices(n, m))
+            for l in range(m // 2 + 1):
+                want = np.zeros((len(idx_list), len(idx_list)))
+                for col, jdx in enumerate(idx_list):
+                    t = i_metric(j_metric(SymTensor(n, m, {jdx: Fraction(1)}), l), l)
+                    want[:, col] = [float(t.get(idx)) for idx in idx_list]
+                got = no._iljl_matrix(n, m, l)
+                assert got.dtype == float and np.array_equal(got, want)
 
     def test_prop_mrt_exterior_converges(self):
         f = random_bump_field(2, 1, SplitMix64(64), power=4, degree=2)

@@ -4,6 +4,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hyp
@@ -11,9 +12,9 @@ from hypothesis import strategies as hyp
 from tentomo.rng import SplitMix64
 from tentomo.symtensor import (DenseTensor, SymTensor, canonical_indices,
                                i_mul, inner, j_contract, j_metric,
-                               metric_tensor, multiplicity, sym_dim,
-                               sym_power, sym_power_span_rank, sym_product,
-                               symmetrize)
+                               metric_tensor, multiplicity, sym_dim, sym_maps,
+                               sym_power, sym_power_rows, sym_power_span_rank,
+                               sym_product, symmetrize)
 
 
 def random_dense(n, m, rng):
@@ -209,9 +210,91 @@ class TestInner:
         assert inner(f, sym_power(xi, 3)) == want
 
 
+def random_vector(n, rng):
+    return [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+
+
+def along(table, y):
+    """sum_a y_a table[a]: i_y or j_y from the per-axis tables."""
+    return sum(c * t for c, t in zip(y, table))
+
+
+TABLE_SHAPES = [(n, m) for n in (2, 3) for m in range(1, 5)]
+
+
+class TestSymMaps:
+    """The i_{e_a}/j_{e_a} tables against the dict operators."""
+
+    @pytest.mark.parametrize("n,m", TABLE_SHAPES)
+    def test_i_y_is_sym_product(self, n, m):
+        rng = SplitMix64(60 + 10 * n + m)
+        imul, _ = sym_maps(n, m)
+        for _ in range(3):
+            y, u = random_vector(n, rng), random_sym(n, m - 1, rng)
+            want = sym_product(SymTensor.from_vector(n, y), u).to_canonical_vector()
+            got = along(imul, y) @ np.array(u.to_canonical_vector(), dtype=object)
+            assert list(got) == want
+
+    @pytest.mark.parametrize("n,m", TABLE_SHAPES)
+    def test_j_y_is_j_contract(self, n, m):
+        rng = SplitMix64(70 + 10 * n + m)
+        _, jcon = sym_maps(n, m)
+        for _ in range(3):
+            y, g = random_vector(n, rng), random_sym(n, m, rng)
+            want = j_contract(SymTensor.from_vector(n, y), g).to_canonical_vector()
+            got = along(jcon, y) @ np.array(g.to_canonical_vector(), dtype=object)
+            assert list(got) == want
+
+    @pytest.mark.parametrize("n,m", TABLE_SHAPES)
+    def test_j_y_is_dual_to_i_y(self, n, m):
+        # <i_y v, g> = <v, j_y g> with multiplicity-weighted inner products
+        rng = SplitMix64(80 + 10 * n + m)
+        imul, jcon = sym_maps(n, m)
+        w_hi = np.array([multiplicity(i) for i in canonical_indices(n, m)])
+        w_lo = np.array([multiplicity(i) for i in canonical_indices(n, m - 1)])
+        y = random_vector(n, rng)
+        v = np.array(random_sym(n, m - 1, rng).to_canonical_vector(), dtype=object)
+        g = np.array(random_sym(n, m, rng).to_canonical_vector(), dtype=object)
+        assert (along(imul, y) @ v * w_hi) @ g == (v * w_lo) @ (along(jcon, y) @ g)
+
+    @pytest.mark.parametrize("n,m", TABLE_SHAPES)
+    def test_gram_positive_definite(self, n, m):
+        # j_y i_y on S^(m-1) in floats, for y != 0
+        rng = SplitMix64(90 + 10 * n + m)
+        imul, jcon = (t.astype(float) for t in sym_maps(n, m))
+        for _ in range(10):
+            y = [rng.uniform() - 0.5 for _ in range(n)]
+            if max(map(abs, y)) < 1e-3:
+                continue
+            assert np.linalg.eigvalsh(along(jcon, y) @ along(imul, y)).min() > 0
+
+    def test_entries_are_exact_and_read_only(self):
+        imul, jcon = sym_maps(3, 3)
+        assert {type(x) for x in imul.flat} == {int, Fraction}
+        assert {type(x) for x in jcon.flat} == {int}
+        assert imul[0, 0, 0] == 1 and imul[0, 1, 1] == Fraction(2, 3)
+        with pytest.raises(ValueError):
+            imul[0, 0, 0] = 0
+        with pytest.raises(ValueError):
+            sym_maps(3, 0)
+
+
 class TestSpanRank:
+    def test_rows_are_the_eta_products(self):
+        rng = SplitMix64(15)
+        for n in (2, 3):
+            vecs = [random_vector(n, rng) for _ in range(n)]
+            for m in range(4):
+                rows = sym_power_rows(vecs, m)
+                for row, combo in zip(rows, canonical_indices(n, m)):
+                    want = SymTensor(n, 0, {(): Fraction(1)})
+                    for c in combo:
+                        want = sym_product(want, SymTensor.from_vector(n, vecs[c]))
+                    assert row == pytest.approx([float(x) for x in want.to_canonical_vector()],
+                                                rel=1e-14, abs=1e-14)
+
     def test_standard_basis_n2_m2(self):
-        assert sym_power_span_rank([[1, 0], [0, 1]], 2) == 3
+        assert sym_power_span_rank(sym_power_rows([[1, 0], [0, 1]], 2)) == 3
 
     def test_random_invertible_triple_n3_m2(self):
         rng = SplitMix64(14)
@@ -222,17 +305,17 @@ class TestSpanRank:
                    + vecs[0][2] * (vecs[1][0] * vecs[2][1] - vecs[1][1] * vecs[2][0]))
             if det != 0:
                 break
-        assert sym_power_span_rank(vecs, 2) == 6
+        assert sym_power_span_rank(sym_power_rows(vecs, 2)) == 6
 
     def test_dependent_pair_gives_rank_one(self):
-        assert sym_power_span_rank([[1, 1], [2, 2]], 2) == 1
+        assert sym_power_span_rank(sym_power_rows([[1, 1], [2, 2]], 2)) == 1
 
     def test_full_rank_small_cases(self):
         for n in (2, 3):
             for m in (1, 2, 3):
                 basis = [[Fraction(int(i == j)) for j in range(n)]
                          for i in range(n)]
-                assert sym_power_span_rank(basis, m) == sym_dim(n, m)
+                assert sym_power_span_rank(sym_power_rows(basis, m)) == sym_dim(n, m)
 
 
 def test_max_abs_counts_the_entries_not_stored():

@@ -12,6 +12,8 @@ import pytest
 from scipy.integrate import quad
 
 from tentomo import suites
+from tentomo.cli import run_suite
+from tentomo import symtensor as st
 from tentomo.polyfield import (PolyBumpField, inner_derivative,
                                random_bump_field)
 from tentomo.polynomial import Polynomial
@@ -444,51 +446,60 @@ class TestTransverse:
             TransverseRay([0.0, 0.0, 2.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
 
 
+BASIS3 = [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]]
+
+
 class TestPointwiseRecovery:
     def test_zero_samples_give_zero_tensor(self):
-        etas = [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]]
-        from tentomo.symtensor import canonical_indices
-        samples = {c: 0.0 for c in canonical_indices(3, 2)}
-        rec = trt_pointwise_recover(etas, samples, 2)
-        assert rec.max_abs() == 0
+        rec = trt_pointwise_recover(st.sym_power_rows(BASIS3, 2), np.zeros((1, 6)), 3, 2)
+        assert rec.shape == (1, 6) and not rec.any()
 
     def test_standard_basis_recovers_components(self):
         rng = SplitMix64(45)
         f = random_bump_field(3, 2, rng, power=3, degree=2)
-        x = (0.2, -0.3, 0.1)
-        fx = f.value(x)
-        etas = [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]]
+        fx = f.value((0.2, -0.3, 0.1))
         # with basis vectors the pairing is just the dense component
-        from tentomo.symtensor import canonical_indices
-        samples = {combo: fx.get(combo) for combo in canonical_indices(3, 2)}
-        rec = trt_pointwise_recover(etas, samples, 2)
-        assert (rec - fx).max_abs() < 1e-12
+        samples = [[fx.get(combo) for combo in canonical_indices(3, 2)]]
+        rec = trt_pointwise_recover(st.sym_power_rows(BASIS3, 2), samples, 3, 2)
+        assert np.abs(rec[0] - fx.to_canonical_vector()).max() < 1e-12
 
-    def test_random_directions_recover(self):
-        rng = SplitMix64(46)
-        f = random_bump_field(3, 2, rng, power=3, degree=2)
-        x = (0.1, 0.25, -0.2)
-        fx = f.value(x)
-        etas = [list(rng.split(f"e{t}").direction(3)) for t in range(3)]
-        import itertools as it
-        from tentomo.symtensor import canonical_indices
-        samples = {}
-        for combo in canonical_indices(3, 2):
-            val = 0.0
-            for dense in it.product(range(3), repeat=2):
-                w = fx.get(dense)
-                if w:
-                    val += w * etas[combo[0]][dense[0]] * etas[combo[1]][dense[1]]
-            samples[combo] = val
-        rec = trt_pointwise_recover(etas, samples, 2)
-        assert (rec - fx).max_abs() < 1e-10
+    @pytest.mark.parametrize("n,m", [(3, 1), (3, 2), (3, 3), (4, 2)])
+    def test_random_directions_recover_every_point(self, n, m):
+        # the pairings by dense expansion; all points go through one solve
+        rng = SplitMix64(46 + n + m)
+        f = random_bump_field(n, m, rng, power=3, degree=2)
+        fxs = [f.value(rng.split(f"x{t}").point_in_ball(n, 0.8)) for t in range(4)]
+        etas = [list(rng.split(f"e{t}").direction(n)) for t in range(n)]
+        samples = [[sum(fx.get(dense) * math.prod(etas[c][a] for c, a in zip(combo, dense))
+                        for dense in itertools.product(range(n), repeat=m))
+                    for combo in canonical_indices(n, m)] for fx in fxs]
+        rec = trt_pointwise_recover(st.sym_power_rows(etas, m), samples, n, m)
+        want = np.array([fx.to_canonical_vector() for fx in fxs], dtype=float)
+        assert np.abs(rec - want).max() < 1e-10
 
     def test_singular_system_rejected(self):
         etas = [[1.0, 0, 0], [1.0, 0, 0], [0, 0, 1.0]]
-        from tentomo.symtensor import canonical_indices
-        samples = {c: 0.0 for c in canonical_indices(3, 2)}
         with pytest.raises(ValueError):
-            trt_pointwise_recover(etas, samples, 2)
+            trt_pointwise_recover(st.sym_power_rows(etas, 2), np.zeros((1, 6)), 3, 2)
+
+    def test_one_eta_matrix_per_direction_set(self, monkeypatch, tmp_path):
+        # a ucp.trt run builds the matrix for its drawn etas, shared by the
+        # rank row and every recovery point, and once for its control
+        built, real = [], st.sym_power_rows
+
+        def counting(vectors, m):
+            built.append([list(v) for v in vectors])
+            return real(vectors, m)
+
+        monkeypatch.setattr(st, "sym_power_rows", counting)
+        rep = run_suite({"suite": "ucp.trt", "n": 3, "m": 2, "num_lines": 4,
+                         "num_points": 5}, SplitMix64(48), tmp_path)
+        assert all(row["pass"] for row in rep["residuals"])
+        assert len(built) == 2
+        assert np.linalg.matrix_rank(np.array(built[0])) == 3
+        assert all(v == built[1][0] for v in built[1])
+        control = [r for r in rep["residuals"] if r["name"] == "dependent_directions_rejected"]
+        assert [r["value"] for r in control] == [1.0]
 
 
 class TestLineCSV:
