@@ -108,7 +108,7 @@ SUITES = {
         *UCP_SAMPLES, POTENTIAL),
     "ucp.trt": (
         ("n", 3, integer(3, 6), "dimension"),
-        ("m", 1, integer(1), "tensor rank"),
+        ("m", 1, integer(1, 4), "tensor rank"),
         *UCP_SAMPLES),
 }
 TOP_LEVEL = (

@@ -32,22 +32,24 @@ rest being their conjugates, and ``irfftn`` gives, up to roundoff, the
 ``.real`` of a complex ``ifftn`` of the full spectrum.  Complex ``fftn`` is
 kept only in ``helmholtz_decompose_oracle``, an independent route.  The
 multipliers of d and delta and the Gram systems of the split are i_w and j_w
-built from the per-axis tables of ``symtensor.sym_maps``, as are the i^l j^l
-matrices of the key identities (exact products, converted to float once) and
-the j_x contractions of the moment identity.
+built from the per-axis tables of ``symtensor.sym_maps``, as are the j_x
+contractions of the moment identity.  The key identities weight J^r f by the
+rows of the sphere IBP weight sum_l c_{l,s} i^l j^l xi^(.s), read from
+``spherequad._ibp_weights``, the table that ``verify_ibp`` reads.
 
 Spatial derivatives of normal operators are never taken by differencing
 quadrature output; they are moved onto the field inside the line integral via
 ``TransformExpr``, whose atoms read the field's exact derivative levels.
 
-Angular sums come in two forms, each reducing with w <x,xi>^p xi^I per point
-over the (point, rule node) pairs:
+Angular sums come in two forms, each reducing with w xi^I per point over the
+(point, rule node) pairs:
 
 * foot-point lines, the normal operators N_m^k and delta^r N_m^k:
-  ``_foot_point_sum`` backprojects a compiled sinogram.  On the line through
-  the foot point x - <x,xi>xi, J_m^k f is a per-node polynomial in the
-  coordinates s of x on xi^perp times (rho^2 - |s|^2)^(e+1/2), built with
-  the chord kernel's helpers; each pair costs one Horner step and one power;
+  ``_foot_point_sum`` backprojects a compiled sinogram, with the extra
+  weight <x,xi>^p.  On the line through the foot point x - <x,xi>xi,
+  J_m^k f is a per-node polynomial in the coordinates s of x on xi^perp
+  times (rho^2 - |s|^2)^(e+1/2), built with the chord kernel's helpers;
+  each pair costs one Horner step and one power;
 * base-point lines, any ``TransformExpr`` (the key identities, N_0 and the
   xi-moment integrals): ``_angular_sum`` runs that chord kernel itself.
 
@@ -66,17 +68,17 @@ bitwise those of a one-rule call.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .polyfield import (PolyBumpField, _pair_rows, _position_splits, generalized_R,
                         pair_alternations)
-from .spherequad import SphereRule, c_constant
+from .spherequad import SphereRule, _ibp_weights
 from .symtensor import canonical_indices, multiplicity, sym_dim, sym_maps
-from .xray import (TANGENCY_TOL, TransformExpr, dot_power_terms, eval_exprs,
-                   _chord_moment, _int_power, _monomial_table, _monomials, _rowdot,
-                   _shifted, _xi_monomial_exps)
+from .xray import (TANGENCY_TOL, TransformExpr, eval_exprs, _chord_moment, _int_power,
+                   _monomial_table, _monomials, _rowdot, _shifted, _xi_monomial_exps)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +277,8 @@ def _stacked_nodes(rules):
             np.concatenate([rule.weights for rule in rules]), bounds)
 
 
-def _angular_sum(exprs, pts, p, rank, rules):
-    """sum over rule nodes of w <x,xi>^p xi^I e(x, xi) per point x, for each
+def _angular_sum(exprs, pts, rank, rules):
+    """sum over rule nodes of w xi^I e(x, xi) per point x, for each
     expression e of the list ``exprs`` and each rule of the stack ``rules``.
 
     The line through x in direction xi is taken at the base point x itself,
@@ -295,7 +297,7 @@ def _angular_sum(exprs, pts, p, rank, rules):
     for start in range(0, count, LINE_BLOCK):
         node, pt = np.divmod(np.arange(start, min(start + LINE_BLOCK, count)), len(pts))
         x, xi = pts[pt], nodes[node]
-        vals = weights[node, None] * eval_exprs(exprs, x, xi) * (_rowdot(x, xi)**p)[:, None]
+        vals = weights[node, None] * eval_exprs(exprs, x, xi)
         terms = vals.T[:, None, :] * np.array([_monomials(xi, e) for e in out_exps])
         # bincount adds in input order, so with the running totals first each
         # (expression, component, rule, point) adds its nodes in rule order
@@ -595,27 +597,14 @@ def normal_symbol(f: GridTensorField):
 
 
 # ---------------------------------------------------------------------------
-# identity verification: scalar normal operator and i^l j^l matrices
+# identity verification: scalar normal operator, moment and key identities
 # ---------------------------------------------------------------------------
 
 def n0_scalar(g: PolyBumpField, pts, rules):
     """N_0 g(x) = int_S J_0 g(x, xi) dS for a scalar field, at each point
     of the (P, n) array ``pts`` and by each rule of the stack ``rules``;
     returns shape (rules, P)."""
-    return _angular_sum([TransformExpr.momentum(g, 0)], pts, 0, 0, rules)[0, ..., 0]
-
-
-@lru_cache(maxsize=None)
-def _iljl_matrix(n, m, l):
-    """Matrix of i^l j^l on S^m in canonical coordinates: the exact product of
-    j = sum_a j_{e_a} j_{e_a} down to S^(m-2l) and i = sum_a i_{e_a} i_{e_a}
-    back up, from the ``sym_maps`` tables, converted to float once."""
-    mat = np.identity(sym_dim(n, m), dtype=int)
-    for p in range(m, m - 2 * l, -2):
-        mat = sum(sym_maps(n, p - 1)[1][a] @ sym_maps(n, p)[1][a] for a in range(n)) @ mat
-    for p in range(m - 2 * l + 2, m + 1, 2):
-        mat = sum(sym_maps(n, p)[0][a] @ sym_maps(n, p - 1)[0][a] for a in range(n)) @ mat
-    return mat.astype(float)
+    return _angular_sum([TransformExpr.momentum(g, 0)], pts, 0, rules)[0, ..., 0]
 
 
 def verify_momentum_moment_identity(f: PolyBumpField, pts, k, rules):
@@ -633,7 +622,7 @@ def verify_momentum_moment_identity(f: PolyBumpField, pts, k, rules):
         raise ValueError("k out of range")
     n, rank = f.n, f.m - k
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    lhs = _angular_sum([TransformExpr.momentum(f, k)], pts, 0, rank, rules)[0]
+    lhs = _angular_sum([TransformExpr.momentum(f, k)], pts, rank, rules)[0]
     rhs = np.zeros_like(lhs)
     for r in range(k + 1):
         coeff = (-1.0) ** (k - r) * math.comb(k, r) / math.factorial(r)
@@ -645,62 +634,32 @@ def verify_momentum_moment_identity(f: PolyBumpField, pts, k, rules):
     return lhs - rhs
 
 
-def _delta_np_expr(f, p, comp_idx):
-    """Expression for (delta^p N^p_m f)_{comp} before sphere integration.
+def _g_tensor_exprs(f, r):
+    """Integrands of the components of the auxiliary tensor G_{m-r}: for each
+    canonical index I of S^(m-r), J^r f times the xi-polynomial in row I of
+    ``spherequad._ibp_weights(n, m - r)``, sum_l c_{l,m-r} (i^l j^l
+    xi^(.(m-r)))_I, whose exact ``Fraction`` coefficients ``mul_prefactor``
+    takes to float.
 
-    Base-point form: p! sum_l C(p,l) <x,xi>^{p-l} xi^{comp} J^l f(x, xi).
+    The paper's sum_p (-1)^(r-p) C(r,p)/p! j_x^(r-p) delta^p N^p f integrates
+    this: delta^p N^p f integrates p! sum_l C(p,l) <x,xi>^(p-l) xi^(.(m-p))
+    J^l f, so the coefficient of J^l f is sum_{p=l}^{r} (-1)^(r-p) C(r,p)
+    C(p,l) = C(r,l) (1 - 1)^(r-l), which is 1 at l = r and 0 otherwise.  The
+    weight rows drop the factor |xi|^(2l) of i^l j^l xi^(.(m-r)).  That is
+    exact here: the builders take only x-derivatives of these expressions,
+    and ``_angular_sum`` evaluates them on unit rule nodes.
     """
-    n = f.n
-    expr = None
-    xiexp = _xi_monomial_exps(comp_idx, n)
-    for l in range(p + 1):
-        pref = {}
-        for (wx, wxi), wc in dot_power_terms(n, p - l).items():
-            pref[(wx, tuple(a + b for a, b in zip(wxi, xiexp)))] = float(wc)
-        term = TransformExpr.momentum(f, l).mul_prefactor(pref)
-        term = term.scale(math.comb(p, l))
-        expr = term if expr is None else expr + term
-    return expr.scale(math.factorial(p))
-
-
-def _g_tensor_exprs(f, k, r):
-    """Expressions for the components of the auxiliary tensor G_{m-r}."""
-    n, m = f.n, f.m
-    rank = m - r
-    inner = {}
-    for kidx in canonical_indices(n, rank):
-        e = None
-        for p in range(r + 1):
-            coeff = (-1.0) ** (r - p) * math.comb(r, p) / math.factorial(p)
-            for aidx in canonical_indices(n, r - p):
-                sub = _delta_np_expr(f, p, tuple(sorted(kidx + aidx)))
-                pref = {(_xi_monomial_exps(aidx, n), (0,) * n):
-                        coeff * multiplicity(aidx)}
-                term = sub.mul_prefactor(pref)
-                e = term if e is None else e + term
-        inner[kidx] = e
-    idx_list = list(canonical_indices(n, rank))
-    gexprs = {}
-    for kidx in canonical_indices(n, rank):
-        e = None
-        for l in range(rank // 2 + 1):
-            bmat = _iljl_matrix(n, rank, l)
-            cl = float(c_constant(l, rank, n))
-            row = idx_list.index(kidx)
-            for ci, cidx in enumerate(idx_list):
-                w = bmat[row, ci]
-                if w == 0.0:
-                    continue
-                term = inner[cidx].scale(cl * w)
-                e = term if e is None else e + term
-        gexprs[kidx] = e
-    return gexprs
+    multisets, exps, matrix, den, _ = _ibp_weights(f.n, f.m - r)
+    jr = TransformExpr.momentum(f, r)
+    zero = (0,) * f.n
+    return {idx: jr.mul_prefactor({(zero, e): Fraction(w, den) for e, w in zip(exps, row) if w})
+            for idx, row in zip(multisets, matrix.tolist())}
 
 
 def momentum_key_rhs_exprs(f: PolyBumpField, k):
     """One TransformExpr per output component of the momentum key identity."""
     n, m = f.n, f.m
-    gexprs = {r: _g_tensor_exprs(f, k, r) for r in range(k + 1)}
+    gexprs = {r: _g_tensor_exprs(f, r) for r in range(k + 1)}
     out = {}
     for key in _pair_rows(n, m - k, (k,)):
         pairs, (fixed,) = key
@@ -731,5 +690,5 @@ def verify_momentum_key_identity(f: PolyBumpField, pts, k, rules):
     rkf = generalized_R(f, k)
     rhs = momentum_key_rhs_exprs(f, k)
     lhs = [TransformExpr.momentum(rkf.component_field(key), 0) for key in rhs]
-    sums = _angular_sum(lhs + list(rhs.values()), pts, 0, 0, rules)[..., 0]
+    sums = _angular_sum(lhs + list(rhs.values()), pts, 0, rules)[..., 0]
     return {key: math.factorial(m) * sums[i] - sums[len(lhs) + i] for i, key in enumerate(rhs)}

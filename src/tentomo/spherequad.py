@@ -260,8 +260,9 @@ def _sphere_table(n, side):
 def _ibp_weights(n, s):
     """The right-hand side of the IBP identity as one integer matrix: row I
     holds sum_l c_{l,s} (i^l j^l xi^(.s))_I on the sphere, as coefficients
-    of the monomials xi^e of ``exps``, over one denominator.  Returns
-    (index multisets, exps, matrix, denominator, largest absolute row sum)."""
+    of the monomials xi^e of ``exps``, over one denominator.  The key
+    identities of ``normalops`` read the same rows.  Returns (index
+    multisets, exps, matrix, denominator, largest absolute row sum)."""
     multisets = tuple(itertools.combinations_with_replacement(range(n), s))
     rows = []
     for idx in multisets:

@@ -10,8 +10,11 @@ included); the algebra suite checks them, and tests compare the tables
 against them.  ``sym_maps(n, m)`` holds the exact canonical-coordinate
 matrices of i_{e_a} and j_{e_a} for each axis a, and every
 i_y = sum_a y_a i_{e_a} or j_y matrix of the package is built from it: the grid
-symbols, the metric pair i^l j^l, the moment identity's j_x and the
-eta-product matrix of ``sym_power_rows``.
+symbols, the moment identity's j_x and the eta-product matrix of
+``sym_power_rows``.  The metric pair of the IBP identity and the key
+identities, sum_l c_{l,s} i^l j^l xi^(.s), is one exact table,
+``spherequad._ibp_weights``; tests compare it with ``i_metric`` and
+``j_metric``.
 """
 
 from __future__ import annotations

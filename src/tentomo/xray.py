@@ -32,7 +32,6 @@ stencils read.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from functools import lru_cache
 
@@ -267,28 +266,27 @@ class TransformExpr:
     """Linear combination of x^a xi^b * (momentum transform atoms).
 
     ``terms`` maps (x exponents, xi exponents, base, axes, t power) to a
-    coefficient.  The base (id of a field of ``bases``, component row) and
-    the sorted axis multiset name the atom's core: row ``row`` of the
-    field's derivative level |axes|, in the block of ``axes``.
+    coefficient.  The base (field, component row) and the sorted axis
+    multiset name the atom's core: row ``row`` of the field's derivative
+    level |axes|, in the block of ``axes``.  Fields hash by identity.
     """
 
-    __slots__ = ("n", "terms", "bases")
+    __slots__ = ("n", "terms")
 
-    def __init__(self, n, terms=None, bases=None):
+    def __init__(self, n, terms=None):
         self.n = n
         self.terms = terms if terms is not None else {}
-        self.bases = bases if bases is not None else {}
 
     @classmethod
     def momentum(cls, f: PolyBumpField, k: int = 0) -> "TransformExpr":
         """The atom expansion of J_m^k f."""
-        expr = cls(f.n, bases={id(f): f})
+        expr = cls(f.n)
         zero = (0,) * f.n
         cores = f.level_cores(0)
         for row, idx in enumerate(f.rows()):
             if cores[row]:
                 expr._add(float(multiplicity(idx)), zero,
-                          _xi_monomial_exps(idx, f.n), (id(f), row), (), k)
+                          _xi_monomial_exps(idx, f.n), (f, row), (), k)
         return expr
 
     def _add(self, coeff, xexp, xiexp, base, dmulti, tpow):
@@ -300,10 +298,10 @@ class TransformExpr:
             self.terms[key] = c
 
     def _blank(self):
-        return TransformExpr(self.n, {}, dict(self.bases))
+        return TransformExpr(self.n)
 
     def __add__(self, other):
-        out = TransformExpr(self.n, dict(self.terms), {**self.bases, **other.bases})
+        out = TransformExpr(self.n, dict(self.terms))
         for key, c in other.terms.items():
             out._add(c, *key)
         return out
@@ -315,7 +313,7 @@ class TransformExpr:
         c = float(c)
         if c == 0.0:
             return self._blank()
-        return TransformExpr(self.n, {k: v * c for k, v in self.terms.items()}, dict(self.bases))
+        return TransformExpr(self.n, {k: v * c for k, v in self.terms.items()})
 
     def dx(self, i) -> "TransformExpr":
         out = self._blank()
@@ -371,16 +369,15 @@ def eval_exprs(exprs, X, Xi, Y=None):
     Xi = np.asarray(Xi, dtype=float)
     Y = Xi if Y is None else np.asarray(Y, dtype=float)
     out = np.zeros((len(X), len(exprs)))
-    cols, bases = {}, {}
+    cols = {}
     for expr in exprs:
-        bases.update(expr.bases)
         for (_xe, _xie, base, dm, tp) in expr.terms:
             cols.setdefault((base, dm, tp), len(cols))
     if not cols:
         return out
     atoms, rhos = [], set()
-    for (fid, row), dm, tp in cols:
-        f, j = bases[fid], len(dm)
+    for (f, row), dm, tp in cols:
+        j = len(dm)
         block = tree_multisets(f.n, j).index(dm)
         atoms.append((f.level_cores(j)[block * len(f.rows()) + row], f.power - j, tp))
         rhos.add(f.rho)
@@ -391,12 +388,6 @@ def eval_exprs(exprs, X, Xi, Y=None):
         for (xe, xie, base, dm, tp), c in expr.terms.items():
             out[:, i] += c * _monomials(X, xe) * _monomials(Y, xie) * jv[:, cols[base, dm, tp]]
     return out
-
-
-def dot_power_terms(n, p):
-    """<x, xi>^p expanded as {(xexp, xiexp): multinomial coefficient}."""
-    return {(_xi_monomial_exps(combo, n),) * 2: multiplicity(combo)
-            for combo in itertools.combinations_with_replacement(range(n), p)}
 
 
 def john_operator(expr: TransformExpr, i, j) -> TransformExpr:

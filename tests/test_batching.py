@@ -51,7 +51,7 @@ def _cases(seed):
     return [
         ("eval_lines", lambda r: expr.eval_lines(X[r], Xi[r])),
         ("eval_lines transverse", lambda r: expr.eval_lines(X[r], Xi[r], X[r][:, ::-1])),
-        ("_angular_sum", lambda r: _rule(no._angular_sum([expr], pts[r], 1, 2, [RULE])[0])),
+        ("_angular_sum", lambda r: _rule(no._angular_sum([expr], pts[r], 2, [RULE])[0])),
         ("_foot_point_sum", lambda r: _rule(no._foot_point_sum(f2, 1, pts[r], 1, 1, [RULE]))),
         ("verify_john_relation", lambda r: xr.verify_john_relation(f2, X[r], Xi[r])),
         ("n0_scalar", lambda r: _rule(no.n0_scalar(g, pts[r], [RULE]))),
@@ -88,7 +88,7 @@ def test_rows_of_a_batch_above_one_block():
     pts = np.stack(np.meshgrid(axis, axis[::-1][:40], indexing="ij"), axis=-1).reshape(-1, 2)
     assert len(pts) * len(rule.nodes) > max(no.LINE_BLOCK, 2**16)
     for fn in (lambda x: no._foot_point_sum(f, 1, x, 1, 1, [rule])[0],
-               lambda x: no._angular_sum([expr], x, 0, 2, [rule])[0, 0]):
+               lambda x: no._angular_sum([expr], x, 2, [rule])[0, 0]):
         batch = fn(pts)
         for i in range(0, len(pts), 37):
             assert np.array_equal(fn(pts[i:i + 1]), batch[i:i + 1]), i
@@ -108,7 +108,7 @@ def _stack_cases(seed):
     pts = _rows(seed, 3, 1.6)[0] * 0.8
     expr = xr.john_operator(xr.TransformExpr.momentum(f2, 1), 0, 1)
     return [
-        ("_angular_sum", lambda rules: no._angular_sum([expr], pts, 1, 2, rules)[0]),
+        ("_angular_sum", lambda rules: no._angular_sum([expr], pts, 2, rules)[0]),
         ("_foot_point_sum", lambda rules: no._foot_point_sum(f2, 1, pts, 1, 1, rules)),
         ("n0_scalar", lambda rules: no.n0_scalar(g, pts, rules)),
         ("verify_momentum_key_identity",
@@ -141,7 +141,7 @@ def test_rules_of_a_stack_above_one_block():
     pts = _rows(9, 40, 1.6)[0] * 0.8
     assert len(pts) * sum(len(rule) for rule in STACK) > no.LINE_BLOCK
     for name, fn in (("_foot_point_sum", lambda rules: no._foot_point_sum(f, 1, pts, 1, 1, rules)),
-                     ("_angular_sum", lambda rules: no._angular_sum([expr], pts, 0, 2, rules)[0])):
+                     ("_angular_sum", lambda rules: no._angular_sum([expr], pts, 2, rules)[0])):
         _assert_rules_match_one_rule_calls(fn, STACK, name)
 
 
@@ -226,12 +226,12 @@ def test_angular_sum_of_a_list_is_one_expression_calls():
     exprs = _exprs(3)
     pts = _rows(3, 30, 1.6)[0] * 0.8
     for pts_, rules in ((pts[:4], [RULE]), (pts, STACK)):
-        batch = no._angular_sum(exprs, pts_, 1, 1, rules)
+        batch = no._angular_sum(exprs, pts_, 1, rules)
         for i, expr in enumerate(exprs):
-            assert np.array_equal(batch[i], no._angular_sum([expr], pts_, 1, 1, rules)[0]), i
-        pair = no._angular_sum(exprs[:2], pts_, 0, 2, rules)
+            assert np.array_equal(batch[i], no._angular_sum([expr], pts_, 1, rules)[0]), i
+        pair = no._angular_sum(exprs[:2], pts_, 2, rules)
         for i in range(2):
-            assert np.array_equal(pair[i], no._angular_sum([exprs[i]], pts_, 0, 2, rules)[0])
+            assert np.array_equal(pair[i], no._angular_sum([exprs[i]], pts_, 2, rules)[0])
 
 
 @pytest.fixture

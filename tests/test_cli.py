@@ -286,6 +286,15 @@ class TestValidateAcceptsOnlyWhatRuns:
         assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 3
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_trt_rank_is_bounded(self, tmp_path, capsys):
+        # the dense sample loop grows about n^m C(n+m-1, m) per point, over
+        # ten times from m = 4 to m = 5 at n = 6
+        path = write_config(tmp_path, {"schema": 1, "suites": [
+            {"suite": "ucp.trt", "n": 3, "m": 5}]})
+        assert main(["validate", "--config", path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'m'" in err
+
 
 class TestTopLevel:
     @pytest.mark.parametrize("field", [

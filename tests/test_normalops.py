@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from tentomo.rng import SplitMix64
 from tentomo.spherequad import build_rule
 from tentomo.symtensor import canonical_indices, multiplicity, sym_dim, sym_maps
 from tentomo import normalops as no
+from tentomo import spherequad as sq
+from tentomo.xray import TransformExpr
 from tentomo.normalops import (GridTensorField, d_field,
                                delta_field, helmholtz_decompose_oracle,
                                normal_convolution, normal_momentum_on_points,
@@ -638,6 +641,14 @@ class TestConvolutionOracle:
             assert np.all(np.abs(got - want) <= e * np.spacing(np.abs(want))), e
 
 
+def _exps(idx, n):
+    return tuple(idx.count(a) for a in range(n))
+
+
+def _add_exps(a, b):
+    return tuple(u + v for u, v in zip(a, b))
+
+
 class TestKeyIdentities:
     @pytest.mark.parametrize("m", [1, 2])
     def test_prop_ray_small_residual(self, m, rule40):
@@ -679,21 +690,49 @@ class TestKeyIdentities:
         a = verify_momentum_key_identity(f, x, 0, [rule40])
         assert np.max(np.abs(list(a.values()))) < 1e-10
 
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_wrong_metric_weight_fails(self, k, rule40, monkeypatch):
+        # the key identities read the sphere IBP weight table, so a metric
+        # weight off by 10 % for l >= 1 must show in their residual
+        f = random_bump_field(2, 2, SplitMix64(65 + k), power=6, degree=2)
+        x = [[0.3, -0.2]]
+        weight = sq.metric_power_weight
+        monkeypatch.setattr(sq, "metric_power_weight", lambda n, idx, l:
+                            weight(n, idx, l) * Fraction(11, 10) if l else weight(n, idx, l))
+        sq._ibp_weights.cache_clear()
+        try:
+            res = verify_momentum_key_identity(f, x, k, [rule40])
+        finally:
+            sq._ibp_weights.cache_clear()
+        assert np.max(np.abs(list(res.values()))) > 1e-3
+
     @pytest.mark.parametrize("n", [2, 3])
-    def test_iljl_matrix_is_the_metric_operator_route(self, n):
-        # oracle: i^l j^l by the dict operators on each basis tensor, exact,
-        # then float; the table products must give the same doubles
-        from fractions import Fraction
-        from tentomo.symtensor import SymTensor, i_metric, j_metric
-        for m in range(6):
-            idx_list = list(canonical_indices(n, m))
-            for l in range(m // 2 + 1):
-                want = np.zeros((len(idx_list), len(idx_list)))
-                for col, jdx in enumerate(idx_list):
-                    t = i_metric(j_metric(SymTensor(n, m, {jdx: Fraction(1)}), l), l)
-                    want[:, col] = [float(t.get(idx)) for idx in idx_list]
-                got = no._iljl_matrix(n, m, l)
-                assert got.dtype == float and np.array_equal(got, want)
+    def test_delta_np_combination_collapses_to_the_moment_integrand(self, n):
+        # sum_p (-1)^(r-p) C(r,p)/p! j_x^(r-p) delta^p N^p f before sphere
+        # integration, delta^p N^p f written at the base point as
+        # p! sum_l C(p,l) <x,xi>^(p-l) xi^(.(m-p)) J^l f, is xi^I J^r f term
+        # for term: every coefficient is an integer, so the float sums are exact
+        zero = (0,) * n
+        for m in range(4):
+            f = random_bump_field(n, m, SplitMix64(90 + 4 * n + m), power=m + 1, degree=1)
+            for r in range(m + 1):
+                for idx in canonical_indices(n, m - r):
+                    combo = TransformExpr(n)
+                    for p in range(r + 1):
+                        for aidx in canonical_indices(n, r - p):
+                            xa = _exps(aidx, n)
+                            xi_i = _exps(tuple(sorted(idx + aidx)), n)
+                            for l in range(p + 1):
+                                coeff = (-1) ** (r - p) * math.comb(r, p) * math.comb(p, l) \
+                                    * multiplicity(aidx)
+                                dot = {}   # coeff <x,xi>^(p-l) x^a xi^(I+a)
+                                for c in canonical_indices(n, p - l):
+                                    e = _exps(c, n)
+                                    dot[_add_exps(e, xa), _add_exps(e, xi_i)] = \
+                                        coeff * multiplicity(c)
+                                combo = combo + TransformExpr.momentum(f, l).mul_prefactor(dot)
+                    want = TransformExpr.momentum(f, r).mul_prefactor({(zero, _exps(idx, n)): 1})
+                    assert want.terms and combo.terms == want.terms, (m, r, idx)
 
     def test_prop_mrt_exterior_converges(self):
         f = random_bump_field(2, 1, SplitMix64(64), power=4, degree=2)

@@ -253,6 +253,27 @@ class TestIBP:
                         w = metric_power_weight(n, idx, l)
                         assert w.eval(xi) == t.get(idx)
 
+    @pytest.mark.parametrize("xis", [
+        ([Fraction(3, 5), Fraction(4, 5)], [Fraction(-5, 13), Fraction(12, 13)]),
+        ([Fraction(2, 7), Fraction(3, 7), Fraction(6, 7)],
+         [Fraction(2, 3), Fraction(-1, 3), Fraction(2, 3)])])
+    def test_ibp_weight_rows_are_the_metric_operator_route(self, xis):
+        # the one table of sum_l c_{l,s} i^l j^l xi^(.s) that verify_ibp and
+        # the key identities read: row I at a rational unit xi equals the
+        # dict operators' component I exactly
+        from tentomo.symtensor import i_metric, j_metric, sym_power
+        for xi in xis:
+            n = len(xi)
+            for s in range(6):
+                multisets, exps, matrix, den, _ = sq._ibp_weights(n, s)
+                assert multisets == tuple(itertools.combinations_with_replacement(range(n), s))
+                want = [sum((c_constant(l, s, n) * i_metric(j_metric(sym_power(xi, s, n), l), l)
+                             .get(idx) for l in range(s // 2 + 1)), Fraction(0))
+                        for idx in multisets]
+                got = [sum(Fraction(w, den) * Polynomial.monomial(n, e).eval(xi)
+                           for e, w in zip(exps, row)) for row in matrix.tolist()]
+                assert got == want
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_derivative_order_does_not_matter(self, n):
         # the premise of the derivative tree, one row per sorted multiset:
