@@ -31,9 +31,14 @@ spectrum of a real field: ``rfftn`` keeps the last axis's bins 0 .. N//2, the
 rest being their conjugates, and ``irfftn`` gives, up to roundoff, the
 ``.real`` of a complex ``ifftn`` of the full spectrum.  Complex ``fftn`` is
 kept only in ``helmholtz_decompose_oracle``, an independent route.  The
-multipliers of d and delta and the Gram systems of the split are i_w and j_w
-built from the per-axis tables of ``symtensor.sym_maps``, as are the j_x
-contractions of the moment identity.  The key identities weight J^r f by the
+multipliers of d and delta are i_w and j_w, applied by ``_apply_sym`` with
+one multiply-add of a spectrum per nonzero (axis, row, column) entry of the
+exact per-axis tables of ``symtensor.sym_maps``, never as dense
+per-frequency matrices; the split applies j_w to f and i_w to its solution
+the same way, and assembles its Gram j_w i_w entry by entry from the exact
+products j_{e_a} i_{e_b} times w_a w_b.  All of them read one cached,
+read-only frequency mesh per (N, L, n).  The j_x contractions of the moment
+identity read the same tables.  The key identities weight J^r f by the
 rows of the sphere IBP weight sum_l c_{l,s} i^l j^l xi^(.s), read from
 ``spherequad._ibp_weights``, the table that ``verify_ibp`` reads.
 
@@ -146,13 +151,18 @@ class GridTensorField:
             total += multiplicity(idx) * float((self.comps[pos] ** 2).sum())
         return math.sqrt(total) * self.h ** (self.n / 2)
 
+    def _combine(self, other, op):
+        """``op`` of the component arrays of two fields that share n, m, N
+        and L."""
+        if (self.n, self.m, self.N, self.L) != (other.n, other.m, other.N, other.L):
+            raise ValueError("fields differ in dimension, rank, grid size or box")
+        return GridTensorField(self.n, self.m, self.N, self.L, op(self.comps, other.comps))
+
     def __sub__(self, other):
-        return GridTensorField(self.n, self.m, self.N, self.L,
-                               self.comps - other.comps)
+        return self._combine(other, np.subtract)
 
     def __add__(self, other):
-        return GridTensorField(self.n, self.m, self.N, self.L,
-                               self.comps + other.comps)
+        return self._combine(other, np.add)
 
     def rfft(self):
         """Half spectra of the components: ``rfftn`` over the grid axes, the
@@ -166,19 +176,34 @@ def _irfft(spec, N, n):
     return np.fft.irfftn(spec, s=(N,) * n, axes=tuple(range(spec.ndim - n, spec.ndim)))
 
 
+@lru_cache(maxsize=None)
 def _omega_mesh(N, L, n):
     """Half-spectrum frequencies, shape (N, ..., N, N//2 + 1, n): the last
-    axis holds the ``rfftn`` bins 0 .. N//2, Nyquist zeroed as in ``_omega``."""
+    axis holds the ``rfftn`` bins 0 .. N//2, Nyquist zeroed as in ``_omega``.
+    Cached and read-only: every spectral operator shares one mesh per grid."""
     om = _omega(N, L)
     oms = [om] * (n - 1) + [om[:N // 2 + 1]]
-    return np.stack(np.meshgrid(*oms, indexing="ij"), axis=-1)
+    mesh = np.stack(np.meshgrid(*oms, indexing="ij"), axis=-1)
+    mesh.flags.writeable = False
+    return mesh
+
+
+def _apply_sym(table, w, spec):
+    """sum_a w_a T_a applied to a stack of spectra ``spec`` (components
+    first), T_a the exact per-axis ``sym_maps`` table ``table[a]``: one
+    multiply-add per nonzero (a, r, c) entry, taken row by row in column
+    order.  Each (r, c) is nonzero for one axis at most, so the entry
+    T_a[r, c] w_a of i_w or j_w is rounded once, as in the dense matrix."""
+    out = np.zeros((table.shape[1],) + spec.shape[1:], dtype=spec.dtype)
+    for r, c, a in zip(*np.nonzero(table.transpose(1, 2, 0))):
+        out[r] += float(table[a, r, c]) * w[..., a] * spec[c]
+    return out
 
 
 def d_field(v: GridTensorField) -> GridTensorField:
     """Spectral symmetrized derivative, rank m -> m+1: the multiplier 1j i_w."""
     w = _omega_mesh(v.N, v.L, v.n)
-    a = np.einsum("arc,...a->...rc", sym_maps(v.n, v.m + 1)[0].astype(float), w)
-    dv = 1j * np.einsum("...rc,c...->r...", a, v.rfft())
+    dv = 1j * _apply_sym(sym_maps(v.n, v.m + 1)[0], w, v.rfft())
     return GridTensorField(v.n, v.m + 1, v.N, v.L, _irfft(dv, v.N, v.n))
 
 
@@ -187,9 +212,47 @@ def delta_field(f: GridTensorField) -> GridTensorField:
     if f.m < 1:
         raise ValueError("divergence needs rank >= 1")
     w = _omega_mesh(f.N, f.L, f.n)
-    a = np.einsum("arc,...a->...rc", sym_maps(f.n, f.m)[1].astype(float), w)
-    df = 1j * np.einsum("...rc,c...->r...", a, f.rfft())
+    df = 1j * _apply_sym(sym_maps(f.n, f.m)[1], w, f.rfft())
     return GridTensorField(f.n, f.m - 1, f.N, f.L, _irfft(df, f.N, f.n))
+
+
+@lru_cache(maxsize=None)
+def _gram_terms(n, m):
+    """The Gram j_w i_w on S^(m-1) as a quadratic form in w: entries
+    (r, c, a, b, coefficient) with a <= b, the coefficient the exact sum of
+    (j_{e_a} i_{e_b})[r, c] over both orders of the pair (a, b)."""
+    imul, jcon = sym_maps(n, m)
+    terms = []
+    for a in range(n):
+        for b in range(a, n):
+            prod = jcon[a].dot(imul[b])
+            if b > a:
+                prod = prod + jcon[b].dot(imul[a])
+            terms += [(r, c, a, b, float(prod[r, c])) for r, c in zip(*np.nonzero(prod))]
+    return tuple(sorted(terms))
+
+
+def _split_system(f: GridTensorField, w, spec):
+    """The per-bin normal equations of the split, components first: the
+    Gram matrices j_w i_w, shape (d, d, *bins), and the right-hand sides
+    j_w fhat, shape (d, *bins), d = dim S^(m-1).  Bins with w = 0 (the zero
+    frequency and the zeroed Nyquist bins) get the identity and zero."""
+    d = sym_dim(f.n, f.m - 1)
+    rhs = _apply_sym(sym_maps(f.n, f.m)[1], w, spec)
+    gram = np.zeros((d, d) + w.shape[:-1])
+    for r, c, a, b, coef in _gram_terms(f.n, f.m):
+        gram[r, c] += coef * (w[..., a] * w[..., b])
+    dead = np.logical_and.reduce([w[..., a] == 0 for a in range(f.n)])
+    gram[:, :, dead] = np.eye(d)[:, :, None]
+    rhs[:, dead] = 0.0
+    return gram, rhs
+
+
+def _bins_first(a, k):
+    """View of a components-first array with k leading component axes as
+    (P, components), P the number of bins."""
+    flat = a.reshape(a.shape[:k] + (-1,))
+    return flat.transpose((k,) + tuple(range(k)))
 
 
 def solenoidal_decompose(f: GridTensorField):
@@ -200,26 +263,13 @@ def solenoidal_decompose(f: GridTensorField):
     """
     if f.m < 1:
         raise ValueError("decomposition needs rank >= 1")
-    imul, jcon = (t.astype(float) for t in sym_maps(f.n, f.m))
-    w = _omega_mesh(f.N, f.L, f.n).reshape(-1, f.n)
+    w = _omega_mesh(f.N, f.L, f.n)
     spec = f.rfft()
-    fhat = spec.reshape(len(spec), -1).T  # (P, dim_m)
-    a = np.einsum("arc,pa->prc", imul, w)
-    jm = np.einsum("arc,pa->prc", jcon, w)
-    gram = jm @ a
-    rhs = np.einsum("prc,pc->pr", jm, fhat)
-    dead = (w == 0).all(axis=1)
-    eye = np.eye(gram.shape[1])
-    gram[dead] = eye
-    rhs[dead] = 0.0
-    wvec = _solve_spd(gram, rhs)   # what = i * vhat
-    vhat = -1j * wvec
-    dvhat = np.einsum("prc,pc->pr", a, wvec)
-    shat = fhat - dvhat
-    sf = _irfft(shat.T.reshape(spec.shape), f.N, f.n)
-    vv = _irfft(vhat.T.reshape((-1,) + spec.shape[1:]), f.N, f.n)
-    return (GridTensorField(f.n, f.m, f.N, f.L, sf),
-            GridTensorField(f.n, f.m - 1, f.N, f.L, vv))
+    gram, rhs = _split_system(f, w, spec)
+    _solve_spd(_bins_first(gram, 2), _bins_first(rhs, 1))  # rhs := i * vhat
+    shat = spec - _apply_sym(sym_maps(f.n, f.m)[0], w, rhs)
+    return (GridTensorField(f.n, f.m, f.N, f.L, _irfft(shat, f.N, f.n)),
+            GridTensorField(f.n, f.m - 1, f.N, f.L, _irfft(-1j * rhs, f.N, f.n)))
 
 
 def _solve_spd(a, b):

@@ -80,6 +80,16 @@ class TestGrid:
         rel = (spectral - exact).norm_l2() / exact.norm_l2()
         assert rel < 1e-8
 
+    @pytest.mark.parametrize("other", [zero_grid(2, 0, 16, 4.0), zero_grid(2, 1, 16, 5.0),
+                                       zero_grid(2, 1, 18, 4.0), zero_grid(3, 1, 16, 4.0)])
+    def test_mismatched_fields_do_not_combine(self, other):
+        g = GridTensorField(2, 1, 16, 4.0, np.ones((2, 16, 16)))
+        with pytest.raises(ValueError):
+            g - other
+        with pytest.raises(ValueError):
+            g + other
+        assert np.array_equal((g + g - g).comps, g.comps)
+
     def test_delta_of_d_is_laplacian(self):
         v = random_bump_field(2, 0, SplitMix64(4), power=5, degree=2)
         gv = GridTensorField.sample(v, 64, 4.0)
@@ -189,17 +199,23 @@ class TestHalfSpectrum:
     def _rel(got, want):
         return np.linalg.norm(got - want) / np.linalg.norm(want)
 
-    @pytest.mark.parametrize("N", [32, 33])
-    @pytest.mark.parametrize("m", [1, 2])
-    def test_matches_full_spectrum_oracle(self, m, N):
+    # every (n, m) of i_w, j_w and j_w i_w that the operators read; n = 3 on
+    # smaller grids, and the symbol (n = 2 only) at n = 2
+    CASES = ([(2, m, N) for m in (1, 2, 3) for N in (32, 33)]
+             + [(3, m, N) for m in (1, 2) for N in (16, 17)])
+
+    @pytest.mark.parametrize("n,m,N", CASES, ids=[f"{m}-{N}" if n == 2 else f"n{n}-{m}-{N}"
+                                                  for n, m, N in CASES])
+    def test_matches_full_spectrum_oracle(self, n, m, N):
         # a coarse grid, so the fields carry content up to the Nyquist bins
-        f = random_bump_field(2, m, SplitMix64(40 + m), power=3, degree=2)
+        f = random_bump_field(n, m, SplitMix64(40 + 10 * (n - 2) + m), power=3, degree=2)
         g = GridTensorField.sample(f, N, 4.0)
         sf, v = solenoidal_decompose(g)
         sf_full, v_full = _full_decompose(g)
         pairs = [(d_field(g).comps, _full_d(g)), (delta_field(g).comps, _full_delta(g)),
-                 (sf.comps, sf_full), (v.comps, v_full),
-                 (normal_symbol(g).comps, _full_symbol(g))]
+                 (sf.comps, sf_full), (v.comps, v_full)]
+        if n == 2:
+            pairs.append((normal_symbol(g).comps, _full_symbol(g)))
         for got, want in pairs:
             assert got.shape == want.shape
             assert self._rel(got, want) <= 1e-13
@@ -243,10 +259,29 @@ class TestDecomposition:
         g = GridTensorField.sample(f, 16, 4.0)
         sf, v = solenoidal_decompose(g)
         sf_want, v_want = _lapack_decompose(g)
-        if (n, m) == (2, 1):
-            assert np.array_equal(sf.comps, sf_want) and np.array_equal(v.comps, v_want)
         for got, want in ((sf.comps, sf_want), (v.comps, v_want)):
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("N", [16, 17])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_unknown_solve_is_bitwise_lapack(self, n, N):
+        # m = 1: every Gram system is 1 x 1, and _solve_spd is the division,
+        # bitwise what np.linalg.solve returns on the system the split builds
+        f = random_bump_field(n, 1, SplitMix64(150 + 10 * n + N), power=5, degree=2)
+        g = GridTensorField.sample(f, N, 4.0)
+        gram, rhs = no._split_system(g, no._omega_mesh(N, g.L, n), g.rfft())
+        a, b = no._bins_first(gram, 2), no._bins_first(rhs, 1)
+        assert a.shape[1:] == (1, 1) and a[0, 0, 0] == 1.0   # the zero bin is dead
+        want = np.linalg.solve(a, b[..., None])[..., 0]
+        assert np.array_equal(no._solve_spd(a.copy(), b.copy()), want)
+
+    def test_omega_mesh_is_cached_and_read_only(self):
+        w = no._omega_mesh(16, 4.0, 2)
+        assert no._omega_mesh(16, 4.0, 2) is w
+        with pytest.raises(ValueError):
+            w[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            w += 1.0
 
     def test_rank_zero_rejected(self):
         g = zero_grid(2, 0, 16, 4.0)
