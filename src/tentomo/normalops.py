@@ -396,8 +396,9 @@ def _foot_sinogram(f: PolyBumpField, k, nodes):
     coeffs = {}
     for idx, core in f.cores.items():
         pairing = multiplicity(idx) * _monomials(nodes, _xi_monomial_exps(idx, n))
-        for exps, c in core.terms.items():
-            coeffs[exps] = coeffs.get(exps, 0.0) + float(c) * pairing
+        exps, cs = core.compiled()
+        for ex, c in zip(map(tuple, exps.tolist()), cs.tolist()):
+            coeffs[ex] = coeffs.get(ex, 0.0) + c * pairing
     for exps in sorted(coeffs):
         q += coeffs[exps].reshape(col) * _monomial_table(monos, exps, forms)
     r = np.zeros(q.shape[:-1])
@@ -701,8 +702,7 @@ def _g_tensor_exprs(f, r):
     """
     multisets, exps, matrix, den, _ = _ibp_weights(f.n, f.m - r)
     jr = TransformExpr.momentum(f, r)
-    zero = (0,) * f.n
-    return {idx: jr.mul_prefactor({(zero, e): Fraction(w, den) for e, w in zip(exps, row) if w})
+    return {idx: jr.mul_prefactor({e: Fraction(w, den) for e, w in zip(exps, row) if w})
             for idx, row in zip(multisets, matrix.tolist())}
 
 
@@ -720,10 +720,10 @@ def momentum_key_rhs_exprs(f: PolyBumpField, k):
                 acc = None
                 for comp_ax, der_ax, sign in pair_alternations(pairs):
                     gkey = tuple(sorted(comp_ax + tuple(rest_i)))
-                    term = gexprs[r][gkey].dx_multi(tuple(sorted(der_ax)))
+                    term = gexprs[r][gkey].dx_multi(der_ax)
                     term = term.scale(sign / 2.0 ** (m - k))
                     acc = term if acc is None else acc + term
-                term = acc.dx_multi(tuple(sorted(der_i))).scale(coeff * float(wgt))
+                term = acc.dx_multi(der_i).scale(coeff * float(wgt))
                 total = term if total is None else total + term
         out[key] = total
     return out

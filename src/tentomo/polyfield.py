@@ -54,9 +54,12 @@ class _StackedField:
     """Rows of exact cores at one bump power, stored once as the
     ``CoreStack`` ``stack`` whose row r is the component ``rows()[r]``.
     A dict of ``int`` or ``Fraction`` cores (absent keys are zero) is
-    stacked at construction; float coefficients raise ``TypeError``."""
+    stacked at construction; float coefficients, or a support radius that
+    is not an ``int`` or ``Fraction``, raise ``TypeError``."""
 
     def __init__(self, n, rho, power, cores, stack):
+        if not isinstance(rho, (int, Fraction)):
+            raise TypeError("the support radius must be an int or a Fraction")
         self.n = n
         self.rho = rho
         self.power = power

@@ -1,12 +1,14 @@
 """Exact multivariate polynomial arithmetic.
 
 Polynomials are stored as ``{exponent tuple: coefficient}`` with zero
-coefficients dropped.  Coefficients are whatever scalar type the caller puts
-in (``int`` or ``fractions.Fraction`` for exact identity checks, ``float``
-for quadrature paths); all operations are coefficient-type agnostic.  Exact
-products and linear combinations run on ``int`` numerators over one common
-denominator and reduce each result coefficient once, instead of paying the
-gcd normalization of every ``Fraction`` operation.
+coefficients dropped.  Arithmetic is exact: products, linear combinations
+and quadric derivatives run on the ``int`` numerators of ``int`` or
+``fractions.Fraction`` coefficients over one common denominator and reduce
+each result coefficient once, instead of paying the gcd normalization of
+every ``Fraction`` operation, and raise ``TypeError`` on any other
+coefficient.  Only sums, negation and scaling by a constant keep whatever
+coefficient type they get; the quadrature paths read float coefficients from
+``Polynomial.compiled``.
 
 ``CoreStack`` is the exact engine of the operator paths: many cores stacked
 as rows of one dense integer array over one common ``int`` denominator.  Its
@@ -15,7 +17,7 @@ a compiled stencil as one integer matrix product, the exact-zero test) run
 in int64 while a proven bound on every entry and partial sum stays below
 ``INT64_LIMIT`` = 2^62, and on ``object`` arrays of Python ints above it, so
 no kernel can overflow.
-The dict ``Polynomial`` stays the general type (float cores, the transforms'
+The dict ``Polynomial`` stays the type of single cores (the transforms'
 cores, sphere integrals), and ``quadric_derivative`` and
 ``linear_combination`` stay as the independent oracles of those kernels.
 """
@@ -135,11 +137,7 @@ class Polynomial:
             return Polynomial(self.n, {e: c * other for e, c in self.terms.items()})
         if other.n != self.n:
             raise ValueError("variable-count mismatch")
-        t1, t2, den = self.terms, other.terms, 1
-        forms = self._integer_form(), other._integer_form()
-        if None not in forms:
-            (t1, d1), (t2, d2) = forms
-            den = d1 * d2
+        (t1, d1), (t2, d2) = self._integer_form(), other._integer_form()
         terms = {}
         for e1, c1 in t1.items():
             for e2, c2 in t2.items():
@@ -151,7 +149,7 @@ class Polynomial:
                     terms[e] = s
             if len(terms) > TERM_LIMIT:
                 raise PolynomialSizeError(f"{len(terms)} terms exceeds limit")
-        return Polynomial(self.n, _over(terms, 1, den))
+        return Polynomial(self.n, _over(terms, 1, d1 * d2))
 
     __rmul__ = __mul__
 
@@ -200,8 +198,8 @@ class Polynomial:
     # -- conversions --------------------------------------------------
 
     def _integer_form(self):
-        """``(int terms, d)`` with ``self == terms / d``, or None when a
-        coefficient is neither ``int`` nor ``Fraction``; computed once."""
+        """``(int terms, d)`` with ``self == terms / d``, computed once;
+        ``TypeError`` when a coefficient is neither ``int`` nor ``Fraction``."""
         if self._integer is None:
             types = {type(c) for c in self.terms.values()}
             if types <= {int}:
@@ -211,8 +209,8 @@ class Polynomial:
                 self._integer = ({e: c.numerator * (d // c.denominator)
                                   for e, c in self.terms.items()}, d)
             else:
-                self._integer = False
-        return self._integer or None
+                raise TypeError("exact arithmetic needs int or Fraction coefficients")
+        return self._integer
 
     def compiled(self):
         """(exponents, coefficients) arrays for vectorized evaluation."""
@@ -268,25 +266,19 @@ def _over(terms, num, den):
 
 
 def linear_combination(n, pairs, scale=1) -> Polynomial:
-    """scale * sum(c * p) over ``(p, c)`` pairs with ``int`` weights c.
-
-    With exact coefficients throughout, the sum runs on the ``int``
-    numerators of each p over one common denominator, and each result
-    coefficient is reduced once; otherwise it is summed as it is.
+    """scale * sum(c * p) over ``(p, c)`` pairs with ``int`` weights c and
+    an ``int`` or ``Fraction`` scale.  The sum runs on the ``int`` numerators
+    of each p over one common denominator, and each result coefficient is
+    reduced once.
     """
     pairs = [(p, c) for p, c in pairs if p.terms]
     forms = [p._integer_form() for p, _ in pairs]
-    exact = None not in forms and type(scale) in (int, Fraction)
-    if not exact:
-        forms = [(p.terms, 1) for p, _ in pairs]
     den = math.lcm(*(d for _, d in forms))
     terms = {}
     for (t, d), (_, c) in zip(forms, pairs):
         c *= den // d
         for e, v in t.items():
             terms[e] = terms.get(e, 0) + v * c
-    if not exact:
-        return Polynomial(n, terms) * scale
     scale = Fraction(scale, den)
     return Polynomial(n, _over(terms, scale.numerator, scale.denominator))
 
@@ -296,12 +288,9 @@ def quadric_derivative(p, axis, c0, sigma, e) -> Polynomial:
     Q^{e-1} for the quadric Q = c0 + sigma |x|^2, in one pass over p's terms:
     a term c x^a, k = a_axis, adds 2 sigma e c at a + 1_axis, and c0 k c at
     a - 1_axis and sigma k c at each a - 1_axis + 2_i.  The sums run on
-    ``int`` numerators over one denominator when p and c0 are exact.
+    ``int`` numerators over one denominator, for an ``int`` or ``Fraction`` c0.
     """
-    form = p._integer_form()
-    exact = form is not None and type(c0) in (int, Fraction)
-    (t, d), num, den = (form, c0.numerator, c0.denominator) if exact else \
-        ((p.terms, 1), c0, 1)
+    (t, d), num, den = p._integer_form(), c0.numerator, c0.denominator
     scale = sigma * den
     terms = {}
     get = terms.get
@@ -316,7 +305,7 @@ def quadric_derivative(p, axis, c0, sigma, e) -> Polynomial:
             for i in range(p.n):
                 side = down[:i] + (down[i] + 2,) + down[i + 1:]
                 terms[side] = get(side, 0) + scale * k * c
-    return Polynomial(p.n, _over(terms, 1, d * den) if exact else terms)
+    return Polynomial(p.n, _over(terms, 1, d * den))
 
 
 def _dtype(bound, *arrays):
@@ -385,8 +374,6 @@ class CoreStack:
     def from_polys(cls, n, polys):
         """Rows of exact (``int`` or ``Fraction``) polynomials."""
         forms = [p._integer_form() for p in polys]
-        if None in forms:
-            raise TypeError("stacked cores need int or Fraction coefficients")
         den = math.lcm(*(d for _, d in forms))
         side = max([0] + [p.degree() for p in polys]) + 1
         rows = [r for r, (terms, _) in enumerate(forms) for _ in terms]

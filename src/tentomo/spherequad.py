@@ -108,13 +108,12 @@ def _monomial_sphere_exact(n, exps):
     return PiRational(num, sqrt_pis // 2)
 
 
-def monomial_sphere_integral(n, exponents, exact=True):
-    """int_{S^{n-1}} xi^alpha dS, exact (PiRational) or float."""
+def monomial_sphere_integral(n, exponents):
+    """int_{S^{n-1}} xi^alpha dS as an exact ``PiRational``."""
     exps = tuple(int(e) for e in exponents)
     if len(exps) != n or any(e < 0 for e in exps):
         raise ValueError("need n nonnegative exponents")
-    val = _monomial_sphere_exact(n, tuple(sorted(exps)))
-    return val if exact else float(val)
+    return _monomial_sphere_exact(n, tuple(sorted(exps)))
 
 
 def polynomial_sphere_integral(poly: Polynomial, exact=True):

@@ -19,14 +19,15 @@ differentiating under the integral sign, never by nested numerical
 differentiation.  ``TransformExpr`` implements that calculus: a transform is
 a linear combination of atoms
 
-    x^alpha xi^beta * int t^p h(x + t xi) dt,
+    xi^beta * int t^p h(x + t xi) dt,
 
 where h is a mixed partial of a field component; d/dx_i maps an atom to one
-with h differentiated, d/dxi_i additionally raises the t power, and monomial
-prefactors follow the product rule.  An atom names (field, component row,
-sorted axis multiset, t power), and ``eval_exprs`` reads its core from the
-field's exact derivative level of that many axes, the level the W/R
-stencils read.
+with h differentiated, d/dxi_i additionally raises the t power, and the
+xi-monomial prefactor follows the product rule.  No prefactor depends on x:
+the identities checked here never need one, so d/dx_i only relabels atoms.
+An atom names (field, component row, sorted axis multiset, t power), and
+``eval_exprs`` reads its core from the field's exact derivative level of
+that many axes, the level the W/R stencils read.
 """
 
 from __future__ import annotations
@@ -263,12 +264,12 @@ def trt_pointwise_recover(eta_rows, samples, n, m):
 # ---------------------------------------------------------------------------
 
 class TransformExpr:
-    """Linear combination of x^a xi^b * (momentum transform atoms).
+    """Linear combination of xi^b * (momentum transform atoms).
 
-    ``terms`` maps (x exponents, xi exponents, base, axes, t power) to a
-    coefficient.  The base (field, component row) and the sorted axis
-    multiset name the atom's core: row ``row`` of the field's derivative
-    level |axes|, in the block of ``axes``.  Fields hash by identity.
+    ``terms`` maps (xi exponents, base, axes, t power) to a coefficient.
+    The base (field, component row) and the sorted axis multiset name the
+    atom's core: row ``row`` of the field's derivative level |axes|, in the
+    block of ``axes``.  Fields hash by identity.
     """
 
     __slots__ = ("n", "terms")
@@ -281,16 +282,14 @@ class TransformExpr:
     def momentum(cls, f: PolyBumpField, k: int = 0) -> "TransformExpr":
         """The atom expansion of J_m^k f."""
         expr = cls(f.n)
-        zero = (0,) * f.n
         cores = f.level_cores(0)
         for row, idx in enumerate(f.rows()):
             if cores[row]:
-                expr._add(float(multiplicity(idx)), zero,
-                          _xi_monomial_exps(idx, f.n), (f, row), (), k)
+                expr._add(float(multiplicity(idx)), _xi_monomial_exps(idx, f.n), (f, row), (), k)
         return expr
 
-    def _add(self, coeff, xexp, xiexp, base, dmulti, tpow):
-        key = (xexp, xiexp, base, dmulti, tpow)
+    def _add(self, coeff, xiexp, base, dmulti, tpow):
+        key = (xiexp, base, dmulti, tpow)
         c = self.terms.get(key, 0.0) + coeff
         if c == 0.0:
             self.terms.pop(key, None)
@@ -316,39 +315,31 @@ class TransformExpr:
         return TransformExpr(self.n, {k: v * c for k, v in self.terms.items()})
 
     def dx(self, i) -> "TransformExpr":
-        out = self._blank()
-        for (xe, xie, base, dm, tp), c in self.terms.items():
-            if xe[i]:
-                lowered = list(xe)
-                lowered[i] -= 1
-                out._add(c * xe[i], tuple(lowered), xie, base, dm, tp)
-            out._add(c, xe, xie, base, tuple(sorted(dm + (i,))), tp)
-        return out
+        return self.dx_multi((i,))
+
+    def dx_multi(self, axes) -> "TransformExpr":
+        """d/dx along each axis of the tuple ``axes``: every atom's axis
+        multiset gains ``axes`` and keeps its coefficient; distinct atoms
+        stay distinct."""
+        return TransformExpr(self.n, {(xie, base, tuple(sorted(dm + axes)), tp): c
+                                      for (xie, base, dm, tp), c in self.terms.items()})
 
     def dxi(self, i) -> "TransformExpr":
         out = self._blank()
-        for (xe, xie, base, dm, tp), c in self.terms.items():
+        for (xie, base, dm, tp), c in self.terms.items():
             if xie[i]:
                 lowered = list(xie)
                 lowered[i] -= 1
-                out._add(c * xie[i], xe, tuple(lowered), base, dm, tp)
-            out._add(c, xe, xie, base, tuple(sorted(dm + (i,))), tp + 1)
-        return out
-
-    def dx_multi(self, axes):
-        out = self
-        for a in axes:
-            out = out.dx(a)
+                out._add(c * xie[i], tuple(lowered), base, dm, tp)
+            out._add(c, xie, base, tuple(sorted(dm + (i,))), tp + 1)
         return out
 
     def mul_prefactor(self, weight_terms) -> "TransformExpr":
-        """Multiply by a polynomial in (x, xi): {(xexp, xiexp): coeff}."""
+        """Multiply by a polynomial in xi: {xi exponents: coeff}."""
         out = self._blank()
-        for (xe, xie, base, dm, tp), c in self.terms.items():
-            for (wx, wxi), wc in weight_terms.items():
-                nxe = tuple(a + b for a, b in zip(xe, wx))
-                nxie = tuple(a + b for a, b in zip(xie, wxi))
-                out._add(c * float(wc), nxe, nxie, base, dm, tp)
+        for (xie, base, dm, tp), c in self.terms.items():
+            for wxi, wc in weight_terms.items():
+                out._add(c * float(wc), tuple(a + b for a, b in zip(xie, wxi)), base, dm, tp)
         return out
 
     def eval_lines(self, X, Xi, Y=None):
@@ -371,7 +362,7 @@ def eval_exprs(exprs, X, Xi, Y=None):
     out = np.zeros((len(X), len(exprs)))
     cols = {}
     for expr in exprs:
-        for (_xe, _xie, base, dm, tp) in expr.terms:
+        for (_xie, base, dm, tp) in expr.terms:
             cols.setdefault((base, dm, tp), len(cols))
     if not cols:
         return out
@@ -385,8 +376,8 @@ def eval_exprs(exprs, X, Xi, Y=None):
         raise ValueError("support mismatch")
     jv = chord_integrals(atoms, rhos.pop(), X, Xi)
     for i, expr in enumerate(exprs):
-        for (xe, xie, base, dm, tp), c in expr.terms.items():
-            out[:, i] += c * _monomials(X, xe) * _monomials(Y, xie) * jv[:, cols[base, dm, tp]]
+        for (xie, base, dm, tp), c in expr.terms.items():
+            out[:, i] += c * _monomials(Y, xie) * jv[:, cols[base, dm, tp]]
     return out
 
 

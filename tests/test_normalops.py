@@ -14,7 +14,6 @@ from tentomo.spherequad import build_rule
 from tentomo.symtensor import canonical_indices, multiplicity, sym_dim, sym_maps
 from tentomo import normalops as no
 from tentomo import spherequad as sq
-from tentomo.xray import TransformExpr
 from tentomo.normalops import (GridTensorField, d_field,
                                delta_field, helmholtz_decompose_oracle,
                                normal_convolution, normal_momentum_on_points,
@@ -746,13 +745,13 @@ class TestKeyIdentities:
         # sum_p (-1)^(r-p) C(r,p)/p! j_x^(r-p) delta^p N^p f before sphere
         # integration, delta^p N^p f written at the base point as
         # p! sum_l C(p,l) <x,xi>^(p-l) xi^(.(m-p)) J^l f, is xi^I J^r f term
-        # for term: every coefficient is an integer, so the float sums are exact
+        # for term: the combination as {(x exps, xi exps, l): coefficient}
+        # of its terms x^a xi^b J^l f, in exact integers
         zero = (0,) * n
         for m in range(4):
-            f = random_bump_field(n, m, SplitMix64(90 + 4 * n + m), power=m + 1, degree=1)
             for r in range(m + 1):
                 for idx in canonical_indices(n, m - r):
-                    combo = TransformExpr(n)
+                    combo = {}
                     for p in range(r + 1):
                         for aidx in canonical_indices(n, r - p):
                             xa = _exps(aidx, n)
@@ -760,14 +759,13 @@ class TestKeyIdentities:
                             for l in range(p + 1):
                                 coeff = (-1) ** (r - p) * math.comb(r, p) * math.comb(p, l) \
                                     * multiplicity(aidx)
-                                dot = {}   # coeff <x,xi>^(p-l) x^a xi^(I+a)
+                                # coeff <x,xi>^(p-l) x^a xi^(I+a) J^l f
                                 for c in canonical_indices(n, p - l):
                                     e = _exps(c, n)
-                                    dot[_add_exps(e, xa), _add_exps(e, xi_i)] = \
-                                        coeff * multiplicity(c)
-                                combo = combo + TransformExpr.momentum(f, l).mul_prefactor(dot)
-                    want = TransformExpr.momentum(f, r).mul_prefactor({(zero, _exps(idx, n)): 1})
-                    assert want.terms and combo.terms == want.terms, (m, r, idx)
+                                    key = _add_exps(e, xa), _add_exps(e, xi_i), l
+                                    combo[key] = combo.get(key, 0) + coeff * multiplicity(c)
+                    got = {key: c for key, c in combo.items() if c}
+                    assert got == {(zero, _exps(idx, n), r): 1}, (m, r, idx)
 
     def test_prop_mrt_exterior_converges(self):
         f = random_bump_field(2, 1, SplitMix64(64), power=4, degree=2)
@@ -842,6 +840,15 @@ class TestUCP:
         rep = run_suite({"suite": "ucp.trt", "n": 3, "m": 2, "num_lines": 8,
                          "num_points": 5}, SplitMix64(82), tmp_path)
         assert all(c["pass"] for c in rep["residuals"])
+
+    @pytest.mark.parametrize("config", [
+        {"suite": "ucp.ray", "n": 3, "m": 3, "num_lines": 10, "num_points": 4},
+        {"suite": "ucp.mrt", "n": 3, "m": 3, "k": 2, "num_lines": 10, "num_points": 4}],
+        ids=["ray", "mrt"])
+    def test_scenarios_in_three_dimensions(self, config, tmp_path):
+        # the S^2 rule, and foot-point sinograms with two s-axes
+        rep = run_suite(config, SplitMix64(84), tmp_path)
+        assert rep["residuals"] and all(c["pass"] for c in rep["residuals"])
 
     def test_negative_control_detects_nonpotential(self, tmp_path):
         rep = run_suite({"suite": "ucp.ray", "n": 2, "m": 1, "potential": False,

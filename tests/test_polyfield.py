@@ -86,6 +86,14 @@ class TestCoreStore:
         with pytest.raises(TypeError):
             PairSymTensorField(2, 1, (0,), ONE, 2, {(((0, 1),), ((),)): core})
 
+    def test_non_exact_support_radius_is_rejected(self):
+        # a float rho would only fail later, inside the exact derivative levels
+        core = Polynomial.constant(2, 1)
+        with pytest.raises(TypeError):
+            PolyBumpField(2, 1, 1.5, 4, {(0,): core})
+        with pytest.raises(TypeError):
+            PairSymTensorField(2, 1, (0,), 1.5, 2, {(((0, 1),), ((),)): core})
+
     def test_non_canonical_keys_are_rejected(self):
         with pytest.raises(ValueError):
             PolyBumpField(2, 1, ONE, 2, {(0, 1): Polynomial.constant(2, 1)})

@@ -271,6 +271,22 @@ class TestTransformDerivative:
                            {(): f.derivative_core((), (0,))})
         assert lhs == pytest.approx(ray_transform(df, line), abs=1e-13)
 
+    def test_dx_multi_is_the_chained_dx(self):
+        # after dxi and mul_prefactor: d/dx only adds its axes to each atom's
+        # multiset, key for key in order, and keeps every coefficient
+        f = random_bump_field(3, 2, SplitMix64(35), power=6, degree=2)
+        expr = TransformExpr.momentum(f, 1).dxi(2).mul_prefactor(
+            {(1, 0, 0): Fraction(3, 7), (0, 2, 1): -2}).dxi(0)
+        for axes in [(0,), (2, 0), (0, 2), (1, 1, 0)]:
+            chained = expr
+            for a in axes:
+                chained = chained.dx(a)
+            got = expr.dx_multi(axes)
+            assert list(got.terms.items()) == list(chained.terms.items())
+            assert list(got.terms.values()) == list(expr.terms.values())
+            assert list(got.terms) == [(xie, base, tuple(sorted(dm + axes)), tp)
+                                       for xie, base, dm, tp in expr.terms]
+
     def test_against_central_finite_differences(self):
         f = random_bump_field(2, 2, SplitMix64(25), power=6, degree=2)
         rng = SplitMix64(26)
