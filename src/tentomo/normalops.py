@@ -676,21 +676,19 @@ def verify_momentum_moment_identity(f: PolyBumpField, pts, k, rules):
     lhs = _angular_sum([TransformExpr.momentum(f, k)], pts, rank, rules)[0]
     rhs = np.zeros_like(lhs)
     for r in range(k + 1):
-        coeff = (-1.0) ** (k - r) * math.comb(k, r) / math.factorial(r)
-        div = _foot_point_sum(f, r, pts, 0, f.m - r, rules) * float(math.factorial(r))
+        div = _foot_point_sum(f, r, pts, 0, f.m - r, rules)
         for p in range(f.m - r, rank, -1):
             jcon = sym_maps(n, p)[1].astype(float)
             div = sum(pts[:, a, None] * (div @ jcon[a].T) for a in range(n))
-        rhs += div * coeff
+        rhs += div * ((-1) ** (k - r) * math.comb(k, r))
     return lhs - rhs
 
 
 def _g_tensor_exprs(f, r):
-    """Integrands of the components of the auxiliary tensor G_{m-r}: for each
-    canonical index I of S^(m-r), J^r f times the xi-polynomial in row I of
-    ``spherequad._ibp_weights(n, m - r)``, sum_l c_{l,m-r} (i^l j^l
-    xi^(.(m-r)))_I, whose exact ``Fraction`` coefficients ``mul_prefactor``
-    takes to float.
+    """Integrands of the components of the auxiliary tensor G_{m-r}, times
+    a denominator d: for each canonical index I of S^(m-r), J^r f times the
+    integer xi-polynomial in row I of ``spherequad._ibp_weights(n, m - r)``,
+    d sum_l c_{l,m-r} (i^l j^l xi^(.(m-r)))_I.  Returns ({I: expression}, d).
 
     The paper's sum_p (-1)^(r-p) C(r,p)/p! j_x^(r-p) delta^p N^p f integrates
     this: delta^p N^p f integrates p! sum_l C(p,l) <x,xi>^(p-l) xi^(.(m-p))
@@ -702,30 +700,31 @@ def _g_tensor_exprs(f, r):
     """
     multisets, exps, matrix, den, _ = _ibp_weights(f.n, f.m - r)
     jr = TransformExpr.momentum(f, r)
-    return {idx: jr.mul_prefactor({e: Fraction(w, den) for e, w in zip(exps, row) if w})
-            for idx, row in zip(multisets, matrix.tolist())}
+    return {idx: jr.mul_prefactor({e: w for e, w in zip(exps, row) if w})
+            for idx, row in zip(multisets, matrix.tolist())}, den
 
 
 def momentum_key_rhs_exprs(f: PolyBumpField, k):
-    """One TransformExpr per output component of the momentum key identity."""
+    """One TransformExpr per output component of the momentum key identity:
+    2^(k-m) sum_r (-1)^r C(k, r) times the average of the pair-alternated
+    x-derivatives of G_{m-r} over the C(k, r) splits of the fixed indices,
+    that is (-1)^r times their sum, summed in integers over one denominator."""
     n, m = f.n, f.m
-    gexprs = {r: _g_tensor_exprs(f, r) for r in range(k + 1)}
+    gexprs = [_g_tensor_exprs(f, r) for r in range(k + 1)]
+    den = math.lcm(*(d for _, d in gexprs))
     out = {}
     for key in _pair_rows(n, m - k, (k,)):
         pairs, (fixed,) = key
-        total = None
-        for r in range(k + 1):
-            coeff = (-1.0) ** r * math.comb(k, r)
-            for (der_i, rest_i), wgt in _position_splits(fixed, (r, k - r)):
-                acc = None
+        total = TransformExpr(n)
+        for r, (g, d) in enumerate(gexprs):
+            for (der_i, rest_i), _ in _position_splits(fixed, (r, k - r)):
                 for comp_ax, der_ax, sign in pair_alternations(pairs):
-                    gkey = tuple(sorted(comp_ax + tuple(rest_i)))
-                    term = gexprs[r][gkey].dx_multi(der_ax)
-                    term = term.scale(sign / 2.0 ** (m - k))
-                    acc = term if acc is None else acc + term
-                term = acc.dx_multi(der_i).scale(coeff * float(wgt))
-                total = term if total is None else total + term
-        out[key] = total
+                    mult = (-1) ** r * sign * (den // d)
+                    axes = der_ax + der_i
+                    for (xie, base, dm, tp), c in g[tuple(sorted(comp_ax + rest_i))].terms.items():
+                        total._add(mult * c, xie, base, tuple(sorted(dm + axes)), tp)
+        out[key] = TransformExpr(n, {t: Fraction(c, 2 ** (m - k) * den)
+                                     for t, c in total.terms.items()})
     return out
 
 

@@ -6,9 +6,9 @@ and quadric derivatives run on the ``int`` numerators of ``int`` or
 ``fractions.Fraction`` coefficients over one common denominator and reduce
 each result coefficient once, instead of paying the gcd normalization of
 every ``Fraction`` operation, and raise ``TypeError`` on any other
-coefficient.  Only sums, negation and scaling by a constant keep whatever
-coefficient type they get; the quadrature paths read float coefficients from
-``Polynomial.compiled``.
+coefficient.  A scalar operand of ``+``, ``-`` or ``*`` that is not an
+``int`` or ``Fraction`` raises ``TypeError`` at the call.  Floats come only
+out of ``Polynomial.compiled``, which the quadrature paths read.
 
 ``CoreStack`` is the exact engine of the operator paths: many cores stacked
 as rows of one dense integer array over one common ``int`` denominator.  Its
@@ -106,6 +106,8 @@ class Polynomial:
             if other.n != self.n:
                 raise ValueError("variable-count mismatch")
             return other
+        if not isinstance(other, (int, Fraction)):
+            raise TypeError("exact arithmetic needs int or Fraction scalars")
         return Polynomial.constant(self.n, other)
 
     def __add__(self, other):
@@ -131,12 +133,7 @@ class Polynomial:
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        if not isinstance(other, Polynomial):
-            if other == 0:
-                return Polynomial.zero(self.n)
-            return Polynomial(self.n, {e: c * other for e, c in self.terms.items()})
-        if other.n != self.n:
-            raise ValueError("variable-count mismatch")
+        other = self._coerce(other)
         (t1, d1), (t2, d2) = self._integer_form(), other._integer_form()
         terms = {}
         for e1, c1 in t1.items():

@@ -116,7 +116,7 @@ def monomial_sphere_integral(n, exponents):
     return _monomial_sphere_exact(n, tuple(sorted(exps)))
 
 
-def polynomial_sphere_integral(poly: Polynomial, exact=True):
+def polynomial_sphere_integral(poly: Polynomial):
     """Sphere integral of the restriction of a polynomial.
 
     Every nonzero monomial integral in dimension n carries the same power of
@@ -133,8 +133,7 @@ def polynomial_sphere_integral(poly: Polynomial, exact=True):
         elif val.pi_pow != pi_pow:
             raise ValueError("incompatible powers of pi")
         total += val.coef * Fraction(c)
-    total = PiRational(total, pi_pow or 0)
-    return total if exact else float(total)
+    return PiRational(total, pi_pow or 0)
 
 
 def bump_ball_monomial_integral(n, exponents, power, rho=Fraction(1)):

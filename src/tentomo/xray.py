@@ -27,13 +27,15 @@ xi-monomial prefactor follows the product rule.  No prefactor depends on x:
 the identities checked here never need one, so d/dx_i only relabels atoms.
 An atom names (field, component row, sorted axis multiset, t power), and
 ``eval_exprs`` reads its core from the field's exact derivative level of
-that many axes, the level the W/R stencils read.
+that many axes, the level the W/R stencils read.  Coefficients are exact
+(``int`` or ``Fraction``) until ``eval_exprs`` takes each one to float.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -266,7 +268,8 @@ def trt_pointwise_recover(eta_rows, samples, n, m):
 class TransformExpr:
     """Linear combination of xi^b * (momentum transform atoms).
 
-    ``terms`` maps (xi exponents, base, axes, t power) to a coefficient.
+    ``terms`` maps (xi exponents, base, axes, t power) to an ``int`` or
+    ``Fraction`` coefficient.
     The base (field, component row) and the sorted axis multiset name the
     atom's core: row ``row`` of the field's derivative level |axes|, in the
     block of ``axes``.  Fields hash by identity.
@@ -285,19 +288,16 @@ class TransformExpr:
         cores = f.level_cores(0)
         for row, idx in enumerate(f.rows()):
             if cores[row]:
-                expr._add(float(multiplicity(idx)), _xi_monomial_exps(idx, f.n), (f, row), (), k)
+                expr._add(multiplicity(idx), _xi_monomial_exps(idx, f.n), (f, row), (), k)
         return expr
 
     def _add(self, coeff, xiexp, base, dmulti, tpow):
         key = (xiexp, base, dmulti, tpow)
-        c = self.terms.get(key, 0.0) + coeff
-        if c == 0.0:
+        c = self.terms.get(key, 0) + coeff
+        if c == 0:
             self.terms.pop(key, None)
         else:
             self.terms[key] = c
-
-    def _blank(self):
-        return TransformExpr(self.n)
 
     def __add__(self, other):
         out = TransformExpr(self.n, dict(self.terms))
@@ -306,12 +306,14 @@ class TransformExpr:
         return out
 
     def __sub__(self, other):
-        return self + other.scale(-1.0)
+        return self + other.scale(-1)
 
     def scale(self, c):
-        c = float(c)
-        if c == 0.0:
-            return self._blank()
+        """c times the expression, for an ``int`` or ``Fraction`` c."""
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError("exact arithmetic needs an int or Fraction scale")
+        if c == 0:
+            return TransformExpr(self.n)
         return TransformExpr(self.n, {k: v * c for k, v in self.terms.items()})
 
     def dx(self, i) -> "TransformExpr":
@@ -325,7 +327,7 @@ class TransformExpr:
                                       for (xie, base, dm, tp), c in self.terms.items()})
 
     def dxi(self, i) -> "TransformExpr":
-        out = self._blank()
+        out = TransformExpr(self.n)
         for (xie, base, dm, tp), c in self.terms.items():
             if xie[i]:
                 lowered = list(xie)
@@ -335,11 +337,11 @@ class TransformExpr:
         return out
 
     def mul_prefactor(self, weight_terms) -> "TransformExpr":
-        """Multiply by a polynomial in xi: {xi exponents: coeff}."""
-        out = self._blank()
+        """Multiply by a polynomial in xi: {xi exponents: exact coeff}."""
+        out = TransformExpr(self.n)
         for (xie, base, dm, tp), c in self.terms.items():
             for wxi, wc in weight_terms.items():
-                out._add(c * float(wc), tuple(a + b for a, b in zip(xie, wxi)), base, dm, tp)
+                out._add(c * wc, tuple(a + b for a, b in zip(xie, wxi)), base, dm, tp)
         return out
 
     def eval_lines(self, X, Xi, Y=None):
@@ -353,7 +355,8 @@ class TransformExpr:
 def eval_exprs(exprs, X, Xi, Y=None):
     """Values of ``TransformExpr``s on the lines (X[l], Xi[l]), shape
     (L, len(exprs)), from one kernel call for the atoms of them all; column i
-    is bitwise ``exprs[i].eval_lines(X, Xi, Y)``.  The xi-monomial prefactors
+    is bitwise ``exprs[i].eval_lines(X, Xi, Y)``; coefficients become floats
+    here, once per term per call.  The xi-monomial prefactors
     are taken at Y[l] when Y is given: on the atom expansion of J_m this
     gives the transverse pairing with y."""
     X = np.asarray(X, dtype=float)
@@ -377,7 +380,7 @@ def eval_exprs(exprs, X, Xi, Y=None):
     jv = chord_integrals(atoms, rhos.pop(), X, Xi)
     for i, expr in enumerate(exprs):
         for (xie, base, dm, tp), c in expr.terms.items():
-            out[:, i] += c * _monomials(Y, xie) * jv[:, cols[base, dm, tp]]
+            out[:, i] += float(c) * _monomials(Y, xie) * jv[:, cols[base, dm, tp]]
     return out
 
 

@@ -20,8 +20,8 @@ def tilted_sphere(monkeypatch):
     monomial table ``_sphere_table``) are tilted alike.
     """
     sphere = sq.polynomial_sphere_integral
-    monkeypatch.setattr(sq, "polynomial_sphere_integral", lambda p, exact=True:
-                        sphere(Polynomial.variable(p.n, 0) * p, exact))
+    monkeypatch.setattr(sq, "polynomial_sphere_integral",
+                        lambda p: sphere(Polynomial.variable(p.n, 0) * p))
 
     def table(n, side):
         grid = [a for a in itertools.product(range(side), repeat=n)

@@ -767,6 +767,34 @@ class TestKeyIdentities:
                     got = {key: c for key, c in combo.items() if c}
                     assert got == {(zero, _exps(idx, n), r): 1}, (m, r, idx)
 
+    @pytest.mark.parametrize("n,m,k", [(2, 2, 1), (3, 3, 1)])
+    def test_rhs_coefficients_are_exact(self, n, m, k):
+        f = random_bump_field(n, m, SplitMix64(66), power=2 * m + 2, degree=2)
+        exprs = no.momentum_key_rhs_exprs(f, k)
+        types = {type(c) for expr in exprs.values() for c in expr.terms.values()}
+        assert exprs and types <= {int, Fraction}
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_g_tensor_coefficients_are_the_weight_sum(self, n):
+        # coefficient of xi^(I_row + e) J^r f_row in component I of
+        # G_{m-r}: multiplicity(row) times the xi^e coefficient of
+        # sum_l c_{l,s} (i^l j^l xi^(.s))_I, s = m - r
+        for m in range(1, 4):
+            f = random_bump_field(n, m, SplitMix64(67 + m), power=2 * m + 2, degree=2)
+            for r in range(m + 1):
+                s = m - r
+                exprs, den = no._g_tensor_exprs(f, r)
+                assert list(exprs) == list(canonical_indices(n, s))
+                for idx, expr in exprs.items():
+                    weight = {}
+                    for l in range(s // 2 + 1):
+                        for e, w in sq.metric_power_weight(n, idx, l).terms.items():
+                            weight[e] = weight.get(e, 0) + sq.c_constant(l, s, n) * w
+                    want = {(_add_exps(_exps(row, n), e), (f, i), (), r): multiplicity(row) * w
+                            for i, row in enumerate(f.rows()) if f.level_cores(0)[i]
+                            for e, w in weight.items() if w}
+                    assert {key: Fraction(c, den) for key, c in expr.terms.items()} == want
+
     def test_prop_mrt_exterior_converges(self):
         f = random_bump_field(2, 1, SplitMix64(64), power=4, degree=2)
         x = [[1.15, 0.55]]

@@ -25,6 +25,20 @@ def test_add_mul_exact():
     assert p == x * x - y * y
 
 
+def test_float_scalars_are_rejected_at_the_call():
+    # a float scalar used to build a float polynomial that failed only at
+    # the next product
+    core = Polynomial(2, {(1, 0): 2, (0, 1): Fraction(1, 3)})
+    for op in (lambda: core * 0.3, lambda: 0.3 * core, lambda: core + 0.5,
+               lambda: 0.5 + core, lambda: core - 0.5, lambda: 0.5 - core):
+        with pytest.raises(TypeError):
+            op()
+    assert core * 3 == Polynomial(2, {(1, 0): 6, (0, 1): 1})
+    assert Fraction(3, 2) * core == Polynomial(2, {(1, 0): 3, (0, 1): Fraction(1, 2)})
+    assert (core * 0).is_zero()
+    assert 1 - core == Polynomial(2, {(0, 0): 1, (1, 0): -2, (0, 1): Fraction(-1, 3)})
+
+
 def test_zero_terms_dropped():
     x = Polynomial.variable(2, 0)
     assert (x - x).is_zero()

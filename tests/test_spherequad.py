@@ -104,7 +104,7 @@ class TestHomogeneousRational:
         assert sq.polynomial_sphere_integral(g.numerator) == PiRational(0)
         x2 = Polynomial.monomial(2, (2, 0), Fraction(1))
         assert sq.polynomial_sphere_integral(HomogeneousRational(x2, 1).numerator) == pi_rat(1)
-        assert sq.polynomial_sphere_integral(g.numerator, exact=False) == 0.0
+        assert float(sq.polynomial_sphere_integral(g.numerator)) == 0.0
 
     def test_frozen_sphere_example(self):
         # n=2: the integral of xi_1^2 over S^1 is pi

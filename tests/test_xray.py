@@ -2,16 +2,19 @@
 laws, analytic derivatives against finite differences, and the iterated John
 relation."""
 
+import ast
 import csv
+import inspect
 import itertools
 import math
+import textwrap
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from tentomo import suites
+from tentomo import normalops, suites
 from tentomo.cli import run_suite
 from tentomo import symtensor as st
 from tentomo.polyfield import (PolyBumpField, inner_derivative,
@@ -21,7 +24,7 @@ from tentomo.rng import SplitMix64
 from tentomo.symtensor import canonical_indices, multiplicity
 from tentomo.xray import (Line, TransformExpr, TransverseRay, _chord_midpoints,
                           _iterated_john, chord_integrals, homogeneity_check,
-                          john_apply, momentum_scale_residual,
+                          john_apply, john_operator, momentum_scale_residual,
                           momentum_shift_residual, momentum_transform,
                           ray_transform, trt_pointwise_recover,
                           verify_john_relation, write_transform_csv)
@@ -317,11 +320,13 @@ class TestTransformDerivative:
             TransformExpr.momentum(f, 0).dx(0).dx(0).dxi(0).eval(line.x, line.xi)
 
     def test_float_contraction_oracle_matches_the_transverse_pairing(self):
-        # the ucp.trt oracle: f contracted against y^(.m) in float
-        # coefficients, integrated along each line by the chord kernel
+        # the ucp.trt oracle: f contracted against y^(.m) exactly, at the
+        # Fraction value of each float y_a, integrated along each line by the
+        # chord kernel
         f = random_bump_field(3, 2, SplitMix64(29), power=3, degree=2)
         y = np.array([0.3, -1.1, 0.7])
-        contracted = sum((f.core(idx) * (multiplicity(idx) * math.prod(y[list(idx)]))
+        contracted = sum((f.core(idx) * (multiplicity(idx)
+                                         * math.prod(Fraction(y[a]) for a in idx))
                           for idx in canonical_indices(3, 2)), Polynomial.zero(3))
         X, Xi = random_lines(SplitMix64(30), 8)
         X, Xi = np.c_[X, np.zeros(8)], np.c_[Xi, 0.5 * np.ones(8)]
@@ -337,18 +342,62 @@ class TestTransformDerivative:
             (TransformExpr.momentum(f) + TransformExpr.momentum(g)).eval([0.1, 0.2], [1.0, 0.0])
 
 
+def _float_sites(obj, skip=()):
+    """Source text of every ``float(`` call, float literal and true division
+    in the source of ``obj``, outside its methods named in ``skip``."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, ast.FunctionDef) and node.name in skip:
+            return
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float"
+                or isinstance(node, ast.Constant) and isinstance(node.value, float)
+                or isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)):
+            found.append(ast.unparse(node))
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(textwrap.dedent(inspect.getsource(obj))))
+    return found
+
+
+class TestExactCoefficients:
+    """Expression coefficients stay ``int`` or ``Fraction`` until
+    ``eval_exprs`` takes them to float."""
+
+    def test_no_float_where_coefficients_are_built(self):
+        # eval and eval_lines return floats; everything else stays exact
+        built = [(TransformExpr, ("eval", "eval_lines")),
+                 (normalops._g_tensor_exprs, ()), (normalops.momentum_key_rhs_exprs, ()),
+                 (Polynomial._coerce, ()), (Polynomial.__add__, ()), (Polynomial.__mul__, ())]
+        for obj, skip in built:
+            assert _float_sites(obj, skip) == [], obj.__qualname__
+
+    def test_float_scale_is_rejected(self):
+        expr = TransformExpr.momentum(random_bump_field(2, 1, SplitMix64(81), power=3))
+        with pytest.raises(TypeError):
+            expr.scale(0.5)
+        half = expr.scale(Fraction(1, 2))
+        assert half.terms == {key: Fraction(c, 2) for key, c in expr.terms.items()}
+
+    @pytest.mark.parametrize("n,m,k", [(2, 2, 1), (3, 2, 0), (3, 3, 2)])
+    def test_momentum_and_john_coefficients_are_exact(self, n, m, k):
+        f = random_bump_field(n, m, SplitMix64(82 + k), power=2 * m + 2)
+        expr = TransformExpr.momentum(f, k)
+        assert {type(c) for c in expr.terms.values()} == {int}
+        john = john_operator(expr, 0, n - 1)
+        assert john.terms and {type(c) for c in john.terms.values()} <= {int, Fraction}
+
+
 def per_ray_transverse_oracle(f, ray):
     """The ucp.trt scalar oracle one ray at a time: f contracted against
-    y^(.m) over every dense ordering, in float coefficients, then one
-    chord-kernel call for the contraction."""
+    y^(.m) over every dense ordering, exactly at the ``Fraction`` value of
+    each float y_a, then one chord-kernel call for the contraction."""
     contracted = Polynomial.zero(f.n)
     for dense in itertools.product(range(f.n), repeat=f.m):
         core = f.core(dense)
         if not core.is_zero():
-            wy = 1.0
-            for ax in dense:
-                wy *= ray.y[ax]
-            contracted = contracted + core * wy
+            contracted = contracted + core * math.prod(Fraction(ray.y[ax]) for ax in dense)
     return chord_integrals([(contracted, f.power, 0)], f.rho, [ray.x], [ray.omega])[0, 0]
 
 
