@@ -23,7 +23,7 @@ int64 under the stack's proven bound and in Python ints above it; cores
 given as a dict (``int`` or ``Fraction`` coefficients) are stacked at
 construction.  It keeps derivative levels, level j the j-fold partials of
 all components, and every operator is a stencil compiled once per
-(operator, n, m, k) into one integer matrix over the levels it reads,
+(operator, n, m, k) into one integer matrix over the one level it reads,
 applied as one matrix product.  The levels are the one derivative engine:
 the transforms read them too, each level materialised as ``Polynomial``
 cores once by ``level_cores``, and the dict views (``cores``, ``comps``,
@@ -281,8 +281,8 @@ class PairSymTensorField(_StackedField):
 # compiled stencils
 # ---------------------------------------------------------------------------
 
-#: Compiled stencils: ``(out_rows, columns, lengths, matrix, denom, rowsum)``.
-Stencil = collections.namedtuple("Stencil", "out_rows columns lengths matrix denom rowsum")
+#: Compiled stencils: ``(out_rows, columns, level, matrix, denom, rowsum)``.
+Stencil = collections.namedtuple("Stencil", "out_rows columns level matrix denom rowsum")
 
 #: (term generator, n, m, k) -> Stencil; filled on first use.
 _STENCILS = {}
@@ -294,39 +294,38 @@ def _stencil(terms, n, m, k) -> Stencil:
     ``terms(n, m, k)`` returns ``(out_rows, in_rows, triples)``: the row
     keys of output and input, and ``(out row, (in row, source), weight)``
     triples with ``Fraction`` weights, a source being the sorted axis tuple
-    of the input derivative read, () for the input itself.  The columns of
-    the integer matrix run over the rows of the field's derivative levels of
-    the ``lengths`` some source has, stacked in turn: by length, then by
-    ``tree_multisets``, then by ``in_rows``.  An output row is
-    ``matrix @ atoms / denom``, and ``rowsum`` the largest absolute row sum.
-    Every order comes from the canonical key lists, none from a set or a
-    dict, so the matrix does not depend on the hash seed.
+    of the input derivative read, () for the input itself.  Every source of
+    one operator has the same length, its derivative order ``level``, and the
+    columns of the integer matrix run over the rows of the field's derivative
+    level ``level``: by ``tree_multisets``, then by ``in_rows``.  An output
+    row is ``matrix @ atoms / denom``, and ``rowsum`` the largest absolute
+    row sum.  Every order comes from the canonical key lists, none from a set
+    or a dict, so the matrix does not depend on the hash seed.
     """
     got = _STENCILS.get((terms, n, m, k))
     if got is None:
         out_rows, in_rows, triples = terms(n, m, k)
         triples = list(triples)
-        lengths = sorted({len(src) for _, (_, src), _ in triples})
-        sources = [src for j in lengths for src in tree_multisets(n, j)]
+        (level,) = {len(src) for _, (_, src), _ in triples}
         out_pos = {key: i for i, key in enumerate(out_rows)}
-        col_pos = {(row, src): j * len(in_rows) + r for j, src in enumerate(sources)
+        col_pos = {(row, src): j * len(in_rows) + r
+                   for j, src in enumerate(tree_multisets(n, level))
                    for r, row in enumerate(in_rows)}
         denom = math.lcm(*{w.denominator for _, _, w in triples})
         matrix = np.zeros((len(out_rows), len(col_pos)), dtype=object)
         for key, atom, w in triples:
             matrix[out_pos[key], col_pos[atom]] += w.numerator * (denom // w.denominator)
-        got = Stencil(tuple(out_rows), tuple(col_pos), lengths, exact_array(matrix), denom,
+        got = Stencil(tuple(out_rows), tuple(col_pos), level, exact_array(matrix), denom,
                       int(np.abs(matrix).sum(axis=1).max(initial=0)))
         _STENCILS[(terms, n, m, k)] = got
     return got
 
 
-def _apply(stencil: Stencil, field: _StackedField, scale=1) -> CoreStack:
-    """scale times the stencil's output rows, over the derivative levels of
-    ``field`` that it reads."""
-    atoms = CoreStack.vstack(field.n, [field.derivative_level(j) for j in stencil.lengths])
-    out = atoms.combine(stencil.matrix, stencil.denom, stencil.rowsum)
-    return out if scale == 1 else out.scale(scale)
+def _apply(stencil: Stencil, field: _StackedField) -> CoreStack:
+    """The stencil's output rows, over the derivative level of ``field``
+    that it reads."""
+    return field.derivative_level(stencil.level).combine(
+        stencil.matrix, stencil.denom, stencil.rowsum)
 
 
 def _d_terms(n, m, k):
@@ -592,7 +591,7 @@ def generalized_w_to_r(wkf: PairSymTensorField, m: int, k: int) -> PairSymTensor
     mk = m - k
     if wkf.npairs != 0 or wkf.blocks != (mk, m):
         raise ValueError("input does not have W^k structure")
-    stack = _apply(_stencil(_w_to_r_terms, wkf.n, m, k), wkf, Fraction(k + 1, m + 1))
+    stack = _apply(_stencil(_w_to_r_terms, wkf.n, m, k), wkf).scale(Fraction(k + 1, m + 1))
     return PairSymTensorField(wkf.n, mk, (k,), wkf.rho, wkf.power, stack=stack)
 
 

@@ -382,21 +382,6 @@ class CoreStack:
             arr[(rows, *zip(*exps))] = np.array(coeffs, dtype=arr.dtype)
         return cls(n, arr, den, bound)
 
-    @classmethod
-    def vstack(cls, n, stacks):
-        """The rows of every stack in turn, over one denominator and side."""
-        den = math.lcm(*(s.den for s in stacks))
-        side = max(s.side for s in stacks)
-        dtype = _dtype(max(s.bound * (den // s.den) for s in stacks))
-        parts = []
-        for s in stacks:
-            part = s.arr.astype(dtype) * (den // s.den) if s.den != den else s.arr
-            if s.side < side:
-                part, inner = np.zeros((len(part),) + (side,) * n, dtype), part
-                part[_window(n, s.side)] = inner
-            parts.append(part)
-        return cls(n, np.concatenate(parts), den)
-
     @property
     def side(self):
         return self.arr.shape[1]
@@ -409,9 +394,14 @@ class CoreStack:
         return Fraction(int(np.abs(self.arr).max(initial=0)), self.den)
 
     def __sub__(self, other):
-        a, b = CoreStack.vstack(self.n, [self, other]).arr.reshape(
-            (2, len(self.arr)) + (max(self.side, other.side),) * self.n)
-        return CoreStack(self.n, a - b, math.lcm(self.den, other.den))
+        """The rows of self minus those of other, a stack of the same shape,
+        over their common denominator."""
+        if self.arr.shape != other.arr.shape:
+            raise ValueError("stacks of different shapes")
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        dtype = _dtype(self.bound * a + other.bound * b, self.arr, other.arr)
+        return CoreStack(self.n, self.arr.astype(dtype) * a - other.arr.astype(dtype) * b, den)
 
     def scale(self, c):
         c = Fraction(c)
@@ -488,13 +478,13 @@ def random_polynomial(n, degree, rng, lo=-3, hi=3):
     return Polynomial(n, terms)
 
 
-def random_homogeneous(n, degree, rng, lo=-3, hi=3):
+def random_homogeneous(n, degree, rng):
     """Random homogeneous polynomial of exact total degree, ``int``
-    coefficients in [lo, hi]."""
+    coefficients in [-3, 3]."""
     terms = {}
     for exps in itertools.product(range(degree + 1), repeat=n):
         if sum(exps) == degree:
-            c = rng.randint(lo, hi)
+            c = rng.randint(-3, 3)
             if c:
                 terms[exps] = c
     if not terms:

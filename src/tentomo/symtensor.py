@@ -4,10 +4,10 @@ Rank-m tensors over R^n are tiny here (n <= 6, m <= 4 in practice).
 Symmetric tensors are stored compressed: one scalar per non-decreasing index
 tuple, of which there are C(n+m-1, m).
 
-``SymTensor`` and its dict operators loop over index tuples and are generic
-in the scalar (``Fraction``, float, or any ring element, polynomials
-included); the algebra suite checks them, and tests compare the tables
-against them.  ``sym_maps(n, m)`` holds the exact canonical-coordinate
+``SymTensor`` and its dict operators loop over index tuples;
+``symmetrize`` and ``sym_product`` divide exactly, on ``int`` and
+``Fraction`` entries.  The algebra suite checks them, and tests compare the
+tables against them.  ``sym_maps(n, m)`` holds the exact canonical-coordinate
 matrices of i_{e_a} and j_{e_a} for each axis a, and every
 i_y = sum_a y_a i_{e_a} or j_y matrix of the package is built from it: the grid
 symbols, the moment identity's j_x and the eta-product matrix of
@@ -79,19 +79,6 @@ class DenseTensor:
         else:
             self.entries[tuple(idx)] = v
 
-    def __add__(self, other):
-        out = DenseTensor(self.n, self.m, dict(self.entries))
-        for idx, v in other.entries.items():
-            out[idx] = out[idx] + v
-        return out
-
-    def __sub__(self, other):
-        return self + (other * -1)
-
-    def __mul__(self, scalar):
-        return DenseTensor(self.n, self.m,
-                           {i: v * scalar for i, v in self.entries.items()})
-
 
 class SymTensor:
     """Symmetric tensor, one stored scalar per canonical index tuple."""
@@ -130,17 +117,6 @@ class SymTensor:
             if v != 0:
                 out[idx] = v
         return out
-
-    def __add__(self, other):
-        if (self.n, self.m) != (other.n, other.m):
-            raise ValueError("shape mismatch")
-        out = SymTensor(self.n, self.m, dict(self.data))
-        for idx, v in other.data.items():
-            out[idx] = out.get(idx) + v
-        return out
-
-    def __sub__(self, other):
-        return self + (other * -1)
 
     def __mul__(self, scalar):
         return SymTensor(self.n, self.m,
@@ -185,7 +161,7 @@ def symmetrize(t: DenseTensor) -> SymTensor:
         total = 0
         for perm in itertools.permutations(idx):
             total = total + t[perm]
-        out[idx] = _divide(total, fact)
+        out[idx] = Fraction(total, fact)
     return out
 
 
@@ -204,7 +180,7 @@ def sym_product(u: SymTensor, v: SymTensor) -> SymTensor:
             for a in first:
                 rest.remove(a)
             total = total + ways * u.get(first) * v.get(rest)
-        out[idx] = _divide(total, math.comb(m + k, m))
+        out[idx] = Fraction(total, math.comb(m + k, m))
     return out
 
 
@@ -324,12 +300,3 @@ def sym_power_span_rank(rows) -> int:
     """Rank of an eta-product matrix of ``sym_power_rows``: C(n+m-1, m)
     exactly when the n vectors are linearly independent, smaller otherwise."""
     return int(np.linalg.matrix_rank(rows))
-
-
-def _divide(value, k):
-    """Division by a positive integer, exact whenever the scalar allows it."""
-    if isinstance(value, float):
-        return value / k
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value, k)
-    return value * Fraction(1, k)

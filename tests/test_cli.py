@@ -533,6 +533,32 @@ def test_nan_quadrature_error_fails_its_row(monkeypatch):
     assert math.isnan(row["value"]) and not row["pass"]
 
 
+@pytest.mark.parametrize("seed", [0, 3, 52])
+def test_prop_ray_runner_rows(seed, tmp_path):
+    # the prop-ray suite at its defaults: per m, a residual row for every
+    # (degree, point), then the slack row and the quadrature-error row.  At
+    # degree 60 every residual passes; the two trend rows can fail (at seeds
+    # 3 and 52 one m's error does not fall monotonically), so only their
+    # names and parameters are checked here
+    from tentomo.rng import SplitMix64
+    rep = cli.run_suite({"suite": "identities.prop-ray"},
+                        SplitMix64(seed).split("suite-identities.prop-ray"), tmp_path)
+    rows = rep["residuals"]
+    want = []
+    for m in (1, 2):
+        want += [(f"prop_ray_m{m}_residual", {"degree": deg, "point": i})
+                 for deg in (20, 40, 60) for i in range(4)]
+        want += [(f"prop_ray_m{m}_residual_monotone_slack", {"degrees": [20, 40, 60]}),
+                 (f"prop_ray_m{m}_quadrature_error_decrease", {"degrees": [20, 40, 60]})]
+    got = [(row["name"], {key: val for key, val in row["parameters"].items()
+                          if key != "errors"}) for row in rows]
+    assert got == want
+    assert all(len(row["parameters"]["errors"]) == 3 for row in rows
+               if row["name"].endswith("_quadrature_error_decrease"))
+    assert all(row["pass"] for row in rows
+               if row["name"].endswith("_residual") and row["parameters"]["degree"] == 60)
+
+
 @pytest.mark.parametrize("N,L", [(32, 4.0), (18, 4.5)])
 def test_refined_case_reads_the_grid_from_the_double_grid(N, L):
     # the N-grid gap read off the shared 2N reference agrees with a standalone

@@ -391,6 +391,25 @@ def oracle_fields(n, m, seed, power=None):
             yield f
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_every_stencil_reads_the_one_level_of_its_order(n):
+    # d, the divergence and R^k -> R^(k-1) have order 1, W^k and R^k order
+    # m - k, and the W^k <-> R^k conversions order 0
+    from tentomo.polyfield import (_d_terms, _div_terms, _lower_r_terms, _r_terms,
+                                   _r_to_w_terms, _stencil, _w_terms, _w_to_r_terms)
+    for m in range(4):
+        assert _stencil(_d_terms, n, m, 0).level == 1
+        if m:
+            assert _stencil(_div_terms, n, m, 0).level == 1
+        for k in range(m + 1):
+            assert _stencil(_w_terms, n, m, k).level == m - k
+            assert _stencil(_r_terms, n, m, k).level == m - k
+            assert _stencil(_r_to_w_terms, n, m, k).level == 0
+            assert _stencil(_w_to_r_terms, n, m, k).level == 0
+            if k:
+                assert _stencil(_lower_r_terms, n, m, k).level == 1
+
+
 class TestStackAgainstDictOracles:
     @pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
     def test_w_and_r_family(self, n, m):

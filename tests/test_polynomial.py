@@ -183,6 +183,25 @@ class TestFromPolys:
             CoreStack.from_polys(2, [Polynomial(2, {(1, 0): 0.5})])
 
 
+class TestStackSubtraction:
+    def test_rows_subtract_over_the_common_denominator(self):
+        rng = SplitMix64(81)
+        left = [random_polynomial(2, 2, rng), _with_fractions(random_polynomial(2, 2, rng))]
+        right = [_with_fractions(random_polynomial(2, 2, rng)), Polynomial.zero(2)]
+        got = CoreStack.from_polys(2, left) - CoreStack.from_polys(2, right)
+        assert got.polys() == [a - b for a, b in zip(left, right)]
+
+    def test_stacks_of_different_sides_are_rejected(self):
+        # a stack is only ever subtracted from one of its own shape, so a
+        # difference in side is a bug upstream, not a case to pad for
+        rng = SplitMix64(82)
+        low = CoreStack.from_polys(2, [random_polynomial(2, 1, rng)])
+        high = CoreStack.from_polys(2, [random_polynomial(2, 3, rng)])
+        assert low.side != high.side
+        with pytest.raises(ValueError):
+            low - high
+
+
 class TestQuadricDerivative:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("exact", ["int", "fraction"])
