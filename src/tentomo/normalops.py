@@ -117,22 +117,13 @@ class GridTensorField:
 
     @classmethod
     def sample(cls, field: PolyBumpField, N, L, enforce_margin=True):
-        """Sample a bump field; its support must sit well inside the box.
-
-        Cores are evaluated only where rho^2 - |x|^2 > 0, as
-        q(x) * (rho^2 - |x|^2)^power: bit for bit the whole-mesh values.
-        """
+        """Sample a bump field, by ``PolyBumpField.values`` on the mesh; its
+        support must sit well inside the box."""
         if enforce_margin and float(field.rho) > L / 4 + 1e-12:
             raise ValueError("support must leave a margin of at least L/4")
         axes = [np.arange(N) * (L / N) - L / 2 for _ in range(field.n)]
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        b = float(field.rho) ** 2 - (mesh * mesh).sum(axis=-1)
-        inside = b > 0
-        pts, bump = mesh[inside], b[inside] ** field.power
-        comps = np.zeros((sym_dim(field.n, field.m),) + (N,) * field.n)
-        for pos, idx in enumerate(canonical_indices(field.n, field.m)):
-            comps[pos][inside] = field.core(idx).eval_many(pts) * bump
-        return cls(field.n, field.m, N, L, comps)
+        return cls(field.n, field.m, N, L, field.values(mesh))
 
     @property
     def h(self):

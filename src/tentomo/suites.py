@@ -421,42 +421,28 @@ def _run_ucp_trt(params, rng, outdir):
     # f vanishes on U (support is disjoint from U by construction)
     pts_u = [u_center + np.asarray(rng.split(f"u{t}").point_in_ball(n, U_RADIUS))
              for t in range(params["num_points"])]
-    fmax_u = worst(f.value(tuple(x)).max_abs() for x in pts_u)
-    rows.append(check_row("field_vanishes_on_U_max", fmax_u, 1e-12))
+    rows.append(check_row("field_vanishes_on_U_max", worst(np.abs(f.values(pts_u)).ravel()),
+                          1e-12))
     # pointwise recovery from pairings against the eta products, every
     # point in one solve
-    combos = list(st.canonical_indices(n, m))
-    fxs = [f.value(rng.split(f"rp{t}").point_in_ball(n, 0.9))
-           for t in range(params["num_points"])]
-    samples = np.zeros((len(fxs), len(combos)))
-    for t, fx in enumerate(fxs):
-        for c, combo in enumerate(combos):
-            val = 0.0
-            for dense in itertools.product(range(n), repeat=m):
-                w = fx.get(dense)
-                if w:
-                    prod = 1.0
-                    for eta_i, ax in zip(combo, dense):
-                        prod *= etas[eta_i][ax]
-                    val += w * prod
-            samples[t, c] = val
+    fxs = f.values([rng.split(f"rp{t}").point_in_ball(n, 0.9)
+                    for t in range(params["num_points"])]).T
+    samples = _eta_pairings(fxs, etas, n, m)
     rec = xr.trt_pointwise_recover(eta_rows, samples, n, m)
-    want = np.array([fx.to_canonical_vector() for fx in fxs], dtype=float)
-    rows.append(check_row("pointwise_recovery_max_err", worst(np.abs(rec - want).ravel()),
+    rows.append(check_row("pointwise_recovery_max_err", worst(np.abs(rec - fxs).ravel()),
                           UCP_TOL))
     # transverse data on lines from U into the support reduce to scalar
     # ray data of the contracted component <f, y^(.m)>
-    rays = []
+    X, Om, Y = (np.zeros((params["num_lines"], n)) for _ in range(3))
     for t in range(params["num_lines"]):
         child = rng.split(f"ray{t}")
         eta = np.asarray(etas[t % n])
         base = u_center + np.asarray(child.point_in_ball(n, U_RADIUS))
         target = np.asarray(child.point_in_ball(n, 0.8))
         omega = target - base
-        omega = omega / np.linalg.norm(omega)
-        xpt = base - (base @ omega) * omega
-        rays.append(xr.TransverseRay(omega, xpt, eta - (eta @ omega) * omega))
-    X, Om, Y = (np.array([getattr(r, a) for r in rays]) for a in ("x", "omega", "y"))
+        Om[t] = omega = omega / np.linalg.norm(omega)
+        X[t] = base - (base @ omega) * omega
+        Y[t] = eta - (eta @ omega) * omega
     tvals = xr.TransformExpr.momentum(f, 0).eval_lines(X, Om, Y)
     rows.append(check_row("transverse_scalar_reduction_max",
                           worst(np.abs(tvals - _transverse_oracle(f, X, Om, Y))), 1e-10))
@@ -472,16 +458,33 @@ def _run_ucp_trt(params, rng, outdir):
     return rows
 
 
+def _dense_view(values, n, m):
+    """The dense (rows, n, .., n) array of canonical values (rows, dim S^m):
+    every ordering of an index reads its canonical entry."""
+    col = {idx: c for c, idx in enumerate(st.canonical_indices(n, m))}
+    take = [col[tuple(sorted(dense))] for dense in itertools.product(range(n), repeat=m)]
+    return values[:, take].reshape((len(values),) + (n,) * m)
+
+
+def _eta_pairings(fxs, etas, n, m):
+    """<f, eta_{c1} (.) ... (.) eta_{cm}> for each point's canonical values
+    (points, dim S^m) and each canonical c: the dense tensor contracted slot
+    by slot with the eta matrix, in float, not through ``sym_maps``."""
+    eta, full = np.asarray(etas, dtype=float), _dense_view(fxs, n, m)
+    for _ in range(m):
+        full = np.tensordot(full, eta, axes=([1], [1]))
+    return np.stack([full[(slice(None),) + c] for c in st.canonical_indices(n, m)], axis=1)
+
+
 def _transverse_oracle(f, X, Om, Y):
     """int <f(x + t omega), y^(.m)> dt on each ray (X[l], Om[l], Y[l]), not by
-    the atom expansion of J_m: one kernel call integrates each nonzero core on
-    every ray, then y^(.m) contracts them over every dense ordering, in float."""
-    col = {idx: c for c, idx in enumerate(f.cores)}
-    chords = xr.chord_integrals([(core, f.power, 0) for core in f.cores.values()], f.rho, X, Om)
-    out = np.zeros(len(X))
-    for dense in itertools.product(range(f.n), repeat=f.m):
-        if tuple(sorted(dense)) in col:
-            out += chords[:, col[tuple(sorted(dense))]] * np.prod(Y[:, list(dense)], axis=1)
+    the atom expansion of J_m: one kernel call integrates each core on every
+    ray, then their dense tensor contracts with y slot by slot, in float."""
+    chords = xr.chord_integrals([(core, f.power, 0) for core in f.level_cores(0)],
+                                f.rho, X, Om)
+    out = _dense_view(chords, f.n, f.m)
+    for _ in range(f.m):
+        out = np.einsum("l...a,la->l...", out, Y)
     return out
 
 

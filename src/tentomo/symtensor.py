@@ -4,16 +4,16 @@ Rank-m tensors over R^n are tiny here (n <= 6, m <= 4 in practice).
 Symmetric tensors are stored compressed: one scalar per non-decreasing index
 tuple, of which there are C(n+m-1, m).
 
-``SymTensor`` and its dict operators loop over index tuples;
-``symmetrize`` and ``sym_product`` divide exactly, on ``int`` and
-``Fraction`` entries.  The algebra suite checks them, and tests compare the
-tables against them.  ``sym_maps(n, m)`` holds the exact canonical-coordinate
-matrices of i_{e_a} and j_{e_a} for each axis a, and every
-i_y = sum_a y_a i_{e_a} or j_y matrix of the package is built from it: the grid
-symbols, the moment identity's j_x and the eta-product matrix of
-``sym_power_rows``.  The metric pair of the IBP identity and the key
-identities, sum_l c_{l,s} i^l j^l xi^(.s), is one exact table,
-``spherequad._ibp_weights``; tests compare it with ``i_metric`` and
+``SymTensor``, ``DenseTensor`` and their dict operators hold exact ``int``
+and ``Fraction`` entries, loop over index tuples and divide exactly; float
+tensor values are canonical arrays (``PolyBumpField.values``).  The algebra
+suite checks the dict operators, and tests compare the tables against them.
+``sym_maps(n, m)`` holds the exact canonical-coordinate matrices of i_{e_a}
+and j_{e_a} for each axis a, and every i_y = sum_a y_a i_{e_a} or j_y matrix
+of the package is built from it: the grid symbols, the moment identity's j_x
+and the eta-product matrix of ``sym_power_rows``.  The metric pair of the IBP
+identity and the key identities, sum_l c_{l,s} i^l j^l xi^(.s), is one exact
+table, ``spherequad._ibp_weights``; tests compare it with ``i_metric`` and
 ``j_metric``.
 """
 
@@ -26,8 +26,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-
-from .verdict import worst
 
 
 def sym_dim(n, m):
@@ -123,13 +121,6 @@ class SymTensor:
                          {i: v * scalar for i, v in self.data.items()})
 
     __rmul__ = __mul__
-
-    def max_abs(self):
-        """Largest |entry|; entries not stored are 0."""
-        return worst([0.0, *map(abs, self.data.values())])
-
-    def to_canonical_vector(self):
-        return [self.get(idx) for idx in canonical_indices(self.n, self.m)]
 
     def __eq__(self, other):
         if not isinstance(other, SymTensor) or (self.n, self.m) != (other.n, other.m):

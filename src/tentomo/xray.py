@@ -64,22 +64,6 @@ class Line:
         return f"Line(x={self.x.tolist()}, xi={self.xi.tolist()})"
 
 
-class TransverseRay:
-    """(omega, x, y) with omega a unit direction and x, y orthogonal to it."""
-
-    __slots__ = ("omega", "x", "y")
-
-    def __init__(self, omega, x, y):
-        self.omega = np.asarray(omega, dtype=float)
-        self.x = np.asarray(x, dtype=float)
-        self.y = np.asarray(y, dtype=float)
-        norm = np.linalg.norm(self.omega)
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError("omega must be a unit vector")
-        if abs(self.x @ self.omega) > 1e-9 or abs(self.y @ self.omega) > 1e-9:
-            raise ValueError("x and y must be orthogonal to omega")
-
-
 def _rowdot(A, B):
     """Row-wise dot products of A (L, n) with the rows of B, or with B itself
     when it is one vector.  Each row is computed as the 1-D ``a @ b`` is, so

@@ -420,9 +420,9 @@ SHARED_NAMES = {
     "degree": ("HomogeneousRational", "Polynomial"),
     "eval": ("Polynomial", "TransformExpr"),
     "is_zero": ("CoreStack", "PiRational", "Polynomial", "_StackedField"),
-    "max_abs": ("CoreStack", "SymTensor"),
     "scale": ("CoreStack", "TransformExpr"),
     "triples": ("_lower_r_terms", "_r_to_w_terms", "_w_terms"),
+    "values": ("PolyBumpField", "_kernel_family"),
 }
 
 

@@ -56,9 +56,27 @@ class TestBumpField:
         with pytest.raises(BudgetError):
             inner_derivative(inner_derivative(f))
 
-    def test_value_outside_support_is_zero(self):
-        f = scalar_bump(power=2)
-        assert f.value((2.0, 0.0))[()] == 0.0
+    def test_values_against_the_cores(self, monkeypatch):
+        # q(x) (rho^2 - |x|^2)^power by Polynomial.eval inside the support;
+        # exactly 0 on the support sphere and outside, where an odd power of
+        # a negative bump would not vanish
+        rho = Fraction(3, 2)
+        f = random_bump_field(3, 2, SplitMix64(6), rho=rho, power=3, degree=2)
+        rng = SplitMix64(7)
+        inside = [rng.split(f"p{t}").point_in_ball(3, 1.4) for t in range(6)]
+        sphere = [[1.5, 0.0, 0.0], [0.0, -1.5, 0.0], [0.0, 0.0, 1.5]]
+        outside = [[2.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.0, -3.0, 0.5]]
+        got = f.values(np.reshape(inside + sphere + outside, (4, 3, 3)))
+        assert got.shape == (6, 4, 3)
+        got = got.reshape(6, 12)
+        for pos, idx in enumerate(canonical_indices(3, 2)):
+            want = [f.core(idx).eval(x) * (2.25 - sum(c * c for c in x)) ** 3 for x in inside]
+            assert got[pos, :6] == pytest.approx(want, rel=1e-12, abs=1e-15)
+            assert np.all(got[pos, :6] != 0.0)
+        assert not got[:, 6:].any()
+        # no point inside: no core is evaluated
+        monkeypatch.setattr(Polynomial, "eval_many", None)
+        assert not f.values(outside).any()
 
     def test_derivative_core_of_no_axes_is_the_core(self):
         f = random_bump_field(2, 2, SplitMix64(5), power=2, degree=2)

@@ -22,7 +22,7 @@ from tentomo.polyfield import (PolyBumpField, inner_derivative,
 from tentomo.polynomial import Polynomial
 from tentomo.rng import SplitMix64
 from tentomo.symtensor import canonical_indices, multiplicity
-from tentomo.xray import (Line, TransformExpr, TransverseRay, _chord_midpoints,
+from tentomo.xray import (Line, TransformExpr, _chord_midpoints,
                           _iterated_john, chord_integrals, homogeneity_check,
                           john_apply, john_operator, momentum_scale_residual,
                           momentum_shift_residual, momentum_transform,
@@ -42,9 +42,9 @@ def random_lines(rng, count):
     return np.array([line.x for line in lines]), np.array([line.xi for line in lines])
 
 
-def transverse(f, ray):
+def transverse(f, x, omega, y):
     """int <f(x + t omega), y^(.m)> dt on one ray, as ``ucp.trt`` evaluates it."""
-    return float(TransformExpr.momentum(f, 0).eval_lines([ray.x], [ray.omega], [ray.y])[0])
+    return float(TransformExpr.momentum(f, 0).eval_lines([x], [omega], [y])[0])
 
 
 class TestRayTransform:
@@ -89,9 +89,9 @@ def quad_pairing(f, k, x, xi, y):
     t0, t1 = (-b - math.sqrt(disc)) / (2.0 * a), (-b + math.sqrt(disc)) / (2.0 * a)
 
     def integrand(t):
-        values = f.value(x + t * xi)
-        return t**k * sum(multiplicity(idx) * math.prod(y[i] for i in idx) * values[idx]
-                          for idx in canonical_indices(f.n, f.m))
+        values = f.values(x + t * xi)
+        return t**k * sum(multiplicity(idx) * math.prod(y[i] for i in idx) * v
+                          for idx, v in zip(canonical_indices(f.n, f.m), values))
 
     return quad(integrand, t0, t1, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
 
@@ -137,7 +137,7 @@ class TestChordOracle:
             x = x - (x @ omega) * omega
             y = np.asarray(rng.split(f"y{t}").point_in_ball(n, 1.5))
             y = y - (y @ omega) * omega
-            got = transverse(f, TransverseRay(omega, x, y))
+            got = transverse(f, x, omega, y)
             want = quad_pairing(f, 0, x, omega, y)
             assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
@@ -389,7 +389,7 @@ class TestExactCoefficients:
         assert john.terms and {type(c) for c in john.terms.values()} <= {int, Fraction}
 
 
-def per_ray_transverse_oracle(f, ray):
+def per_ray_transverse_oracle(f, x, omega, y):
     """The ucp.trt scalar oracle one ray at a time: f contracted against
     y^(.m) over every dense ordering, exactly at the ``Fraction`` value of
     each float y_a, then one chord-kernel call for the contraction."""
@@ -397,23 +397,24 @@ def per_ray_transverse_oracle(f, ray):
     for dense in itertools.product(range(f.n), repeat=f.m):
         core = f.core(dense)
         if not core.is_zero():
-            contracted = contracted + core * math.prod(Fraction(ray.y[ax]) for ax in dense)
-    return chord_integrals([(contracted, f.power, 0)], f.rho, [ray.x], [ray.omega])[0, 0]
+            contracted = contracted + core * math.prod(Fraction(y[ax]) for ax in dense)
+    return chord_integrals([(contracted, f.power, 0)], f.rho, [x], [omega])[0, 0]
 
 
 def transverse_rays(rng, n, count):
-    """Rays from a ball about (2.5, 0, ..) into the support, as ucp.trt draws
-    them, with y the part of a random direction orthogonal to omega."""
-    rays = []
+    """(X, Omega, Y) of rays from a ball about (2.5, 0, ..) into the support,
+    as ucp.trt draws them, with y the part of a random direction orthogonal
+    to omega."""
+    X, Om, Y = (np.zeros((count, n)) for _ in range(3))
     for t in range(count):
         child = rng.split(f"ray{t}")
         base = np.asarray([2.5] + [0.0] * (n - 1)) + child.point_in_ball(n, 0.25)
         omega = np.asarray(child.point_in_ball(n, 0.8)) - base
-        omega = omega / np.linalg.norm(omega)
+        Om[t] = omega = omega / np.linalg.norm(omega)
         eta = np.asarray(child.direction(n))
-        rays.append(TransverseRay(omega, base - (base @ omega) * omega,
-                                  eta - (eta @ omega) * omega))
-    return rays
+        X[t] = base - (base @ omega) * omega
+        Y[t] = eta - (eta @ omega) * omega
+    return X, Om, Y
 
 
 class TestTransverseOracle:
@@ -426,11 +427,10 @@ class TestTransverseOracle:
         rng = SplitMix64(seed)
         n, m = 3, 2
         f = random_bump_field(n, m, rng.split("f"), power=4, degree=2)
-        rays = transverse_rays(rng, n, 12)
-        want = np.array([per_ray_transverse_oracle(f, ray) for ray in rays])
+        X, Om, Y = transverse_rays(rng, n, 12)
+        want = np.array([per_ray_transverse_oracle(f, *ray) for ray in zip(X, Om, Y)])
         # an independent route: not through the atom expansion of J_m
         monkeypatch.setattr(TransformExpr, "momentum", None)
-        X, Om, Y = (np.array([getattr(r, a) for r in rays]) for a in ("x", "omega", "y"))
         got = suites._transverse_oracle(f, X, Om, Y)
         assert np.abs(want).max() > 0.0
         assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want).max()))
@@ -483,35 +483,47 @@ class TestJohn:
 class TestTransverse:
     def test_m0_matches_ray_independent_of_y(self):
         f = random_bump_field(3, 0, SplitMix64(43), power=3, degree=2)
-        omega = np.array([1.0, 0.0, 0.0])
-        ray = TransverseRay(omega, [0.0, 0.2, -0.1], [0.0, 3.0, 4.0])
-        want = ray_transform(f, Line(ray.x, omega))
-        assert transverse(f, ray) == pytest.approx(want, abs=1e-13)
+        omega, x = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.2, -0.1])
+        want = ray_transform(f, Line(x, omega))
+        assert transverse(f, x, omega, [0.0, 3.0, 4.0]) == pytest.approx(want, abs=1e-13)
 
     def test_zero_y(self):
         f = random_bump_field(3, 2, SplitMix64(44), power=4, degree=2)
-        ray = TransverseRay([0.0, 0.0, 1.0], [0.1, 0.0, 0.0], [0.0, 0.0, 0.0])
-        assert transverse(f, ray) == 0.0
+        assert transverse(f, [0.1, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]) == 0.0
 
     def test_componentwise_scalar_oracle(self):
         # single nonzero component: pairing reduces to a scalar transform
         core = Polynomial.monomial(3, (1, 0, 1), Fraction(2))
         f = PolyBumpField(3, 2, Fraction(1), 3, {(0, 1): core})
-        omega = np.array([0.0, 0.0, 1.0])
+        omega, x = np.array([0.0, 0.0, 1.0]), np.array([0.2, 0.1, 0.0])
         y = np.array([0.5, -1.2, 0.0])
-        ray = TransverseRay(omega, [0.2, 0.1, 0.0], y)
         scalar = PolyBumpField(3, 0, Fraction(1), 3, {(): core})
-        want = 2 * y[0] * y[1] * ray_transform(scalar, Line(ray.x, omega))
-        assert transverse(f, ray) == pytest.approx(want, abs=1e-13)
-
-    def test_constraint_violation(self):
-        with pytest.raises(ValueError):
-            TransverseRay([0.0, 0.0, 1.0], [0.0, 0.0, 0.5], [1.0, 0.0, 0.0])
-        with pytest.raises(ValueError):
-            TransverseRay([0.0, 0.0, 2.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
+        want = 2 * y[0] * y[1] * ray_transform(scalar, Line(x, omega))
+        assert transverse(f, x, omega, y) == pytest.approx(want, abs=1e-13)
 
 
 BASIS3 = [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]]
+
+
+def loop_eta_pairings(fxs, etas, n, m):
+    """<f, eta_{c1} (.) ... (.) eta_{cm}> per point by a Python loop over
+    every dense ordering, each reading its canonical entry of the rows of
+    ``fxs``: the oracle of ``suites._eta_pairings``."""
+    combos = list(canonical_indices(n, m))
+    samples = np.zeros((len(fxs), len(combos)))
+    for t, row in enumerate(fxs):
+        fx = st.SymTensor(n, m, dict(zip(combos, row)))
+        for c, combo in enumerate(combos):
+            val = 0.0
+            for dense in itertools.product(range(n), repeat=m):
+                w = fx.get(dense)
+                if w:
+                    prod = 1.0
+                    for eta_i, ax in zip(combo, dense):
+                        prod *= etas[eta_i][ax]
+                    val += w * prod
+            samples[t, c] = val
+    return samples
 
 
 class TestPointwiseRecovery:
@@ -522,25 +534,39 @@ class TestPointwiseRecovery:
     def test_standard_basis_recovers_components(self):
         rng = SplitMix64(45)
         f = random_bump_field(3, 2, rng, power=3, degree=2)
-        fx = f.value((0.2, -0.3, 0.1))
+        fx = f.values((0.2, -0.3, 0.1))
         # with basis vectors the pairing is just the dense component
-        samples = [[fx.get(combo) for combo in canonical_indices(3, 2)]]
-        rec = trt_pointwise_recover(st.sym_power_rows(BASIS3, 2), samples, 3, 2)
-        assert np.abs(rec[0] - fx.to_canonical_vector()).max() < 1e-12
+        rec = trt_pointwise_recover(st.sym_power_rows(BASIS3, 2), [fx], 3, 2)
+        assert np.abs(rec[0] - fx).max() < 1e-12
 
     @pytest.mark.parametrize("n,m", [(3, 1), (3, 2), (3, 3), (4, 2)])
     def test_random_directions_recover_every_point(self, n, m):
         # the pairings by dense expansion; all points go through one solve
         rng = SplitMix64(46 + n + m)
         f = random_bump_field(n, m, rng, power=3, degree=2)
-        fxs = [f.value(rng.split(f"x{t}").point_in_ball(n, 0.8)) for t in range(4)]
+        fxs = f.values([rng.split(f"x{t}").point_in_ball(n, 0.8) for t in range(4)]).T
         etas = [list(rng.split(f"e{t}").direction(n)) for t in range(n)]
-        samples = [[sum(fx.get(dense) * math.prod(etas[c][a] for c, a in zip(combo, dense))
-                        for dense in itertools.product(range(n), repeat=m))
-                    for combo in canonical_indices(n, m)] for fx in fxs]
+        samples = loop_eta_pairings(fxs, etas, n, m)
         rec = trt_pointwise_recover(st.sym_power_rows(etas, m), samples, n, m)
-        want = np.array([fx.to_canonical_vector() for fx in fxs], dtype=float)
-        assert np.abs(rec - want).max() < 1e-10
+        assert np.abs(rec - fxs).max() < 1e-10
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_eta_pairings_match_the_per_entry_loop(self, n, m):
+        rng = SplitMix64(200 + 10 * n + m)
+        f = random_bump_field(n, m, rng, power=3, degree=2)
+        fxs = f.values([rng.split(f"x{t}").point_in_ball(n, 0.8) for t in range(2)]).T
+        etas = [list(rng.split(f"e{t}").direction(n)) for t in range(n)]
+        want = loop_eta_pairings(fxs, etas, n, m)
+        got = suites._eta_pairings(fxs, etas, n, m)
+        assert got.shape == want.shape and np.abs(want).max() > 0.0
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n,m", [(3, 4), (6, 1), (6, 4)])
+    def test_suite_passes_at_the_validated_corners(self, n, m, tmp_path):
+        rep = run_suite({"suite": "ucp.trt", "n": n, "m": m}, SplitMix64(49), tmp_path)
+        assert len(rep["residuals"]) == 5
+        assert all(row["pass"] for row in rep["residuals"])
 
     def test_singular_system_rejected(self):
         etas = [[1.0, 0, 0], [1.0, 0, 0], [0, 0, 1.0]]
