@@ -54,7 +54,8 @@ Angular sums come in two forms, each reducing with w xi^I per point over the
   weight <x,xi>^p.  On the line through the foot point x - <x,xi>xi,
   J_m^k f is a per-node polynomial in the coordinates s of x on xi^perp
   times (rho^2 - |s|^2)^(e+1/2), built with the chord kernel's helpers;
-  each pair costs one Horner step and one power;
+  each pair costs one Horner evaluation, run in place, and one power, and a
+  line that misses is set to +0 by one masked store;
 * base-point lines, any ``TransformExpr`` (the key identities, N_0 and the
   xi-moment integrals): ``_angular_sum`` runs that chord kernel itself.
 
@@ -198,12 +199,14 @@ def d_field(v: GridTensorField) -> GridTensorField:
     return GridTensorField(v.n, v.m + 1, v.N, v.L, _irfft(dv, v.N, v.n))
 
 
-def delta_field(f: GridTensorField) -> GridTensorField:
-    """Spectral divergence, rank m -> m-1: the multiplier 1j j_w."""
+def delta_field(f: GridTensorField, spec=None) -> GridTensorField:
+    """Spectral divergence, rank m -> m-1: the multiplier 1j j_w.  ``spec``
+    is ``f.rfft()`` where the caller holds it already."""
     if f.m < 1:
         raise ValueError("divergence needs rank >= 1")
     w = _omega_mesh(f.N, f.L, f.n)
-    df = 1j * _apply_sym(sym_maps(f.n, f.m)[1], w, f.rfft())
+    spec = f.rfft() if spec is None else spec
+    df = 1j * _apply_sym(sym_maps(f.n, f.m)[1], w, spec)
     return GridTensorField(f.n, f.m - 1, f.N, f.L, _irfft(df, f.N, f.n))
 
 
@@ -246,8 +249,9 @@ def _bins_first(a, k):
     return flat.transpose((k,) + tuple(range(k)))
 
 
-def solenoidal_decompose(f: GridTensorField):
-    """Per-frequency least-squares split f = sf + d v with delta sf = 0.
+def solenoidal_decompose(f: GridTensorField, spec=None):
+    """Per-frequency least-squares split f = sf + d v with delta sf = 0;
+    ``spec`` is ``f.rfft()`` where the caller holds it already.
 
     The zero frequency (and the zeroed Nyquist bins) carry no potential
     part; constants are divergence-free, so they belong to sf.
@@ -255,7 +259,7 @@ def solenoidal_decompose(f: GridTensorField):
     if f.m < 1:
         raise ValueError("decomposition needs rank >= 1")
     w = _omega_mesh(f.N, f.L, f.n)
-    spec = f.rfft()
+    spec = f.rfft() if spec is None else spec
     gram, rhs = _split_system(f, w, spec)
     _solve_spd(_bins_first(gram, 2), _bins_first(rhs, 1))  # rhs := i * vhat
     shat = spec - _apply_sym(sym_maps(f.n, f.m)[0], w, rhs)
@@ -403,13 +407,19 @@ def _foot_sinogram(f: PolyBumpField, k, nodes):
 
 def _horner(coeffs, s):
     """Per-node polynomials at s: coeffs (nodes, degrees per s axis) and s a
-    list of (nodes, points) arrays, one per s coordinate."""
+    list of (nodes, points) arrays, one per s coordinate.  A constant comes
+    back as a (nodes, 1) view of ``coeffs``; otherwise the first product
+    allocates the result and the rest of the steps run in place on it."""
     if coeffs.ndim == 1:
         return coeffs[:, None]
-    acc = _horner(coeffs[..., -1], s[:-1])
-    for d in range(coeffs.shape[-1] - 2, -1, -1):
+    top = coeffs.shape[-1] - 1
+    acc = _horner(coeffs[..., top], s[:-1])
+    if top:
         acc = acc * s[-1]
+    for d in range(top - 1, -1, -1):
         acc += _horner(coeffs[..., d], s[:-1])
+        if d:
+            acc *= s[-1]
     return acc
 
 
@@ -430,13 +440,19 @@ def _foot_point_sum(f: PolyBumpField, k, pts, p, rank, rules):
     polynomial R_xi per node of every rule, and each (point, node) pair then
     costs one evaluation of R_xi at s = E_xi x and one power of
     H = rho^2 - |s|^2.  Lines whose half-chord sqrt(H) is not above
-    ``TANGENCY_TOL`` miss, as in the chord kernel.  Points go through in
-    chunks of at most ``LINE_BLOCK``, their pairs as (nodes, points) blocks of
-    at most ``LINE_BLOCK`` entries, and each point adds each rule's nodes one
-    by one in rule order onto that rule's running total, (((0 + v_0) + v_1)
-    + ...), whatever its chunk and block.
+    ``TANGENCY_TOL`` miss, as in the chord kernel: after the products, one
+    masked store sets their values to +0.0, and a miss adds +0.  That is
+    exact: every total starts at +0.0, and a sum of doubles is -0.0 only when
+    both terms are, so no total is ever -0.0 and adding +0 leaves it as it
+    is, bit for bit.  Points go through in contiguous (n, points) chunks of
+    at most ``LINE_BLOCK``, their pairs as (nodes, points) blocks of at most
+    ``LINE_BLOCK`` entries, and each point adds each rule's nodes one by one
+    in rule order onto that rule's running total, (((0 + v_0) + v_1) + ...),
+    whatever its chunk and block.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    if pts.shape[1] != f.n:
+        raise ValueError(f"points of shape {pts.shape} need a last axis of size n = {f.n}")
     nodes, weights, bounds = _stacked_nodes(rules)
     basis, r = _foot_sinogram(f, k, nodes)
     rho2 = float(f.rho)**2
@@ -446,7 +462,7 @@ def _foot_point_sum(f: PolyBumpField, k, pts, p, rank, rules):
     pb = max(1, min(len(pts), LINE_BLOCK))
     nb = max(1, LINE_BLOCK // pb)
     for p0 in range(0, len(pts), pb):
-        x = pts[p0:p0 + pb].T
+        x = np.ascontiguousarray(pts[p0:p0 + pb].T)
         totals = list(out[:, :, p0:p0 + pb])
         for n0 in range(0, len(nodes), nb):
             sl = slice(n0, n0 + nb)
@@ -457,11 +473,12 @@ def _foot_point_sum(f: PolyBumpField, k, pts, p, rank, rules):
             np.subtract(rho2, h, out=h)
             root = np.maximum(h, 0.0)
             np.sqrt(root, out=root)
-            root *= root > TANGENCY_TOL   # a line that misses adds +-0
+            miss = root <= TANGENCY_TOL
             vals = _horner(r[sl], s) * _int_power(h, f.power)
             vals *= root
             if p:
                 vals *= _int_power(_node_dots(nodes[sl], x), p)
+            vals[miss] = 0.0
             rows = node_w[sl, :, None] * vals[:, None, :]
             # each rule's nodes in this block, onto that rule's totals
             for j, total in enumerate(totals):
@@ -529,12 +546,16 @@ def _kernel_family(offsets, h, degree, beta):
     Cells within ``AVERAGE_RADIUS`` (Chebyshev) of the origin hold cell
     averages: the origin cell's from ``_origin_cell_average``, the others' from
     a tensor Gauss-Legendre rule over the near cells among the offsets.  Every
-    alpha shares |x|^beta and the sub-cell nodes.
+    alpha shares |x|^beta and the sub-cell nodes, and the rows are written
+    into one preallocated array.
     """
     def values(x, y):
         rpow = _int_power(np.sqrt(np.add.outer(x * x, y * y)), beta)
-        return np.stack([np.multiply.outer(_int_power(x, a), _int_power(y, degree - a)) / rpow
-                         for a in range(degree + 1)])
+        out = np.empty((degree + 1,) + rpow.shape)
+        for a in range(degree + 1):
+            np.multiply.outer(_int_power(x, a), _int_power(y, degree - a), out=out[a])
+            out[a] /= rpow
+        return out
 
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = values(offsets[0] * h, offsets[1] * h)
@@ -612,8 +633,9 @@ def normal_convolution(f: GridTensorField, k=0):
     return GridTensorField(n, m, N, f.L, out)
 
 
-def normal_symbol(f: GridTensorField):
-    """N_m f (k=0) as an exact Fourier multiplier, n=2 only.
+def normal_symbol(f: GridTensorField, spec=None):
+    """N_m f (k=0) as an exact Fourier multiplier, n=2 only; ``spec`` is
+    ``f.rfft()`` where the caller holds it already.
 
     The symbol is (4 pi / |w|) xi_w^(.m) <., xi_w^(.m)> with xi_w the unit
     vector orthogonal to w; it annihilates potential fields exactly, so this
@@ -631,8 +653,9 @@ def normal_symbol(f: GridTensorField):
     idx_list = list(canonical_indices(n, m))
     monos = [xi[..., 0] ** e[0] * xi[..., 1] ** e[1]
              for e in (_xi_monomial_exps(idx, n) for idx in idx_list)]
+    spec = f.rfft() if spec is None else spec
     pairing = sum(multiplicity(idx) * fhat * mono
-                  for idx, fhat, mono in zip(idx_list, f.rfft(), monos))
+                  for idx, fhat, mono in zip(idx_list, spec, monos))
     scale = 4.0 * np.pi * inv
     out = _irfft(np.stack([scale * mono * pairing for mono in monos]), N, n)
     return GridTensorField(n, m, N, f.L, out)

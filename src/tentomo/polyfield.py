@@ -149,7 +149,14 @@ class PolyBumpField(_StackedField):
         (dim S^m, ...): q(x) b^power where b = rho^2 - |x|^2 > 0, else 0.  No
         core is evaluated outside the support, nor at all if no point is in it."""
         pts = np.asarray(pts, dtype=float)
-        b = float(self.rho) ** 2 - (pts * pts).sum(axis=-1)
+        if pts.shape[-1:] != (self.n,):
+            raise ValueError(f"points of shape {pts.shape} need a last axis of size n = {self.n}")
+        # the axes' squares added in axis order: another order can change the
+        # last bit of |x|^2, and with it the sampled field
+        r2 = pts[..., 0] * pts[..., 0]
+        for a in range(1, self.n):
+            r2 += pts[..., a] * pts[..., a]
+        b = float(self.rho) ** 2 - r2
         inside = b > 0
         out = np.zeros((len(self.rows()),) + b.shape)
         if inside.any():
