@@ -4,12 +4,22 @@ it, the suite's SplitMix64 stream, and the output directory, where only the
 ucp.ray and ucp.mrt runners write (their lines, as ``ucp_<scenario>_lines.csv``).
 Rows are ``verdict.check_row`` records; rows named *_nonvanishing are
 negative controls, which pass when the value exceeds the threshold.
+
+Threads: ``decompose`` runs each normal-consistency case's angular
+reference on one ``_Worker`` thread while the calling thread runs its FFT
+convolutions, so a run uses the main thread plus at most one, and none when
+the process may use only one CPU, where the reference runs inline.  Both
+jobs call the same functions on the same operands as a serial run, so
+every value is bitwise the serial one.  The worker runs in a copy of the
+caller's context, which carries numpy's error state.
 """
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import os
+import threading
 
 import numpy as np
 
@@ -312,17 +322,60 @@ def _normal_consistency_rels(f, k, N, L, rule, refine=False):
     """Relative gaps of the grid convolution to the angular reference at N,
     and at 2N too when ``refine`` is set: then f and the reference are taken
     once, on the 2N grid, whose even points are bitwise the N grid (both
-    spacings come from L and differ by an exact factor of 2)."""
+    spacings come from L and differ by an exact factor of 2).
+
+    The reference runs on a ``_Worker`` while this thread runs the
+    convolutions: two independent jobs, each on its own operands, so every
+    gap is bitwise that of a serial run.  Sampling g first fills f's lazy
+    caches, and from then until the join this thread reads only g."""
     steps = (2, 1) if refine else (1,)
     g = no.GridTensorField.sample(f, steps[0] * N, L)
     coords = g.axis_coords()
     pts = np.stack(np.meshgrid(coords, coords, indexing="ij"),
                    axis=-1).reshape(-1, 2)
-    ang = no.normal_momentum_on_points(f, pts, k, rule).T.reshape(g.comps.shape)
-    grids = [[no.GridTensorField(2, f.m, g.N // s, L, a[:, ::s, ::s]) for a in (g.comps, ang)]
-             for s in steps]
-    return [(no.normal_convolution(gs, k=k) - angf).norm_l2() / max(angf.norm_l2(), 1e-300)
-            for gs, angf in grids]
+    worker = _Worker(no.normal_momentum_on_points, f, pts, k, rule)
+    try:
+        convs = [no.normal_convolution(no.GridTensorField(2, g.m, g.N // s, L, g.comps[:, ::s, ::s]),
+                                       k=k) for s in steps]
+    finally:
+        worker.join()
+    ang = worker.result().T.reshape(g.comps.shape)
+    angs = [no.GridTensorField(2, g.m, g.N // s, L, ang[:, ::s, ::s]) for s in steps]
+    return [(conv - angf).norm_l2() / max(angf.norm_l2(), 1e-300)
+            for conv, angf in zip(convs, angs)]
+
+
+class _Worker:
+    """``job(*args)`` on one worker thread, started at construction; after
+    ``join()``, ``result()`` returns the job's value or re-raises its
+    exception.  The thread runs the job in a copy of the caller's context:
+    numpy keeps its error state (``np.errstate``) in a context variable, and
+    a bare thread would run under the default.  With one CPU the job runs
+    inline, at construction, as a second thread there only slows it."""
+
+    def __init__(self, job, *args):
+        self._thread = self._error = None
+        if len(os.sched_getaffinity(0)) < 2:
+            self._value = job(*args)
+            return
+        self._thread = threading.Thread(target=self._run,
+                                        args=(contextvars.copy_context(), job, args))
+        self._thread.start()
+
+    def _run(self, context, job, args):
+        try:
+            self._value = context.run(job, *args)
+        except BaseException as exc:  # re-raised by result(), in the caller
+            self._error = exc
+
+    def join(self):
+        if self._thread is not None:
+            self._thread.join()
+
+    def result(self):
+        if self._error is not None:
+            raise self._error
+        return self._value
 
 
 # ---------------------------------------------------------------------------

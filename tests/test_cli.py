@@ -7,7 +7,10 @@ import json
 import math
 import pathlib
 import tempfile
+import threading
+import time
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hs
@@ -366,8 +369,9 @@ class TestTopLevel:
         assert "Traceback" not in err
 
 
-def test_import_loads_no_scipy():
-    # scipy is a test and benchmark oracle only; the package must not need it
+def _packages_loaded_by_cli_import(names):
+    """Which of the top-level packages ``names`` a fresh ``import
+    tentomo.cli`` loads, in a subprocess."""
     import os
     import subprocess
     import sys
@@ -375,10 +379,21 @@ def test_import_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(os.path.abspath(tentomo.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import tentomo.cli, sys; "
-            "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))")
+            f"print(sorted({{m.split('.')[0] for m in sys.modules}} & {set(names)!r}))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test and benchmark oracle only; the package must not need it
+    assert _packages_loaded_by_cli_import(["scipy"]) == "[]"
+
+
+def test_import_loads_no_executor_modules():
+    # the grid worker is a bare threading.Thread: an executor module would
+    # lengthen the import that every run pays
+    assert _packages_loaded_by_cli_import(["concurrent", "multiprocessing", "asyncio"]) == "[]"
 
 
 def test_no_function_level_imports():
@@ -514,8 +529,6 @@ def test_convergence_rows_reject_an_unknown_kind(kind):
 
 
 def test_nan_quadrature_error_fails_its_row(monkeypatch):
-    import numpy as np
-
     import tentomo.normalops as no
     from tentomo.polyfield import random_bump_field
     from tentomo.rng import SplitMix64
@@ -573,6 +586,89 @@ def test_refined_case_reads_the_grid_from_the_double_grid(N, L):
     (alone2,) = suites._normal_consistency_rels(f, 0, 2 * N, L, rule)
     assert abs(rel - alone) <= 1e-12 * alone
     assert rel2 == alone2
+
+
+def _normal_case(m, seed=32):
+    from tentomo.polyfield import random_bump_field
+    from tentomo.rng import SplitMix64
+    from tentomo.spherequad import build_rule
+    f = random_bump_field(2, m, SplitMix64(seed), power=4, degree=2, label="f")
+    return f, build_rule(2, 40)
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(suites.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.mark.parametrize("m,k,refine", [(0, 0, True), (1, 0, False), (1, 1, False)])
+def test_reference_on_the_worker_is_bitwise_inline(monkeypatch, m, k, refine):
+    # the angular reference runs on a worker thread with two CPUs and inline
+    # with one; the gaps are the same bits either way
+    reference = suites.no.normal_momentum_on_points
+    on_main = []
+
+    def recorded(*args):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return reference(*args)
+
+    monkeypatch.setattr(suites.no, "normal_momentum_on_points", recorded)
+    f, rule = _normal_case(m)
+    got = {}
+    for cpus in (2, 1):
+        _cpus(monkeypatch, cpus)
+        got[cpus] = suites._normal_consistency_rels(f, k, 32, 4.0, rule, refine)
+    assert on_main == [False, True]
+    assert len(got[1]) == (2 if refine else 1)
+    assert np.array_equal(got[2], got[1])
+
+
+def test_worker_job_sees_the_callers_error_state(monkeypatch):
+    _cpus(monkeypatch, 2)
+    with np.errstate(divide="raise"):
+        worker = suites._Worker(np.geterr)
+    worker.join()
+    assert worker._thread is not None
+    assert worker.result()["divide"] == "raise"
+
+
+def test_worker_job_error_reaches_the_caller(monkeypatch, tmp_path, capsys):
+    _cpus(monkeypatch, 2)
+
+    def broken(*args):
+        raise RuntimeError("reference failed")
+
+    monkeypatch.setattr(suites.no, "normal_momentum_on_points", broken)
+    f, rule = _normal_case(1)
+    with pytest.raises(RuntimeError, match="reference failed"):
+        suites._normal_consistency_rels(f, 0, 32, 4.0, rule)
+    doc = {"schema": 1, "suites": [{"suite": "decompose", "N": 32, "m_values": [],
+                                    "normal_cases": [[1, 0]], "refine": False}]}
+    assert main(["run", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: decompose: internal error: RuntimeError: reference failed")
+    assert "Traceback" in err
+
+
+def test_caller_error_joins_the_worker(monkeypatch):
+    # the reference outlasts the failing convolution, so only a join on the
+    # error path brings the thread count back before the call returns
+    _cpus(monkeypatch, 2)
+
+    def slow(f, pts, k, rule):
+        time.sleep(0.05)
+        return np.zeros((len(pts), f.m + 1))
+
+    def broken(g, k=0):
+        raise ValueError("convolution failed")
+
+    monkeypatch.setattr(suites.no, "normal_momentum_on_points", slow)
+    monkeypatch.setattr(suites.no, "normal_convolution", broken)
+    f, rule = _normal_case(1)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="convolution failed"):
+        suites._normal_consistency_rels(f, 0, 32, 4.0, rule)
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("exc", [TypeError("unsupported operand"),
