@@ -7,8 +7,7 @@ negative controls, which pass when the value exceeds the threshold.
 
 Threads: ``decompose`` runs each normal-consistency case's angular
 reference on one ``_Worker`` thread while the calling thread runs its FFT
-convolutions, so a run uses the main thread plus at most one, and none when
-the process may use only one CPU, where the reference runs inline.  Both
+convolutions, so a run uses the main thread plus at most one.  Both
 jobs call the same functions on the same operands as a serial run, so
 every value is bitwise the serial one.  The worker runs in a copy of the
 caller's context, which carries numpy's error state.
@@ -350,14 +349,10 @@ class _Worker:
     ``join()``, ``result()`` returns the job's value or re-raises its
     exception.  The thread runs the job in a copy of the caller's context:
     numpy keeps its error state (``np.errstate``) in a context variable, and
-    a bare thread would run under the default.  With one CPU the job runs
-    inline, at construction, as a second thread there only slows it."""
+    a bare thread would run under the default."""
 
     def __init__(self, job, *args):
-        self._thread = self._error = None
-        if len(os.sched_getaffinity(0)) < 2:
-            self._value = job(*args)
-            return
+        self._error = None
         self._thread = threading.Thread(target=self._run,
                                         args=(contextvars.copy_context(), job, args))
         self._thread.start()
@@ -369,8 +364,7 @@ class _Worker:
             self._error = exc
 
     def join(self):
-        if self._thread is not None:
-            self._thread.join()
+        self._thread.join()
 
     def result(self):
         if self._error is not None:

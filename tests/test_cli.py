@@ -596,14 +596,27 @@ def _normal_case(m, seed=32):
     return f, build_rule(2, 40)
 
 
-def _cpus(monkeypatch, count):
-    monkeypatch.setattr(suites.os, "sched_getaffinity", lambda pid: set(range(count)))
+def _serial_rels(f, k, N, L, rule, refine):
+    # the two halves of a case one after the other, on one thread
+    no = suites.no
+    steps = (2, 1) if refine else (1,)
+    g = no.GridTensorField.sample(f, steps[0] * N, L)
+    coords = g.axis_coords()
+    pts = np.stack(np.meshgrid(coords, coords, indexing="ij"), axis=-1).reshape(-1, 2)
+    ang = no.normal_momentum_on_points(f, pts, k, rule).T.reshape(g.comps.shape)
+    rels = []
+    for s in steps:
+        gs, angf = (no.GridTensorField(2, f.m, g.N // s, L, a[:, ::s, ::s])
+                    for a in (g.comps, ang))
+        rels.append((no.normal_convolution(gs, k=k) - angf).norm_l2()
+                    / max(angf.norm_l2(), 1e-300))
+    return rels
 
 
 @pytest.mark.parametrize("m,k,refine", [(0, 0, True), (1, 0, False), (1, 1, False)])
-def test_reference_on_the_worker_is_bitwise_inline(monkeypatch, m, k, refine):
-    # the angular reference runs on a worker thread with two CPUs and inline
-    # with one; the gaps are the same bits either way
+def test_reference_on_the_worker_is_bitwise_serial(monkeypatch, m, k, refine):
+    # the angular reference runs on a worker thread; the gaps are the bits
+    # of a serial run
     reference = suites.no.normal_momentum_on_points
     on_main = []
 
@@ -613,27 +626,21 @@ def test_reference_on_the_worker_is_bitwise_inline(monkeypatch, m, k, refine):
 
     monkeypatch.setattr(suites.no, "normal_momentum_on_points", recorded)
     f, rule = _normal_case(m)
-    got = {}
-    for cpus in (2, 1):
-        _cpus(monkeypatch, cpus)
-        got[cpus] = suites._normal_consistency_rels(f, k, 32, 4.0, rule, refine)
-    assert on_main == [False, True]
-    assert len(got[1]) == (2 if refine else 1)
-    assert np.array_equal(got[2], got[1])
+    got = suites._normal_consistency_rels(f, k, 32, 4.0, rule, refine)
+    assert on_main == [False]
+    serial = _serial_rels(f, k, 32, 4.0, rule, refine)
+    assert len(serial) == (2 if refine else 1)
+    assert np.array_equal(got, serial)
 
 
-def test_worker_job_sees_the_callers_error_state(monkeypatch):
-    _cpus(monkeypatch, 2)
+def test_worker_job_sees_the_callers_error_state():
     with np.errstate(divide="raise"):
         worker = suites._Worker(np.geterr)
     worker.join()
-    assert worker._thread is not None
     assert worker.result()["divide"] == "raise"
 
 
 def test_worker_job_error_reaches_the_caller(monkeypatch, tmp_path, capsys):
-    _cpus(monkeypatch, 2)
-
     def broken(*args):
         raise RuntimeError("reference failed")
 
@@ -653,8 +660,6 @@ def test_worker_job_error_reaches_the_caller(monkeypatch, tmp_path, capsys):
 def test_caller_error_joins_the_worker(monkeypatch):
     # the reference outlasts the failing convolution, so only a join on the
     # error path brings the thread count back before the call returns
-    _cpus(monkeypatch, 2)
-
     def slow(f, pts, k, rule):
         time.sleep(0.05)
         return np.zeros((len(pts), f.m + 1))
