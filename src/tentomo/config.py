@@ -72,7 +72,7 @@ JOHN_CASE = (
     ("tolerance", _john_tolerance, JOHN_TOLERANCE, "John-relation tolerance"))
 SUITES = {
     "identities.algebra": (
-        ("trials", 50, COUNT, "trials of the tensor-algebra and W/R checks"),
+        ("trials", 50, COUNT, "trials of the R skew-symmetry and W/R potential checks"),
         ("roundtrip_trials", 20, COUNT, "trials of the W <-> R round trips")),
     "identities.ibp": (
         ("n_values", [2, 3], listing("a nonempty list of integers >= 2", integer(2).ok, 1),

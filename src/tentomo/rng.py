@@ -17,8 +17,6 @@ corpora stable when unrelated draws are inserted elsewhere.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
@@ -60,10 +58,6 @@ class SplitMix64:
         if hi < lo:
             raise ValueError("empty range")
         return lo + self.next_u64() % (hi - lo + 1)
-
-    def rational(self, lo: int = -3, hi: int = 3) -> Fraction:
-        """Small exact coefficient; integers keep rational arithmetic cheap."""
-        return Fraction(self.randint(lo, hi))
 
     def point_in_ball(self, n: int, radius: float) -> tuple[float, ...]:
         while True:

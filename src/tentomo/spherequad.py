@@ -15,6 +15,7 @@ from __future__ import annotations
 import collections
 import itertools
 import math
+import numbers
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -65,10 +66,14 @@ class PiRational:
         return PiRational(-self.coef, self.pi_pow)
 
     def __eq__(self, other):
-        if isinstance(other, PiRational):
-            return self.coef == other.coef and \
-                (self.coef == 0 or self.pi_pow == other.pi_pow)
-        return self.coef == 0 and other == 0
+        """Equal values; a plain number is compared as ``PiRational(other)``,
+        with pi power 0."""
+        if not isinstance(other, PiRational):
+            if not isinstance(other, numbers.Real) or not math.isfinite(other):
+                return NotImplemented
+            other = PiRational(other)
+        return self.coef == other.coef and \
+            (self.coef == 0 or self.pi_pow == other.pi_pow)
 
     def __float__(self):
         return float(self.coef) * math.pi ** self.pi_pow

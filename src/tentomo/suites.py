@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import contextvars
 import itertools
+import math
 import os
 import threading
+from fractions import Fraction
 
 import numpy as np
 
@@ -42,26 +44,14 @@ UCP_TOL, UCP_FLOOR, U_RADIUS, UCP_RULE_DEGREE, UCP_CORE_DEGREE = 1e-9, 1e-3, 0.2
 def _run_algebra(params, rng, outdir):
     trials = params["trials"]
     combos = [(n, m) for n in (2, 3) for m in (1, 2, 3)]
-    flags = {"symmetrize_idempotent": 0.0, "ij_duality": 0.0,
-             "pair_skew_symmetry": 0.0, "W_of_potential_zero": 0.0,
+    adjoint, commutator = map(max, zip(*(_sym_maps_residuals(n, m) for n, m in combos)))
+    rows = [check_row(name, float(val), TOL_EXACT, {"max_n": 3, "max_m": 3})
+            for name, val in (("sym_maps_adjoint", adjoint), ("sym_maps_commutator", commutator))]
+    flags = {"pair_skew_symmetry": 0.0, "W_of_potential_zero": 0.0,
              "R_of_potential_zero": 0.0}
     for t in range(trials):
         n, m = combos[t % len(combos)]
         child = rng.split(f"algebra-{t}")
-
-        dense = st.DenseTensor.from_function(
-            n, m, lambda idx: child.rational(-5, 5))
-        sym = st.symmetrize(dense)
-        again = st.symmetrize(sym.to_dense())
-        if not all(sym.get(i) == again.get(i)
-                   for i in st.canonical_indices(n, m)):
-            flags["symmetrize_idempotent"] = 1.0
-
-        u = _random_sym(n, 1, child)
-        fte = _random_sym(n, m, child)
-        g = _random_sym(n, m + 1, child)
-        if st.inner(st.i_mul(u, fte), g) != st.inner(fte, st.j_contract(u, g)):
-            flags["ij_duality"] = 1.0
 
         field = pf.random_bump_field(n, m, child, power=m + 1, degree=2,
                                      label="skew")
@@ -81,9 +71,9 @@ def _run_algebra(params, rng, outdir):
         if not pf.operator_R(pot).is_zero():
             flags["R_of_potential_zero"] = 1.0
 
-    rows = [check_row(name, val, TOL_EXACT,
-                      {"trials": trials, "max_n": 3, "max_m": 3})
-            for name, val in flags.items()]
+    rows += [check_row(name, val, TOL_EXACT,
+                       {"trials": trials, "max_n": 3, "max_m": 3})
+             for name, val in flags.items()]
 
     # W <-> R equivalences, the generalized (m=2, k=1) pair, and W, R controls
     rt_worst = 0.0
@@ -120,11 +110,36 @@ def _run_algebra(params, rng, outdir):
     return rows
 
 
-def _random_sym(n, m, rng):
-    out = st.SymTensor(n, m)
-    for idx in st.canonical_indices(n, m):
-        out[idx] = rng.rational(-5, 5)
-    return out
+def _integer_table(table):
+    """(T, d) with table == T / d entry by entry: T an object array of
+    Python ints and d the common denominator of the exact entries, a float
+    entry counting at its exact binary value, so no entry is rounded."""
+    exact = [Fraction(x) for x in table.flat]
+    d = math.lcm(*(x.denominator for x in exact))
+    return (np.array([x.numerator * (d // x.denominator) for x in exact], dtype=object)
+            .reshape(table.shape), d)
+
+
+def _sym_maps_residuals(n, m):
+    """Exact max |residual| of the two identities of the ``sym_maps`` tables
+    at (n, m), over every axis pair: imul_m[a]^T D_m - D_{m-1} jcon_m[a],
+    D the diagonal of multiplicities, and m jcon_m[a] imul_m[b]
+    - (m-1) imul_{m-1}[b] jcon_{m-1}[a] - delta_ab Id, the second term
+    absent at m = 1.  Both are linear identities of the tables, so zero
+    residuals certify i and j for every tensor and vector."""
+    (imul, di), (jcon, dj) = map(_integer_table, st.sym_maps(n, m))
+    d_lo, d_hi = (np.array([st.multiplicity(i) for i in st.canonical_indices(n, k)], dtype=object)
+                  for k in (m - 1, m))
+    adjoint = dj * imul.transpose(0, 2, 1) * d_hi - di * d_lo[:, None] * jcon
+    # entry [a, b] is the commutator of j_a and i_b on S^(m-1), times den
+    comm, den = m * (jcon[:, None] @ imul[None]), di * dj
+    if m > 1:
+        (ilo, dil), (jlo, djl) = map(_integer_table, st.sym_maps(n, m - 1))
+        comm = comm * (dil * djl) - (m - 1) * den * (ilo[None] @ jlo[:, None])
+        den *= dil * djl
+    comm = comm - den * np.eye(n, dtype=object)[:, :, None, None] * np.eye(len(d_lo), dtype=object)
+    return (Fraction(max(map(abs, adjoint.flat)), di * dj),
+            Fraction(max(map(abs, comm.flat)), den))
 
 
 def _run_ibp(params, rng, outdir):

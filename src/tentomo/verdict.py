@@ -22,7 +22,11 @@ def worst(values):
 def check_row(name, value, tolerance, parameters=None, mode="below", seconds=0.0):
     """One report row; ``mode="above"`` marks a negative control, which
     passes when the value exceeds the tolerance.  A value that is not finite
-    (NaN, inf or -inf) fails either way: an overflow shows nothing."""
+    (NaN, inf or -inf) fails either way: an overflow shows nothing.  Any
+    other mode raises ``ValueError``, so a misspelt one cannot turn a
+    residual row into a control."""
+    if mode not in ("below", "above"):
+        raise ValueError(f"check mode must be 'below' or 'above', not {mode!r}")
     ok = value <= tolerance if mode == "below" else value > tolerance
     return {"name": name, "parameters": parameters or {},
             "value": float(value), "tolerance": float(tolerance),

@@ -413,12 +413,10 @@ def test_no_function_level_imports():
 UNREFERENCED = {
     # oracles that tests compare the compiled paths against
     "saint_venant_W_component": "oracle", "generalized_W_component": "oracle",
-    "polynomial_sphere_integral": "oracle", "sym_power": "oracle", "diff": "oracle",
+    "polynomial_sphere_integral": "oracle", "diff": "oracle",
     # read by the benchmark
     "to_json_dict": "benchmark API",
-    "i_metric": "oracle", "j_metric": "oracle",
     "monomial": "test constructor", "variable": "test constructor",
-    "from_vector": "test constructor",
     # paper laws that tests check, to become report rows
     "homogeneity_check": "law awaiting a row", "momentum_shift_residual": "law awaiting a row",
     "momentum_scale_residual": "law awaiting a row", "john_apply": "law awaiting a row",
@@ -517,6 +515,15 @@ def test_a_value_that_is_not_finite_fails(value, mode):
     # nothing about the identity, whichever side of the tolerance it lies on
     from tentomo.verdict import check_row
     assert not check_row("x", value, 0.5, mode=mode)["pass"]
+
+
+@pytest.mark.parametrize("mode", ["Below", "above ", "exact", None])
+def test_an_unknown_check_mode_is_refused(mode):
+    # any mode but "below" used to make a negative control, so a misspelt
+    # one passed a residual far above its tolerance
+    from tentomo.verdict import check_row
+    with pytest.raises(ValueError):
+        check_row("x", 5.0, 1.0, mode=mode)
 
 
 @pytest.mark.parametrize("kind", ["moment", "Key", ""])

@@ -3,6 +3,8 @@ monkeypatch where the suite looks the name up.  The row must PASS on a run
 and FAIL on the same run with the fault, so it cannot pass vacuously
 against that fault."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,36 @@ def scale_oracle_y(monkeypatch):
                         lambda f, X, Om, Y: real(f, X, Om, Y * (1 + 1e-6)))
 
 
+def mutate_sym_maps(monkeypatch, i_entry=None, j_entry=None):
+    """Entry [0, 0, 0] of every i-table and j-table of ``sym_maps``, an exact
+    1 in both, mapped by ``i_entry`` and ``j_entry`` where given."""
+    real = st.sym_maps
+
+    def wrong(n, m):
+        tables = [t.copy() for t in real(n, m)]
+        for table, change in zip(tables, (i_entry, j_entry)):
+            if change:
+                table[0, 0, 0] = change(table[0, 0, 0])
+        return tuple(tables)
+
+    monkeypatch.setattr(st, "sym_maps", wrong)
+
+
+def scale_an_i_entry(monkeypatch):
+    """One i-table entry times 1.001, a float that an integer cast truncates."""
+    mutate_sym_maps(monkeypatch, i_entry=lambda x: x * 1.001)
+
+
+def set_a_j_entry(monkeypatch):
+    """One j-table entry set to 1001/1000."""
+    mutate_sym_maps(monkeypatch, j_entry=lambda x: Fraction(1001, 1000))
+
+
+def verdicts(config, row, out):
+    rep = run_suite(config, SplitMix64(50), out)
+    return [r["pass"] for r in rep["residuals"] if r["name"] == row]
+
+
 #: (row, mutation) pairs.
 MUTATIONS = [
     ("pointwise_recovery_max_err", scale_largest_eta_product),
@@ -44,11 +76,21 @@ MUTATIONS = [
 @pytest.mark.parametrize("row,mutate", MUTATIONS, ids=[row for row, _ in MUTATIONS])
 def test_ucp_trt_mutation_fails_its_row(row, mutate, n, m, monkeypatch, tmp_path):
     # at the default shape and at the largest that ``validate`` accepts
-    def verdicts():
-        rep = run_suite({"suite": "ucp.trt", "n": n, "m": m, "num_lines": 6},
-                        SplitMix64(50), tmp_path)
-        return [r["pass"] for r in rep["residuals"] if r["name"] == row]
-
-    assert verdicts() == [True]
+    config = {"suite": "ucp.trt", "n": n, "m": m, "num_lines": 6}
+    assert verdicts(config, row, tmp_path) == [True]
     mutate(monkeypatch)
-    assert verdicts() == [False]
+    assert verdicts(config, row, tmp_path) == [False]
+
+
+#: (row, mutation) pairs of ``identities.algebra``.
+ALGEBRA_MUTATIONS = [(row, mutate) for row in ("sym_maps_adjoint", "sym_maps_commutator")
+                     for mutate in (scale_an_i_entry, set_a_j_entry)]
+
+
+@pytest.mark.parametrize("row,mutate", ALGEBRA_MUTATIONS,
+                         ids=[f"{row}-{mutate.__name__}" for row, mutate in ALGEBRA_MUTATIONS])
+def test_algebra_mutation_fails_its_row(row, mutate, monkeypatch, tmp_path):
+    config = {"suite": "identities.algebra", "trials": 1, "roundtrip_trials": 1}
+    assert verdicts(config, row, tmp_path) == [True]
+    mutate(monkeypatch)
+    assert verdicts(config, row, tmp_path) == [False]

@@ -24,7 +24,9 @@ from tentomo.polyfield import (BudgetError, PairSymTensorField, PolyBumpField,
 from tentomo.polynomial import Polynomial, linear_combination, quadric_derivative, tree_multisets
 from tentomo.rng import SplitMix64
 from tentomo.spherequad import HomogeneousRational
-from tentomo.symtensor import DenseTensor, SymTensor, canonical_indices
+from tentomo.symtensor import canonical_indices
+
+import dense_oracle as dense
 
 ONE = Fraction(1)
 
@@ -148,19 +150,21 @@ class TestPairAlternations:
 
     def test_kills_symmetric_part(self):
         rng = SplitMix64(8)
-        s = SymTensor(2, 4, {idx: rng.rational(-5, 5) for idx in canonical_indices(2, 4)})
+        s = dense.symmetrize(dense.random_tensor(2, 4, rng))
         for a, b, c, d in itertools.product(range(2), repeat=4):
             assert sum(sign * s[first + second] for first, second, sign
                        in pair_alternations([(a, b), (c, d)])) == 0
 
     def test_idempotent_on_same_pair(self):
         rng = SplitMix64(9)
-        t = DenseTensor.from_function(3, 2, lambda idx: rng.rational(-5, 5))
+        t = dense.random_tensor(3, 2, rng)
 
         def alternate(u):
-            return DenseTensor.from_function(3, 2, lambda idx: sum(
-                sign * Fraction(u[first + second])
-                for first, second, sign in pair_alternations([idx])) / 2)
+            out = np.empty((3, 3), dtype=object)
+            for idx in itertools.product(range(3), repeat=2):
+                out[idx] = sum(sign * Fraction(u[first + second])
+                               for first, second, sign in pair_alternations([idx])) / 2
+            return out
         once = alternate(t)
         twice = alternate(once)
         for idx in itertools.product(range(3), repeat=2):

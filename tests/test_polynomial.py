@@ -70,7 +70,7 @@ def test_random_coefficients_are_ints_of_the_same_draws():
     want = {}
     for exps in itertools.product(range(3), repeat=3):
         if sum(exps) <= 2:
-            c = ref.rational(-3, 3)
+            c = Fraction(ref.randint(-3, 3))
             if c:
                 want[exps] = c
     assert p.terms == want

@@ -1,6 +1,7 @@
 """Exact sphere integration, the c-constants, and the IBP identity."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,8 @@ from tentomo.spherequad import (HomogeneousRational, PiRational,
                                 build_rule, c_constant,
                                 integrate_core_over_ball, metric_power_weight,
                                 monomial_sphere_integral, verify_ibp)
+
+import dense_oracle as dense
 
 
 def pi_rat(num, den=1, pow_=1):
@@ -45,6 +48,17 @@ def ibp_residual_oracle(g, idx):
             PiRational(0))
         rhs = rhs + integral * c_constant(l, s, g.n)
     return lhs - rhs
+
+
+@pytest.mark.parametrize("value,number,equal", [
+    (PiRational(0), 0, True), (PiRational(0, 2), Fraction(0), True),
+    (PiRational(1), 1, True), (PiRational(Fraction(1, 2)), Fraction(1, 2), True),
+    (PiRational(Fraction(1, 2)), 0.5, True), (PiRational(1), 2, False),
+    (PiRational(1, 1), 1, False), (pi_rat(2), 2, False), (PiRational(1), math.nan, False)])
+def test_equality_with_a_plain_number(value, number, equal):
+    # a number is PiRational(number), pi power 0: a nonzero pi power never
+    # equals one, and zero is zero whatever the power
+    assert (value == number) is equal and (number == value) is equal
 
 
 class TestMonomialIntegrals:
@@ -239,19 +253,18 @@ class TestIBP:
         with pytest.raises(ValueError):
             verify_ibp(g, 2)
 
-    def test_metric_weight_matches_symtensor(self):
+    def test_metric_weight_matches_the_dense_oracle(self):
         # i^l j^l (xi^(.s)) via the permutation formula agrees with the
         # tensor-algebra route at rational points on the sphere
-        from tentomo.symtensor import i_metric, j_metric, sym_power
         for xi in ([Fraction(3, 5), Fraction(4, 5)],
                    [Fraction(2, 7), Fraction(3, 7), Fraction(6, 7)]):
             n = len(xi)
             for s in range(1, 5):
                 for l in range(s // 2 + 1):
-                    t = i_metric(j_metric(sym_power(xi, s), l), l)
+                    t = dense.metric_pair(dense.power(xi, s), n, l)
                     for idx in itertools.product(range(n), repeat=s):
                         w = metric_power_weight(n, idx, l)
-                        assert w.eval(xi) == t.get(idx)
+                        assert w.eval(xi) == t[idx]
 
     @pytest.mark.parametrize("xis", [
         ([Fraction(3, 5), Fraction(4, 5)], [Fraction(-5, 13), Fraction(12, 13)]),
@@ -260,15 +273,14 @@ class TestIBP:
     def test_ibp_weight_rows_are_the_metric_operator_route(self, xis):
         # the one table of sum_l c_{l,s} i^l j^l xi^(.s) that verify_ibp and
         # the key identities read: row I at a rational unit xi equals the
-        # dict operators' component I exactly
-        from tentomo.symtensor import i_metric, j_metric, sym_power
+        # dense oracle's component I exactly
         for xi in xis:
             n = len(xi)
             for s in range(6):
                 multisets, exps, matrix, den, _ = sq._ibp_weights(n, s)
                 assert multisets == tuple(itertools.combinations_with_replacement(range(n), s))
-                want = [sum((c_constant(l, s, n) * i_metric(j_metric(sym_power(xi, s, n), l), l)
-                             .get(idx) for l in range(s // 2 + 1)), Fraction(0))
+                want = [sum((c_constant(l, s, n) * dense.metric_pair(dense.power(xi, s), n, l)[idx]
+                             for l in range(s // 2 + 1)), Fraction(0))
                         for idx in multisets]
                 got = [sum(Fraction(w, den) * Polynomial.monomial(n, e).eval(xi)
                            for e, w in zip(exps, row)) for row in matrix.tolist()]

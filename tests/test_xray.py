@@ -512,11 +512,11 @@ def loop_eta_pairings(fxs, etas, n, m):
     combos = list(canonical_indices(n, m))
     samples = np.zeros((len(fxs), len(combos)))
     for t, row in enumerate(fxs):
-        fx = st.SymTensor(n, m, dict(zip(combos, row)))
+        fx = dict(zip(combos, row))
         for c, combo in enumerate(combos):
             val = 0.0
             for dense in itertools.product(range(n), repeat=m):
-                w = fx.get(dense)
+                w = fx[tuple(sorted(dense))]
                 if w:
                     prod = 1.0
                     for eta_i, ax in zip(combo, dense):
