@@ -62,12 +62,14 @@ UCP_SAMPLES = (("num_lines", 30, COUNT, "lines sampled through U"),
 POTENTIAL = ("potential", True, BOOL, "false samples a non-potential field: checks then fail")
 UCP_N = ("n", 2, integer(2, 3), "dimension")
 
+# The ibp and john bounds keep a run in memory and within reach of its
+# tolerance (README, "Each John case").
 # Each table row is (key, default, check, description); rows resolve in order.
 # A default may be a function of the parameters resolved before it, and a
 # check may be a nested table, for a nonempty list of objects.
 JOHN_CASE = (
-    ("n", 2, integer(2), "dimension"),
-    ("m", 1, integer(1), "tensor rank"),
+    ("n", 2, integer(2, 4), "dimension"),
+    ("m", 1, integer(1, 4), "tensor rank"),
     ("lines", 20, COUNT, "random lines through the ball of radius 1.5"),
     ("tolerance", _john_tolerance, JOHN_TOLERANCE, "John-relation tolerance"))
 SUITES = {
@@ -75,10 +77,10 @@ SUITES = {
         ("trials", 50, COUNT, "trials of the R skew-symmetry and W/R potential checks"),
         ("roundtrip_trials", 20, COUNT, "trials of the W <-> R round trips")),
     "identities.ibp": (
-        ("n_values", [2, 3], listing("a nonempty list of integers >= 2", integer(2).ok, 1),
-         "dimensions n"),
-        ("s_values", [1, 2, 3, 4], listing("a nonempty list of integers >= 1",
-                                           integer(1).ok, 1), "derivative orders s"),
+        ("n_values", [2, 3], listing("a nonempty list of integers in [2, 4]",
+                                     integer(2, 4).ok, 1), "dimensions n"),
+        ("s_values", [1, 2, 3, 4], listing("a nonempty list of integers in [1, 6]",
+                                           integer(1, 6).ok, 1), "derivative orders s"),
         ("trials_per_case", 20, COUNT, "random functions per (n, s)")),
     "identities.john": (
         ("cases", [{"m": 1}, {"m": 2}], JOHN_CASE, "objects with the keys of a John case"),),

@@ -37,10 +37,11 @@ exact per-axis tables of ``symtensor.sym_maps``, never as dense
 per-frequency matrices; the split applies j_w to f and i_w to its solution
 the same way, and assembles its Gram j_w i_w entry by entry from the exact
 products j_{e_a} i_{e_b} times w_a w_b.  All of them read one cached,
-read-only frequency mesh per (N, L, n).  The j_x contractions of the moment
-identity read the same tables.  The key identities weight J^r f by the
-rows of the sphere IBP weight sum_l c_{l,s} i^l j^l xi^(.s), read from
-``spherequad._ibp_weights``, the table that ``verify_ibp`` reads.
+read-only frequency mesh per (N, L, n) and the field's cached ``spectrum``.
+The j_x contractions of the moment identity read the same tables.  The key
+identities weight J^r f by the rows of the sphere IBP weight
+sum_l c_{l,s} i^l j^l xi^(.s), read from ``spherequad._ibp_weights``, the
+table that ``verify_ibp`` reads.
 
 Spatial derivatives of normal operators are never taken by differencing
 quadrature output; they are moved onto the field inside the line integral via
@@ -75,7 +76,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -104,7 +105,8 @@ class GridTensorField:
     """Symmetric tensor field sampled on a uniform periodic grid.
 
     ``comps`` has shape (C(n+m-1, m), N, ..., N); axis coordinates are
-    -L/2 + (L/N)*index.
+    -L/2 + (L/N)*index.  The array is made read-only at construction (not
+    copied), so the cached ``spectrum`` always describes the samples.
     """
 
     def __init__(self, n, m, N, L, comps):
@@ -113,14 +115,15 @@ class GridTensorField:
         self.N = N
         self.L = float(L)
         self.comps = np.asarray(comps, dtype=float)
+        self.comps.flags.writeable = False
         if self.comps.shape != (sym_dim(n, m),) + (N,) * n:
             raise ValueError("component array has wrong shape")
 
     @classmethod
-    def sample(cls, field: PolyBumpField, N, L, enforce_margin=True):
+    def sample(cls, field: PolyBumpField, N, L):
         """Sample a bump field, by ``PolyBumpField.values`` on the mesh; its
         support must sit well inside the box."""
-        if enforce_margin and float(field.rho) > L / 4 + 1e-12:
+        if float(field.rho) > L / 4 + 1e-12:
             raise ValueError("support must leave a margin of at least L/4")
         axes = [np.arange(N) * (L / N) - L / 2 for _ in range(field.n)]
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
@@ -156,15 +159,18 @@ class GridTensorField:
     def __add__(self, other):
         return self._combine(other, np.add)
 
-    def rfft(self):
-        """Half spectra of the components: ``rfftn`` over the grid axes, the
-        last axis keeping the frequencies 0 .. N//2."""
-        return np.fft.rfftn(self.comps, axes=tuple(range(1, self.n + 1)))
+    @cached_property
+    def spectrum(self):
+        """Half spectra of the components, taken once and read-only: ``rfftn``
+        over the grid axes, the last axis keeping the frequencies 0 .. N//2."""
+        spec = np.fft.rfftn(self.comps, axes=tuple(range(1, self.n + 1)))
+        spec.flags.writeable = False
+        return spec
 
 
 def _irfft(spec, N, n):
     """Real fields from half spectra over the last n axes (the inverse of
-    ``GridTensorField.rfft``)."""
+    ``GridTensorField.spectrum``)."""
     return np.fft.irfftn(spec, s=(N,) * n, axes=tuple(range(spec.ndim - n, spec.ndim)))
 
 
@@ -195,18 +201,16 @@ def _apply_sym(table, w, spec):
 def d_field(v: GridTensorField) -> GridTensorField:
     """Spectral symmetrized derivative, rank m -> m+1: the multiplier 1j i_w."""
     w = _omega_mesh(v.N, v.L, v.n)
-    dv = 1j * _apply_sym(sym_maps(v.n, v.m + 1)[0], w, v.rfft())
+    dv = 1j * _apply_sym(sym_maps(v.n, v.m + 1)[0], w, v.spectrum)
     return GridTensorField(v.n, v.m + 1, v.N, v.L, _irfft(dv, v.N, v.n))
 
 
-def delta_field(f: GridTensorField, spec=None) -> GridTensorField:
-    """Spectral divergence, rank m -> m-1: the multiplier 1j j_w.  ``spec``
-    is ``f.rfft()`` where the caller holds it already."""
+def delta_field(f: GridTensorField) -> GridTensorField:
+    """Spectral divergence, rank m -> m-1: the multiplier 1j j_w."""
     if f.m < 1:
         raise ValueError("divergence needs rank >= 1")
     w = _omega_mesh(f.N, f.L, f.n)
-    spec = f.rfft() if spec is None else spec
-    df = 1j * _apply_sym(sym_maps(f.n, f.m)[1], w, spec)
+    df = 1j * _apply_sym(sym_maps(f.n, f.m)[1], w, f.spectrum)
     return GridTensorField(f.n, f.m - 1, f.N, f.L, _irfft(df, f.N, f.n))
 
 
@@ -226,13 +230,13 @@ def _gram_terms(n, m):
     return tuple(sorted(terms))
 
 
-def _split_system(f: GridTensorField, w, spec):
+def _split_system(f: GridTensorField, w):
     """The per-bin normal equations of the split, components first: the
     Gram matrices j_w i_w, shape (d, d, *bins), and the right-hand sides
     j_w fhat, shape (d, *bins), d = dim S^(m-1).  Bins with w = 0 (the zero
     frequency and the zeroed Nyquist bins) get the identity and zero."""
     d = sym_dim(f.n, f.m - 1)
-    rhs = _apply_sym(sym_maps(f.n, f.m)[1], w, spec)
+    rhs = _apply_sym(sym_maps(f.n, f.m)[1], w, f.spectrum)
     gram = np.zeros((d, d) + w.shape[:-1])
     for r, c, a, b, coef in _gram_terms(f.n, f.m):
         gram[r, c] += coef * (w[..., a] * w[..., b])
@@ -249,9 +253,8 @@ def _bins_first(a, k):
     return flat.transpose((k,) + tuple(range(k)))
 
 
-def solenoidal_decompose(f: GridTensorField, spec=None):
-    """Per-frequency least-squares split f = sf + d v with delta sf = 0;
-    ``spec`` is ``f.rfft()`` where the caller holds it already.
+def solenoidal_decompose(f: GridTensorField):
+    """Per-frequency least-squares split f = sf + d v with delta sf = 0.
 
     The zero frequency (and the zeroed Nyquist bins) carry no potential
     part; constants are divergence-free, so they belong to sf.
@@ -259,10 +262,9 @@ def solenoidal_decompose(f: GridTensorField, spec=None):
     if f.m < 1:
         raise ValueError("decomposition needs rank >= 1")
     w = _omega_mesh(f.N, f.L, f.n)
-    spec = f.rfft() if spec is None else spec
-    gram, rhs = _split_system(f, w, spec)
+    gram, rhs = _split_system(f, w)
     _solve_spd(_bins_first(gram, 2), _bins_first(rhs, 1))  # rhs := i * vhat
-    shat = spec - _apply_sym(sym_maps(f.n, f.m)[0], w, rhs)
+    shat = f.spectrum - _apply_sym(sym_maps(f.n, f.m)[0], w, rhs)
     return (GridTensorField(f.n, f.m, f.N, f.L, _irfft(shat, f.N, f.n)),
             GridTensorField(f.n, f.m - 1, f.N, f.L, _irfft(-1j * rhs, f.N, f.n)))
 
@@ -633,9 +635,8 @@ def normal_convolution(f: GridTensorField, k=0):
     return GridTensorField(n, m, N, f.L, out)
 
 
-def normal_symbol(f: GridTensorField, spec=None):
-    """N_m f (k=0) as an exact Fourier multiplier, n=2 only; ``spec`` is
-    ``f.rfft()`` where the caller holds it already.
+def normal_symbol(f: GridTensorField):
+    """N_m f (k=0) as an exact Fourier multiplier, n=2 only.
 
     The symbol is (4 pi / |w|) xi_w^(.m) <., xi_w^(.m)> with xi_w the unit
     vector orthogonal to w; it annihilates potential fields exactly, so this
@@ -653,9 +654,8 @@ def normal_symbol(f: GridTensorField, spec=None):
     idx_list = list(canonical_indices(n, m))
     monos = [xi[..., 0] ** e[0] * xi[..., 1] ** e[1]
              for e in (_xi_monomial_exps(idx, n) for idx in idx_list)]
-    spec = f.rfft() if spec is None else spec
     pairing = sum(multiplicity(idx) * fhat * mono
-                  for idx, fhat, mono in zip(idx_list, spec, monos))
+                  for idx, fhat, mono in zip(idx_list, f.spectrum, monos))
     scale = 4.0 * np.pi * inv
     out = _irfft(np.stack([scale * mono * pairing for mono in monos]), N, n)
     return GridTensorField(n, m, N, f.L, out)

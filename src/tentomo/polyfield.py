@@ -580,31 +580,27 @@ def lower_generalized_R(rkf: PairSymTensorField) -> PairSymTensorField:
 # W <-> R conversions
 # ---------------------------------------------------------------------------
 
-def r_to_w(rf: PairSymTensorField, m: int) -> PairSymTensorField:
-    """2^m sigma sigma applied to an R image, producing the W image."""
-    return generalized_r_to_w(rf, m, 0)
-
-
-def w_to_r(wf: PairSymTensorField, m: int) -> PairSymTensorField:
-    """(1/(m+1)) alpha...alpha applied to a W image, producing the R image."""
-    return generalized_w_to_r(wf, m, 0)
-
-
-def generalized_r_to_w(rkf: PairSymTensorField, m: int, k: int) -> PairSymTensorField:
-    """W^k from R^k: 2^{m-k} with both partial symmetrizations."""
-    mk = m - k
-    if rkf.npairs != mk or rkf.blocks != (k,):
-        raise ValueError("input does not have R^k structure")
-    return PairSymTensorField(rkf.n, 0, (mk, m), rkf.rho, rkf.power,
+def r_to_w(rkf: PairSymTensorField) -> PairSymTensorField:
+    """W^k from R^k: 2^(m-k) times both partial symmetrizations.  (m, k)
+    come from the R^k layout, m - k skew pairs then one block of k."""
+    if len(rkf.blocks) != 1:
+        raise ValueError(f"{rkf.npairs} pairs, blocks {rkf.blocks} is not the layout "
+                         "of an R^k image")
+    (k,) = rkf.blocks
+    m = rkf.npairs + k
+    return PairSymTensorField(rkf.n, 0, (rkf.npairs, m), rkf.rho, rkf.power,
                               stack=_apply(_stencil(_r_to_w_terms, rkf.n, m, k), rkf))
 
 
-def generalized_w_to_r(wkf: PairSymTensorField, m: int, k: int) -> PairSymTensorField:
+def w_to_r(wkf: PairSymTensorField) -> PairSymTensorField:
     """R^k from W^k: (k+1)/(m+1) times the pairwise alternation, which is
-    1/(m+1) at k = 0 and the identity at k = m."""
-    mk = m - k
-    if wkf.npairs != 0 or wkf.blocks != (mk, m):
-        raise ValueError("input does not have W^k structure")
+    1/(m+1) at k = 0 and the identity at k = m.  (m, k) come from the W^k
+    layout, no pairs and the blocks (m - k, m)."""
+    if wkf.npairs or len(wkf.blocks) != 2 or wkf.blocks[0] > wkf.blocks[1]:
+        raise ValueError(f"{wkf.npairs} pairs, blocks {wkf.blocks} is not the layout "
+                         "of a W^k image")
+    mk, m = wkf.blocks
+    k = m - mk
     stack = _apply(_stencil(_w_to_r_terms, wkf.n, m, k), wkf).scale(Fraction(k + 1, m + 1))
     return PairSymTensorField(wkf.n, mk, (k,), wkf.rho, wkf.power, stack=stack)
 

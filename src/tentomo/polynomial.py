@@ -165,7 +165,9 @@ class Polynomial:
     def __eq__(self, other):
         if isinstance(other, Polynomial):
             return self.n == other.n and self.terms == other.terms
-        return self.terms == self._coerce(other).terms
+        if isinstance(other, (int, Fraction)):
+            return self.terms == self._coerce(other).terms
+        return NotImplemented
 
     def __hash__(self):
         return hash((self.n, frozenset(self.terms.items())))

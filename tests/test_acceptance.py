@@ -74,15 +74,15 @@ def test_criterion_2_equivalence_round_trips():
         f = pf.random_bump_field(n, m, child, power=m + 1, degree=2)
         r = pf.operator_R(f)
         w = pf.saint_venant_W(f)
-        ok &= (pf.r_to_w(r, m) - w).is_zero()
-        ok &= (pf.w_to_r(w, m) - r).is_zero()
+        ok &= (pf.r_to_w(r) - w).is_zero()
+        ok &= (pf.w_to_r(w) - r).is_zero()
     for t in range(20):
         child = rng.split(f"g{t}")
         f = pf.random_bump_field(2, 2, child, power=2, degree=2)
         rk = pf.generalized_R(f, 1)
         wk = pf.generalized_W(f, 1)
-        ok &= (pf.generalized_r_to_w(rk, 2, 1) - wk).is_zero()
-        ok &= (pf.generalized_w_to_r(wk, 2, 1) - rk).is_zero()
+        ok &= (pf.r_to_w(rk) - wk).is_zero()
+        ok &= (pf.w_to_r(wk) - rk).is_zero()
     detail = "2^m and 1/(m+1) exact; generalized (m=2,k=1) exact with (k+1)/(m+1) = 2/3"
     elapsed_ok = time.time() - t0 <= 120
     assert report(2, "W<->R equivalences", ok and elapsed_ok, detail, t0)

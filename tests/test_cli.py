@@ -206,6 +206,12 @@ class TestValidateAcceptsOnlyWhatRuns:
         {"suite": "identities.algebra", "max_n": "3", "trials": 1},
         {"suite": "identities.ibp", "n_values": 3, "trials_per_case": 1},
         {"suite": "identities.ibp", "s_values": [], "trials_per_case": 1},
+        # one ibp trial at n = 5, s = 4 peaks at 0.5 GB, and n = 6 exhausts
+        # memory; John at m = 5 reads above the tolerance, which may only tighten
+        {"suite": "identities.ibp", "n_values": [2, 5], "trials_per_case": 1},
+        {"suite": "identities.ibp", "s_values": [1, 7], "trials_per_case": 1},
+        {"suite": "identities.john", "cases": [{"n": 5, "m": 1}]},
+        {"suite": "identities.john", "cases": [{"m": 1}, {"n": 2, "m": 5}]},
         {"suite": "identities.john", "cases": [{"m": 1, "lines": 0}]},
         {"suite": "identities.john", "cases": [{"n": 1, "m": 1, "lines": -3}]},
         {"suite": "identities.john", "cases": []},
@@ -742,29 +748,6 @@ def test_nonpotential_controls_flag_a_vanishing_operator(monkeypatch, tmp_path, 
     flagged = names[op == "operator_R"]
     assert flags[flagged]["value"] == 1.0 and not flags[flagged]["pass"]
     assert flags[names[op != "operator_R"]]["value"] == 0.0
-
-
-def test_generalized_round_trip_row_fails_on_a_wrong_constant(monkeypatch, tmp_path):
-    # 3/2 times (k+1)/(m+1) is the customary binom(m,k)/(m-k+1) at (m, k) =
-    # (2, 1); with it W^k -> R^k no longer closes the round trip
-    from fractions import Fraction
-
-    from tentomo import polyfield as pf
-    from tentomo.rng import SplitMix64
-
-    def row():
-        rows = suites._run_algebra({"trials": 1, "roundtrip_trials": 3}, SplitMix64(3), tmp_path)
-        got = next(r for r in rows if r["name"] == "generalized_rw_roundtrips_exact")
-        return got["value"], got["pass"], got["parameters"]
-    assert row() == (0.0, True, {"m": 2, "k": 1})
-    real = pf.generalized_w_to_r
-
-    def scaled(wkf, m, k):
-        out = real(wkf, m, k)
-        return pf.PairSymTensorField(out.n, out.npairs, out.blocks, out.rho, out.power,
-                                     stack=out.stack.scale(Fraction(3, 2)))
-    monkeypatch.setattr(pf, "generalized_w_to_r", scaled)
-    assert row() == (1.0, False, {"m": 2, "k": 1})
 
 
 def test_ibp_rows_are_the_worst_over_every_ordered_index(tilted_sphere, tmp_path):

@@ -256,18 +256,39 @@ def test_kernel_family_pinned(N, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# shared spectra in the decomposition
+# the spectrum a grid field owns
 # ---------------------------------------------------------------------------
 
-def test_passed_spectra_are_bitwise_the_computed_ones():
+def test_spectrum_is_taken_once_and_read_only():
     f = random_bump_field(2, 2, SplitMix64(360), power=6, degree=2)
     g = no.GridTensorField.sample(f, 64, 4.0)
-    spec = g.rfft()
-    for a, b in zip(no.solenoidal_decompose(g), no.solenoidal_decompose(g, spec)):
-        assert np.array_equal(a.comps, b.comps)
-    assert np.array_equal(no.delta_field(g).comps, no.delta_field(g, spec).comps)
-    assert np.array_equal(no.normal_symbol(g).comps, no.normal_symbol(g, spec).comps)
-    assert np.array_equal(spec, g.rfft())   # read, never written
+    want = np.fft.rfftn(g.comps, axes=(1, 2))
+    assert g.spectrum is g.spectrum and np.array_equal(g.spectrum, want)
+    for array in (g.comps, g.spectrum):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0, 0] = 1.0
+    samples = np.zeros((3, 16, 16))
+    no.GridTensorField(2, 2, 16, 4.0, samples)
+    with pytest.raises(ValueError, match="read-only"):
+        samples[0, 0, 0] = 1.0   # the array given is the field's, not copied
+
+
+def test_decompose_transform_counts(monkeypatch):
+    # each grid field is transformed once however many operators read it:
+    # per m, g, sf, v and the potential's samples, and two inverse
+    # transforms per split, one per d, delta and symbol
+    calls = {"rfftn": 0, "irfftn": 0}
+    for name in calls:
+        real = getattr(np.fft, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    entry = {"suite": "decompose", "N": 32, "L": 4.0, "m_values": [1, 2],
+             "normal_consistency": False}
+    run_suite(entry, SplitMix64(0), None)
+    assert calls == {"rfftn": 8, "irfftn": 16}
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -285,10 +306,11 @@ def test_decompose_checks_read_the_real_space_sf(m, monkeypatch):
     clean = rows()
     split = no.solenoidal_decompose
 
-    def nudged(g, *args):
-        sf, v = split(g, *args)
-        sf.comps[0, 16, 16] += 1e-3 * np.abs(sf.comps).max()
-        return sf, v
+    def nudged(g):
+        sf, v = split(g)
+        comps = sf.comps.copy()
+        comps[0, 16, 16] += 1e-3 * np.abs(comps).max()
+        return no.GridTensorField(sf.n, sf.m, sf.N, sf.L, comps), v
 
     monkeypatch.setattr(no, "solenoidal_decompose", nudged)
     moved = rows()

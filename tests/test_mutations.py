@@ -8,6 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from tentomo import normalops as no
+from tentomo import polyfield as pf
 from tentomo import suites
 from tentomo import symtensor as st
 from tentomo.cli import run_suite
@@ -60,6 +62,25 @@ def set_a_j_entry(monkeypatch):
     mutate_sym_maps(monkeypatch, j_entry=lambda x: Fraction(1001, 1000))
 
 
+def scale_w_to_r(monkeypatch):
+    """``w_to_r``'s output times 3/2: at (m, k) = (2, 1) that turns its
+    constant (k+1)/(m+1) into the customary binom(m, k)/(m-k+1)."""
+    real = pf.w_to_r
+
+    def wrong(wkf):
+        out = real(wkf)
+        return pf.PairSymTensorField(out.n, out.npairs, out.blocks, out.rho, out.power,
+                                     stack=out.stack.scale(Fraction(3, 2)))
+
+    monkeypatch.setattr(pf, "w_to_r", wrong)
+
+
+def skip_the_split_solve(monkeypatch):
+    """The split's per-bin Gram solve left out: the right-hand sides j_w fhat
+    stand in for i vhat."""
+    monkeypatch.setattr(no, "_solve_spd", lambda a, b: b)
+
+
 def verdicts(config, row, out):
     rep = run_suite(config, SplitMix64(50), out)
     return [r["pass"] for r in rep["residuals"] if r["name"] == row]
@@ -84,7 +105,8 @@ def test_ucp_trt_mutation_fails_its_row(row, mutate, n, m, monkeypatch, tmp_path
 
 #: (row, mutation) pairs of ``identities.algebra``.
 ALGEBRA_MUTATIONS = [(row, mutate) for row in ("sym_maps_adjoint", "sym_maps_commutator")
-                     for mutate in (scale_an_i_entry, set_a_j_entry)]
+                     for mutate in (scale_an_i_entry, set_a_j_entry)] + \
+    [(row, scale_w_to_r) for row in ("rw_roundtrips_exact", "generalized_rw_roundtrips_exact")]
 
 
 @pytest.mark.parametrize("row,mutate", ALGEBRA_MUTATIONS,
@@ -94,3 +116,11 @@ def test_algebra_mutation_fails_its_row(row, mutate, monkeypatch, tmp_path):
     assert verdicts(config, row, tmp_path) == [True]
     mutate(monkeypatch)
     assert verdicts(config, row, tmp_path) == [False]
+
+
+def test_decompose_mutation_fails_its_row(monkeypatch, tmp_path):
+    config = {"suite": "decompose", "N": 32, "L": 4.0, "m_values": [1, 2],
+              "normal_consistency": False}
+    assert verdicts(config, "delta_sf_relative", tmp_path) == [True, True]
+    skip_the_split_solve(monkeypatch)
+    assert verdicts(config, "delta_sf_relative", tmp_path) == [False, False]

@@ -159,7 +159,7 @@ def _lapack_decompose(f):
     Gram systems."""
     imul, jcon = _tables(f.n, f.m)
     w = no._omega_mesh(f.N, f.L, f.n).reshape(-1, f.n)
-    spec = f.rfft()
+    spec = f.spectrum
     fhat = spec.reshape(len(spec), -1).T
     a = np.einsum("rca,pa->prc", imul, w)
     jm = np.einsum("rca,pa->prc", jcon, w)
@@ -268,7 +268,7 @@ class TestDecomposition:
         # bitwise what np.linalg.solve returns on the system the split builds
         f = random_bump_field(n, 1, SplitMix64(150 + 10 * n + N), power=5, degree=2)
         g = GridTensorField.sample(f, N, 4.0)
-        gram, rhs = no._split_system(g, no._omega_mesh(N, g.L, n), g.rfft())
+        gram, rhs = no._split_system(g, no._omega_mesh(N, g.L, n))
         a, b = no._bins_first(gram, 2), no._bins_first(rhs, 1)
         assert a.shape[1:] == (1, 1) and a[0, 0, 0] == 1.0   # the zero bin is dead
         want = np.linalg.solve(a, b[..., None])[..., 0]
@@ -511,7 +511,7 @@ class TestConvolutionNormal:
         f = random_bump_field(2, 0, SplitMix64(37), power=4, degree=2)
         rels = []
         for (N, L) in ((64, 4.0), (128, 8.0), (256, 16.0)):
-            g = GridTensorField.sample(f, N, L, enforce_margin=False)
+            g = GridTensorField.sample(f, N, L)   # L/4 >= rho = 1
             a = normal_symbol(g)
             b = normal_convolution(g, k=0)
             ac = a.comps - a.comps.mean(axis=(1, 2), keepdims=True)
@@ -614,7 +614,9 @@ class TestConvolutionOracle:
         # up to its last index 3N - 2, so a period shorter than 2N wraps
         # nonzero terms onto the kept window
         f = random_bump_field(2, 1, SplitMix64(120), power=2, degree=2)
-        g = GridTensorField.sample(f, 32, 2.0, enforce_margin=False)
+        axes = [np.arange(32) * (2.0 / 32) - 1.0] * 2
+        g = GridTensorField(2, 1, 32, 2.0, f.values(np.stack(np.meshgrid(*axes, indexing="ij"),
+                                                              axis=-1)))
         assert min(np.abs(g.comps[:, 1, :]).max(), np.abs(g.comps[:, -1, :]).max()) > 0.0
         want = _convolution_oracle(g, 1)
         got = normal_convolution(g, k=1).comps
@@ -631,11 +633,10 @@ class TestConvolutionOracle:
         if name == "off-centre":
             f = random_bump_field(2, m, rng, power=4, degree=2)
             g = GridTensorField.sample(f, 48, 4.0)
-            g.comps = np.roll(g.comps, (13, -10), axis=(1, 2))
-            return g
-        g = zero_grid(2, m, 32, 4.0)
-        g.comps[:, 27, 5] = np.arange(1.0, len(g.comps) + 1.0)
-        return g
+            return GridTensorField(2, m, 48, 4.0, np.roll(g.comps, (13, -10), axis=(1, 2)))
+        comps = np.zeros((sym_dim(2, m), 32, 32))
+        comps[:, 27, 5] = np.arange(1.0, len(comps) + 1.0)
+        return GridTensorField(2, m, 32, 4.0, comps)
 
     @pytest.mark.parametrize("name,m,k", [
         ("off-centre", 0, 0), ("off-centre", 1, 1), ("off-centre", 2, 1),

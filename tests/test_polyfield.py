@@ -5,6 +5,7 @@ Everything here runs in rational arithmetic; assertions are exact equality.
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -13,8 +14,7 @@ import pytest
 from tentomo.polyfield import (BudgetError, PairSymTensorField, PolyBumpField,
                                divergence, field_l2_inner,
                                generalized_R, generalized_W,
-                               generalized_W_component, generalized_r_to_w,
-                               generalized_w_to_r, inner_derivative,
+                               generalized_W_component, inner_derivative,
                                lower_generalized_R,
                                operator_R, operator_R_component,
                                pair_alternations, potential_field, r_to_w,
@@ -292,8 +292,8 @@ class TestEquivalences:
         f = random_bump_field(n, m, rng, power=m + 1, degree=2)
         r = operator_R(f)
         w = saint_venant_W(f)
-        assert (r_to_w(r, m) - w).is_zero()
-        assert (w_to_r(w, m) - r).is_zero()
+        assert (r_to_w(r) - w).is_zero()
+        assert (w_to_r(w) - r).is_zero()
 
     def test_generalized_k0_and_km(self):
         rng = SplitMix64(8)
@@ -333,8 +333,19 @@ class TestEquivalences:
         for k in range(m + 1):
             rk = generalized_R(f, k)
             wk = generalized_W(f, k)
-            assert (generalized_r_to_w(rk, m, k) - wk).is_zero()
-            assert (generalized_w_to_r(wk, m, k) - rk).is_zero()
+            assert (r_to_w(rk) - wk).is_zero()
+            assert (w_to_r(wk) - rk).is_zero()
+
+    @pytest.mark.parametrize("convert,npairs,blocks", [
+        (r_to_w, 0, (1, 2)),      # a W^1 image at m = 2
+        (w_to_r, 1, (1,)),        # an R^1 image at m = 2
+        (w_to_r, 0, (3, 2)),      # m - k = 3 above m = 2
+        (w_to_r, 0, (2,)),        # R^2 at m = 2, one block
+        (r_to_w, 0, (1, 1, 1))])
+    def test_conversions_reject_other_layouts(self, convert, npairs, blocks):
+        field = PairSymTensorField(2, npairs, blocks, 1, 2)
+        with pytest.raises(ValueError, match=re.escape(f"blocks {blocks} is not the layout")):
+            convert(field)
 
     def test_recover_lower_generalized_R(self):
         rng = SplitMix64(12)
@@ -448,10 +459,10 @@ class TestStackAgainstDictOracles:
                     assert rk.component_core(flat) == operator_R_component(
                         f, flat[:2 * (m - k)], flat[2 * (m - k):])
                 w_in, r_in = comps_of(wk), comps_of(rk)
-                assert comps_of(generalized_r_to_w(rk, m, k)) == dict_stencil(
+                assert comps_of(r_to_w(rk)) == dict_stencil(
                     _r_to_w_terms, n, m, k, lambda atom: r_in[atom[0]])
                 const = Fraction(k + 1, m + 1)
-                assert comps_of(generalized_w_to_r(wk, m, k)) == dict_stencil(
+                assert comps_of(w_to_r(wk)) == dict_stencil(
                     _w_to_r_terms, n, m, k, lambda atom: w_in[atom[0]], const)
                 if k:
                     assert comps_of(lower_generalized_R(rk)) == dict_stencil(
@@ -462,8 +473,8 @@ class TestStackAgainstDictOracles:
                 i_group, j_group = key[1]
                 assert w.component_core(w.key_to_index(key)) == \
                     saint_venant_W_component(f, i_group, j_group)
-            assert comps_of(r_to_w(operator_R(f), m)) == comps_of(saint_venant_W(f))
-            assert comps_of(w_to_r(saint_venant_W(f), m)) == comps_of(operator_R(f))
+            assert comps_of(r_to_w(operator_R(f))) == comps_of(saint_venant_W(f))
+            assert comps_of(w_to_r(saint_venant_W(f))) == comps_of(operator_R(f))
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("m", [0, 1, 2])
@@ -529,8 +540,7 @@ class TestStackAgainstDictOracles:
             out = []
             for k in range(f.m + 1):
                 wk, rk = generalized_W(f, k), generalized_R(f, k)
-                out += [comps_of(wk), comps_of(rk), comps_of(generalized_r_to_w(rk, f.m, k)),
-                        comps_of(generalized_w_to_r(wk, f.m, k))]
+                out += [comps_of(wk), comps_of(rk), comps_of(r_to_w(rk)), comps_of(w_to_r(wk))]
                 if k:
                     out.append(comps_of(lower_generalized_R(rk)))
             out.append(inner_derivative(f).cores)

@@ -39,6 +39,19 @@ def test_float_scalars_are_rejected_at_the_call():
     assert 1 - core == Polynomial(2, {(0, 0): 1, (1, 0): -2, (0, 1): Fraction(-1, 3)})
 
 
+@pytest.mark.parametrize("other", [None, "x", 1.0, 0.5, [1]])
+def test_equality_with_a_foreign_value_is_false(other):
+    # only a Polynomial, an int or a Fraction compares; anything else is
+    # unequal both ways instead of raising TypeError, and arithmetic with it
+    # still raises
+    x = Polynomial.variable(2, 0)
+    assert not x == other and x != other and not other == x
+    assert (Polynomial.constant(2, 1) == 1) is True
+    assert (Polynomial.constant(2, Fraction(1, 2)) == Fraction(1, 2)) is True
+    with pytest.raises(TypeError):
+        x + other
+
+
 def test_zero_terms_dropped():
     x = Polynomial.variable(2, 0)
     assert (x - x).is_zero()
