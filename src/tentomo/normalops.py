@@ -11,7 +11,9 @@ Three numerical paths coexist, each with its own error source and tolerance:
   kernel discretization, ~1e-3 at N=128.  ``normal_convolution`` assembles
   it in frequency space: one real FFT per field component and per kernel,
   the sum over field components taken on the spectra, and one inverse FFT
-  per output term.  Only the box of E cells per axis that holds the field's
+  per distinct such sum, which depends only on l and on how many axis-0
+  indices the output term's x-prefactor and component hold together.  Only
+  the box of E cells per axis that holds the field's
   nonzero samples is transformed, against the N + E - 1 kernel offsets that
   its N outputs read, at the smallest period 2^a 3^b >= N + E - 1 (at most
   2N).  That is exact by overlap-save: each kept output reads kernel
@@ -55,8 +57,9 @@ Angular sums come in two forms, each reducing with w xi^I per point over the
   weight <x,xi>^p.  On the line through the foot point x - <x,xi>xi,
   J_m^k f is a per-node polynomial in the coordinates s of x on xi^perp
   times (rho^2 - |s|^2)^(e+1/2), built with the chord kernel's helpers;
-  each pair costs one Horner evaluation, run in place, and one power, and a
-  line that misses is set to +0 by one masked store;
+  each pair costs one Horner evaluation and one power, and a line that
+  misses is set to +0 by one masked store, every step written into buffers
+  allocated once per call;
 * base-point lines, any ``TransformExpr`` (the key identities, N_0 and the
   xi-moment integrals): ``_angular_sum`` runs that chord kernel itself.
 
@@ -407,31 +410,50 @@ def _foot_sinogram(f: PolyBumpField, k, nodes):
     return basis, r
 
 
-def _horner(coeffs, s):
+def _horner(coeffs, s, levels):
     """Per-node polynomials at s: coeffs (nodes, degrees per s axis) and s a
     list of (nodes, points) arrays, one per s coordinate.  A constant comes
-    back as a (nodes, 1) view of ``coeffs``; otherwise the first product
-    allocates the result and the rest of the steps run in place on it."""
+    back as a (nodes, 1) view of ``coeffs``; otherwise level i of the
+    recursion writes into ``levels[i]``, a (nodes, points) buffer, by one
+    product and then steps in place."""
     if coeffs.ndim == 1:
         return coeffs[:, None]
     top = coeffs.shape[-1] - 1
-    acc = _horner(coeffs[..., top], s[:-1])
+    acc = _horner(coeffs[..., top], s[:-1], levels[1:])
     if top:
-        acc = acc * s[-1]
+        acc = np.multiply(acc, s[-1], out=levels[0])
     for d in range(top - 1, -1, -1):
-        acc += _horner(coeffs[..., d], s[:-1])
+        acc += _horner(coeffs[..., d], s[:-1], levels[1:])
         if d:
             acc *= s[-1]
     return acc
 
 
-def _node_dots(vecs, x):
-    """(nodes, points) array of <vecs[i], x[:, j]>, summed term by term, so
-    that no entry depends on the block it is computed in."""
-    out = vecs[:, 0, None] * x[0]
+def _node_dots(vecs, x, out, scratch):
+    """<vecs[i], x[:, j]> into the (nodes, points) array ``out``, summed term
+    by term through ``scratch``, so that no entry depends on the block it is
+    computed in."""
+    np.multiply(vecs[:, 0, None], x[0], out=out)
     for a in range(1, len(x)):
-        out += vecs[:, a, None] * x[a]
+        out += np.multiply(vecs[:, a, None], x[a], out=scratch)
     return out
+
+
+def _int_power_into(base, e, spare):
+    """``xray._int_power(base, e)``, the same products in the same order,
+    computed in the buffers ``base`` (overwritten) and ``spare``; returns
+    the one that holds the power."""
+    if not e:
+        spare.fill(1.0)
+        return spare
+    acc = None
+    while True:
+        if e & 1:
+            acc = base if acc is None else np.multiply(acc, base, out=acc)
+        e >>= 1
+        if not e:
+            return acc
+        base = np.multiply(base, base, out=spare if acc is base else base)
 
 
 def _foot_point_sum(f: PolyBumpField, k, pts, p, rank, rules):
@@ -450,7 +472,9 @@ def _foot_point_sum(f: PolyBumpField, k, pts, p, rank, rules):
     at most ``LINE_BLOCK``, their pairs as (nodes, points) blocks of at most
     ``LINE_BLOCK`` entries, and each point adds each rule's nodes one by one
     in rule order onto that rule's running total, (((0 + v_0) + v_1) + ...),
-    whatever its chunk and block.
+    whatever its chunk and block.  Every intermediate of a block is written
+    into buffers allocated once per call, the leading entries of each taken
+    as a contiguous block-shaped view.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if pts.shape[1] != f.n:
@@ -462,26 +486,38 @@ def _foot_point_sum(f: PolyBumpField, k, pts, p, rank, rules):
     node_w = np.stack([weights * _monomials(nodes, e) for e in out_exps], axis=1)
     out = np.zeros((len(rules), len(out_exps), len(pts)))
     pb = max(1, min(len(pts), LINE_BLOCK))
-    nb = max(1, LINE_BLOCK // pb)
+    nb = max(1, min(LINE_BLOCK // pb, len(nodes)))
+    # n - 1 coordinates s, n - 1 Horner levels, H, the root, a spare for the
+    # powers and a product scratch; then the miss mask and the weighted rows
+    bufs = np.empty((2 * f.n + 2, nb * pb))
+    miss_buf = np.empty(nb * pb, dtype=bool)
+    rows_buf = np.empty(nb * len(out_exps) * pb)
     for p0 in range(0, len(pts), pb):
         x = np.ascontiguousarray(pts[p0:p0 + pb].T)
         totals = list(out[:, :, p0:p0 + pb])
         for n0 in range(0, len(nodes), nb):
             sl = slice(n0, n0 + nb)
-            s = [_node_dots(basis[sl, j], x) for j in range(f.n - 1)]
-            h = s[0] * s[0]
+            shape = (len(nodes[sl]), x.shape[1])
+            *s, h, root, pw, tmp = bufs[:, :shape[0] * shape[1]].reshape((len(bufs),) + shape)
+            s, levels = s[:f.n - 1], s[f.n - 1:]
+            for j, sj in enumerate(s):
+                _node_dots(basis[sl, j], x, sj, tmp)
+            np.multiply(s[0], s[0], out=h)
             for c in s[1:]:
-                h += c * c
+                h += np.multiply(c, c, out=tmp)
             np.subtract(rho2, h, out=h)
-            root = np.maximum(h, 0.0)
+            np.maximum(h, 0.0, out=root)
             np.sqrt(root, out=root)
-            miss = root <= TANGENCY_TOL
-            vals = _horner(r[sl], s) * _int_power(h, f.power)
+            miss = np.less_equal(root, TANGENCY_TOL, out=miss_buf[:h.size].reshape(shape))
+            vals = np.multiply(_horner(r[sl], s, levels), _int_power_into(h, f.power, pw),
+                               out=levels[0])
             vals *= root
             if p:
-                vals *= _int_power(_node_dots(nodes[sl], x), p)
-            vals[miss] = 0.0
-            rows = node_w[sl, :, None] * vals[:, None, :]
+                vals *= _int_power_into(_node_dots(nodes[sl], x, h, tmp), p, pw)
+            np.copyto(vals, 0.0, where=miss)
+            rows = np.multiply(node_w[sl, :, None], vals[:, None, :],
+                               out=rows_buf[:h.size * len(out_exps)].reshape(
+                                   shape[0], len(out_exps), shape[1]))
             # each rule's nodes in this block, onto that rule's totals
             for j, total in enumerate(totals):
                 for row in rows[max(bounds[j] - n0, 0):max(bounds[j + 1] - n0, 0)]:
@@ -583,9 +619,13 @@ def normal_convolution(f: GridTensorField, k=0):
     (x^(.2m+2k-l)) / |x|^{2m+2k-2l+n-1} with the x^(.2k-l) contraction applied
     pointwise after convolving, weighted by 2 C(k,l) (-1)^l.  The products
     are assembled in frequency space: each field component and each kernel of
-    the degree 2m+2k-l family is transformed once, and each (l, x^(.2k-l)
-    component, output component) takes one inverse transform of its sum over
-    field components.
+    the degree 2m+2k-l family is transformed once.  The term of output
+    component i and x^(.2k-l) component p convolves field component j with
+    the kernel row holding t + (axis-0 count of j) zeros, t the axis-0 count
+    of p + i, so its sum over j depends on (l, t) alone: each of the
+    2k - l + m + 1 values of t per l takes one inverse transform, shared by
+    every (p, i) with that count.  Each output still adds its p terms in
+    canonical order, which runs t down for a fixed i.
 
     Only the box of E = E_0 x E_1 cells holding every nonzero sample is
     transformed (overlap-save).  Per axis, with the box at rows lo .. lo+E-1,
@@ -617,21 +657,25 @@ def normal_convolution(f: GridTensorField, k=0):
     box = (slice(None),) + tuple(slice(a, a + e) for a, e in zip(lo, ext))
     field_hat = np.fft.rfft2(f.comps[box], s=shape)
     coords = f.axis_coords()
+    zeros = [idx.count(0) for idx in idx_list]
     for l in range(k + 1):
         beta = 2 * m + 2 * k - 2 * l + n - 1
         coeff = 2.0 * math.comb(k, l) * (-1) ** l
         kernel_hat = np.fft.rfft2(_kernel_family(offsets, h, 2 * m + 2 * k - l, beta), s=shape)
+        # the weighted x-prefactor of the x^(.2k-l) component with a zeros
+        weighted = {}
         for p_idx in canonical_indices(n, 2 * k - l):
-            p_exps = _xi_monomial_exps(p_idx, n)
-            xpref = np.multiply.outer(_int_power(coords, p_exps[0]),
-                                      _int_power(coords, p_exps[1]))
-            for c, i_idx in enumerate(idx_list):
-                acc = 0.0
-                for jpos, j_idx in enumerate(idx_list):
-                    a0 = _xi_monomial_exps(p_idx + i_idx + j_idx, n)[0]
-                    acc = acc + multiplicity(j_idx) * field_hat[jpos] * kernel_hat[a0]
-                conv = np.fft.irfft2(acc, s=shape)[keep]
-                out[c] += (coeff * multiplicity(p_idx) * h**n) * xpref * conv
+            a, b = _xi_monomial_exps(p_idx, n)
+            weighted[a] = ((coeff * multiplicity(p_idx) * h**n)
+                           * np.multiply.outer(_int_power(coords, a), _int_power(coords, b)))
+        for t in range(2 * k - l + m, -1, -1):
+            acc = 0.0
+            for jpos, j_idx in enumerate(idx_list):
+                acc = acc + multiplicity(j_idx) * field_hat[jpos] * kernel_hat[t + zeros[jpos]]
+            conv = np.fft.irfft2(acc, s=shape)[keep]
+            for c in range(len(idx_list)):
+                if t - zeros[c] in weighted:
+                    out[c] += weighted[t - zeros[c]] * conv
     return GridTensorField(n, m, N, f.L, out)
 
 

@@ -5,21 +5,16 @@ ucp.ray and ucp.mrt runners write (their lines, as ``ucp_<scenario>_lines.csv``)
 Rows are ``verdict.check_row`` records; rows named *_nonvanishing are
 negative controls, which pass when the value exceeds the threshold.
 
-Threads: ``decompose`` runs each normal-consistency case's angular
-reference on one ``_Worker`` thread while the calling thread runs its FFT
-convolutions, so a run uses the main thread plus at most one.  Both
-jobs call the same functions on the same operands as a serial run, so
-every value is bitwise the serial one.  The worker runs in a copy of the
-caller's context, which carries numpy's error state.
+Every suite runs on the calling thread alone: ``decompose`` takes each
+normal-consistency case's angular reference and then its FFT convolutions,
+one after the other, so no value depends on the CPUs the process may use.
 """
 
 from __future__ import annotations
 
-import contextvars
 import itertools
 import math
 import os
-import threading
 from fractions import Fraction
 
 import numpy as np
@@ -335,53 +330,21 @@ def _normal_consistency_rels(f, k, N, L, rule, refine=False):
     once, on the 2N grid, whose even points are bitwise the N grid (both
     spacings come from L and differ by an exact factor of 2).
 
-    The reference runs on a ``_Worker`` while this thread runs the
-    convolutions: two independent jobs, each on its own operands, so every
-    gap is bitwise that of a serial run.  Sampling g first fills f's lazy
-    caches, and from then until the join this thread reads only g."""
+    The reference runs first, then the convolutions, on this thread."""
     steps = (2, 1) if refine else (1,)
     g = no.GridTensorField.sample(f, steps[0] * N, L)
     coords = g.axis_coords()
-    pts = np.stack(np.meshgrid(coords, coords, indexing="ij"),
-                   axis=-1).reshape(-1, 2)
-    worker = _Worker(no.normal_momentum_on_points, f, pts, k, rule)
-    try:
-        convs = [no.normal_convolution(no.GridTensorField(2, g.m, g.N // s, L, g.comps[:, ::s, ::s]),
-                                       k=k) for s in steps]
-    finally:
-        worker.join()
-    ang = worker.result().T.reshape(g.comps.shape)
-    angs = [no.GridTensorField(2, g.m, g.N // s, L, ang[:, ::s, ::s]) for s in steps]
-    return [(conv - angf).norm_l2() / max(angf.norm_l2(), 1e-300)
-            for conv, angf in zip(convs, angs)]
-
-
-class _Worker:
-    """``job(*args)`` on one worker thread, started at construction; after
-    ``join()``, ``result()`` returns the job's value or re-raises its
-    exception.  The thread runs the job in a copy of the caller's context:
-    numpy keeps its error state (``np.errstate``) in a context variable, and
-    a bare thread would run under the default."""
-
-    def __init__(self, job, *args):
-        self._error = None
-        self._thread = threading.Thread(target=self._run,
-                                        args=(contextvars.copy_context(), job, args))
-        self._thread.start()
-
-    def _run(self, context, job, args):
-        try:
-            self._value = context.run(job, *args)
-        except BaseException as exc:  # re-raised by result(), in the caller
-            self._error = exc
-
-    def join(self):
-        self._thread.join()
-
-    def result(self):
-        if self._error is not None:
-            raise self._error
-        return self._value
+    # the points go with the call, before the convolutions allocate
+    ang = no.normal_momentum_on_points(
+        f, np.stack(np.meshgrid(coords, coords, indexing="ij"), axis=-1).reshape(-1, 2),
+        k, rule).T.reshape(g.comps.shape)
+    rels = []
+    for s in steps:
+        conv = no.normal_convolution(no.GridTensorField(2, g.m, g.N // s, L, g.comps[:, ::s, ::s]),
+                                     k=k)
+        angf = no.GridTensorField(2, g.m, g.N // s, L, ang[:, ::s, ::s])
+        rels.append((conv - angf).norm_l2() / max(angf.norm_l2(), 1e-300))
+    return rels
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ import math
 import pathlib
 import tempfile
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -397,7 +396,7 @@ def test_import_loads_no_scipy():
 
 
 def test_import_loads_no_executor_modules():
-    # the grid worker is a bare threading.Thread: an executor module would
+    # every suite runs on the calling thread, and an executor module would
     # lengthen the import that every run pays
     assert _packages_loaded_by_cli_import(["concurrent", "multiprocessing", "asyncio"]) == "[]"
 
@@ -627,40 +626,25 @@ def _serial_rels(f, k, N, L, rule, refine):
 
 
 @pytest.mark.parametrize("m,k,refine", [(0, 0, True), (1, 0, False), (1, 1, False)])
-def test_reference_on_the_worker_is_bitwise_serial(monkeypatch, m, k, refine):
-    # the angular reference runs on a worker thread; the gaps are the bits
-    # of a serial run
-    reference = suites.no.normal_momentum_on_points
-    on_main = []
+def test_case_runs_on_the_calling_thread_bitwise_serial(monkeypatch, m, k, refine):
+    # no thread can start: the gaps are the bits of the two halves run one
+    # after the other
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a normal-consistency case started a thread")
 
-    def recorded(*args):
-        on_main.append(threading.current_thread() is threading.main_thread())
-        return reference(*args)
-
-    monkeypatch.setattr(suites.no, "normal_momentum_on_points", recorded)
+    monkeypatch.setattr(threading, "Thread", no_thread)
     f, rule = _normal_case(m)
     got = suites._normal_consistency_rels(f, k, 32, 4.0, rule, refine)
-    assert on_main == [False]
     serial = _serial_rels(f, k, 32, 4.0, rule, refine)
     assert len(serial) == (2 if refine else 1)
     assert np.array_equal(got, serial)
 
 
-def test_worker_job_sees_the_callers_error_state():
-    with np.errstate(divide="raise"):
-        worker = suites._Worker(np.geterr)
-    worker.join()
-    assert worker.result()["divide"] == "raise"
-
-
-def test_worker_job_error_reaches_the_caller(monkeypatch, tmp_path, capsys):
+def test_reference_error_exits_4(monkeypatch, tmp_path, capsys):
     def broken(*args):
         raise RuntimeError("reference failed")
 
     monkeypatch.setattr(suites.no, "normal_momentum_on_points", broken)
-    f, rule = _normal_case(1)
-    with pytest.raises(RuntimeError, match="reference failed"):
-        suites._normal_consistency_rels(f, 0, 32, 4.0, rule)
     doc = {"schema": 1, "suites": [{"suite": "decompose", "N": 32, "m_values": [],
                                     "normal_cases": [[1, 0]], "refine": False}]}
     assert main(["run", "--config", write_config(tmp_path, doc),
@@ -668,25 +652,6 @@ def test_worker_job_error_reaches_the_caller(monkeypatch, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: decompose: internal error: RuntimeError: reference failed")
     assert "Traceback" in err
-
-
-def test_caller_error_joins_the_worker(monkeypatch):
-    # the reference outlasts the failing convolution, so only a join on the
-    # error path brings the thread count back before the call returns
-    def slow(f, pts, k, rule):
-        time.sleep(0.05)
-        return np.zeros((len(pts), f.m + 1))
-
-    def broken(g, k=0):
-        raise ValueError("convolution failed")
-
-    monkeypatch.setattr(suites.no, "normal_momentum_on_points", slow)
-    monkeypatch.setattr(suites.no, "normal_convolution", broken)
-    f, rule = _normal_case(1)
-    before = threading.active_count()
-    with pytest.raises(ValueError, match="convolution failed"):
-        suites._normal_consistency_rels(f, 0, 32, 4.0, rule)
-    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("exc", [TypeError("unsupported operand"),

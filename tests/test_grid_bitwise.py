@@ -1,13 +1,15 @@
 """The grid path's array kernels against test-side copies of their earlier,
 plainer formulas, bitwise.
 
-Each kernel was rewritten to make fewer passes over its arrays (contiguous
-point chunks, in-place products, a masked store for the miss rule, one
-preallocated kernel stack, per-axis squares, shared spectra), while keeping
-every floating-point operation, its operands and its order.  So each must
-agree with its copy here to the last bit, not to a tolerance.
+Each kernel was rewritten to make fewer passes over its arrays or fewer
+transforms (contiguous point chunks, block buffers allocated once per call, a
+masked store for the miss rule, one preallocated kernel stack, per-axis
+squares, shared spectra, one inverse transform per distinct spectral sum),
+while keeping every floating-point operation, its operands and its order.
+So each must agree with its copy here to the last bit, not to a tolerance.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +21,7 @@ from tentomo.polyfield import PolyBumpField, random_bump_field
 from tentomo.polynomial import Polynomial
 from tentomo.rng import SplitMix64
 from tentomo.spherequad import build_rule
-from tentomo.symtensor import canonical_indices
+from tentomo.symtensor import canonical_indices, multiplicity
 from tentomo.xray import TANGENCY_TOL, _int_power, _monomials, _xi_monomial_exps
 
 
@@ -134,6 +136,17 @@ class TestFootPointPinned:
     def test_chunk_sizes(self, count):
         f = random_bump_field(2, 1, SplitMix64(311), power=4, degree=2)
         _assert_pinned(f, 1, _points(2, count, 4), 1, 1, [build_rule(2, 4)])
+
+    def test_three_dimensions_past_one_chunk(self):
+        # two Horner levels and a power of <x,xi> in blocks of one node, on a
+        # full chunk and then on a chunk of one point
+        f = random_bump_field(3, 2, SplitMix64(312), power=3, degree=2)
+        _assert_pinned(f, 1, _points(3, no.LINE_BLOCK + 1, 6), 1, 2, [build_rule(3, 4)])
+
+    def test_two_rule_stack_in_one_node_blocks(self):
+        # every block is one node, so the rule bounds fall between blocks
+        f = random_bump_field(2, 1, SplitMix64(313), power=3, degree=2)
+        _assert_pinned(f, 1, _points(2, no.LINE_BLOCK, 7), 1, 1, STACK)
 
     def test_grazing_line_at_power_zero(self):
         # half-chord ~1e-6 along node (1, 0) at the first point, and exactly
@@ -253,6 +266,63 @@ def test_kernel_family_pinned(N, monkeypatch):
     assert sorted(set(seen)) == sorted({(2 * m + 2 * k - l, 2 * m + 2 * k - 2 * l + 1)
                                         for m in range(3) for k in range(2)
                                         for l in range(k + 1)})
+
+
+def _plain_normal_convolution(f, k):
+    """``normalops.normal_convolution`` with one inverse transform per
+    (l, x^(.2k-l) component, output component)."""
+    n, m, N, h = f.n, f.m, f.N, f.h
+    idx_list = list(canonical_indices(n, m))
+    out = np.zeros((len(idx_list),) + (N,) * n)
+    nonzero = (f.comps != 0).any(axis=0)
+    rows = [np.flatnonzero(nonzero.any(axis=1 - ax)) for ax in range(n)]
+    lo = [r[0] for r in rows]
+    ext = [r[-1] + 1 - r[0] for r in rows]
+    shape = tuple(no._fft_period(N + e - 1, 2 * N) for e in ext)
+    offsets = [np.arange(N + e - 1) - (a + e - 1) for a, e in zip(lo, ext)]
+    keep = tuple(slice(e - 1, e - 1 + N) for e in ext)
+    box = (slice(None),) + tuple(slice(a, a + e) for a, e in zip(lo, ext))
+    field_hat = np.fft.rfft2(f.comps[box], s=shape)
+    coords = f.axis_coords()
+    for l in range(k + 1):
+        beta = 2 * m + 2 * k - 2 * l + n - 1
+        coeff = 2.0 * math.comb(k, l) * (-1) ** l
+        kernel_hat = np.fft.rfft2(no._kernel_family(offsets, h, 2 * m + 2 * k - l, beta),
+                                  s=shape)
+        for p_idx in canonical_indices(n, 2 * k - l):
+            p_exps = _xi_monomial_exps(p_idx, n)
+            xpref = np.multiply.outer(_int_power(coords, p_exps[0]),
+                                      _int_power(coords, p_exps[1]))
+            for c, i_idx in enumerate(idx_list):
+                acc = 0.0
+                for jpos, j_idx in enumerate(idx_list):
+                    a0 = _xi_monomial_exps(p_idx + i_idx + j_idx, n)[0]
+                    acc = acc + multiplicity(j_idx) * field_hat[jpos] * kernel_hat[a0]
+                conv = np.fft.irfft2(acc, s=shape)[keep]
+                out[c] += (coeff * multiplicity(p_idx) * h**n) * xpref * conv
+    return out
+
+
+@pytest.mark.parametrize("N", [32, 33])
+@pytest.mark.parametrize("m,k,inverses", [(0, 0, 1), (1, 0, 2), (1, 1, 7), (2, 1, 9),
+                                          (2, 2, 18)])
+def test_normal_convolution_pinned(N, m, k, inverses, monkeypatch):
+    # one inverse transform per (l, count of axis-0 entries of p + i):
+    # sum over l of 2k - l + m + 1
+    f = random_bump_field(2, m, SplitMix64(355 + 5 * m + k), power=4, degree=2)
+    g = no.GridTensorField.sample(f, N, 4.0)
+    want = _plain_normal_convolution(g, k)
+    real, calls = np.fft.irfft2, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft2", counted)
+    got = no.normal_convolution(g, k=k).comps
+    assert len(calls) == inverses == sum(2 * k - l + m + 1 for l in range(k + 1))
+    assert np.array_equal(got, want)
+    assert np.abs(got).max() > 0.0
 
 
 # ---------------------------------------------------------------------------
