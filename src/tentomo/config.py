@@ -59,7 +59,6 @@ GRID_RANKS = Check(RANKS.text + ", not empty if no normal case runs",
                    and bool(v or p["normal_consistency"] and p["normal_cases"]))
 UCP_SAMPLES = (("num_lines", 30, COUNT, "lines sampled through U"),
                ("num_points", 10, COUNT, "points sampled in U"))
-POTENTIAL = ("potential", True, BOOL, "false samples a non-potential field: checks then fail")
 UCP_N = ("n", 2, integer(2, 3), "dimension")
 
 # The ibp and john bounds keep a run in memory and within reach of its
@@ -102,12 +101,12 @@ SUITES = {
         ("normal_cases", [[0, 0], [1, 0], [1, 1]], PAIRS, "(m, k) of those checks"),
         ("refine", True, BOOL, "also check that the (0, 0) case improves at 2N"),
         ("m_values", [1, 2], GRID_RANKS, "ranks of the decomposition checks")),
-    "ucp.ray": (UCP_N, ("m", 1, integer(1, 3), "tensor rank"), *UCP_SAMPLES, POTENTIAL),
+    "ucp.ray": (UCP_N, ("m", 1, integer(1, 3), "tensor rank"), *UCP_SAMPLES),
     "ucp.mrt": (
         UCP_N, ("m", 2, integer(1, 3), "tensor rank"),
         ("k", 1, Check("an integer with 0 <= k < m",
                        lambda v, p: integer(0, p["m"] - 1).ok(v)), "momentum order"),
-        *UCP_SAMPLES, POTENTIAL),
+        *UCP_SAMPLES),
     "ucp.trt": (
         ("n", 3, integer(3, 6), "dimension"),
         ("m", 1, integer(1, 4), "tensor rank"),

@@ -262,14 +262,24 @@ def solenoidal_decompose(f: GridTensorField):
     The zero frequency (and the zeroed Nyquist bins) carry no potential
     part; constants are divergence-free, so they belong to sf.
     """
+    sf, ivhat = _solenoidal_split(f)
+    return sf, GridTensorField(f.n, f.m - 1, f.N, f.L, _irfft(-1j * ivhat, f.N, f.n))
+
+
+def solenoidal_part(f: GridTensorField) -> GridTensorField:
+    """sf of ``solenoidal_decompose(f)``, bitwise, without transforming v."""
+    return _solenoidal_split(f)[0]
+
+
+def _solenoidal_split(f: GridTensorField):
+    """sf of the split, and i vhat, the half spectra of v times i."""
     if f.m < 1:
         raise ValueError("decomposition needs rank >= 1")
     w = _omega_mesh(f.N, f.L, f.n)
     gram, rhs = _split_system(f, w)
     _solve_spd(_bins_first(gram, 2), _bins_first(rhs, 1))  # rhs := i * vhat
     shat = f.spectrum - _apply_sym(sym_maps(f.n, f.m)[0], w, rhs)
-    return (GridTensorField(f.n, f.m, f.N, f.L, _irfft(shat, f.N, f.n)),
-            GridTensorField(f.n, f.m - 1, f.N, f.L, _irfft(-1j * rhs, f.N, f.n)))
+    return GridTensorField(f.n, f.m, f.N, f.L, _irfft(shat, f.N, f.n)), rhs
 
 
 def _solve_spd(a, b):
@@ -439,23 +449,6 @@ def _node_dots(vecs, x, out, scratch):
     return out
 
 
-def _int_power_into(base, e, spare):
-    """``xray._int_power(base, e)``, the same products in the same order,
-    computed in the buffers ``base`` (overwritten) and ``spare``; returns
-    the one that holds the power."""
-    if not e:
-        spare.fill(1.0)
-        return spare
-    acc = None
-    while True:
-        if e & 1:
-            acc = base if acc is None else np.multiply(acc, base, out=acc)
-        e >>= 1
-        if not e:
-            return acc
-        base = np.multiply(base, base, out=spare if acc is base else base)
-
-
 def _foot_point_sum(f: PolyBumpField, k, pts, p, rank, rules):
     """sum over rule nodes of w <x,xi>^p xi^I J_m^k f(x - <x,xi>xi, xi) per x,
     for each rule of the stack ``rules``; returns (rules, points, dim S^rank).
@@ -509,11 +502,11 @@ def _foot_point_sum(f: PolyBumpField, k, pts, p, rank, rules):
             np.maximum(h, 0.0, out=root)
             np.sqrt(root, out=root)
             miss = np.less_equal(root, TANGENCY_TOL, out=miss_buf[:h.size].reshape(shape))
-            vals = np.multiply(_horner(r[sl], s, levels), _int_power_into(h, f.power, pw),
+            vals = np.multiply(_horner(r[sl], s, levels), _int_power(h, f.power, pw),
                                out=levels[0])
             vals *= root
             if p:
-                vals *= _int_power_into(_node_dots(nodes[sl], x, h, tmp), p, pw)
+                vals *= _int_power(_node_dots(nodes[sl], x, h, tmp), p, pw)
             np.copyto(vals, 0.0, where=miss)
             rows = np.multiply(node_w[sl, :, None], vals[:, None, :],
                                out=rows_buf[:h.size * len(out_exps)].reshape(
@@ -588,7 +581,8 @@ def _kernel_family(offsets, h, degree, beta):
     into one preallocated array.
     """
     def values(x, y):
-        rpow = _int_power(np.sqrt(np.add.outer(x * x, y * y)), beta)
+        r = np.add.outer(x * x, y * y)
+        rpow = _int_power(np.sqrt(r, out=r), beta, np.empty_like(r))
         out = np.empty((degree + 1,) + rpow.shape)
         for a in range(degree + 1):
             np.multiply.outer(_int_power(x, a), _int_power(y, degree - a), out=out[a])

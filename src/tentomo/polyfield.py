@@ -298,10 +298,8 @@ class PairSymTensorField(_StackedField):
 #: Compiled stencils: ``(out_rows, columns, level, matrix, denom, rowsum)``.
 Stencil = collections.namedtuple("Stencil", "out_rows columns level matrix denom rowsum")
 
-#: (term generator, n, m, k) -> Stencil; filled on first use.
-_STENCILS = {}
 
-
+@functools.lru_cache(maxsize=None)
 def _stencil(terms, n, m, k) -> Stencil:
     """The stencil of one whole-field operator at (n, m, k), compiled once.
 
@@ -316,23 +314,19 @@ def _stencil(terms, n, m, k) -> Stencil:
     row sum.  Every order comes from the canonical key lists, none from a set
     or a dict, so the matrix does not depend on the hash seed.
     """
-    got = _STENCILS.get((terms, n, m, k))
-    if got is None:
-        out_rows, in_rows, triples = terms(n, m, k)
-        triples = list(triples)
-        (level,) = {len(src) for _, (_, src), _ in triples}
-        out_pos = {key: i for i, key in enumerate(out_rows)}
-        col_pos = {(row, src): j * len(in_rows) + r
-                   for j, src in enumerate(tree_multisets(n, level))
-                   for r, row in enumerate(in_rows)}
-        denom = math.lcm(*{w.denominator for _, _, w in triples})
-        matrix = np.zeros((len(out_rows), len(col_pos)), dtype=object)
-        for key, atom, w in triples:
-            matrix[out_pos[key], col_pos[atom]] += w.numerator * (denom // w.denominator)
-        got = Stencil(tuple(out_rows), tuple(col_pos), level, exact_array(matrix), denom,
-                      int(np.abs(matrix).sum(axis=1).max(initial=0)))
-        _STENCILS[(terms, n, m, k)] = got
-    return got
+    out_rows, in_rows, triples = terms(n, m, k)
+    triples = list(triples)
+    (level,) = {len(src) for _, (_, src), _ in triples}
+    out_pos = {key: i for i, key in enumerate(out_rows)}
+    col_pos = {(row, src): j * len(in_rows) + r
+               for j, src in enumerate(tree_multisets(n, level))
+               for r, row in enumerate(in_rows)}
+    denom = math.lcm(*{w.denominator for _, _, w in triples})
+    matrix = np.zeros((len(out_rows), len(col_pos)), dtype=object)
+    for key, atom, w in triples:
+        matrix[out_pos[key], col_pos[atom]] += w.numerator * (denom // w.denominator)
+    return Stencil(tuple(out_rows), tuple(col_pos), level, exact_array(matrix), denom,
+                   int(np.abs(matrix).sum(axis=1).max(initial=0)))
 
 
 def _apply(stencil: Stencil, field: _StackedField) -> CoreStack:

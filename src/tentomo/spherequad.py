@@ -51,9 +51,7 @@ class PiRational:
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._check(other)
-        pow_ = self.pi_pow if self.coef != 0 else other.pi_pow
-        return PiRational(self.coef - other.coef, pow_)
+        return self + -other
 
     def __mul__(self, other):
         if isinstance(other, PiRational):

@@ -5,6 +5,12 @@ ucp.ray and ucp.mrt runners write (their lines, as ``ucp_<scenario>_lines.csv``)
 Rows are ``verdict.check_row`` records; rows named *_nonvanishing are
 negative controls, which pass when the value exceeds the threshold.
 
+ucp.ray and ucp.mrt always build f = d^(k+1) v by ``polyfield.potential_field``
+(k = 0 for ucp.ray), whose vanishing rows must hold; their controls run on
+random, non-potential fields.  That the vanishing rows can FAIL is shown by
+the mutation table of the tests, with ``potential_field`` returning a
+non-potential field.
+
 Every suite runs on the calling thread alone: ``decompose`` takes each
 normal-consistency case's angular reference and then its FFT convolutions,
 one after the other, so no value depends on the CPUs the process may use.
@@ -302,7 +308,7 @@ def _run_decompose(params, rng, outdir):
         v0 = pf.random_bump_field(2, m - 1, child, power=7, degree=2,
                                   label="v0")
         gp = no.GridTensorField.sample(pf.inner_derivative(v0), N, L)
-        sfp, _ = no.solenoidal_decompose(gp)
+        sfp = no.solenoidal_part(gp)
         rows.append(check_row("potential_sf_relative",
                               sfp.norm_l2() / gp.norm_l2(), TOL_QUAD, p))
         if m == 1:
@@ -356,26 +362,29 @@ def _exact_zero_value(pair_field):
     return float(pair_field.stack.max_abs())
 
 
+def _sample_u(rng, params):
+    """(X, Xi, pts): ``num_lines`` lines through U, then ``num_points``
+    points in it, U the ball of radius ``U_RADIUS`` about (0.2, 0, ...)."""
+    n = params["n"]
+    center = np.asarray([0.2] + [0.0] * (n - 1))
+    X, Xi = _sample_lines_through(rng, center, U_RADIUS, params["num_lines"])
+    pts = np.array([center + np.asarray(rng.split(f"pt{t}").point_in_ball(n, U_RADIUS))
+                    for t in range(params["num_points"])])
+    return X, Xi, pts
+
+
 def _run_ucp_ray(params, rng, outdir):
     """A potential field's ray data and normal operator vanish on U."""
     n, m = params["n"], params["m"]
-    u_center = np.asarray([0.2] + [0.0] * (n - 1))
-    rows = []
     rule = sq.build_rule(n, UCP_RULE_DEGREE)
-    if params["potential"]:
-        v = pf.random_bump_field(n, m - 1, rng, power=m + 3,
-                                 degree=UCP_CORE_DEGREE, label="v")
-        f = pf.inner_derivative(v)
-    else:
-        f = pf.random_bump_field(n, m, rng, power=m + 3,
-                                 degree=UCP_CORE_DEGREE, label="f")
-    rows.append(check_row("curvature_operator_exactly_zero",
-                          _exact_zero_value(pf.operator_R(f)), 1e-10))
-    X, Xi = _sample_lines_through(rng, u_center, U_RADIUS, params["num_lines"])
+    v = pf.random_bump_field(n, m - 1, rng, power=m + 3,
+                             degree=UCP_CORE_DEGREE, label="v")
+    f = pf.potential_field(v)
+    rows = [check_row("curvature_operator_exactly_zero",
+                      _exact_zero_value(pf.operator_R(f)), 1e-10)]
+    X, Xi, pts = _sample_u(rng, params)
     data = xr.TransformExpr.momentum(f, 0).eval_lines(X, Xi)
     rows.append(check_row("ray_data_through_U_max", worst(np.abs(data)), UCP_TOL))
-    pts = np.array([u_center + np.asarray(rng.split(f"pt{t}").point_in_ball(n, U_RADIUS))
-                    for t in range(params["num_points"])])
     nmax = worst(np.abs(no.normal_momentum_on_points(f, pts, 0, rule)).ravel())
     rows.append(check_row("normal_operator_on_U_max", nmax, UCP_TOL))
     f_neg = pf.random_bump_field(n, m, rng, power=m + 3,
@@ -395,25 +404,17 @@ def _run_ucp_ray(params, rng, outdir):
 def _run_ucp_mrt(params, rng, outdir):
     """A generalized potential's momentum data of orders 0..k vanish on U."""
     n, m, k = params["n"], params["m"], params["k"]
-    u_center = np.asarray([0.2] + [0.0] * (n - 1))
-    rows = []
     rule = sq.build_rule(n, UCP_RULE_DEGREE)
-    if params["potential"]:
-        v = pf.random_bump_field(n, m - k - 1, rng, power=m + k + 4,
-                                 degree=UCP_CORE_DEGREE, label="v")
-        f = pf.potential_field(v, order=k + 1)
-    else:
-        f = pf.random_bump_field(n, m, rng, power=m + k + 4,
-                                 degree=UCP_CORE_DEGREE, label="f")
-    rows.append(check_row("generalized_curvature_exactly_zero",
-                          _exact_zero_value(pf.generalized_R(f, k)), 1e-10))
-    X, Xi = _sample_lines_through(rng, u_center, U_RADIUS, params["num_lines"])
+    v = pf.random_bump_field(n, m - k - 1, rng, power=m + k + 4,
+                             degree=UCP_CORE_DEGREE, label="v")
+    f = pf.potential_field(v, order=k + 1)
+    X, Xi, pts = _sample_u(rng, params)
+    rows = [check_row("generalized_curvature_exactly_zero",
+                      _exact_zero_value(pf.generalized_R(f, k)), 1e-10)]
     values = xr.eval_exprs([xr.TransformExpr.momentum(f, p) for p in range(k + 2)], X, Xi)
     for p in range(k + 1):
         rows.append(check_row(f"momentum_data_order{p}_through_U_max",
                               worst(np.abs(values[:, p])), UCP_TOL))
-    pts = np.array([u_center + np.asarray(rng.split(f"pt{t}").point_in_ball(n, U_RADIUS))
-                    for t in range(params["num_points"])])
     for p in range(k + 1):
         nmax = worst(np.abs(no.normal_momentum_on_points(f, pts, p, rule)).ravel())
         rows.append(check_row(f"normal_momentum_order{p}_on_U_max", nmax, UCP_TOL))

@@ -151,21 +151,30 @@ def _monomial_table(monos, exps, forms, offsets=None):
     return got
 
 
-def _int_power(base, e):
+def _int_power(base, e, spare=None):
     """base**e for an int e >= 0 by repeated squaring.
 
     At most e - 1 products, each rounded once, so it stays within a few ulp
     of libm's pow, which numpy's ``**`` calls per element for most integer
-    exponents and which costs far more.
+    exponents and which costs far more.  The products are computed in the
+    array ``base`` (overwritten) and ``spare``, of base's shape, and the one
+    that holds the power is returned; without ``spare``, in a copy of base
+    and a new array.
     """
-    out = None
+    if spare is None:
+        base = np.array(base)
+        spare = np.empty_like(base)
+    if not e:
+        spare.fill(1.0)
+        return spare
+    acc = None
     while True:
         if e & 1:
-            out = base if out is None else out * base
+            acc = base if acc is None else np.multiply(acc, base, out=acc)
         e >>= 1
         if not e:
-            return np.ones_like(base) if out is None else out
-        base = base * base
+            return acc
+        base = np.multiply(base, base, out=spare if acc is base else base)
 
 
 def _xi_monomial_exps(idx, n):

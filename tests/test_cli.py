@@ -19,6 +19,7 @@ from tentomo.cli import (ConfigError, emit_tables, load_config, main,
                          validate_config)
 from tentomo.config import JOHN_CASE, SUITES, TOP_LEVEL, Check
 from tentomo.polyfield import BudgetError
+from test_mutations import nonpotential_field
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -32,17 +33,6 @@ PASS_CONFIG = {
     "seed": 424242,
     "suites": [
         {"suite": "ucp.ray", "n": 2, "m": 1, "num_lines": 6, "num_points": 3},
-    ],
-}
-
-FAIL_CONFIG = {
-    "schema": 1,
-    "seed": 424242,
-    "suites": [
-        # deliberately non-potential field with the vanishing assertions kept:
-        # the negative control demonstrated through the exit code
-        {"suite": "ucp.ray", "n": 2, "m": 1, "potential": False,
-         "num_lines": 6, "num_points": 3},
     ],
 }
 
@@ -107,8 +97,10 @@ class TestRun:
                    for c in blk["residuals"])
         assert (out / "ucp_ray.csv").exists()
 
-    def test_golden_fail_exit_1(self, tmp_path):
-        cfg = write_config(tmp_path, FAIL_CONFIG)
+    def test_golden_fail_exit_1(self, tmp_path, monkeypatch):
+        # the vanishing rows on a non-potential field: a failed row exits 1
+        nonpotential_field(monkeypatch)
+        cfg = write_config(tmp_path, PASS_CONFIG)
         out = tmp_path / "out"
         code = main(["run", "--config", cfg, "--out", str(out)])
         assert code == 1
@@ -293,6 +285,16 @@ class TestValidateAcceptsOnlyWhatRuns:
         assert err.startswith("error: ") and "'n'" in err
         assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 3
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_potential_switch_is_gone(self, tmp_path, capsys):
+        # a config that asks for the non-potential field names a key of no table
+        path = write_config(tmp_path, {"schema": 1, "suites": [
+            {"suite": "ucp.ray", "potential": False}]})
+        known = "unknown key 'potential'; known: n, m, num_lines, num_points"
+        for argv in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+            assert main([*argv, "--config", path]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and known in err
 
     def test_trt_rank_is_bounded(self, tmp_path, capsys):
         # the dense sample loop grows about n^m C(n+m-1, m) per point, over
@@ -778,13 +780,13 @@ VALUES = {
     "lemma_cases": PAIRS, "prop_cases": PAIRS, "normal_cases": PAIRS,
     "N": (hs.integers(16, 17), hs.integers(14, 15)),
     "L": (hs.floats(4.0, 6.0), hs.one_of(hs.floats(1.0, 3.99), hs.just("4"))),
-    "normal_consistency": BOOLS, "refine": BOOLS, "potential": BOOLS,
+    "normal_consistency": BOOLS, "refine": BOOLS,
 }
 # keys of no table: typos, and knobs that are constants now
 FOREIGN = ["trails", "tolernce", "max_n", "max_m", "interior_points", "rule_degree",
            "solenoidal_tolerance", "reconstruction_tolerance", "normal_tolerance",
            "tolerance", "nonvanish_floor", "u_center", "u_radius", "rule", "degree",
-           "lines_csv"]
+           "lines_csv", "potential"]
 # keys whose defaults size a run beyond a cheap example; always drawn
 SIZING = {"identities.algebra": ["trials", "roundtrip_trials"],
           "identities.ibp": ["trials_per_case"], "decompose": ["N"]}

@@ -345,8 +345,9 @@ def test_spectrum_is_taken_once_and_read_only():
 
 def test_decompose_transform_counts(monkeypatch):
     # each grid field is transformed once however many operators read it:
-    # per m, g, sf, v and the potential's samples, and two inverse
-    # transforms per split, one per d, delta and symbol
+    # per m, g, sf, v and the potential's samples; one inverse transform per
+    # d, delta and symbol, two for f's split and one for the potential's,
+    # whose v is not read
     calls = {"rfftn": 0, "irfftn": 0}
     for name in calls:
         real = getattr(np.fft, name)
@@ -358,7 +359,13 @@ def test_decompose_transform_counts(monkeypatch):
     entry = {"suite": "decompose", "N": 32, "L": 4.0, "m_values": [1, 2],
              "normal_consistency": False}
     run_suite(entry, SplitMix64(0), None)
-    assert calls == {"rfftn": 8, "irfftn": 16}
+    assert calls == {"rfftn": 8, "irfftn": 14}
+
+
+def test_solenoidal_part_is_the_splits_sf():
+    g = no.GridTensorField.sample(random_bump_field(2, 2, SplitMix64(361), power=6, degree=2),
+                                  32, 4.0)
+    assert np.array_equal(no.solenoidal_part(g).comps, no.solenoidal_decompose(g)[0].comps)
 
 
 @pytest.mark.parametrize("m", [1, 2])

@@ -12,6 +12,7 @@ from tentomo import normalops as no
 from tentomo import polyfield as pf
 from tentomo import suites
 from tentomo import symtensor as st
+from tentomo import xray as xr
 from tentomo.cli import run_suite
 from tentomo.rng import SplitMix64
 
@@ -81,6 +82,45 @@ def skip_the_split_solve(monkeypatch):
     monkeypatch.setattr(no, "_solve_spd", lambda a, b: b)
 
 
+def nonpotential_field(monkeypatch):
+    """``potential_field`` returns a random field of the rank and bump power
+    of d^order v, drawn from a stream of its own, so that the suite's own
+    draws do not move."""
+    def wrong(v, order=1):
+        return pf.random_bump_field(v.n, v.m + order, SplitMix64(order), power=v.power - order,
+                                    degree=suites.UCP_CORE_DEGREE, label="nonpotential")
+
+    monkeypatch.setattr(pf, "potential_field", wrong)
+
+
+def zero_normal_operator(monkeypatch):
+    """``normal_momentum_on_points`` returns zeros of its shape."""
+    real = no.normal_momentum_on_points
+    monkeypatch.setattr(no, "normal_momentum_on_points",
+                        lambda *args: np.zeros_like(real(*args)))
+
+
+def zero_top_order_data(monkeypatch):
+    """The last column of every ``xray.eval_exprs`` result zeroed: in
+    ucp.mrt, the momentum data of order k + 1."""
+    real = xr.eval_exprs
+
+    def wrong(*args):
+        values = real(*args)
+        values[:, -1] = 0.0
+        return values
+
+    monkeypatch.setattr(xr, "eval_exprs", wrong)
+
+
+def zero_curvature_operators(monkeypatch):
+    """``operator_R`` and ``generalized_R`` return their image minus itself,
+    zero in the image's layout."""
+    for name in ("operator_R", "generalized_R"):
+        real = getattr(pf, name)
+        monkeypatch.setattr(pf, name, lambda *args, real=real: real(*args) - real(*args))
+
+
 def verdicts(config, row, out):
     rep = run_suite(config, SplitMix64(50), out)
     return [r["pass"] for r in rep["residuals"] if r["name"] == row]
@@ -124,3 +164,48 @@ def test_decompose_mutation_fails_its_row(monkeypatch, tmp_path):
     assert verdicts(config, "delta_sf_relative", tmp_path) == [True, True]
     skip_the_split_solve(monkeypatch)
     assert verdicts(config, "delta_sf_relative", tmp_path) == [False, False]
+
+
+#: (suite, row, mutation) of the UCP scenarios; ``{p}`` runs over the
+#: orders 0..k of ucp.mrt, and ``{k1}`` is k + 1.
+UCP_MUTATIONS = [
+    ("ucp.ray", "curvature_operator_exactly_zero", nonpotential_field),
+    ("ucp.ray", "ray_data_through_U_max", nonpotential_field),
+    ("ucp.ray", "normal_operator_on_U_max", nonpotential_field),
+    ("ucp.ray", "nonpotential_normal_nonvanishing", zero_normal_operator),
+    ("ucp.ray", "curvature_operator_nonvanishing", zero_curvature_operators),
+    ("ucp.mrt", "generalized_curvature_exactly_zero", nonpotential_field),
+    ("ucp.mrt", "momentum_data_order{p}_through_U_max", nonpotential_field),
+    ("ucp.mrt", "normal_momentum_order{p}_on_U_max", nonpotential_field),
+    ("ucp.mrt", "momentum_data_order{k1}_nonvanishing", zero_top_order_data),
+    ("ucp.mrt", "generalized_curvature_nonvanishing", zero_curvature_operators),
+]
+#: the default shape and a three-dimensional one of each scenario
+UCP_SHAPES = [("ucp.ray", {"n": 2, "m": 1}), ("ucp.ray", {"n": 3, "m": 2}),
+              ("ucp.mrt", {"n": 2, "m": 2, "k": 1}), ("ucp.mrt", {"n": 3, "m": 3, "k": 2})]
+
+
+def ucp_passes(config, out):
+    return {r["name"]: r["pass"] for r in run_suite(config, SplitMix64(50), out)["residuals"]}
+
+
+@pytest.mark.parametrize("suite,shape", UCP_SHAPES,
+                         ids=[f"{suite}-{'-'.join(map(str, shape.values()))}"
+                              for suite, shape in UCP_SHAPES])
+def test_ucp_mutations_fail_their_rows(suite, shape, tmp_path):
+    # one clean run and one run per mutation, as the scenario at (3, 3, 2)
+    # takes about 0.5 s a run; each mutation FAILs its rows and no other,
+    # so the controls PASS on the non-potential field
+    config, k = {"suite": suite, **shape, "num_lines": 6, "num_points": 4}, shape.get("k", 0)
+    rows = {}
+    for entry, row, mutate in UCP_MUTATIONS:
+        if entry == suite:
+            rows.setdefault(mutate, set()).update(row.format(p=p, k1=k + 1)
+                                                  for p in range(k + 1))
+    clean = ucp_passes(config, tmp_path)
+    assert set(clean) == set().union(*rows.values()) and all(clean.values())
+    for mutate, names in rows.items():
+        with pytest.MonkeyPatch.context() as patch:
+            mutate(patch)
+            failed = {name for name, ok in ucp_passes(config, tmp_path).items() if not ok}
+        assert failed == names, mutate.__name__

@@ -669,11 +669,15 @@ class TestConvolutionOracle:
     def test_int_power_matches_pow(self):
         base = np.concatenate([np.linspace(-3.0, 3.0, 601), [0.0, -0.0, 1e-3, -7.5e2]])
         assert (base == 0.0).sum() >= 3
+        kept = base.copy()
         for e in range(13):
             want = base**e
             got = no._int_power(base, e)
             # each of the at most e - 1 products rounds once
             assert np.all(np.abs(got - want) <= e * np.spacing(np.abs(want))), e
+            # in two given buffers, the same products
+            assert np.array_equal(no._int_power(kept.copy(), e, np.empty_like(base)), got)
+        assert np.array_equal(base, kept)
 
 
 def _exps(idx, n):
@@ -878,26 +882,3 @@ class TestUCP:
         # the S^2 rule, and foot-point sinograms with two s-axes
         rep = run_suite(config, SplitMix64(84), tmp_path)
         assert rep["residuals"] and all(c["pass"] for c in rep["residuals"])
-
-    def test_negative_control_detects_nonpotential(self, tmp_path):
-        rep = run_suite({"suite": "ucp.ray", "n": 2, "m": 1, "potential": False,
-                         "num_lines": 8, "num_points": 4},
-                        SplitMix64(83), tmp_path)
-        failing = [c for c in rep["residuals"] if not c["pass"]]
-        assert failing  # the vanish-checks must fail for a non-potential f
-
-    @pytest.mark.parametrize("scenario,operator,control", [
-        ("ray", "operator_R", "curvature_operator_nonvanishing"),
-        ("mrt", "generalized_R", "generalized_curvature_nonvanishing")])
-    def test_collapsed_curvature_operator_fails_its_control(self, monkeypatch, tmp_path,
-                                                            scenario, operator, control):
-        # with the operator returning zero the exact-zero row still passes;
-        # its control row is what catches the collapse
-        import tentomo.polyfield as pf
-        real = getattr(pf, operator)
-        monkeypatch.setattr(pf, operator, lambda *args: real(*args) - real(*args))
-        config = {"n": 2, "m": 2, "k": 1} if scenario == "mrt" else {"n": 2, "m": 1}
-        rep = run_suite({"suite": f"ucp.{scenario}", **config, "num_lines": 4,
-                         "num_points": 3}, SplitMix64(86), tmp_path)
-        rows = {c["name"]: c for c in rep["residuals"]}
-        assert rows[control]["value"] == 0.0 and not rows[control]["pass"]
