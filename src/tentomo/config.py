@@ -54,15 +54,17 @@ JOHN_TOLERANCE = Check("a number in (0, 1e-9] for m = 1, else (0, 1e-8]",
 # the lists a suite runs over must not all be empty
 PROP_CASES = Check(MK.text + ", not empty if lemma_cases is",
                    lambda v, p: MK.ok(v, p) and bool(v or p["lemma_cases"]))
-GRID_RANKS = Check(RANKS.text + ", not empty if no normal case runs",
-                   lambda v, p: RANKS.ok(v, p)
+GRID_PAIRS = listing("a list of [m, k] integer pairs in [0, 4]", lambda c: type(c) is list
+                     and len(c) == 2 and all(map(integer(0, 4).ok, c)))
+GRID_RANKS = Check("a list of integers in [1, 4], not empty if no normal case runs",
+                   lambda v, p: RANKS.ok(v, p) and max(v, default=1) <= 4
                    and bool(v or p["normal_consistency"] and p["normal_cases"]))
 UCP_SAMPLES = (("num_lines", 30, COUNT, "lines sampled through U"),
                ("num_points", 10, COUNT, "points sampled in U"))
 UCP_N = ("n", 2, integer(2, 3), "dimension")
 
-# The ibp and john bounds keep a run in memory and within reach of its
-# tolerance (README, "Each John case").
+# The ibp, john and decompose bounds keep a run in memory, and john's within
+# reach of its tolerance (README, "Each John case" and "decompose").
 # Each table row is (key, default, check, description); rows resolve in order.
 # A default may be a function of the parameters resolved before it, and a
 # check may be a nested table, for a nonempty list of objects.
@@ -94,11 +96,11 @@ SUITES = {
         ("degrees", [20, 40, 60], DEGREES, "rule degrees; the tolerance holds at the last"),
         ("tolerance", 1e-5, TOLERANCE, "identity tolerance")),
     "decompose": (
-        ("N", 128, integer(16), "grid points per axis"),
+        ("N", 128, integer(16, 256), "grid points per axis"),
         ("L", 4.0, Check("a number >= 4", lambda v, p: type(v) in (int, float)
                          and 4 <= v < math.inf), "box side; the fields have support radius 1"),
         ("normal_consistency", True, BOOL, "run the convolution-vs-angular checks"),
-        ("normal_cases", [[0, 0], [1, 0], [1, 1]], PAIRS, "(m, k) of those checks"),
+        ("normal_cases", [[0, 0], [1, 0], [1, 1]], GRID_PAIRS, "(m, k) of those checks"),
         ("refine", True, BOOL, "also check that the (0, 0) case improves at 2N"),
         ("m_values", [1, 2], GRID_RANKS, "ranks of the decomposition checks")),
     "ucp.ray": (UCP_N, ("m", 1, integer(1, 3), "tensor rank"), *UCP_SAMPLES),

@@ -87,7 +87,7 @@ from .polyfield import (PolyBumpField, _pair_rows, _position_splits, generalized
                         pair_alternations)
 from .spherequad import SphereRule, _ibp_weights
 from .symtensor import canonical_indices, multiplicity, sym_dim, sym_maps
-from .xray import (TANGENCY_TOL, TransformExpr, eval_exprs, _chord_moment, _int_power,
+from .xray import (TANGENCY_TOL, TransformExpr, eval_exprs, _chord_moment, _degree, _int_power,
                    _monomial_table, _monomials, _rowdot, _shifted, _xi_monomial_exps)
 
 
@@ -395,7 +395,8 @@ def _foot_sinogram(f: PolyBumpField, k, nodes):
     n, e = f.n, f.power
     nodes = np.asarray(nodes, dtype=float)
     basis = _perp_basis(nodes)
-    degree = max((core.degree() for core in f.cores.values()), default=0)
+    terms = f.stack.float_terms()
+    degree = max((_degree(exps) for exps, _ in terms), default=0)
     top = degree + k
     # the variables are (s_1 .. s_{n-1}, t); x_a = sum_j E[j, a] s_j + xi_a t
     col = (-1,) + (1,) * n
@@ -404,9 +405,10 @@ def _foot_sinogram(f: PolyBumpField, k, nodes):
     monos = {(0,) * n: np.zeros_like(q)}
     monos[(0,) * n][(slice(None),) + (0,) * n] = 1.0
     coeffs = {}
-    for idx, core in f.cores.items():
+    for idx, (exps, cs) in zip(f.rows(), terms):
+        if not len(cs):
+            continue
         pairing = multiplicity(idx) * _monomials(nodes, _xi_monomial_exps(idx, n))
-        exps, cs = core.compiled()
         for ex, c in zip(map(tuple, exps.tolist()), cs.tolist()):
             coeffs[ex] = coeffs.get(ex, 0.0) + c * pairing
     for exps in sorted(coeffs):

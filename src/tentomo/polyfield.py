@@ -25,9 +25,9 @@ construction.  It keeps derivative levels, level j the j-fold partials of
 all components, and every operator is a stencil compiled once per
 (operator, n, m, k) into one integer matrix over the one level it reads,
 applied as one matrix product.  The levels are the one derivative engine:
-the transforms read them too, each level materialised as ``Polynomial``
-cores once by ``level_cores``, and the dict views (``cores``, ``comps``,
-``core``, ``component_core``) are the nonzero rows of level 0.
+the transforms and the samplers read them too, as ``CoreStack.float_terms``,
+and no level becomes ``Polynomial`` cores.  The dict views (``cores``,
+``comps``, ``core``, ``component_core``) are the nonzero rows of level 0.
 """
 
 from __future__ import annotations
@@ -70,12 +70,11 @@ class _StackedField:
             stack = CoreStack.from_polys(n, [cores.get(key, zero) for key in self.rows()])
         self.stack = stack
         self._levels = [stack]
-        self._level_polys = {}
 
     @functools.cached_property
     def cores(self):
-        """The nonzero rows of ``level_cores(0)``, by component key."""
-        return {key: p for key, p in zip(self.rows(), self.level_cores(0)) if p.terms}
+        """The nonzero rows of ``stack`` as ``Polynomial`` cores, by component key."""
+        return {key: p for key, p in zip(self.rows(), self.stack.polys()) if p.terms}
 
     def is_zero(self):
         return self.stack.is_zero()
@@ -83,22 +82,14 @@ class _StackedField:
     def derivative_level(self, j) -> CoreStack:
         """Cores of the j-fold mixed partials of every row, one block per axis
         multiset of ``tree_multisets``: a ``quadric_level`` step of level
-        j - 1, kept."""
+        j - 1, kept.  Row r of the block of multiset I is at I's position in
+        ``tree_multisets`` times len(rows()), plus r."""
         _require_budget(self, j)
         levels = self._levels
         while len(levels) <= j:
             i = len(levels) - 1
             levels.append(levels[i].quadric_level(i, self.rho * self.rho, -1, self.power - i))
         return levels[j]
-
-    def level_cores(self, j):
-        """The rows of ``derivative_level(j)`` as ``Polynomial`` cores, built
-        once: row r of the block of multiset I is at I's position in
-        ``tree_multisets`` times len(rows()), plus r."""
-        got = self._level_polys.get(j)
-        if got is None:
-            got = self._level_polys[j] = self.derivative_level(j).polys()
-        return got
 
 
 @functools.lru_cache(maxsize=None)
@@ -131,7 +122,7 @@ class PolyBumpField(_StackedField):
 
     def derivative_core(self, idx, axes) -> Polynomial:
         """Core of the |axes|-fold mixed partial of component idx, on the
-        dict path: the independent oracle of ``level_cores``, a memoised
+        dict path: the independent oracle of ``derivative_level``, a memoised
         fold of ``quadric_derivative`` over the sorted axes."""
         key, axes = tuple(sorted(idx)), tuple(sorted(axes))
         if not axes:
@@ -161,9 +152,9 @@ class PolyBumpField(_StackedField):
         out = np.zeros((len(self.rows()),) + b.shape)
         if inside.any():
             inner, bump = pts[inside], b[inside] ** self.power
-            for pos, core in enumerate(self.level_cores(0)):
+            for pos, vals in enumerate(self.stack.eval_many(inner)):
                 # a view even at one point; out[pos, inside] is 18x slower on a grid
-                out[pos, ...][inside] = core.eval_many(inner) * bump
+                out[pos, ...][inside] = vals * bump
         return out
 
     # -- serialization ----------------------------------------------------

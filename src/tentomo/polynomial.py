@@ -7,8 +7,8 @@ and quadric derivatives run on the ``int`` numerators of ``int`` or
 each result coefficient once, instead of paying the gcd normalization of
 every ``Fraction`` operation, and raise ``TypeError`` on any other
 coefficient.  A scalar operand of ``+``, ``-`` or ``*`` that is not an
-``int`` or ``Fraction`` raises ``TypeError`` at the call.  Floats come only
-out of ``Polynomial.compiled``, which the quadrature paths read.
+``int`` or ``Fraction`` raises ``TypeError`` at the call.  ``Polynomial``
+is exact-only: floats come only out of ``CoreStack.float_terms``.
 
 ``CoreStack`` is the exact engine of the operator paths: many cores stacked
 as rows of one dense integer array over one common ``int`` denominator.  Its
@@ -16,10 +16,10 @@ kernels (the quadric derivative of every row for one derivative-tree level,
 a compiled stencil as one integer matrix product, the exact-zero test) run
 in int64 while a proven bound on every entry and partial sum stays below
 ``INT64_LIMIT`` = 2^62, and on ``object`` arrays of Python ints above it, so
-no kernel can overflow.
-The dict ``Polynomial`` stays the type of single cores (the transforms'
-cores, sphere integrals), and ``quadric_derivative`` and
-``linear_combination`` stay as the independent oracles of those kernels.
+no kernel can overflow; ``float_terms`` is its one float view.  The dict
+``Polynomial`` stays the type of single exact cores (sphere integrals, a
+field's dict views), and ``quadric_derivative`` and ``linear_combination``
+stay as the independent oracles of the stack kernels.
 """
 
 from __future__ import annotations
@@ -46,12 +46,11 @@ class PolynomialSizeError(RuntimeError):
 class Polynomial:
     """Polynomial in ``n`` variables; immutable by convention."""
 
-    __slots__ = ("n", "terms", "_compiled", "_integer")
+    __slots__ = ("n", "terms", "_integer")
 
     def __init__(self, n, terms=None):
         self.n = n
         self.terms = {}
-        self._compiled = None
         self._integer = None
         if terms:
             for exps, c in terms.items():
@@ -211,41 +210,6 @@ class Polynomial:
                 raise TypeError("exact arithmetic needs int or Fraction coefficients")
         return self._integer
 
-    def compiled(self):
-        """(exponents, coefficients) arrays for vectorized evaluation."""
-        if self._compiled is None:
-            if self.terms:
-                items = sorted(self.terms.items())
-                exps = np.array([e for e, _ in items], dtype=np.int64)
-                coeffs = np.array([float(c) for _, c in items])
-            else:
-                exps = np.zeros((0, self.n), dtype=np.int64)
-                coeffs = np.zeros(0)
-            self._compiled = (exps, coeffs)
-        return self._compiled
-
-    def eval_many(self, points):
-        """Evaluate at ``points`` of shape (..., n), in float."""
-        exps, coeffs = self.compiled()
-        pts = np.asarray(points, dtype=float)
-        if coeffs.size == 0:
-            return np.zeros(pts.shape[:-1])
-        maxdeg = int(exps.max(initial=0))
-        # axis-wise power tables: powers[ax][d] = pts[..., ax]**d
-        powers = [np.ones((maxdeg + 1,) + pts.shape[:-1]) for _ in range(self.n)]
-        for ax in range(self.n):
-            col = pts[..., ax]
-            for d in range(1, maxdeg + 1):
-                powers[ax][d] = powers[ax][d - 1] * col
-        out = np.zeros(pts.shape[:-1])
-        for (e, c) in zip(exps, coeffs):
-            term = np.full(pts.shape[:-1], c)
-            for ax in range(self.n):
-                if e[ax]:
-                    term = term * powers[ax][e[ax]]
-            out += term
-        return out
-
     def __repr__(self):
         if not self.terms:
             return "Polynomial(0)"
@@ -362,12 +326,13 @@ class CoreStack:
     times its input's); ``arr`` is int64 below INT64_LIMIT, Python ints above.
     """
 
-    __slots__ = ("n", "arr", "den", "bound")
+    __slots__ = ("n", "arr", "den", "bound", "_float")
 
     def __init__(self, n, arr, den=1, bound=None):
         self.n, self.den = n, den
         self.bound = int(np.abs(arr).max(initial=0)) if bound is None else bound
         self.arr = arr.astype(_dtype(self.bound), copy=False)
+        self._float = None
 
     @classmethod
     def from_polys(cls, n, polys):
@@ -421,6 +386,39 @@ class CoreStack:
         for r, e, c in zip(rows.tolist(), zip(*(ix.tolist() for ix in exps)), coeffs):
             terms[r][e] = c
         return [Polynomial(self.n, t) for t in terms]
+
+    def float_terms(self):
+        """Every row as read-only (exponents (terms, n) in sorted order,
+        coefficients) arrays, computed once; a coefficient is its entry over
+        ``den`` by one correctly rounded ``int / int``: ``float(Fraction)``."""
+        if self._float is None:
+            rows, *exps = np.nonzero(self.arr)
+            coeffs = np.array([c / self.den for c in self.arr[(rows, *exps)].tolist()])
+            exps = np.stack(exps, axis=1)
+            exps.flags.writeable = coeffs.flags.writeable = False
+            cuts = np.searchsorted(rows, np.arange(len(self.arr) + 1)).tolist()
+            self._float = [(exps[a:b], coeffs[a:b]) for a, b in zip(cuts, cuts[1:])]
+        return self._float
+
+    def eval_many(self, points):
+        """Every row at ``points`` (..., n), shape (rows, ...): its ``float_terms``
+        in order, coefficient times axis powers from one table for all rows."""
+        pts = np.asarray(points, dtype=float)
+        shape, terms = pts.shape[:-1], self.float_terms()
+        maxdeg = max((int(exps.max(initial=0)) for exps, _ in terms), default=0)
+        # axis-wise power tables: powers[ax][d] = pts[..., ax]**d
+        powers = [np.ones((maxdeg + 1,) + shape) for _ in range(self.n)]
+        for ax, d in itertools.product(range(self.n), range(1, maxdeg + 1)):
+            powers[ax][d] = powers[ax][d - 1] * pts[..., ax]
+        out = np.zeros((len(terms),) + shape)
+        for r, (exps, coeffs) in enumerate(terms):
+            row = out[r, ...]   # a view even at one point
+            for e, c in zip(exps, coeffs):
+                term = np.full(shape, c)
+                for ax in np.flatnonzero(e):
+                    term = term * powers[ax][e[ax]]
+                row += term
+        return out
 
     def quadric_level(self, j, c0, sigma, e) -> "CoreStack":
         """One level of a derivative tree: the rows come in equal blocks, one

@@ -507,7 +507,7 @@ def _transverse_oracle(f, X, Om, Y):
     """int <f(x + t omega), y^(.m)> dt on each ray (X[l], Om[l], Y[l]), not by
     the atom expansion of J_m: one kernel call integrates each core on every
     ray, then their dense tensor contracts with y slot by slot, in float."""
-    chords = xr.chord_integrals([(core, f.power, 0) for core in f.level_cores(0)],
+    chords = xr.chord_integrals([(terms, f.power, 0) for terms in f.stack.float_terms()],
                                 f.rho, X, Om)
     out = _dense_view(chords, f.n, f.m)
     for _ in range(f.m):

@@ -6,10 +6,11 @@ form: centred at the chord's midpoint, it is a sum of rational moments
 int_{-1}^{1} u^j (1 - u^2)^e du, and float roundoff is the only error.
 
 One kernel, ``chord_integrals``, computes every such integral, for a set of
-atoms (core, bump power, t power) on one support ball and an array of lines
-at once.  It drops the lines that miss the support, restricts each atom's
-polynomial to the remaining chords and sums its coefficients against the
-moments.  No atom's value depends on the other lines or atoms of its call, so
+atoms (terms, bump power, t power) on one support ball and an array of lines
+at once, the terms being a row of ``CoreStack.float_terms``.  It drops the
+lines that miss the support, restricts each atom's polynomial to the remaining
+chords and sums its coefficients against the moments.  No atom's value
+depends on the other lines or atoms of its call, so
 ``eval_exprs`` makes one kernel call for the atoms of every expression on a
 line set, and each expression is a reduction of that output, bitwise as if
 alone.  ``normalops`` compiles its sinogram from the same helpers.
@@ -26,7 +27,7 @@ with h differentiated, d/dxi_i additionally raises the t power, and the
 xi-monomial prefactor follows the product rule.  No prefactor depends on x:
 the identities checked here never need one, so d/dx_i only relabels atoms.
 An atom names (field, component row, sorted axis multiset, t power), and
-``eval_exprs`` reads its core from the field's exact derivative level of
+``eval_exprs`` reads its terms from the field's exact derivative level of
 that many axes, the level the W/R stencils read.  Coefficients are exact
 (``int`` or ``Fraction``) until ``eval_exprs`` takes each one to float.
 """
@@ -87,8 +88,8 @@ def _chord_midpoints(X, Xi, rho):
 def chord_integrals(atoms, rho, X, Xi):
     """Exact int t^tpow q(x + t xi) B(x + t xi)^e dt over the support chord.
 
-    ``atoms`` is a sequence of (core q, bump power e, tpow) triples on the
-    ball of radius ``rho``, B = rho^2 - |x|^2; X and Xi hold one line per
+    ``atoms`` is a sequence of (terms of q, bump power e, tpow) triples on
+    the ball of radius ``rho``, B = rho^2 - |x|^2; X and Xi hold one line per
     row, shape (L, n).  Returns (L, atoms).
     On the chord t = tc + h*u, u in [-1, 1], with half-chord h = sqrt(H)/|xi|,
     the bump factor is B = H (1 - u^2), so an atom t^p q B^e integrates to
@@ -105,18 +106,22 @@ def chord_integrals(atoms, rho, X, Xi):
     # the variables are (x_1 .. x_n, t) = (Y + u h xi, tc + u h): one u per line
     forms = [[(h * Xi[:, a])[:, None]] for a in range(n)] + [[h[:, None]]]
     offsets = [Y[:, a:a + 1] for a in range(n)] + [tc[:, None]]
-    top = max((max(core.degree(), 0) + tpow for core, _, tpow in atoms), default=0)
+    top = max((_degree(exps) + tpow for (exps, _), _, tpow in atoms), default=0)
     monos = {(0,) * (n + 1): np.zeros((len(tc), top + 1))}
     monos[(0,) * (n + 1)][:, 0] = 1.0
-    for col, (core, power, tpow) in enumerate(atoms):
-        exps, coeffs = core.compiled()
-        deg = max(core.degree(), 0) + tpow
+    for col, ((exps, coeffs), power, tpow) in enumerate(atoms):
+        deg = _degree(exps) + tpow
         c = np.zeros((len(tc), top + 1))
         for ex, v in zip(exps.tolist(), coeffs.tolist()):
             c += v * _monomial_table(monos, tuple(ex) + (tpow,), forms, offsets)
         moments = np.array([_chord_moment(b, power) for b in range(0, deg + 1, 2)])
         out[hit, col] = _rowdot(c[:, :deg + 1:2], moments) * h * _int_power(H, power)
     return out
+
+
+def _degree(exps):
+    """Total degree of terms of exponents ``exps``, 0 for none."""
+    return int(exps.sum(axis=1).max(initial=0))
 
 
 @lru_cache(maxsize=None)
@@ -278,9 +283,8 @@ class TransformExpr:
     def momentum(cls, f: PolyBumpField, k: int = 0) -> "TransformExpr":
         """The atom expansion of J_m^k f."""
         expr = cls(f.n)
-        cores = f.level_cores(0)
         for row, idx in enumerate(f.rows()):
-            if cores[row]:
+            if f.stack.arr[row].any():
                 expr._add(multiplicity(idx), _xi_monomial_exps(idx, f.n), (f, row), (), k)
         return expr
 
@@ -366,7 +370,8 @@ def eval_exprs(exprs, X, Xi, Y=None):
     for (f, row), dm, tp in cols:
         j = len(dm)
         block = tree_multisets(f.n, j).index(dm)
-        atoms.append((f.level_cores(j)[block * len(f.rows()) + row], f.power - j, tp))
+        atoms.append((f.derivative_level(j).float_terms()[block * len(f.rows()) + row],
+                      f.power - j, tp))
         rhos.add(f.rho)
     if len(rhos) > 1:
         raise ValueError("support mismatch")

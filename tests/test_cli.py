@@ -296,6 +296,27 @@ class TestValidateAcceptsOnlyWhatRuns:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and known in err
 
+    @pytest.mark.parametrize("entry", [
+        {"suite": "decompose", "N": 257},
+        {"suite": "decompose", "m_values": [1, 5]},
+        {"suite": "decompose", "normal_cases": [[5, 0]]},
+        {"suite": "decompose", "normal_cases": [[0, 0], [1, 5]]},
+    ], ids=["N", "rank", "case-m", "case-k"])
+    def test_decompose_sizes_are_bounded(self, tmp_path, capsys, entry):
+        # N = 512 with m = 4 and the case (4, 4) peaked at 525 MB, and
+        # nothing bounded N or the ranks above that
+        path = write_config(tmp_path, {"schema": 1, "suites": [entry]})
+        key = next(k for k in entry if k != "suite")
+        assert main(["validate", "--config", path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{key}'" in err
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        corner = {"suite": "decompose", "N": 256, "m_values": [1, 2, 3, 4],
+                  "normal_cases": [[4, 4], [0, 4], [4, 0]]}
+        path = write_config(tmp_path, {"schema": 1, "suites": [corner]})
+        assert main(["validate", "--config", path]) == 0
+
     def test_trt_rank_is_bounded(self, tmp_path, capsys):
         # the dense sample loop grows about n^m C(n+m-1, m) per point, over
         # ten times from m = 4 to m = 5 at n = 6
@@ -772,13 +793,15 @@ VALUES = {
     "s_values": (hs.lists(hs.integers(1, 3), min_size=1, max_size=2),
                  hs.lists(hs.integers(-1, 0), max_size=2)),
     "m_values": (hs.lists(hs.integers(1, 2), min_size=1, max_size=2),
-                 hs.lists(hs.integers(-1, 3), max_size=2)),
+                 hs.lists(hs.sampled_from([-1, 0, 1, 3, 5]), max_size=2)),
     "degrees": (hs.lists(hs.integers(1, 8), min_size=2, max_size=3,
                          unique=True).map(sorted),
                 hs.lists(hs.integers(-1, 8), max_size=3)),
     "tolerance": (hs.floats(1e-12, 1e-9), hs.sampled_from([0, -1e-9, 1e-3])),
-    "lemma_cases": PAIRS, "prop_cases": PAIRS, "normal_cases": PAIRS,
-    "N": (hs.integers(16, 17), hs.integers(14, 15)),
+    "lemma_cases": PAIRS, "prop_cases": PAIRS,
+    "normal_cases": (PAIRS[0], hs.one_of(PAIRS[1], hs.lists(
+        hs.permutations([0, 5]), min_size=1, max_size=2))),
+    "N": (hs.integers(16, 17), hs.sampled_from([14, 15, 257, 10**6])),
     "L": (hs.floats(4.0, 6.0), hs.one_of(hs.floats(1.0, 3.99), hs.just("4"))),
     "normal_consistency": BOOLS, "refine": BOOLS,
 }

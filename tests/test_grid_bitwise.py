@@ -190,16 +190,39 @@ class TestFootPointPinned:
 # sampling and kernels
 # ---------------------------------------------------------------------------
 
+def plain_core_values(core, pts):
+    """An exact ``Polynomial`` at ``pts`` of shape (..., n), one core at a
+    time: its terms in sorted order, each coefficient ``float(c)``, and
+    per-axis power tables of its own degree, each term its coefficient times
+    its axis powers axis by axis, added in turn."""
+    pts = np.asarray(pts, dtype=float)
+    items = sorted(core.terms.items())
+    maxdeg = max((max(e) for e, _ in items), default=0)
+    powers = [np.ones((maxdeg + 1,) + pts.shape[:-1]) for _ in range(core.n)]
+    for ax in range(core.n):
+        for d in range(1, maxdeg + 1):
+            powers[ax][d] = powers[ax][d - 1] * pts[..., ax]
+    out = np.zeros(pts.shape[:-1])
+    for e, c in items:
+        term = np.full(pts.shape[:-1], float(c))
+        for ax in range(core.n):
+            if e[ax]:
+                term = term * powers[ax][e[ax]]
+        out += term
+    return out
+
+
 def _plain_values(f, pts):
-    """``PolyBumpField.values`` with |x|^2 as numpy's sum over the last axis."""
+    """``PolyBumpField.values`` with |x|^2 as numpy's sum over the last axis,
+    each component by ``plain_core_values``."""
     pts = np.asarray(pts, dtype=float)
     b = float(f.rho) ** 2 - (pts * pts).sum(axis=-1)
     inside = b > 0
     out = np.zeros((len(f.rows()),) + b.shape)
     if inside.any():
         inner, bump = pts[inside], b[inside] ** f.power
-        for pos, core in enumerate(f.level_cores(0)):
-            out[pos, ...][inside] = core.eval_many(inner) * bump
+        for pos, idx in enumerate(f.rows()):
+            out[pos, ...][inside] = plain_core_values(f.core(idx), inner) * bump
     return out
 
 

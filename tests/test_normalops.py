@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from tentomo.cli import run_suite
+from tentomo.polynomial import CoreStack
 from tentomo.polyfield import inner_derivative, pair_alternations, random_bump_field
 from tentomo.rng import SplitMix64
 from tentomo.spherequad import build_rule
@@ -20,6 +21,8 @@ from tentomo.normalops import (GridTensorField, d_field,
                                normal_symbol, solenoidal_decompose,
                                verify_momentum_moment_identity,
                                verify_momentum_key_identity)
+
+from test_grid_bitwise import plain_core_values
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +56,7 @@ class TestGrid:
         axes = [np.arange(N) * (L / N) - L / 2] * n
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
         b = float(f.rho) ** 2 - (mesh * mesh).sum(axis=-1)
-        want = np.stack([np.where(b > 0, f.core(idx).eval_many(mesh)
+        want = np.stack([np.where(b > 0, plain_core_values(f.core(idx), mesh)
                                   * np.maximum(b, 0.0) ** f.power, 0.0)
                          for idx in canonical_indices(n, m)])
         assert np.array_equal(g.comps, want)
@@ -400,7 +403,8 @@ def _foot_point_oracle(f, x, k, rule):
     from test_xray import gauss_legendre_chord_integrals
     x = np.asarray(x, dtype=float)
     comps = list(canonical_indices(f.n, f.m))
-    atoms = [(f.core(idx), f.power, k) for idx in comps]
+    atoms = [(terms, f.power, k) for terms in CoreStack.from_polys(
+        f.n, [f.core(idx) for idx in comps]).float_terms()]
     proj = rule.nodes @ x
     jv = gauss_legendre_chord_integrals(atoms, f.rho, x - proj[:, None] * rule.nodes,
                                         rule.nodes)
@@ -796,7 +800,7 @@ class TestKeyIdentities:
                         for e, w in sq.metric_power_weight(n, idx, l).terms.items():
                             weight[e] = weight.get(e, 0) + sq.c_constant(l, s, n) * w
                     want = {(_add_exps(_exps(row, n), e), (f, i), (), r): multiplicity(row) * w
-                            for i, row in enumerate(f.rows()) if f.level_cores(0)[i]
+                            for i, row in enumerate(f.rows()) if f.core(row)
                             for e, w in weight.items() if w}
                     assert {key: Fraction(c, den) for key, c in expr.terms.items()} == want
 

@@ -21,7 +21,8 @@ from tentomo.polyfield import (BudgetError, PairSymTensorField, PolyBumpField,
                                random_bump_field,
                                saint_venant_W, saint_venant_W_component,
                                w_to_r)
-from tentomo.polynomial import Polynomial, linear_combination, quadric_derivative, tree_multisets
+from tentomo.polynomial import (CoreStack, Polynomial, linear_combination, quadric_derivative,
+                                tree_multisets)
 from tentomo.rng import SplitMix64
 from tentomo.spherequad import HomogeneousRational
 from tentomo.symtensor import canonical_indices
@@ -77,7 +78,7 @@ class TestBumpField:
             assert np.all(got[pos, :6] != 0.0)
         assert not got[:, 6:].any()
         # no point inside: no core is evaluated
-        monkeypatch.setattr(Polynomial, "eval_many", None)
+        monkeypatch.setattr(CoreStack, "eval_many", None)
         assert not f.values(outside).any()
 
     def test_derivative_core_of_no_axes_is_the_core(self):
@@ -484,7 +485,7 @@ class TestStackAgainstDictOracles:
         for f in oracle_fields(n, m, 400 + 10 * n + m):
             rows = f.rows()
             for j in range(f.power + 1):
-                cores = f.level_cores(j)
+                cores = f.derivative_level(j).polys()
                 assert len(cores) == len(tree_multisets(n, j)) * len(rows)
                 for block, axes in enumerate(tree_multisets(n, j)):
                     for r, idx in enumerate(rows):
@@ -516,7 +517,6 @@ class TestStackAgainstDictOracles:
         # the derivative levels of a field are built once, one level step
         # each, and every operator reads them: no quadric derivative per
         # sorted axis tuple
-        from tentomo.polynomial import CoreStack
         levels, real = [], CoreStack.quadric_level
 
         def counted(self, j, *params):
@@ -528,6 +528,33 @@ class TestStackAgainstDictOracles:
             generalized_W(f, k), generalized_R(f, k)
         inner_derivative(f), divergence(f)
         assert levels == [0, 1, 2]
+
+    def test_float_terms_are_the_exact_entries_rounded_once(self, monkeypatch):
+        # a stack's float view, row by row, is its dict core's terms in sorted
+        # order, each coefficient float(Fraction(entry, den)): for an int64
+        # stack over den 1, an R image over den > 1, a stack of Python ints
+        # (as in the fallback test below), and Python ints above 2^62 with a
+        # zero row
+        from tentomo import polynomial
+        f = random_bump_field(3, 2, SplitMix64(19), power=4, degree=2)
+        image = operator_R(f)
+        monkeypatch.setattr(polynomial, "INT64_LIMIT", 1000)
+        pyints = generalized_W(list(oracle_fields(3, 3, 17))[-1], 0)
+        huge = Polynomial(3, {(1, 0, 0): 3**45 + 1, (0, 0, 2): Fraction(-2**64 - 1, 3)})
+        stacks = [f.stack, image.stack, pyints.stack,
+                  CoreStack.from_polys(3, [huge, Polynomial.zero(3)])]
+        assert (f.stack.arr.dtype, f.stack.den) == (np.int64, 1) and image.stack.den > 1
+        assert all(s.arr.dtype == object for s in stacks[2:])
+        assert stacks[3].bound >= 2**62
+        for stack in stacks:
+            terms = stack.float_terms()
+            assert stack.float_terms() is terms and len(terms) == len(stack.arr)
+            for (exps, coeffs), core in zip(terms, stack.polys()):
+                items = sorted(core.terms.items())
+                assert exps.shape == (len(items), 3)
+                assert exps.tolist() == [list(e) for e, _ in items]
+                assert coeffs.tolist() == [float(Fraction(c)) for _, c in items]
+        assert not stacks[3].float_terms()[1][1].size
 
     def test_python_int_fallback_gives_identical_components(self, monkeypatch):
         # a low int64 limit sends most kernels to Python ints (and some

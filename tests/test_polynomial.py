@@ -68,12 +68,20 @@ def test_diff_and_eval():
 
 
 def test_eval_many_matches_eval():
+    # every row of a stack, at an array of points and at one point
     rng = SplitMix64(1)
-    p = random_polynomial(3, 3, rng)
+    rows = [random_polynomial(3, 3, rng), _with_fractions(random_polynomial(3, 2, rng)),
+            Polynomial.zero(3)]
+    stack = CoreStack.from_polys(3, rows)
     pts = np.array([[0.3, -1.2, 0.5], [1.0, 0.0, 2.0]])
-    got = float_copy(p).eval_many(pts)
-    for row, pt in zip(got, pts):
-        assert row == pytest.approx(float(p.eval(tuple(pt))), rel=1e-12)
+    got = stack.eval_many(pts)
+    assert got.shape == (3, 2)
+    for p, vals in zip(rows, got):
+        for val, pt in zip(vals, pts):
+            assert val == pytest.approx(float(p.eval(tuple(map(Fraction, pt)))),
+                                        rel=1e-12, abs=1e-15)
+    assert np.array_equal(stack.eval_many(pts[1]), got[:, 1])
+    assert not got[2].any()
 
 
 def test_random_coefficients_are_ints_of_the_same_draws():

@@ -279,8 +279,9 @@ class TestIBP:
             for s in range(6):
                 multisets, exps, matrix, den, _ = sq._ibp_weights(n, s)
                 assert multisets == tuple(itertools.combinations_with_replacement(range(n), s))
-                want = [sum((c_constant(l, s, n) * dense.metric_pair(dense.power(xi, s), n, l)[idx]
-                             for l in range(s // 2 + 1)), Fraction(0))
+                pairs = [dense.metric_pair(dense.power(xi, s), n, l) for l in range(s // 2 + 1)]
+                want = [sum((c_constant(l, s, n) * pair[idx] for l, pair in enumerate(pairs)),
+                            Fraction(0))
                         for idx in multisets]
                 got = [sum(Fraction(w, den) * Polynomial.monomial(n, e).eval(xi)
                            for e, w in zip(exps, row)) for row in matrix.tolist()]

@@ -19,7 +19,7 @@ from tentomo.cli import run_suite
 from tentomo import symtensor as st
 from tentomo.polyfield import (PolyBumpField, inner_derivative,
                                random_bump_field)
-from tentomo.polynomial import Polynomial
+from tentomo.polynomial import CoreStack, Polynomial
 from tentomo.rng import SplitMix64
 from tentomo.symtensor import canonical_indices, multiplicity
 from tentomo.xray import (Line, TransformExpr, _chord_midpoints,
@@ -142,10 +142,17 @@ class TestChordOracle:
             assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
+def float_terms(core):
+    """The (exponents, coefficients) of an exact ``Polynomial``, as a chord
+    atom reads them: its one row of a stack's float view."""
+    return CoreStack.from_polys(core.n, [core]).float_terms()[0]
+
+
 def gauss_legendre_chord_integrals(atoms, rho, X, Xi):
     """int t^tpow q(x + t xi) B(x + t xi)^e dt by Gauss-Legendre on the
-    chord, for (q, e, tpow) atoms, B = rho^2 - |x|^2.  The integrand is a
-    polynomial of degree deg q + 2e + tpow in t, so order
+    chord, for ((exponents, coefficients) of q, e, tpow) atoms,
+    B = rho^2 - |x|^2, q summed term by term at the nodes.  The integrand is
+    a polynomial of degree deg q + 2e + tpow in t, so order
     (deg q + 2e + tpow)//2 + 1 is exact up to roundoff; the chord comes from
     the quadratic's discriminant."""
     rho = float(rho)
@@ -156,14 +163,16 @@ def gauss_legendre_chord_integrals(atoms, rho, X, Xi):
     hit = (disc > 0.0) & (half * np.sqrt(a) > 1e-14)
     mid, half = -b[hit] / (2.0 * a[hit]), half[hit]
     out = np.zeros((len(X), len(atoms)))
-    for col, (core, power, tpow) in enumerate(atoms):
-        order = (max(core.degree(), 0) + 2 * power + tpow) // 2 + 1
+    for col, ((exps, coeffs), power, tpow) in enumerate(atoms):
+        order = (int(exps.sum(axis=1).max(initial=0)) + 2 * power + tpow) // 2 + 1
         nodes, weights = np.polynomial.legendre.leggauss(order)
         ts = mid[:, None] + half[:, None] * nodes
         pts = X[hit][:, None, :] + ts[..., None] * Xi[hit][:, None, :]
         b = rho * rho - (pts * pts).sum(axis=-1)
         bump = np.where(b > 0, np.maximum(b, 0.0) ** power, 0.0)
-        out[hit, col] = half * ((core.eval_many(pts) * bump * ts**tpow) @ weights)
+        q = sum((c * np.prod(pts ** e, axis=-1) for e, c in zip(exps, coeffs)),
+                np.zeros(pts.shape[:-1]))
+        out[hit, col] = half * ((q * bump * ts**tpow) @ weights)
     return out
 
 
@@ -191,7 +200,7 @@ class TestClosedFormKernel:
     def test_matches_gauss_legendre(self, n):
         rng = SplitMix64(300 + n)
         f = random_bump_field(n, 1, rng.split("f"), power=4, degree=2)
-        atoms = [(f.derivative_core(idx, dm), f.power - order, tpow)
+        atoms = [(float_terms(f.derivative_core(idx, dm)), f.power - order, tpow)
                  for idx in canonical_indices(n, 1)
                  for order in range(4)
                  for dm in canonical_indices(n, order)
@@ -330,7 +339,7 @@ class TestTransformDerivative:
                           for idx in canonical_indices(3, 2)), Polynomial.zero(3))
         X, Xi = random_lines(SplitMix64(30), 8)
         X, Xi = np.c_[X, np.zeros(8)], np.c_[Xi, 0.5 * np.ones(8)]
-        got = chord_integrals([(contracted, f.power, 0)], f.rho, X, Xi)[:, 0]
+        got = chord_integrals([(float_terms(contracted), f.power, 0)], f.rho, X, Xi)[:, 0]
         want = TransformExpr.momentum(f, 0).eval_lines(X, Xi, np.tile(y, (8, 1)))
         assert np.any(want != 0.0)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
@@ -363,13 +372,13 @@ def _float_sites(obj, skip=()):
 
 class TestExactCoefficients:
     """Expression coefficients stay ``int`` or ``Fraction`` until
-    ``eval_exprs`` takes them to float."""
+    ``eval_exprs`` takes them to float, and ``Polynomial`` is exact-only."""
 
     def test_no_float_where_coefficients_are_built(self):
         # eval and eval_lines return floats; everything else stays exact
         built = [(TransformExpr, ("eval", "eval_lines")),
                  (normalops._g_tensor_exprs, ()), (normalops.momentum_key_rhs_exprs, ()),
-                 (Polynomial._coerce, ()), (Polynomial.__add__, ()), (Polynomial.__mul__, ())]
+                 (Polynomial, ())]
         for obj, skip in built:
             assert _float_sites(obj, skip) == [], obj.__qualname__
 
@@ -398,7 +407,7 @@ def per_ray_transverse_oracle(f, x, omega, y):
         core = f.core(dense)
         if not core.is_zero():
             contracted = contracted + core * math.prod(Fraction(y[ax]) for ax in dense)
-    return chord_integrals([(contracted, f.power, 0)], f.rho, [x], [omega])[0, 0]
+    return chord_integrals([(float_terms(contracted), f.power, 0)], f.rho, [x], [omega])[0, 0]
 
 
 def transverse_rays(rng, n, count):
