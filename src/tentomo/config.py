@@ -33,6 +33,11 @@ def listing(text, item, least=0):
     return Check(text, lambda v, p: type(v) is list and len(v) >= least and all(map(item, v)))
 
 
+def ranked_pairs(top):
+    return Check(f"a list of [m, k] integer pairs with 0 <= k <= m <= {top}",
+                 lambda v, p: PAIRS.ok(v, p) and all(k <= m <= top for m, k in v))
+
+
 def _john_tolerance(case):
     return 1e-9 if case["m"] == 1 else 1e-8
 
@@ -41,8 +46,7 @@ COUNT = integer(1)
 BOOL = Check("true or false", lambda v, p: type(v) is bool)
 PAIRS = listing("a list of [m, k] integer pairs >= 0", lambda c: type(c) is list
                 and len(c) == 2 and all(map(integer(0).ok, c)))
-MK = Check("a list of [m, k] integer pairs with 0 <= k <= m",
-           lambda v, p: PAIRS.ok(v, p) and all(k <= m for m, k in v))
+LEMMA_CASES, PROP_RANKS = ranked_pairs(12), ranked_pairs(3)
 RANKS = listing("a list of integers >= 1", integer(1).ok)
 DEGREES = Check("a list of >= 2 strictly increasing integers >= 1",
                 lambda v, p: RANKS.ok(v, p) and len(v) >= 2 and v == sorted(set(v)))
@@ -52,8 +56,8 @@ TOLERANCE = Check("a number in (0, 1e-05]",
 JOHN_TOLERANCE = Check("a number in (0, 1e-9] for m = 1, else (0, 1e-8]",
                        lambda v, p: type(v) in (int, float) and 0 < v <= _john_tolerance(p))
 # the lists a suite runs over must not all be empty
-PROP_CASES = Check(MK.text + ", not empty if lemma_cases is",
-                   lambda v, p: MK.ok(v, p) and bool(v or p["lemma_cases"]))
+PROP_CASES = Check(PROP_RANKS.text + ", not empty if lemma_cases is",
+                   lambda v, p: PROP_RANKS.ok(v, p) and bool(v or p["lemma_cases"]))
 GRID_PAIRS = listing("a list of [m, k] integer pairs in [0, 4]", lambda c: type(c) is list
                      and len(c) == 2 and all(map(integer(0, 4).ok, c)))
 GRID_RANKS = Check("a list of integers in [1, 4], not empty if no normal case runs",
@@ -63,8 +67,9 @@ UCP_SAMPLES = (("num_lines", 30, COUNT, "lines sampled through U"),
                ("num_points", 10, COUNT, "points sampled in U"))
 UCP_N = ("n", 2, integer(2, 3), "dimension")
 
-# The ibp, john and decompose bounds keep a run in memory, and john's within
-# reach of its tolerance (README, "Each John case" and "decompose").
+# The ibp, john and decompose bounds keep a run in memory, and john's and
+# identities.mrt's within reach of their tolerances (README, "Each John
+# case", "identities.mrt" and "decompose").
 # Each table row is (key, default, check, description); rows resolve in order.
 # A default may be a function of the parameters resolved before it, and a
 # check may be a nested table, for a nonempty list of objects.
@@ -91,7 +96,7 @@ SUITES = {
         ("degrees", [20, 40, 60], DEGREES, "rule degrees; the tolerance holds at the last"),
         ("tolerance", 1e-5, TOLERANCE, "key-identity tolerance")),
     "identities.mrt": (
-        ("lemma_cases", [[1, 1], [2, 1], [2, 2]], MK, "(m, k) of the moment identity"),
+        ("lemma_cases", [[1, 1], [2, 1], [2, 2]], LEMMA_CASES, "(m, k) of the moment identity"),
         ("prop_cases", [[1, 1], [2, 1]], PROP_CASES, "(m, k) of the momentum key identity"),
         ("degrees", [20, 40, 60], DEGREES, "rule degrees; the tolerance holds at the last"),
         ("tolerance", 1e-5, TOLERANCE, "identity tolerance")),

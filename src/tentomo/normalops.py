@@ -784,14 +784,12 @@ def momentum_key_rhs_exprs(f: PolyBumpField, k):
 
 def verify_momentum_key_identity(f: PolyBumpField, pts, k, rules):
     """Residuals of the momentum key identity at each point of the (P, n)
-    array ``pts``, by each rule of the stack ``rules``: {component key:
-    (rules, P) array}.  Both sides of every component, m! N_0((R^k f)_key)
-    and its right-hand side, go through one ``_angular_sum`` call."""
-    m = f.m
-    if not 0 <= k <= m:
-        raise ValueError("k out of range")
+    array ``pts``, by each rule of the stack ``rules``: (rules, P,
+    components), the components in the key order of
+    ``momentum_key_rhs_exprs``, which is ``generalized_R(f, k).rows()``.
+    Both sides of every component, m! N_0((R^k f)_key) and its right-hand
+    side, go through one ``_angular_sum`` call."""
     rkf = generalized_R(f, k)
-    rhs = momentum_key_rhs_exprs(f, k)
-    lhs = [TransformExpr.momentum(rkf.component_field(key), 0) for key in rhs]
-    sums = _angular_sum(lhs + list(rhs.values()), pts, 0, rules)[..., 0]
-    return {key: math.factorial(m) * sums[i] - sums[len(lhs) + i] for i, key in enumerate(rhs)}
+    lhs = [TransformExpr.momentum(rkf.component_field(key), 0) for key in rkf.rows()]
+    sums = _angular_sum(lhs + list(momentum_key_rhs_exprs(f, k).values()), pts, 0, rules)[..., 0]
+    return np.moveaxis(math.factorial(f.m) * sums[:len(lhs)] - sums[len(lhs):], 0, -1)

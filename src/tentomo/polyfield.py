@@ -91,6 +91,14 @@ class _StackedField:
             levels.append(levels[i].quadric_level(i, self.rho * self.rho, -1, self.power - i))
         return levels[j]
 
+    def atom(self, row, axes):
+        """(float terms, bump power) of the partial of row ``row`` along the
+        sorted axis multiset ``axes``: its row of the ``float_terms`` of
+        ``derivative_level(len(axes))``, at the power less len(axes)."""
+        j = len(axes)
+        block = tree_multisets(self.n, j).index(axes)
+        return self.derivative_level(j).float_terms()[block * len(self.rows()) + row], self.power - j
+
 
 @functools.lru_cache(maxsize=None)
 def _field_rows(n, m):

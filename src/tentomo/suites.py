@@ -5,6 +5,13 @@ ucp.ray and ucp.mrt runners write (their lines, as ``ucp_<scenario>_lines.csv``)
 Rows are ``verdict.check_row`` records; rows named *_nonvanishing are
 negative controls, which pass when the value exceeds the threshold.
 
+identities.prop-ray and identities.mrt share one case path,
+``_identity_case``: a field and its points drawn from the case's stream, one
+``normalops`` verifier returning a (rules, points, components) residual
+array, and ``_convergence_rows``.  The ray key identity is the k = 0 case of
+the momentum key identity, so prop-ray passes ``verify_momentum_key_identity``
+at k = 0, and mrt passes it or ``verify_momentum_moment_identity``.
+
 ucp.ray and ucp.mrt always build f = d^(k+1) v by ``polyfield.potential_field``
 (k = 0 for ucp.ray), whose vanishing rows must hold; their controls run on
 random, non-potential fields.  That the vanishing rows can FAIL is shown by
@@ -198,42 +205,29 @@ def _run_john(params, rng, outdir):
     return rows
 
 
-def _convergence_rows(label, f, k, degrees, points, tol, kind):
-    """Residual rows plus monotonicity rows shared by prop-ray/mrt suites.
+def _convergence_rows(label, res, degrees, tol):
+    """Residual rows plus the monotone-slack row of one prop-ray or mrt case.
 
-    ``kind`` "key" checks the momentum key identity (k = 0 is the ray key
-    identity), "lemma" the momentum moment identity; any other kind is a
-    ``ValueError``.  All the degrees' rules go through one call as one stack:
-    one sinogram per order and one chord-kernel call per block of lines, with
-    each rule's sums taken in its own rule order, bitwise a one-rule call.
+    ``res`` is a verifier's (rules, points, components) array, one rule per
+    degree; each (degree, point) reads its worst component.  The stated tolerance is
+    pinned at the final (highest) degree, coarser degrees are trend
+    diagnostics.
     """
-    if kind not in ("key", "lemma"):
-        raise ValueError(f"unknown convergence kind {kind!r}")
+    by_degree = np.max(np.abs(res), axis=2)
     rows = []
-    rules = [sq.build_rule(f.n, deg) for deg in degrees]
-    # (degrees, points): the worst residual component
-    if kind == "key":
-        res = no.verify_momentum_key_identity(f, points, k, rules)
-        by_degree = np.max(np.abs(list(res.values())), axis=0)
-    else:
-        res = no.verify_momentum_moment_identity(f, points, k, rules)
-        by_degree = np.max(np.abs(res), axis=2)
-    # one row per (degree, sample point); the stated tolerance is pinned at
-    # the final (highest) degree, coarser degrees are trend diagnostics
     for j, deg in enumerate(degrees):
         bound = tol if j == len(degrees) - 1 else max(tol, 1e-2)
-        for i, value in enumerate(by_degree[j]):
-            rows.append(check_row(f"{label}_residual", value, bound,
-                                  {"degree": deg, "point": i}))
+        rows += [check_row(f"{label}_residual", value, bound, {"degree": deg, "point": i})
+                 for i, value in enumerate(by_degree[j])]
     slack = worst(np.diff(by_degree, axis=0).ravel())
     rows.append(check_row(f"{label}_residual_monotone_slack", slack, 1e-12,
                           {"degrees": list(degrees)}))
     return rows
 
 
-def _quadrature_convergence_row(label, f, x, degrees):
-    """Genuine quadrature convergence of the checked quantity itself, its
-    errors taken against the degree-320 rule.
+def _quadrature_convergence_row(label, f, x, rules):
+    """Genuine quadrature convergence of the checked quantity itself, by
+    each rule of the stack ``rules``, its errors taken against the last.
 
     The value is the worst violation of (a) overall decrease across the
     sweep and (b) per-step non-increase with 10% plateau slack (kink
@@ -241,47 +235,59 @@ def _quadrature_convergence_row(label, f, x, degrees):
     """
     rf = pf.operator_R(f)
     scalar = rf.component_field(next(iter(rf.canonical_keys())))
-    *vals, ref = no.n0_scalar(scalar, [x], [sq.build_rule(f.n, d)
-                                            for d in (*degrees, 320)])[:, 0]
+    *vals, ref = no.n0_scalar(scalar, [x], rules)[:, 0]
     errs = [abs(v - ref) for v in vals]
     violation = worst([errs[-1] - errs[0]]
                       + [errs[j + 1] - 1.1 * errs[j] for j in range(len(errs) - 1)])
     return check_row(f"{label}_quadrature_error_decrease", violation, 0.0,
-                     {"degrees": list(degrees), "errors": [float(e) for e in errs]})
+                     {"degrees": [rule.degree for rule in rules[:-1]],
+                      "errors": [float(e) for e in errs]})
+
+
+#: (interior point count, exterior point) of a prop-ray case and of an mrt case
+PROP_RAY_POINTS, MRT_POINTS = (3, (1.25, 0.45)), (1, (1.15, 0.55))
+
+
+def _identity_case(verify, label, rng, m, k, points, rules, params):
+    """One case of prop-ray or mrt, ``points`` being (count, exterior
+    point): a rank-m field in the plane and count points in the ball of
+    radius 0.8, drawn from ``rng``, then the exterior point; its rows are
+    ``verify``, one of the ``normalops`` verifiers, at order k by the stack
+    ``rules``: one call, one sinogram per order and one chord-kernel call per
+    block of lines, each rule's sums bitwise a one-rule call.  Returns
+    (f, rows)."""
+    interior, exterior = points
+    f = pf.random_bump_field(2, m, rng, power=2 * m + 2, degree=2, label="f")
+    pts = np.array([rng.point_in_ball(2, 0.8) for _ in range(interior)] + [exterior])
+    return f, _convergence_rows(label, verify(f, pts, k, rules), params["degrees"],
+                                params["tolerance"])
 
 
 def _run_prop_ray(params, rng, outdir):
+    """The ray key identity, as the k = 0 case of the momentum key identity,
+    and the quadrature convergence of N_0 at the exterior point, against the
+    degree-320 rule."""
     rows = []
-    degrees = params["degrees"]
+    *rules, ref = (sq.build_rule(2, deg) for deg in (*params["degrees"], 320))
     for m in params["m_values"]:
-        child = rng.split(f"prop-ray-{m}")
-        f = pf.random_bump_field(2, m, child, power=2 * m + 2, degree=2,
-                                 label="f")
-        pts = [np.asarray(child.point_in_ball(2, 0.8))
-               for _ in range(3)]
-        pts.append(np.asarray([1.25, 0.45]))
-        rows += _convergence_rows(f"prop_ray_m{m}", f, 0, degrees, pts,
-                                  params["tolerance"], "key")
-        rows.append(_quadrature_convergence_row(
-            f"prop_ray_m{m}", f, np.asarray([1.25, 0.45]), degrees))
+        label = f"prop_ray_m{m}"
+        f, case = _identity_case(no.verify_momentum_key_identity, label,
+                                 rng.split(f"prop-ray-{m}"), m, 0, PROP_RAY_POINTS, rules, params)
+        rows += case
+        rows.append(_quadrature_convergence_row(label, f, PROP_RAY_POINTS[1], rules + [ref]))
     return rows
 
 
 def _run_mrt(params, rng, outdir):
     rows = []
-    degrees = params["degrees"]
-    tol = params["tolerance"]
-    # (cases, stream label, row label, convergence kind)
-    for cases, stream, label, kind in ((params["lemma_cases"], "lemma", "lemma_mrt", "lemma"),
-                                       (params["prop_cases"], "prop-mrt", "prop_mrt", "key")):
+    rules = [sq.build_rule(2, deg) for deg in params["degrees"]]
+    # (cases, stream label, row label, verifier)
+    for cases, stream, label, verify in (
+            (params["lemma_cases"], "lemma", "lemma_mrt", no.verify_momentum_moment_identity),
+            (params["prop_cases"], "prop-mrt", "prop_mrt", no.verify_momentum_key_identity)):
         for m, k in cases:
-            child = rng.split(f"{stream}-{m}-{k}")
-            f = pf.random_bump_field(2, m, child, power=2 * m + 2, degree=2,
-                                     label="f")
-            pts = [np.asarray(child.point_in_ball(2, 0.8)),
-                   np.asarray([1.15, 0.55])]
-            rows += _convergence_rows(f"{label}_m{m}_k{k}", f, k, degrees, pts,
-                                      tol, kind)
+            rows += _identity_case(verify, f"{label}_m{m}_k{k}", rng.split(f"{stream}-{m}-{k}"),
+                                   m, k, MRT_POINTS, rules, params)[1]
     return rows
 
 

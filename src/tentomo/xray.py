@@ -42,7 +42,6 @@ from functools import lru_cache
 import numpy as np
 
 from .polyfield import BudgetError, PolyBumpField, operator_R
-from .polynomial import tree_multisets
 from .spherequad import bump_ball_monomial_integral
 from .symtensor import canonical_indices, multiplicity, sym_dim, sym_power_span_rank
 
@@ -368,10 +367,7 @@ def eval_exprs(exprs, X, Xi, Y=None):
         return out
     atoms, rhos = [], set()
     for (f, row), dm, tp in cols:
-        j = len(dm)
-        block = tree_multisets(f.n, j).index(dm)
-        atoms.append((f.derivative_level(j).float_terms()[block * len(f.rows()) + row],
-                      f.power - j, tp))
+        atoms.append((*f.atom(row, dm), tp))
         rhos.add(f.rho)
     if len(rhos) > 1:
         raise ValueError("support mismatch")

@@ -152,9 +152,8 @@ def test_criterion_5_prop_ray():
         final = 0.0
         for x in pts:
             vals, monotone = _degree_sweep(
-                lambda rules: np.max(np.abs(list(
-                    no.verify_momentum_key_identity(f, [x], 0, rules).values())),
-                    axis=(0, 2)))
+                lambda rules: np.max(np.abs(no.verify_momentum_key_identity(f, [x], 0, rules)),
+                                     axis=(1, 2)))
             ok &= monotone and vals[-1] <= 1e-5
             final = max(final, vals[-1])
         # genuine quadrature convergence of the checked quantity at an
@@ -197,8 +196,8 @@ def test_criterion_6_momentum_identities():
         for x in (np.asarray(rng.split(f"xp{m}{k}").point_in_ball(2, 0.8)),
                   np.asarray([1.15, 0.55])):
             vals, monotone = _degree_sweep(
-                lambda rules: np.max(np.abs(list(no.verify_momentum_key_identity(
-                    f, [x], k, rules).values())), axis=(0, 2)))
+                lambda rules: np.max(np.abs(no.verify_momentum_key_identity(f, [x], k, rules)),
+                                     axis=(1, 2)))
             ok &= monotone and vals[-1] <= 1e-5
             last.append(vals)
         details.append(f"prop({m},{k}) residual@60 {last[-1][-1]:.1e} "

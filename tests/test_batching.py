@@ -29,18 +29,9 @@ def _rows(seed, count, radius):
     return X, Xi
 
 
-def _stacked(out):
-    """A per-row result as one array with rows first."""
-    return np.stack(list(out.values()), axis=1) if isinstance(out, dict) else out
-
-
-def _rule(out, j=0):
-    """Rule j's result of a call on a stack of rules."""
-    return {key: v[j] for key, v in out.items()} if isinstance(out, dict) else out[j]
-
-
 def _cases(seed):
-    """(name, function of row indices) for every batched kernel and check."""
+    """(name, function of row indices) for every batched kernel and check;
+    each function returns an array with the rows first."""
     rng = SplitMix64(seed)
     f1 = random_bump_field(2, 1, rng.split("f1"), power=4, degree=2)
     f2 = random_bump_field(2, 2, rng.split("f2"), power=6, degree=2)
@@ -51,14 +42,14 @@ def _cases(seed):
     return [
         ("eval_lines", lambda r: expr.eval_lines(X[r], Xi[r])),
         ("eval_lines transverse", lambda r: expr.eval_lines(X[r], Xi[r], X[r][:, ::-1])),
-        ("_angular_sum", lambda r: _rule(no._angular_sum([expr], pts[r], 2, [RULE])[0])),
-        ("_foot_point_sum", lambda r: _rule(no._foot_point_sum(f2, 1, pts[r], 1, 1, [RULE]))),
+        ("_angular_sum", lambda r: no._angular_sum([expr], pts[r], 2, [RULE])[0, 0]),
+        ("_foot_point_sum", lambda r: no._foot_point_sum(f2, 1, pts[r], 1, 1, [RULE])[0]),
         ("verify_john_relation", lambda r: xr.verify_john_relation(f2, X[r], Xi[r])),
-        ("n0_scalar", lambda r: _rule(no.n0_scalar(g, pts[r], [RULE]))),
+        ("n0_scalar", lambda r: no.n0_scalar(g, pts[r], [RULE])[0]),
         ("verify_momentum_key_identity",
-         lambda r: _rule(no.verify_momentum_key_identity(f1, pts[r], 1, [RULE]))),
+         lambda r: no.verify_momentum_key_identity(f1, pts[r], 1, [RULE])[0]),
         ("verify_momentum_moment_identity",
-         lambda r: _rule(no.verify_momentum_moment_identity(f2, pts[r], 1, [RULE]))),
+         lambda r: no.verify_momentum_moment_identity(f2, pts[r], 1, [RULE])[0]),
     ]
 
 
@@ -69,12 +60,11 @@ def test_rows_do_not_depend_on_their_batch(seed, order, keep):
     order = np.array(order)
     subset = np.flatnonzero(keep)
     for name, fn in _cases(seed):
-        full = _stacked(fn(np.arange(ROWS)))
-        assert np.array_equal(_stacked(fn(order)), full[order], equal_nan=True), name
-        assert np.array_equal(_stacked(fn(subset)), full[subset], equal_nan=True), name
+        full = fn(np.arange(ROWS))
+        assert np.array_equal(fn(order), full[order], equal_nan=True), name
+        assert np.array_equal(fn(subset), full[subset], equal_nan=True), name
         for i in range(ROWS):
-            assert np.array_equal(_stacked(fn(np.array([i]))), full[i:i + 1],
-                                  equal_nan=True), (name, i)
+            assert np.array_equal(fn(np.array([i])), full[i:i + 1], equal_nan=True), (name, i)
 
 
 def test_rows_of_a_batch_above_one_block():
@@ -119,11 +109,11 @@ def _stack_cases(seed):
 
 
 def _assert_rules_match_one_rule_calls(fn, rules, name):
-    alone = [_stacked(_rule(fn([rule]))) for rule in rules]
+    alone = [fn([rule])[0] for rule in rules]
     for order in (rules, rules[::-1]):
         stacked = fn(order)
         for j, rule in enumerate(order):
-            assert np.array_equal(_stacked(_rule(stacked, j)), alone[rules.index(rule)],
+            assert np.array_equal(stacked[j], alone[rules.index(rule)],
                                   equal_nan=True), (name, rule.degree)
 
 

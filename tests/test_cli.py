@@ -208,6 +208,9 @@ class TestValidateAcceptsOnlyWhatRuns:
         {"suite": "identities.john", "cases": []},
         {"suite": "identities.prop-ray", "m_values": []},
         {"suite": "identities.mrt", "lemma_cases": [], "prop_cases": []},
+        # identities.mrt ranks above its bounds (README, "identities.mrt")
+        {"suite": "identities.mrt", "prop_cases": [[4, 1]]},
+        {"suite": "identities.mrt", "lemma_cases": [[13, 1]]},
         {"suite": "decompose", "m_values": [], "normal_consistency": False},
         {"suite": "decompose", "m_values": [], "normal_cases": []},
         {"suite": "identities.prop-ray", "m_values": 3},
@@ -554,19 +557,11 @@ def test_an_unknown_check_mode_is_refused(mode):
         check_row("x", 5.0, 1.0, mode=mode)
 
 
-@pytest.mark.parametrize("kind", ["moment", "Key", ""])
-def test_convergence_rows_reject_an_unknown_kind(kind):
-    from tentomo.polyfield import random_bump_field
-    from tentomo.rng import SplitMix64
-    f = random_bump_field(2, 1, SplitMix64(3), power=4, degree=2, label="f")
-    with pytest.raises(ValueError, match="unknown convergence kind"):
-        suites._convergence_rows("x", f, 1, [20, 40], [[0.1, 0.2]], 1e-5, kind)
-
-
 def test_nan_quadrature_error_fails_its_row(monkeypatch):
     import tentomo.normalops as no
     from tentomo.polyfield import random_bump_field
     from tentomo.rng import SplitMix64
+    from tentomo.spherequad import build_rule
     real = no.n0_scalar
 
     def nan_at_degree_40(g, pts, rules):
@@ -576,7 +571,8 @@ def test_nan_quadrature_error_fails_its_row(monkeypatch):
     monkeypatch.setattr(no, "n0_scalar", nan_at_degree_40)
     f = random_bump_field(2, 1, SplitMix64(3), power=4, degree=2, label="f")
     row = suites._quadrature_convergence_row("q", f, np.asarray([1.25, 0.45]),
-                                             [20, 40, 60])
+                                             [build_rule(2, deg) for deg in (20, 40, 60, 320)])
+    assert row["parameters"]["degrees"] == [20, 40, 60]
     assert math.isnan(row["parameters"]["errors"][1])
     assert math.isnan(row["value"]) and not row["pass"]
 
@@ -780,6 +776,14 @@ COUNTS = (hs.integers(1, 2), hs.integers(-1, 0))
 PAIRS = (hs.lists(hs.tuples(hs.integers(0, 2), hs.integers(0, 2)).map(
              lambda mk: sorted(mk, reverse=True)), min_size=1, max_size=2),
          hs.lists(hs.lists(hs.integers(-1, 3), max_size=3), max_size=2))
+
+
+def _pairs_above(top):
+    """Out-of-range [m, k] lists of ``PAIRS``, or pairs whose m is one above ``top``."""
+    return hs.one_of(PAIRS[1], hs.lists(hs.tuples(hs.just(top + 1), hs.integers(0, 2)).map(list),
+                                        min_size=1, max_size=2))
+
+
 BOOLS = (hs.booleans(), hs.sampled_from([0, 1, "true"]))
 # per key: cheap values, mostly in range, and values just out of range
 VALUES = {
@@ -798,7 +802,7 @@ VALUES = {
                          unique=True).map(sorted),
                 hs.lists(hs.integers(-1, 8), max_size=3)),
     "tolerance": (hs.floats(1e-12, 1e-9), hs.sampled_from([0, -1e-9, 1e-3])),
-    "lemma_cases": PAIRS, "prop_cases": PAIRS,
+    "lemma_cases": (PAIRS[0], _pairs_above(12)), "prop_cases": (PAIRS[0], _pairs_above(3)),
     "normal_cases": (PAIRS[0], hs.one_of(PAIRS[1], hs.lists(
         hs.permutations([0, 5]), min_size=1, max_size=2))),
     "N": (hs.integers(16, 17), hs.sampled_from([14, 15, 257, 10**6])),

@@ -10,6 +10,7 @@ import pytest
 
 from tentomo import normalops as no
 from tentomo import polyfield as pf
+from tentomo import spherequad as sq
 from tentomo import suites
 from tentomo import symtensor as st
 from tentomo import xray as xr
@@ -38,9 +39,12 @@ def scale_oracle_y(monkeypatch):
                         lambda f, X, Om, Y: real(f, X, Om, Y * (1 + 1e-6)))
 
 
-def mutate_sym_maps(monkeypatch, i_entry=None, j_entry=None):
-    """Entry [0, 0, 0] of every i-table and j-table of ``sym_maps``, an exact
-    1 in both, mapped by ``i_entry`` and ``j_entry`` where given."""
+def mutate_sym_maps(monkeypatch, i_entry=None, j_entry=None, where=st):
+    """Entry [0, 0, 0] of the i-table and j-table that ``sym_maps`` returns,
+    an exact 1 in both, mapped by ``i_entry`` and ``j_entry`` where given.
+    Only lookups in the module ``where`` see it: ``normalops`` holds its own
+    name for ``symtensor.sym_maps``, so the default reaches ``suites`` and
+    ``symtensor`` but not the normal operators or the moment identity."""
     real = st.sym_maps
 
     def wrong(n, m):
@@ -50,7 +54,7 @@ def mutate_sym_maps(monkeypatch, i_entry=None, j_entry=None):
                 table[0, 0, 0] = change(table[0, 0, 0])
         return tuple(tables)
 
-    monkeypatch.setattr(st, "sym_maps", wrong)
+    monkeypatch.setattr(where, "sym_maps", wrong)
 
 
 def scale_an_i_entry(monkeypatch):
@@ -61,6 +65,21 @@ def scale_an_i_entry(monkeypatch):
 def set_a_j_entry(monkeypatch):
     """One j-table entry set to 1001/1000."""
     mutate_sym_maps(monkeypatch, j_entry=lambda x: Fraction(1001, 1000))
+
+
+def set_a_j_entry_of_the_moment_identity(monkeypatch):
+    """One j-table entry set to 1001/1000 where ``normalops`` reads it: the
+    j_x contractions of the moment identity's right-hand side."""
+    mutate_sym_maps(monkeypatch, j_entry=lambda x: Fraction(1001, 1000), where=no)
+
+
+def scale_c_constants(monkeypatch):
+    """Every c_{l,s} times 1 + 1/1000, l = 0 included: at m = 1 the key
+    identities read only c_{0,0} and c_{0,1}.  The table
+    ``spherequad._ibp_weights`` caches the constants, so callers clear it
+    before and after."""
+    real = sq.c_constant
+    monkeypatch.setattr(sq, "c_constant", lambda l, s, n: real(l, s, n) * Fraction(1001, 1000))
 
 
 def scale_w_to_r(monkeypatch):
@@ -156,6 +175,39 @@ def test_algebra_mutation_fails_its_row(row, mutate, monkeypatch, tmp_path):
     assert verdicts(config, row, tmp_path) == [True]
     mutate(monkeypatch)
     assert verdicts(config, row, tmp_path) == [False]
+
+
+#: (suite, rows, mutation) of the identity suites at their defaults.  The
+#: ``*_monotone_slack`` rows FAIL under these mutations too, but only by
+#: accident, so they are not listed; no mutation here reaches the
+#: ``*_quadrature_error_decrease`` rows of prop-ray.
+IDENTITY_MUTATIONS = [
+    ("identities.prop-ray", {"prop_ray_m1_residual", "prop_ray_m2_residual"}, scale_c_constants),
+    ("identities.mrt", {"prop_mrt_m1_k1_residual", "prop_mrt_m2_k1_residual"}, scale_c_constants),
+    ("identities.mrt", {"lemma_mrt_m1_k1_residual", "lemma_mrt_m2_k1_residual",
+                        "lemma_mrt_m2_k2_residual"}, set_a_j_entry_of_the_moment_identity),
+]
+
+
+def failing_rows(config, out):
+    """The names of the rows of a run that FAIL, the slack rows left out."""
+    return {r["name"] for r in run_suite(config, SplitMix64(50), out)["residuals"]
+            if not r["pass"] and not r["name"].endswith("_monotone_slack")}
+
+
+@pytest.mark.parametrize("suite,rows,mutate", IDENTITY_MUTATIONS,
+                         ids=[f"{suite}-{mutate.__name__}" for suite, _, mutate in IDENTITY_MUTATIONS])
+def test_identity_mutations_fail_their_rows(suite, rows, mutate, tmp_path):
+    # the mutation FAILs every listed row name and no other row but a slack
+    config = {"suite": suite}
+    assert failing_rows(config, tmp_path) == set()
+    sq._ibp_weights.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            mutate(patch)
+            assert failing_rows(config, tmp_path) == rows
+    finally:
+        sq._ibp_weights.cache_clear()
 
 
 def test_decompose_mutation_fails_its_row(monkeypatch, tmp_path):

@@ -9,7 +9,8 @@ import pytest
 
 from tentomo.cli import run_suite
 from tentomo.polynomial import CoreStack
-from tentomo.polyfield import inner_derivative, pair_alternations, random_bump_field
+from tentomo.polyfield import (generalized_R, inner_derivative, pair_alternations,
+                               random_bump_field)
 from tentomo.rng import SplitMix64
 from tentomo.spherequad import build_rule
 from tentomo.symtensor import canonical_indices, multiplicity, sym_dim, sym_maps
@@ -698,13 +699,13 @@ class TestKeyIdentities:
         f = random_bump_field(2, m, SplitMix64(40 + m), power=2 * m + 2,
                               degree=2)
         res = verify_momentum_key_identity(f, [[0.3, -0.2], [1.2, 0.5]], 0, [rule40])
-        assert np.max(np.abs(list(res.values()))) < 1e-10
+        assert np.max(np.abs(res)) < 1e-10
 
     def test_prop_ray_potential_both_sides_zero(self, rule40):
         v = random_bump_field(2, 1, SplitMix64(43), power=7, degree=2)
         f = inner_derivative(v)
         res = verify_momentum_key_identity(f, [[0.4, 0.2]], 0, [rule40])
-        assert np.max(np.abs(list(res.values()))) < 1e-10
+        assert np.max(np.abs(res)) < 1e-10
 
     @pytest.mark.parametrize("m,k", [(1, 0), (1, 1), (2, 1), (2, 2)])
     def test_lemma_mrt(self, m, k, rule40):
@@ -724,14 +725,25 @@ class TestKeyIdentities:
         f = random_bump_field(2, m, SplitMix64(60 + m + k), power=2 * m + 2,
                               degree=2)
         res = verify_momentum_key_identity(f, [[0.3, -0.2]], k, [rule40])
-        assert np.max(np.abs(list(res.values()))) < 1e-10
+        # one component per R^k f row, in the order of the right-hand sides
+        rows = generalized_R(f, k).rows()
+        assert list(no.momentum_key_rhs_exprs(f, k)) == list(rows)
+        assert res.shape == (1, 1, len(rows))
+        assert np.max(np.abs(res)) < 1e-10
+
+    @pytest.mark.parametrize("k", [-1, 3])
+    def test_k_out_of_range_raises(self, k, rule40):
+        f = random_bump_field(2, 2, SplitMix64(62), power=6, degree=2)
+        for verify in (verify_momentum_key_identity, verify_momentum_moment_identity):
+            with pytest.raises(ValueError, match="k out of range"):
+                verify(f, [[0.3, -0.2]], k, [rule40])
 
     def test_prop_mrt_k0_reduces_to_prop_ray(self, rule40):
         f = random_bump_field(2, 1, SplitMix64(63), power=4, degree=2)
         x = [[0.25, 0.1]]
         # at k = 0 the momentum key identity is the ray key identity
         a = verify_momentum_key_identity(f, x, 0, [rule40])
-        assert np.max(np.abs(list(a.values()))) < 1e-10
+        assert np.max(np.abs(a)) < 1e-10
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_wrong_metric_weight_fails(self, k, rule40, monkeypatch):
@@ -747,7 +759,7 @@ class TestKeyIdentities:
             res = verify_momentum_key_identity(f, x, k, [rule40])
         finally:
             sq._ibp_weights.cache_clear()
-        assert np.max(np.abs(list(res.values()))) > 1e-3
+        assert np.max(np.abs(res)) > 1e-3
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_delta_np_combination_collapses_to_the_moment_integrand(self, n):
@@ -808,7 +820,7 @@ class TestKeyIdentities:
         f = random_bump_field(2, 1, SplitMix64(64), power=4, degree=2)
         x = [[1.15, 0.55]]
         res = verify_momentum_key_identity(f, x, 1, [build_rule(2, deg) for deg in (20, 40, 60)])
-        vals = np.max(np.abs(list(res.values())), axis=(0, 2))
+        vals = np.max(np.abs(res), axis=(1, 2))
         assert vals[2] <= vals[1] <= vals[0]
         assert vals[2] < 1e-5
 

@@ -480,16 +480,18 @@ class TestStackAgainstDictOracles:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_level_cores_match_the_dict_oracle(self, n, m):
-        # the core a TransformExpr atom (component r, multiset I) reads is row
-        # r of the block of I in level |I|, at every level up to the power
+        # the terms a TransformExpr atom (component r, multiset I) reads are
+        # the dict oracle's partial of component r along I, each coefficient
+        # correctly rounded, at the bump power less |I|, at every level up
+        # to the power
         for f in oracle_fields(n, m, 400 + 10 * n + m):
-            rows = f.rows()
             for j in range(f.power + 1):
-                cores = f.derivative_level(j).polys()
-                assert len(cores) == len(tree_multisets(n, j)) * len(rows)
-                for block, axes in enumerate(tree_multisets(n, j)):
-                    for r, idx in enumerate(rows):
-                        assert cores[block * len(rows) + r] == f.derivative_core(idx, axes)
+                for axes in tree_multisets(n, j):
+                    for r, idx in enumerate(f.rows()):
+                        (exps, coeffs), power = f.atom(r, axes)
+                        assert power == f.power - j
+                        assert dict(zip(map(tuple, exps.tolist()), coeffs.tolist())) == \
+                            {e: float(c) for e, c in f.derivative_core(idx, axes).terms.items()}
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_d_divergence_laplacian(self, n):
